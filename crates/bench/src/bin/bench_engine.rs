@@ -188,13 +188,8 @@ fn main() {
     // BSP dispatch-call invariant is a property of the coalescing join
     // *on this stream*, so the gate must re-check exactly it.
     let samples = if smoke { 1 } else { SAMPLES };
-    // The harness owns the delta gate: the measured legs run with delta
-    // compilation on (the default), the off-oracle leg below toggles it
-    // explicitly. An inherited MAGE_SIM_DELTA=off would silently zero
-    // the unit-cache counters every leg asserts on, and an inherited
-    // MAGE_SIM_FUSE=off would strip the fused-plan dispatch tier out of
-    // every measured leg.
-    std::env::remove_var("MAGE_SIM_DELTA");
+    // An inherited MAGE_SIM_FUSE=off would strip the fused-plan
+    // dispatch tier out of every measured leg.
     std::env::remove_var("MAGE_SIM_FUSE");
     let jobs = stream_specs().len();
 
@@ -227,30 +222,13 @@ fn main() {
     let bstats = bsp_stats.expect("ran");
     let sstats = scalar_stats.expect("ran");
 
-    // Delta-compilation invariants: the wave pass compiles through the
+    // Delta-compilation invariant: the wave pass compiles through the
     // process-unit cache, so the debug loop's re-compiles of edited
-    // candidates must generate unit traffic — and with the delta gate
-    // off, the from-scratch oracle must leave the tier untouched.
-    assert!(
-        wreport.unit_hits + wreport.unit_misses > 0,
-        "wave pass generated no unit-cache traffic at all"
-    );
+    // candidates must reuse cached units.
     assert!(
         wreport.unit_hits > 0,
         "debug-loop re-compiles never reused a cached unit"
     );
-    std::env::set_var("MAGE_SIM_DELTA", "off");
-    let (_, off_report) = run_serve(SchedMode::Wave, true);
-    std::env::remove_var("MAGE_SIM_DELTA");
-    assert_eq!(
-        (off_report.unit_hits, off_report.unit_misses),
-        (0, 0),
-        "MAGE_SIM_DELTA=off must never touch the unit cache"
-    );
-    // The gate must not change the work either (delta is store-exact).
-    assert_eq!(off_report.stats.llm_requests, wstats.llm_requests);
-    assert_eq!(off_report.stats.sim_requests, wstats.sim_requests);
-    assert_eq!(off_report.stats.jobs_done, wstats.jobs_done);
 
     // Scheduler invariants, asserted in-process on the registry stream.
     //
@@ -371,13 +349,11 @@ fn main() {
         faulted.retries, faulted.hedges, faulted.rate_limit_defers, faulted.failovers,
     );
     println!(
-        "delta units: {} hits / {} misses / {} collisions ({:.1}% debug-loop hit rate); \
-         MAGE_SIM_DELTA=off leg: {} hits (asserted zero)",
+        "delta units: {} hits / {} misses / {} collisions ({:.1}% debug-loop hit rate)",
         wreport.unit_hits,
         wreport.unit_misses,
         wreport.unit_collisions,
         100.0 * wreport.unit_hits as f64 / (wreport.unit_hits + wreport.unit_misses).max(1) as f64,
-        off_report.unit_hits,
     );
 
     let sched_mode = |stats: &ServeStats| {
@@ -398,7 +374,7 @@ fn main() {
          \"scheduler\": {{\n    \
          \"wave\": {},\n    \"bsp\": {},\n    \
          \"delta\": {{ \"unit_hits\": {}, \"unit_misses\": {}, \"unit_collisions\": {}, \
-         \"hit_rate\": {:.4}, \"off_unit_hits\": {}, \"off_unit_misses\": {} }}\n  }},\n  \
+         \"hit_rate\": {:.4} }}\n  }},\n  \
          \"resilience\": {{\n    \
          \"plan\": \"canonical\",\n    \"retries\": {},\n    \"hedges\": {},\n    \
          \"rate_limit_defers\": {},\n    \"failovers\": {},\n    \"jobs_failed\": {}\n  }},\n  \
@@ -428,9 +404,7 @@ fn main() {
          the wave pass's process-unit cache counters: the debug loop re-compiles edited \
          candidates against their parent design, so unchanged processes are served from \
          the unit tier (hit_rate = hits / (hits + misses)); the harness asserts nonzero \
-         unit traffic with delta on and exactly zero unit-cache touches under \
-         MAGE_SIM_DELTA=off, with identical per-job work either way (delta compilation \
-         is store-exact). Stream = VerilogEval-Human x \
+         unit hits. Stream = VerilogEval-Human x \
          {RUNS_PER_PROBLEM} runs, high-temperature MAGE config, seed 0xBE. Wall times are \
          interleaved best-of-{samples} minima; this container has a single CPU, so the \
          background sim wave shows no wall gain here — the scheduler section's deterministic \
@@ -451,8 +425,6 @@ fn main() {
         wreport.unit_misses,
         wreport.unit_collisions,
         wreport.unit_hits as f64 / (wreport.unit_hits + wreport.unit_misses).max(1) as f64,
-        off_report.unit_hits,
-        off_report.unit_misses,
         faulted.retries,
         faulted.hedges,
         faulted.rate_limit_defers,

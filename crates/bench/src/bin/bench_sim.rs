@@ -559,9 +559,8 @@ fn main() {
     // --- Delta-compilation counters: per-kernel unit-cache reuse. A
     //     re-elaboration against the unchanged parent must reuse every
     //     unit; a single-process edit must rebuild exactly that unit
-    //     (plus the fanout/trigger index rows that reference it); and
-    //     MAGE_SIM_DELTA=off must bypass the unit provider entirely —
-    //     all deterministic, asserted in-process on every run. ---
+    //     (plus the fanout/trigger index rows that reference it) — all
+    //     deterministic, asserted in-process on every run. ---
     let delta_kernels: [(&str, &str, &str, &str); 3] = [
         (
             "alu_kernel",
@@ -612,29 +611,18 @@ fn main() {
             design.processes, scratch.processes,
             "{name}: delta build diverged from scratch"
         );
-        // The off-oracle compiles from scratch: zero unit-cache hits.
-        std::env::set_var("MAGE_SIM_DELTA", "off");
-        let (_, off) =
-            mage_core::compile_with_units(&edited_src, Some(&parent)).expect("off-oracle compiles");
-        std::env::remove_var("MAGE_SIM_DELTA");
-        assert_eq!(
-            (off.reused, off.rebuilt),
-            (0, units),
-            "{name}: MAGE_SIM_DELTA=off must never hit the unit cache"
-        );
         println!(
             "{:24} delta: {} units, single edit reused {} rebuilt {} (fanout rows {}, trigger rows {})",
             name, units, edit.reused, edit.rebuilt, edit.fanout_rows, edit.trigger_rows
         );
         sched_json.push_str(&format!(
-            "      \"{}\": {{ \"units\": {}, \"reused\": {}, \"rebuilt\": {}, \"fanout_rows\": {}, \"trigger_rows\": {}, \"off_reused\": {} }}{}\n",
+            "      \"{}\": {{ \"units\": {}, \"reused\": {}, \"rebuilt\": {}, \"fanout_rows\": {}, \"trigger_rows\": {} }}{}\n",
             name,
             units,
             edit.reused,
             edit.rebuilt,
             edit.fanout_rows,
             edit.trigger_rows,
-            off.reused,
             if i + 1 == delta_kernels.len() { "" } else { "," }
         ));
     }
@@ -700,9 +688,7 @@ fn main() {
          parent design: units = process count, reused/rebuilt = units served from the \
          parent vs recompiled after a single-process edit (asserted to be exactly \
          units-1 / 1), fanout_rows / trigger_rows = comb-fanout and per-edge trigger \
-         index rows rebuilt because they reference the edited process, off_reused = \
-         units served with MAGE_SIM_DELTA=off (asserted zero — the from-scratch \
-         oracle never touches the unit cache). Regenerate with: \
+         index rows rebuilt because they reference the edited process. Regenerate with: \
          cargo run --release -p mage-bench --bin bench_sim (add --smoke to cap \
          sampling for CI)\"\n}\n",
     );

@@ -17,17 +17,15 @@
 //! and in the feedback format their debugger receives.
 
 use crate::config::{MageConfig, SystemKind};
+use crate::solvejob::{execute_sim_with, SimRequest};
 use crate::units::SolveUnits;
 use mage_llm::{
     Conversation, DebugRequest, JudgeTbRequest, ModelOutput, Role, RtlGenRequest, RtlLanguageModel,
     SyntaxFixRequest, TaskKind, TbGenRequest, TokenUsage,
 };
-use mage_sim::{
-    delta_enabled, elaborate, elaborate_with, ChainedUnits, DeltaStats, Design, DesignUnits,
-    UnitSource,
-};
+use mage_sim::{elaborate, elaborate_with, ChainedUnits, DeltaStats, Design, DesignUnits};
 use mage_tb::textlog::{render_checkpoint_window, render_summary};
-use mage_tb::{run_testbench, TbReport, Testbench};
+use mage_tb::{TbReport, Testbench};
 use mage_verilog::parse;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -265,7 +263,9 @@ impl<'m, M: RtlLanguageModel> Mage<'m, M> {
                     job.advance(crate::solvejob::StepInput::Llm(resp))
                 }
                 crate::solvejob::SolveStep::NeedSim(req) => {
-                    let outcome = crate::solvejob::execute_sim_pooled(&req, &units);
+                    let outcome = execute_sim_with(&req, |src| {
+                        compile_pooled(src, req.parent.as_ref(), &units).map(|(design, _)| design)
+                    });
                     job.advance(crate::solvejob::StepInput::Sim(outcome))
                 }
                 crate::solvejob::SolveStep::Done(trace) => return *trace,
@@ -318,7 +318,7 @@ impl<'m, M: RtlLanguageModel> Mage<'m, M> {
         }
 
         // --- Step 1: optimized testbench. ---
-        let mut tb = self.generate_testbench(task, 0, &mut ctx, &mut usage);
+        let mut tb = Arc::new(self.generate_testbench(task, 0, &mut ctx, &mut usage));
         let mut digest = bench_digest(&tb);
 
         // --- Step 2: initial candidate (with syntax repair). ---
@@ -375,7 +375,7 @@ impl<'m, M: RtlLanguageModel> Mage<'m, M> {
                 break;
             }
             trace.tb_regens += 1;
-            tb = self.generate_testbench(task, regen + 1, &mut ctx, &mut usage);
+            tb = Arc::new(self.generate_testbench(task, regen + 1, &mut ctx, &mut usage));
             digest = bench_digest(&tb);
             score_cache.clear();
             best = self.score_candidate(strip_scoring(best), &tb, &mut score_cache, &units);
@@ -405,12 +405,9 @@ impl<'m, M: RtlLanguageModel> Mage<'m, M> {
         trace.best_sampled_score = pool.first().map(|c| c.score);
         // Deduplicate textually identical candidates so the debug stage
         // works K *distinct* chains (duplicates add nothing under Eq. 4).
-        let mut seen: Vec<u64> = Vec::new();
         let mut selected: Vec<Candidate> = Vec::new();
         for c in pool {
-            let h = mage_logic::fnv1a(c.source.as_bytes());
-            if !seen.contains(&h) {
-                seen.push(h);
+            if !selected.iter().any(|s| s.source == c.source) {
                 selected.push(c);
             }
             if selected.len() == self.config.top_k {
@@ -595,116 +592,71 @@ impl<'m, M: RtlLanguageModel> Mage<'m, M> {
     /// Judge-agent tooling: simulate and score a candidate (Eq. 2).
     fn score_candidate(
         &self,
-        mut cand: Candidate,
-        tb: &Testbench,
+        cand: Candidate,
+        tb: &Arc<Testbench>,
         cache: &mut HashMap<u64, Candidate>,
         units: &SolveUnits,
     ) -> Candidate {
         let key = mage_logic::fnv1a(cand.source.as_bytes());
-        if let Some(hit) = cache.get(&key) {
+        // The hash only picks the slot: a colliding source scores fresh.
+        if let Some(hit) = cache.get(&key).filter(|hit| hit.source == cand.source) {
             return hit.clone();
         }
-        if cand.design.is_none() {
-            cand.design = compile_pooled(&cand.source, None, units)
-                .ok()
-                .map(|(d, _)| d);
-        }
-        let scored = match &cand.design {
-            None => cand,
-            Some(design) => match run_testbench(tb, design) {
-                Ok(report) => Candidate {
-                    score: report.score(),
-                    report: Some(report),
-                    ..cand
-                },
-                Err(_) => Candidate {
-                    score: 0.0,
-                    report: None,
-                    ..cand
-                },
-            },
+        let req = SimRequest {
+            source: cand.source,
+            design: cand.design,
+            bench: Some(Arc::clone(tb)),
+            parent: None,
+        };
+        let outcome = execute_sim_with(&req, |src| {
+            compile_pooled(src, None, units).map(|(design, _)| design)
+        });
+        let scored = Candidate {
+            source: req.source,
+            design: outcome.design.ok(),
+            score: outcome.score,
+            report: outcome.report,
         };
         cache.insert(key, scored.clone());
         scored
     }
 }
 
-/// Compile a candidate: parse and elaborate, with the module named
-/// `top_module` (or the last module) as top. The error string is the
-/// diagnostic fed to the syntax-repair loop.
+/// Compile a source from scratch: parse and elaborate, with the module
+/// named `top_module` (or the last module) as top; the error string is
+/// the parse or elaboration diagnostic. The reference build for grading
+/// and tests — candidates compile through [`compile_pooled`], which
+/// returns the same design.
 pub fn compile(source: &str) -> Result<Arc<Design>, String> {
-    compile_with_units(source, None).map(|(design, _)| design)
+    let (file, top) = parse_top(source)?;
+    elaborate(&file, &top)
+        .map(Arc::new)
+        .map_err(|e| e.to_string())
 }
 
-/// [`compile`] with a parent-design hint: when delta compilation is
-/// enabled ([`mage_sim::delta_enabled`]) and a parent is given, each
-/// process unit unchanged from the parent is reused verbatim and only
-/// the edited units are rebuilt — the debug loop's common case, where a
-/// candidate differs from the design it was debugged from by one
-/// process body. Returns the per-unit reuse counters alongside the
-/// design; without a parent (or with `MAGE_SIM_DELTA=off`) the stats
-/// report every unit as rebuilt.
-pub fn compile_with_units(
-    source: &str,
-    parent: Option<&Arc<Design>>,
-) -> Result<(Arc<Design>, DeltaStats), String> {
-    match parent {
-        Some(parent) if delta_enabled() => {
-            let provider = DesignUnits::new(Arc::clone(parent));
-            compile_with_provider(source, &provider)
-        }
-        _ => {
-            let (file, top) = parse_top(source)?;
-            elaborate(&file, &top)
-                .map(|design| {
-                    let stats = DeltaStats {
-                        rebuilt: design.processes.len(),
-                        ..DeltaStats::default()
-                    };
-                    (Arc::new(design), stats)
-                })
-                .map_err(|e| e.to_string())
-        }
-    }
-}
-
-/// [`compile_with_units`] through a per-solve unit pool: when delta
-/// compilation is enabled, unchanged units are served from the parent
-/// design (chained first, when given) and from `units` — the pool every
-/// sibling candidate of one solve publishes to — so identical processes
-/// across siblings skip the elaboration walk, not just the lowering.
-/// Fresh units are published back to the pool. Pooling never changes
-/// the result (every hit is verified against the unit's canonical text
-/// and binding environment); under `MAGE_SIM_DELTA=off` the pool is
-/// never consulted and this is exactly [`compile_with_units`].
+/// Compile a candidate by delta elaboration: every process unit is
+/// probed first in `parent` (the design the candidate was derived from —
+/// a debug trial names the candidate it rewrote), then in `units` (the
+/// unit tier every sibling compile publishes to), and only the misses
+/// are elaborated and lowered; fresh units publish back to `units`.
+/// Every hit is verified against the unit's canonical text and binding
+/// environment, so the design is store-exact against [`compile`] —
+/// reuse changes how much is rebuilt, never the result. Returns the
+/// per-unit reuse counters alongside the design.
 pub fn compile_pooled(
     source: &str,
     parent: Option<&Arc<Design>>,
     units: &SolveUnits,
 ) -> Result<(Arc<Design>, DeltaStats), String> {
-    if !delta_enabled() {
-        return compile_with_units(source, parent);
-    }
-    match parent {
-        Some(parent) => {
-            let provider = DesignUnits::new(Arc::clone(parent));
-            let sources: Vec<&dyn UnitSource> = vec![&provider, units];
-            compile_with_provider(source, &ChainedUnits::new(sources))
-        }
-        None => compile_with_provider(source, units),
-    }
-}
-
-/// [`compile_with_units`] against an arbitrary unit provider — the hook
-/// the serve layer uses to chain the parent design with its shared
-/// process-unit cache. The caller owns the [`delta_enabled`] gate: this
-/// function always probes `provider`.
-pub fn compile_with_provider(
-    source: &str,
-    provider: &dyn UnitSource,
-) -> Result<(Arc<Design>, DeltaStats), String> {
     let (file, top) = parse_top(source)?;
-    elaborate_with(&file, &top, provider)
+    let built = match parent {
+        Some(parent) => {
+            let parent = DesignUnits::new(Arc::clone(parent));
+            elaborate_with(&file, &top, &ChainedUnits::new(vec![&parent, units]))
+        }
+        None => elaborate_with(&file, &top, units),
+    };
+    built
         .map(|(design, stats)| (Arc::new(design), stats))
         .map_err(|e| e.to_string())
 }

@@ -46,12 +46,8 @@ pub mod tables;
 pub mod units;
 
 pub use config::{MageConfig, SystemKind};
-pub use engine::{
-    compile, compile_pooled, compile_with_provider, compile_with_units, Candidate, JobOutcome,
-    Mage, SolveTrace, Task,
-};
+pub use engine::{compile, compile_pooled, Candidate, JobOutcome, Mage, SolveTrace, Task};
 pub use solvejob::{
-    execute_sim, execute_sim_pooled, execute_sim_with, PendingWork, SimOutcome, SimRequest,
-    SolveJob, SolveStep, StepInput,
+    execute_sim_with, PendingWork, SimOutcome, SimRequest, SolveJob, SolveStep, StepInput,
 };
-pub use units::SolveUnits;
+pub use units::{CacheTier, SolveUnits, UnitCache, DEFAULT_UNIT_CAPACITY};

@@ -33,7 +33,7 @@
 
 use crate::config::{MageConfig, SystemKind};
 use crate::engine::{
-    bench_digest, compile, strip_scoring, AgentRole, Candidate, Contexts, JobOutcome, SolveTrace,
+    bench_digest, strip_scoring, AgentRole, Candidate, Contexts, JobOutcome, SolveTrace,
 };
 use mage_llm::{
     DebugCall, JudgeTbCall, LlmRequest, LlmResponse, RtlGenCall, SyntaxFixCall, TaskKind,
@@ -52,8 +52,8 @@ pub enum SolveStep {
     /// `generate_batch`) and feed the response back as
     /// [`StepInput::Llm`].
     NeedLlm(LlmRequest),
-    /// Execute this simulation work ([`execute_sim`], optionally behind
-    /// a shared design cache) and feed the outcome back as
+    /// Execute this simulation work ([`execute_sim_with`], optionally
+    /// behind shared caches) and feed the outcome back as
     /// [`StepInput::Sim`].
     NeedSim(SimRequest),
     /// The solve is complete; no further input is accepted.
@@ -119,9 +119,9 @@ pub struct SimRequest {
     pub bench: Option<Arc<Testbench>>,
     /// Parent-design hint for delta compilation: the design this source
     /// was derived from (a debug trial names the candidate it rewrote).
-    /// Executors may reuse the parent's unchanged compilation units
-    /// verbatim ([`crate::compile_with_units`]); the hint never changes
-    /// the result, only how much of it is rebuilt.
+    /// Executors reuse the parent's unchanged compilation units verbatim
+    /// ([`crate::compile_pooled`]); the hint never changes the result,
+    /// only how much of it is rebuilt.
     pub parent: Option<Arc<Design>>,
 }
 
@@ -137,33 +137,10 @@ pub struct SimOutcome {
     pub score: f64,
 }
 
-/// Execute one simulation request with the default (uncached) compiler.
-/// A [`SimRequest::parent`] hint routes through
-/// [`compile_with_units`](crate::compile_with_units), reusing the
-/// parent's unchanged compilation units.
-pub fn execute_sim(req: &SimRequest) -> SimOutcome {
-    execute_sim_with(req, |src| match &req.parent {
-        Some(parent) => {
-            crate::engine::compile_with_units(src, Some(parent)).map(|(design, _)| design)
-        }
-        None => compile(src),
-    })
-}
-
-/// [`execute_sim`] through a per-solve unit pool: compiles route
-/// through [`compile_pooled`](crate::engine::compile_pooled), so
-/// sibling candidates of one solve reuse each other's unchanged
-/// process units (and the parent hint still chains first). Results are
-/// bit-identical to [`execute_sim`]; only the elaboration work moves.
-pub fn execute_sim_pooled(req: &SimRequest, units: &crate::units::SolveUnits) -> SimOutcome {
-    execute_sim_with(req, |src| {
-        crate::engine::compile_pooled(src, req.parent.as_ref(), units).map(|(design, _)| design)
-    })
-}
-
-/// Execute one simulation request, compiling through `compile_fn` —
-/// the hook `mage-serve` uses to route compiles through its shared
-/// `DesignCache`. `compile_fn` must behave exactly like [`compile`] (a
+/// Execute one simulation request, compiling through `compile_fn`:
+/// [`crate::compile_pooled`] over the solve's unit tier in
+/// [`crate::Mage::solve`], the shared `DesignCache` in `mage-serve`.
+/// `compile_fn` must return exactly what [`crate::compile`] would (a
 /// cache of a pure function qualifies); the job's determinism rests on
 /// it.
 pub fn execute_sim_with(
@@ -259,8 +236,9 @@ pub struct SolveJob {
     tb: Option<Arc<Testbench>>,
     /// Digest of the current bench (Step 2 grounding).
     digest: Option<String>,
-    /// Per-solve score cache keyed by source hash; cleared on bench
-    /// regeneration, exactly like the blocking loop's.
+    /// Per-solve score cache keyed by source hash (a hit must match the
+    /// source); cleared on bench regeneration, exactly like the blocking
+    /// loop's.
     score_cache: HashMap<u64, Candidate>,
     /// Best candidate so far (Step 2/3).
     best: Option<Candidate>,
@@ -614,7 +592,12 @@ impl SolveJob {
     /// `target` once the score is known.
     fn begin_score(&mut self, cand: Candidate, target: ScoreTarget) -> SolveStep {
         let key = mage_logic::fnv1a(cand.source.as_bytes());
-        if let Some(hit) = self.score_cache.get(&key) {
+        // The hash only picks the slot: a colliding source scores fresh.
+        if let Some(hit) = self
+            .score_cache
+            .get(&key)
+            .filter(|hit| hit.source == cand.source)
+        {
             let scored = hit.clone();
             return self.after_score(scored, target);
         }
@@ -726,12 +709,9 @@ impl SolveJob {
         self.trace.best_sampled_score = pool.first().map(|c| c.score);
         // Deduplicate textually identical candidates so the debug stage
         // works K *distinct* chains (duplicates add nothing under Eq. 4).
-        let mut seen: Vec<u64> = Vec::new();
         let mut selected: Vec<Candidate> = Vec::new();
         for c in pool {
-            let h = mage_logic::fnv1a(c.source.as_bytes());
-            if !seen.contains(&h) {
-                seen.push(h);
+            if !selected.iter().any(|s| s.source == c.source) {
                 selected.push(c);
             }
             if selected.len() == self.config.top_k {
@@ -853,6 +833,7 @@ impl SolveJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::compile;
     use mage_llm::{ProblemOracle, RtlLanguageModel, SyntheticModel, SyntheticModelConfig};
     use mage_tb::Stimulus;
     use mage_verilog::parse;
@@ -886,7 +867,7 @@ mod tests {
                 }
                 SolveStep::NeedSim(req) => {
                     sim += 1;
-                    job.advance(StepInput::Sim(execute_sim(&req)))
+                    job.advance(StepInput::Sim(execute_sim_with(&req, compile)))
                 }
                 SolveStep::Done(trace) => return (*trace, llm, sim),
             };
@@ -923,7 +904,9 @@ mod tests {
                     let resp = m2.dispatch(&req);
                     j2.advance(StepInput::Llm(resp))
                 }
-                SolveStep::NeedSim(req) => j2.advance(StepInput::Sim(execute_sim(&req))),
+                SolveStep::NeedSim(req) => {
+                    j2.advance(StepInput::Sim(execute_sim_with(&req, compile)))
+                }
                 SolveStep::Done(_) => break,
             };
         }
@@ -935,7 +918,9 @@ mod tests {
                     let resp = m2.dispatch(&req);
                     resumed.advance(StepInput::Llm(resp))
                 }
-                SolveStep::NeedSim(req) => resumed.advance(StepInput::Sim(execute_sim(&req))),
+                SolveStep::NeedSim(req) => {
+                    resumed.advance(StepInput::Sim(execute_sim_with(&req, compile)))
+                }
                 SolveStep::Done(trace) => break *trace,
             };
         };
@@ -964,7 +949,9 @@ mod tests {
                     let resp = model.dispatch(&req);
                     job.advance(StepInput::Llm(resp))
                 }
-                SolveStep::NeedSim(req) => job.advance(StepInput::Sim(execute_sim(&req))),
+                SolveStep::NeedSim(req) => {
+                    job.advance(StepInput::Sim(execute_sim_with(&req, compile)))
+                }
                 SolveStep::Done(_) => panic!("fixture should not finish in 3 steps"),
             };
         }
@@ -998,9 +985,43 @@ mod tests {
             bench: None,
             parent: None,
         };
-        let out = execute_sim(&req);
+        let out = execute_sim_with(&req, compile);
         assert!(out.design.is_ok());
         assert!(out.report.is_none());
         assert_eq!(out.score, 0.0);
+    }
+
+    #[test]
+    fn score_cache_hit_must_match_the_source() {
+        let mut job = SolveJob::new("and4", "4-bit AND", MageConfig::high_temperature());
+        job.tb = Some(Arc::new(Testbench {
+            name: "tb".into(),
+            clock: None,
+            steps: Vec::new(),
+        }));
+        let probed = "module top_module(input a, output y); assign y = a; endmodule";
+        // A different candidate parked under the probed source's key, as
+        // a constructed FNV-1a collision would leave it.
+        let other = Candidate {
+            source: "module top_module(input a, output y); assign y = ~a; endmodule".into(),
+            design: None,
+            score: 1.0,
+            report: None,
+        };
+        job.score_cache
+            .insert(mage_logic::fnv1a(probed.as_bytes()), other);
+        let cand = Candidate {
+            source: probed.into(),
+            design: None,
+            score: 0.0,
+            report: None,
+        };
+        assert!(
+            matches!(
+                job.begin_score(cand, ScoreTarget::Initial),
+                SolveStep::NeedSim(_)
+            ),
+            "a colliding entry must not score the probed candidate"
+        );
     }
 }

@@ -302,8 +302,8 @@ fn run_single(args: &Args, specs: Vec<JobSpec>, opts: ServeOptions, policy: Disp
         100.0 * report.cache_hits as f64 / (report.cache_hits + report.cache_misses).max(1) as f64
     );
     println!(
-        "scores      {:>8} shared hits / {} misses / {} collisions / {} delta short-circuits",
-        report.score_hits, report.score_misses, report.score_collisions, report.score_shortcircuits
+        "scores      {:>8} shared hits / {} misses / {} collisions",
+        report.score_hits, report.score_misses, report.score_collisions
     );
     println!(
         "units       {:>8} delta hits / {} misses / {} collisions",

@@ -72,10 +72,9 @@
 //!
 //! Each shard compiles through a private LRU tier backed by one shared
 //! global tier ([`mage_serve::DesignCache::tiered`] /
-//! [`mage_serve::ScoreCache::tiered`] /
-//! [`mage_serve::UnitCache::tiered`]): local misses consult the global
-//! tier and promote hits into the local tier; fresh results publish
-//! back. Affinity routing keeps a problem's designs in one local tier;
+//! [`mage_serve::ScoreCache::tiered`] / [`mage_serve::CacheTier::tiered`]
+//! for units): local misses consult the global tier and promote hits
+//! into the local tier; fresh results publish back. Affinity routing keeps a problem's designs in one local tier;
 //! the global tier catches cross-shard and post-migration reuse. The
 //! unit tier works below whole designs — per-process compilation units
 //! keyed by `(fingerprint, binding)`, so a debug iteration that edits
@@ -93,8 +92,8 @@ use crate::trace::{Migration, Placement, PlacementTrace};
 use mage_core::SolveTrace;
 use mage_llm::{DispatchPolicy, FaultPlan, HealthSnapshot};
 use mage_serve::{
-    DesignCache, FaultyService, JobSpec, LlmService, ScoreCache, ServeEngine, ServeOptions,
-    ServeReport, ServeStats, SyntheticPerJob, UnitCache,
+    CacheTier, DesignCache, FaultyService, JobSpec, LlmService, ScoreCache, ServeEngine,
+    ServeOptions, ServeReport, ServeStats, SyntheticPerJob, UnitCache,
 };
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -157,25 +156,11 @@ pub struct CacheTierStats {
 }
 
 impl CacheTierStats {
-    fn absorb_design(&mut self, c: &DesignCache) {
-        self.hits += c.hits();
-        self.misses += c.misses();
-        self.promotions += c.promotions();
-        self.collisions += c.collisions();
-    }
-
-    fn absorb_score(&mut self, c: &ScoreCache) {
-        self.hits += c.hits();
-        self.misses += c.misses();
-        self.promotions += c.promotions();
-        self.collisions += c.collisions();
-    }
-
-    fn absorb_unit(&mut self, c: &UnitCache) {
-        self.hits += c.hits();
-        self.misses += c.misses();
-        self.promotions += c.promotions();
-        self.collisions += c.collisions();
+    fn absorb<K, Q: ?Sized + ToOwned, V>(&mut self, tier: &CacheTier<K, Q, V>) {
+        self.hits += tier.hits();
+        self.misses += tier.misses();
+        self.promotions += tier.promotions();
+        self.collisions += tier.collisions();
     }
 }
 
@@ -246,8 +231,8 @@ pub struct FleetEngine<S: LlmService + Send + 'static> {
     opts: FleetOptions,
     factory: Box<dyn Fn(usize, JobRoster) -> S>,
     shards: Vec<ShardHandle>,
-    global_design: Arc<DesignCache>,
-    global_scores: Arc<ScoreCache>,
+    global_design: DesignCache,
+    global_scores: ScoreCache,
     global_units: Arc<UnitCache>,
     jobs: Vec<FleetJob>,
     /// Fleet ids pushed but not yet placed.
@@ -299,17 +284,14 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
     /// their entries.
     pub fn new(opts: FleetOptions, factory: impl Fn(usize, JobRoster) -> S + 'static) -> Self {
         assert!(opts.shards >= 1, "a fleet needs at least one shard");
-        let global_design = Arc::new(DesignCache::new());
-        let global_scores = Arc::new(ScoreCache::new());
-        let global_units = Arc::new(UnitCache::new());
         let mut fleet = FleetEngine {
             shards: Vec::with_capacity(opts.shards),
             load: vec![0; opts.shards],
             last_running: vec![Vec::new(); opts.shards],
             factory: Box::new(factory),
-            global_design,
-            global_scores,
-            global_units,
+            global_design: DesignCache::new(),
+            global_scores: ScoreCache::new(),
+            global_units: Arc::new(UnitCache::new()),
             jobs: Vec::new(),
             pending: Vec::new(),
             round: 0,
@@ -331,11 +313,11 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
         let roster = JobRoster::new();
         let design = Arc::new(DesignCache::tiered(
             self.opts.local_design_capacity,
-            Arc::clone(&self.global_design),
+            &self.global_design,
         ));
         let scores = Arc::new(ScoreCache::tiered(
             self.opts.local_score_capacity,
-            Arc::clone(&self.global_scores),
+            &self.global_scores,
         ));
         let units = Arc::new(UnitCache::tiered(
             self.opts.local_unit_capacity,
@@ -634,15 +616,10 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             ShardReply::Finished(final_) => self.retired.push(*final_),
             _ => unreachable!("finish reply"),
         }
-        self.retired_fabric
-            .design_local
-            .absorb_design(&self.shards[ix].design);
-        self.retired_fabric
-            .score_local
-            .absorb_score(&self.shards[ix].scores);
-        self.retired_fabric
-            .unit_local
-            .absorb_unit(&self.shards[ix].units);
+        let (retired, shard) = (&mut self.retired_fabric, &self.shards[ix]);
+        retired.design_local.absorb(&shard.design);
+        retired.score_local.absorb(&shard.scores);
+        retired.unit_local.absorb(&shard.units);
         self.shards[ix].join();
         let fresh = self.spawn_shard(ix);
         self.shards[ix] = fresh;
@@ -680,14 +657,14 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
                 ShardReply::Finished(f) => finals.push(*f),
                 _ => unreachable!("finish reply"),
             }
-            fabric.design_local.absorb_design(&shard.design);
-            fabric.score_local.absorb_score(&shard.scores);
-            fabric.unit_local.absorb_unit(&shard.units);
+            fabric.design_local.absorb(&shard.design);
+            fabric.score_local.absorb(&shard.scores);
+            fabric.unit_local.absorb(&shard.units);
             shard.join();
         }
-        fabric.design_global.absorb_design(&self.global_design);
-        fabric.score_global.absorb_score(&self.global_scores);
-        fabric.unit_global.absorb_unit(&self.global_units);
+        fabric.design_global.absorb(&self.global_design);
+        fabric.score_global.absorb(&self.global_scores);
+        fabric.unit_global.absorb(&self.global_units);
         self.wall += t0.elapsed();
 
         let mut stats = ServeStats::default();

@@ -368,33 +368,17 @@ fn cache_fabric_shares_work_across_shards() {
         "score promotions can only happen on local misses"
     );
     // Every whole-design miss delta-compiles through the unit tier, so
-    // cold caches must generate per-process unit traffic too — unless
-    // the from-scratch oracle leg (MAGE_SIM_DELTA=off) is active, in
-    // which case the unit tiers must stay completely untouched.
-    let delta_off = std::env::var("MAGE_SIM_DELTA")
-        .map(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
-        .unwrap_or(false);
-    if delta_off {
-        assert_eq!(
-            (
-                f.unit_local.hits + f.unit_local.misses,
-                f.unit_global.hits + f.unit_global.misses
-            ),
-            (0, 0),
-            "MAGE_SIM_DELTA=off must never touch the unit tiers"
-        );
-    } else {
-        assert!(
-            f.unit_local.hits + f.unit_local.misses > 0,
-            "no unit-tier traffic at all"
-        );
-        assert!(
-            f.unit_global.hits + f.unit_global.misses > 0,
-            "local unit tiers never consulted the global tier"
-        );
-        assert!(
-            f.unit_local.promotions <= f.unit_local.misses,
-            "unit promotions can only happen on local misses"
-        );
-    }
+    // cold caches must generate per-process unit traffic too.
+    assert!(
+        f.unit_local.hits + f.unit_local.misses > 0,
+        "no unit-tier traffic at all"
+    );
+    assert!(
+        f.unit_global.hits + f.unit_global.misses > 0,
+        "local unit tiers never consulted the global tier"
+    );
+    assert!(
+        f.unit_local.promotions <= f.unit_local.misses,
+        "unit promotions can only happen on local misses"
+    );
 }

@@ -105,14 +105,19 @@
 //!
 //! # Cache keying
 //!
-//! The [`DesignCache`] maps `fnv1a(source text) → elaboration result`
-//! with the full text verified on every hit. Elaboration is a pure
-//! function of the source, so a cache entry is valid for every job,
-//! ablation and bench. The [`ScoreCache`] extends the same idea to
-//! scoring: keyed by `fnv1a(candidate source ++ bench text)` (again
-//! full-text-verified), it shares complete scoring outcomes between
-//! jobs that generated textually identical benches — scores are pure in
-//! `(source, bench)`, so sharing cannot leak state between solves.
+//! Every cache is one [`CacheTier`]: a hash key, the full text it was
+//! hashed from verified on every hit, LRU eviction, and an optional
+//! parent tier. The [`DesignCache`] maps `fnv1a(source text) →
+//! elaboration result`. Elaboration is a pure function of the source, so
+//! a cache entry is valid for every job, ablation and bench; a miss
+//! delta-compiles ([`mage_core::compile_pooled`]) against the request's
+//! parent design and the [`UnitCache`], which shares unchanged process
+//! units between candidates that differ in a few processes. The
+//! [`ScoreCache`] extends the same idea to scoring: keyed by
+//! `fnv1a(candidate source ++ bench text)`, it shares complete scoring
+//! outcomes between jobs that generated textually identical benches —
+//! scores are pure in `(source, bench)`, so sharing cannot leak state
+//! between solves.
 //!
 //! # Checkpointing
 //!
@@ -132,9 +137,9 @@ mod service;
 mod wave;
 
 pub use cache::{
-    DesignCache, ScoreCache, SourceHasher, UnitCache, DEFAULT_CACHE_CAPACITY,
-    DEFAULT_SCORE_CAPACITY, DEFAULT_UNIT_CAPACITY,
+    DesignCache, ScoreCache, SourceHasher, DEFAULT_CACHE_CAPACITY, DEFAULT_SCORE_CAPACITY,
 };
+pub use mage_core::units::{CacheTier, UnitCache, DEFAULT_UNIT_CAPACITY};
 pub use scheduler::{
     JobCheckpoint, JobId, JobIntake, JobSpec, SchedMode, ServeEngine, ServeOptions, ServeReport,
     ServeStats,

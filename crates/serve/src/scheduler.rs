@@ -2,11 +2,13 @@
 //! mode switch to the overlapped wave scheduler in [`crate::wave`]. See
 //! the crate docs for the protocol.
 
-use crate::cache::{DesignCache, ScoreCache, UnitCache};
+use crate::cache::{DesignCache, ScoreCache};
 use crate::service::{LlmCall, LlmOutcome, LlmService};
 use crate::wave::WaveState;
-use mage_core::solvejob::{PendingWork, SimOutcome, SimRequest, SolveJob, SolveStep, StepInput};
-use mage_core::{MageConfig, SolveTrace};
+use mage_core::solvejob::{
+    execute_sim_with, PendingWork, SimOutcome, SimRequest, SolveJob, SolveStep, StepInput,
+};
+use mage_core::{MageConfig, SolveTrace, UnitCache};
 use mage_llm::{DispatchError, LlmRequest, TokenUsage};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -194,10 +196,8 @@ pub struct ServeReport {
     pub score_misses: usize,
     /// Score-cache key collisions at report time.
     pub score_collisions: usize,
-    /// Scoring misses served without a sim because the candidate
-    /// elaborated to a design structurally identical to one already
-    /// scored under the same bench (delta-aware short-circuits; a
-    /// subset of `score_misses`).
+    /// Always 0: scoring has no structural short-circuit. Kept for
+    /// readers of this report.
     pub score_shortcircuits: usize,
     /// Unit-cache hits at report time (process units served verbatim to
     /// delta compiles).
@@ -436,34 +436,19 @@ pub struct ServeEngine<S: LlmService> {
 impl<S: LlmService> ServeEngine<S> {
     /// An engine with fresh private caches.
     pub fn new(opts: ServeOptions, service: S) -> Self {
-        Self::with_caches(
+        Self::with_fabric(
             opts,
             service,
             Arc::new(DesignCache::new()),
             Arc::new(ScoreCache::new()),
+            Arc::new(UnitCache::new()),
         )
     }
 
-    /// An engine compiling through a shared design cache (e.g. one
-    /// cache spanning several engines or a warm cache from a prior
-    /// stream), with a fresh private score cache.
-    pub fn with_cache(opts: ServeOptions, service: S, cache: Arc<DesignCache>) -> Self {
-        Self::with_caches(opts, service, cache, Arc::new(ScoreCache::new()))
-    }
-
-    /// An engine sharing both the design and the score cache, with a
-    /// fresh private unit cache.
-    pub fn with_caches(
-        opts: ServeOptions,
-        service: S,
-        cache: Arc<DesignCache>,
-        scores: Arc<ScoreCache>,
-    ) -> Self {
-        Self::with_fabric(opts, service, cache, scores, Arc::new(UnitCache::new()))
-    }
-
-    /// An engine sharing the full cache fabric: designs, scores, and
-    /// per-process compilation units.
+    /// An engine sharing the given cache fabric — designs, scores, and
+    /// per-process compilation units — e.g. caches spanning several
+    /// engines, tiers over a fleet's global ones, or a warm cache from a
+    /// prior stream.
     pub fn with_fabric(
         opts: ServeOptions,
         service: S,
@@ -1119,7 +1104,7 @@ impl<S: LlmService> ServeEngine<S> {
             score_hits: self.scores.hits(),
             score_misses: self.scores.misses(),
             score_collisions: self.scores.collisions(),
-            score_shortcircuits: self.scores.shortcircuits(),
+            score_shortcircuits: 0,
             unit_hits: self.units.hits(),
             unit_misses: self.units.misses(),
             unit_collisions: self.units.collisions(),
@@ -1161,8 +1146,9 @@ pub(crate) fn fault_salt(seed: u64, seq: u64) -> u64 {
 }
 
 /// Run one batch of sim requests on `workers` pool threads, resolving
-/// each through the score cache (scoring requests) and the design cache
-/// (compiles). Pure per item, so results are identical at any worker
+/// each through the score cache (scoring requests) and the design cache,
+/// whose misses delta-compile against the request's parent design and
+/// the unit tier. Pure per item, so results are identical at any worker
 /// count; outcomes return in input order.
 pub(crate) fn run_sim_batch(
     workers: usize,
@@ -1175,8 +1161,10 @@ pub(crate) fn run_sim_batch(
     let scores = Arc::clone(scores);
     let units = Arc::clone(units);
     rayon::scoped_map(workers, batch, move |(id, req)| {
-        let outcome = scores.get_or_run_delta(&req, |src| {
-            cache.get_or_compile_with(src, req.parent.as_ref(), Some(&units))
+        let outcome = scores.get_or_run(&req, |req| {
+            execute_sim_with(req, |src| {
+                cache.get_or_compile(src, req.parent.as_ref(), &units)
+            })
         });
         (id, outcome)
     })

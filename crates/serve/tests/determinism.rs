@@ -6,7 +6,10 @@
 
 use mage_core::{Mage, MageConfig, SolveTrace, Task};
 use mage_llm::{SyntheticModel, SyntheticModelConfig};
-use mage_serve::{synthetic_service, DesignCache, JobSpec, SchedMode, ServeEngine, ServeOptions};
+use mage_serve::{
+    synthetic_service, DesignCache, JobSpec, SchedMode, ScoreCache, ServeEngine, ServeOptions,
+    UnitCache,
+};
 use std::sync::Arc;
 
 const PROBLEMS: [&str; 4] = [
@@ -36,7 +39,13 @@ fn run_stream(opts: ServeOptions, cache: Option<Arc<DesignCache>>) -> Vec<SolveT
     let specs = specs(2);
     let service = synthetic_service(&specs);
     let mut engine = match cache {
-        Some(c) => ServeEngine::with_cache(opts, service, c),
+        Some(c) => ServeEngine::with_fabric(
+            opts,
+            service,
+            c,
+            Arc::new(ScoreCache::new()),
+            Arc::new(UnitCache::new()),
+        ),
         None => ServeEngine::new(opts, service),
     };
     for spec in specs {

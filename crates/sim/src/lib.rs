@@ -10,14 +10,14 @@
 //! content-addressed compilation unit keyed by `(item fingerprint,
 //! binding hash, ordinal)` — see the [`unit`] module. [`elaborate_with`]
 //! probes a [`UnitSource`] (typically the candidate's parent design via
-//! [`DesignUnits`], optionally chained over a serve-layer cache) and
+//! [`DesignUnits`], optionally chained over a unit cache tier) and
 //! reuses every verified hit verbatim, interpreter form and bytecode
 //! both, so a one-process edit rebuilds one unit instead of the whole
 //! design. [`elaborate`] is the same pipeline without a provider and
-//! stays live as the differential oracle (`MAGE_SIM_DELTA=off` makes
-//! every caller take it); delta-built designs are store-exact against
-//! it by construction (full text + environment verification on every
-//! unit hit).
+//! stays live as the reference build the delta suites and the fuzz
+//! oracle difference against; delta-built designs are store-exact
+//! against it by construction (full text + environment verification on
+//! every unit hit).
 //!
 //! The intended cycle-level usage mirrors a Verilog testbench: drive
 //! inputs with [`Simulator::poke`] (or a whole step's drives at once
@@ -100,7 +100,6 @@ pub use eval::{eval, exec, PendingWrite, Store};
 pub use plan::{fuse_enabled, CascadePlan, EvalPlan, PlanOp};
 pub use sim::{EvalCounts, ExecMode, Simulator};
 pub use unit::{
-    delta_enabled, unit_hash, ChainedUnits, DeltaStats, DesignUnits, ProcessUnit, UnitKey,
-    UnitSource, UnitTag,
+    unit_hash, ChainedUnits, DeltaStats, DesignUnits, ProcessUnit, UnitKey, UnitSource, UnitTag,
 };
 pub use vcd::VcdRecorder;

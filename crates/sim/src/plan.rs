@@ -26,8 +26,7 @@
 //! deterministic, so delta-built designs stay structurally exact
 //! against scratch builds); only *dispatch* is gated, by
 //! [`fuse_enabled`] — `MAGE_SIM_FUSE=off` keeps the unfused pure
-//! interpreter live as the differential oracle, read per call with the
-//! same discipline as `MAGE_SIM_DELTA`. A fused run is store-exact
+//! interpreter live as the differential oracle. A fused run is store-exact
 //! against the unfused path by construction: every opcode reproduces
 //! the corresponding [`Instr`](crate::compile::Instr) semantics of
 //! [`crate::interp`]'s hazard-free loop verbatim, which

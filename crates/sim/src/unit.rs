@@ -3,7 +3,7 @@
 //! The debug loop edits designs, it does not rewrite them: a candidate
 //! usually differs from its parent by one process body. This module gives
 //! every elaborated process a *content address* so an elaboration armed
-//! with a [`UnitSource`] (the parent design, a serve-layer cache, or a
+//! with a [`UnitSource`] (the parent design, a unit cache tier, or a
 //! chain of both) can reuse each unchanged process — interpreter form
 //! *and* lowered bytecode — verbatim, and rebuild only what the edit
 //! touched.
@@ -144,8 +144,8 @@ impl UnitSource for DesignUnits {
 
 /// Probe several sources in order; publish to all of them.
 ///
-/// The serve layer chains the parent design (fastest, exact) in front of
-/// the shared unit cache; [`DesignUnits::publish`] is a no-op, so fresh
+/// Candidate compiles chain the parent design (fastest, exact) in front
+/// of a unit cache tier; [`DesignUnits::publish`] is a no-op, so fresh
 /// units land only in the writable tiers.
 pub struct ChainedUnits<'a> {
     sources: Vec<&'a dyn UnitSource>,
@@ -172,22 +172,6 @@ impl UnitSource for ChainedUnits<'_> {
 /// The default unit hasher: FNV-1a over the canonical string.
 pub fn unit_hash(s: &str) -> u64 {
     mage_logic::fnv1a(s.as_bytes())
-}
-
-/// Whether delta (unit-reusing) compilation is enabled.
-///
-/// `MAGE_SIM_DELTA=off` (or `0`/`false`, case-insensitive) disables it,
-/// keeping the from-scratch pipeline live as the differential oracle;
-/// anything else — including unset — enables it. Read per call so tests
-/// and benches can flip it at runtime.
-pub fn delta_enabled() -> bool {
-    match std::env::var("MAGE_SIM_DELTA") {
-        Ok(v) => {
-            let v = v.to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
-    }
 }
 
 #[cfg(test)]
@@ -315,26 +299,5 @@ mod tests {
         assert!(stats.rebuilt > 0);
         let scratch = elaborate(&file, "top").unwrap();
         assert_eq!(delta.processes, scratch.processes);
-    }
-
-    #[test]
-    fn delta_gate_reads_environment_per_call() {
-        // Not a parallel-safe env-var test pattern in general, but the
-        // suite runs these assertions against whatever ambient value is
-        // set plus explicit overrides through a scoped helper.
-        let key = "MAGE_SIM_DELTA";
-        let prev = std::env::var(key).ok();
-        std::env::set_var(key, "off");
-        assert!(!delta_enabled());
-        std::env::set_var(key, "0");
-        assert!(!delta_enabled());
-        std::env::set_var(key, "false");
-        assert!(!delta_enabled());
-        std::env::set_var(key, "on");
-        assert!(delta_enabled());
-        match prev {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
     }
 }

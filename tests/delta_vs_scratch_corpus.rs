@@ -1,7 +1,7 @@
 //! Corpus-wide delta-compilation differential test: every benchmark
 //! problem's golden design — and single-edit mutants of each — is built
-//! twice, from scratch ([`mage::sim::elaborate`], the `MAGE_SIM_DELTA=off`
-//! oracle path) and by delta elaboration against a parent design
+//! twice, from scratch ([`mage::sim::elaborate`], the reference build)
+//! and by delta elaboration against a parent design
 //! ([`mage::sim::elaborate_with`] over [`mage::sim::DesignUnits`]), and
 //! the two builds are asserted *store-exact*: structurally identical
 //! (processes, signals, bytecode, fanout index) and bit-identical under
