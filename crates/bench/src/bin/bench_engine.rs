@@ -188,9 +188,6 @@ fn main() {
     // BSP dispatch-call invariant is a property of the coalescing join
     // *on this stream*, so the gate must re-check exactly it.
     let samples = if smoke { 1 } else { SAMPLES };
-    // An inherited MAGE_SIM_FUSE=off would strip the fused-plan
-    // dispatch tier out of every measured leg.
-    std::env::remove_var("MAGE_SIM_FUSE");
     let jobs = stream_specs().len();
 
     // Interleave the four modes so load drift hits all equally.

@@ -30,7 +30,7 @@
 //! two-state evaluations > 0 on every defined (driven) kernel with
 //! zero fallbacks in the fully-defined steady state, and zero
 //! two-state counters on the legacy executor. Each driven kernel also
-//! runs a third leg under `MAGE_SIM_FUSE=off` and asserts the
+//! runs a third leg with `Simulator::set_fuse(false)` and asserts the
 //! fused-plan dispatch economics: fused evaluations > 0 with strictly
 //! fewer plan opcodes retired than the unfused interpreter dispatches
 //! on the same paths, an identical sequential/edge schedule either
@@ -101,9 +101,8 @@ fn v(w: usize, x: u64) -> LogicVec {
     LogicVec::from_u64(w, x)
 }
 
-/// Booted simulator for the dual-clock kernel (reset released, clocks low).
-fn dualclk_sim(design: &Arc<Design>, mode: ExecMode) -> Simulator {
-    let mut sim = Simulator::with_mode(Arc::clone(design), mode);
+/// Boot `sim` for the dual-clock kernel (reset released, clocks low).
+fn boot_dualclk(mut sim: Simulator) -> Simulator {
     sim.settle().expect("settles");
     sim.poke_many([
         ("rst", v(1, 1)),
@@ -134,9 +133,8 @@ fn dualclk_sweep(sim: &mut Simulator, cycles: u64) -> u64 {
     edges
 }
 
-/// Booted simulator for the handshake kernel.
-fn handshake_sim(design: &Arc<Design>, mode: ExecMode) -> Simulator {
-    let mut sim = Simulator::with_mode(Arc::clone(design), mode);
+/// Boot `sim` for the handshake kernel.
+fn boot_handshake(mut sim: Simulator) -> Simulator {
     sim.settle().expect("settles");
     sim.poke_many([
         ("rst", v(1, 1)),
@@ -189,14 +187,6 @@ fn json_counts(w: &WorkCounts) -> String {
 }
 
 fn main() {
-    // The harness owns the executor env hooks (it already toggles
-    // MAGE_SIM_EXEC per leg): an inherited MAGE_SIM_TWO_STATE=off
-    // would disable the fast path every compiled leg measures and
-    // asserts on, and an inherited MAGE_SIM_FUSE=off would disable the
-    // fused evaluation plans the same legs count — clear both up front
-    // (the unfused leg below sets MAGE_SIM_FUSE itself).
-    std::env::remove_var("MAGE_SIM_TWO_STATE");
-    std::env::remove_var("MAGE_SIM_FUSE");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = args
@@ -315,7 +305,7 @@ fn main() {
     // --- Multi-clock kernels. ---
     let dualclk = parse_design(DUALCLK_SRC);
     let dual_of = |mode: ExecMode| {
-        let mut sim = dualclk_sim(&dualclk, mode);
+        let mut sim = boot_dualclk(Simulator::with_mode(Arc::clone(&dualclk), mode));
         move || {
             dualclk_sweep(&mut sim, 64);
         }
@@ -334,7 +324,7 @@ fn main() {
     });
     let handshake = parse_design(HANDSHAKE_SRC);
     let hs_of = |mode: ExecMode| {
-        let mut sim = handshake_sim(&handshake, mode);
+        let mut sim = boot_handshake(Simulator::with_mode(Arc::clone(&handshake), mode));
         move || {
             handshake_sweep(&mut sim, 64);
         }
@@ -354,10 +344,15 @@ fn main() {
 
     // --- Scheduler work counts (deterministic; the perf trajectory's
     //     scheduling signal, immune to wall-clock noise). ---
-    let count_of = |mode: ExecMode, kernel: &str| -> WorkCounts {
+    let count_of = |mode: ExecMode, fuse: bool, kernel: &str| -> WorkCounts {
+        let sim_of = |design: &Arc<Design>| {
+            let mut sim = Simulator::with_mode(Arc::clone(design), mode);
+            sim.set_fuse(fuse);
+            sim
+        };
         match kernel {
             "sim_poke_sweep" => {
-                let mut sim = Simulator::with_mode(Arc::clone(&alu), mode);
+                let mut sim = sim_of(&alu);
                 sim.settle().expect("settles");
                 // Define every input before counting so the sweep
                 // measures the fully-defined steady state (the boot-X
@@ -383,7 +378,7 @@ fn main() {
                 }
             }
             "sim_settle" => {
-                let mut sim = Simulator::with_mode(Arc::clone(&alu), mode);
+                let mut sim = sim_of(&alu);
                 sim.settle().expect("settles");
                 sim.reset_eval_counts();
                 let calls = 100u64;
@@ -396,7 +391,7 @@ fn main() {
                 }
             }
             "sim_dualclk_sweep" => {
-                let mut sim = dualclk_sim(&dualclk, mode);
+                let mut sim = boot_dualclk(sim_of(&dualclk));
                 sim.reset_eval_counts();
                 let edges = dualclk_sweep(&mut sim, 64);
                 WorkCounts {
@@ -405,7 +400,7 @@ fn main() {
                 }
             }
             "sim_handshake_sweep" => {
-                let mut sim = handshake_sim(&handshake, mode);
+                let mut sim = boot_handshake(sim_of(&handshake));
                 sim.reset_eval_counts();
                 let edges = handshake_sweep(&mut sim, 64);
                 WorkCounts {
@@ -424,15 +419,12 @@ fn main() {
     ];
     let mut sched_json = String::from("  \"scheduler\": {\n");
     for kernel in counted.iter() {
-        let wheel = count_of(ExecMode::Compiled, kernel);
-        let legacy = count_of(ExecMode::Legacy, kernel);
+        let wheel = count_of(ExecMode::Compiled, true, kernel);
+        let legacy = count_of(ExecMode::Legacy, false, kernel);
         // Third leg: the same compiled kernel with fused-plan dispatch
-        // disabled (the per-instruction oracle the plans are store-exact
-        // against). The gate is snapshotted at Simulator construction,
-        // and count_of constructs its simulators inside this window.
-        std::env::set_var("MAGE_SIM_FUSE", "off");
-        let unfused = count_of(ExecMode::Compiled, kernel);
-        std::env::remove_var("MAGE_SIM_FUSE");
+        // disabled before boot (the per-instruction oracle the plans
+        // are store-exact against).
+        let unfused = count_of(ExecMode::Compiled, false, kernel);
         // Acceptance invariants: the demand-driven wheel (the unfused
         // leg — fused cascades deliberately straight-line every member,
         // trading a few redundant evals for eliminating per-instruction
@@ -519,7 +511,7 @@ fn main() {
         // only the dispatch tier differs — and must never touch a plan.
         assert_eq!(
             unfused.counts.fused_evals, 0,
-            "{kernel}: MAGE_SIM_FUSE=off must disable fused dispatch"
+            "{kernel}: set_fuse(false) must disable fused dispatch"
         );
         assert_eq!(
             (unfused.counts.plan_steps, unfused.counts.plan_unfused_steps),
@@ -671,7 +663,8 @@ fn main() {
          subset of two_state_evals), plan_steps / plan_unfused_steps = fused plan \
          opcodes retired vs the bytecode instructions the unfused interpreter would \
          have dispatched on the same control paths. Each driven kernel also records \
-         an `unfused` leg (the identical kernel under MAGE_SIM_FUSE=off). The harness \
+         an `unfused` leg (the identical kernel with fused dispatch switched off by \
+         Simulator::set_fuse(false) before boot). The harness \
          asserts unfused-wheel <= legacy on evals and wheel <= legacy on probes \
          (fused cascades straight-line every member in static topo order, trading a \
          few redundant member evals — never fewer than the demand queue — for \

@@ -10,7 +10,6 @@
 //!   --max-in-flight N     admission cap (0 = unlimited)  [32]
 //!   --seed S              master seed                    [0xCAFE]
 //!   --budget T            per-agent context token budget [4000]
-//!   --sched bsp|wave      scheduler mode                 [wave]
 //!   --shards N            fleet shards (1 = single engine) [1]
 //!   --migrate-after-steps K  rebalance cadence in fleet rounds (0 = off) [0]
 //!   --placement-trace F   pin placement from F if it exists, else
@@ -31,13 +30,17 @@
 //! [`FleetEngine`] and adds per-shard, migration and cache-fabric
 //! report lines. `--placement-trace` closes the determinism loop from
 //! the shell: run once to record, run again to replay pinned.
+//!
+//! Jobs always run on the wave scheduler; its BSP reference
+//! (`ServeOptions::sched`) is reached from the serve and fleet test
+//! suites and `bench_engine`, not from this binary.
 
 use mage_core::experiments::unit_seed;
 use mage_core::{MageConfig, SolveTrace, SystemKind};
 use mage_fleet::{FleetEngine, FleetOptions, PlacementTrace};
 use mage_llm::{DispatchPolicy, FaultPlan};
 use mage_problems::SuiteId;
-use mage_serve::{synthetic_service_with, JobSpec, SchedMode, ServeEngine, ServeOptions};
+use mage_serve::{synthetic_service_with, JobSpec, ServeEngine, ServeOptions};
 
 struct Args {
     suite: String,
@@ -46,7 +49,6 @@ struct Args {
     max_in_flight: usize,
     seed: u64,
     budget: usize,
-    sched: SchedMode,
     shards: usize,
     migrate_after_steps: u64,
     placement_trace: Option<String>,
@@ -69,7 +71,6 @@ fn parse_args() -> Args {
         max_in_flight: 32,
         seed: 0xCAFE,
         budget: 4000,
-        sched: SchedMode::default(),
         shards: 1,
         migrate_after_steps: 0,
         placement_trace: None,
@@ -96,11 +97,6 @@ fn parse_args() -> Args {
             }
             "--seed" => args.seed = value("--seed").parse().expect("--seed S"),
             "--budget" => args.budget = value("--budget").parse().expect("--budget T"),
-            "--sched" => {
-                let v = value("--sched");
-                args.sched = SchedMode::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown scheduler `{v}` (bsp|wave)"));
-            }
             "--shards" => args.shards = value("--shards").parse().expect("--shards N"),
             "--migrate-after-steps" => {
                 args.migrate_after_steps = value("--migrate-after-steps")
@@ -202,13 +198,13 @@ fn main() {
         workers: args.workers,
         batch_llm: !args.scalar,
         max_in_flight: args.max_in_flight,
-        sched: args.sched,
         llm_retry_budget: args.retries,
         deadline_ms: if args.deadline_ms == 0 {
             None
         } else {
             Some(args.deadline_ms)
         },
+        ..ServeOptions::default()
     };
     println!(
         "mage-serve: {} jobs ({} problems x {} runs), {} sched, {} workers, batching {}, cap {}{}",

@@ -251,15 +251,6 @@ pub struct FleetEngine<S: LlmService + Send + 'static> {
     wall: Duration,
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl FleetEngine<FaultyService<SyntheticPerJob>> {
     /// A fleet whose shards run the standard synthetic service (plan
     /// from `MAGE_FAULT_PLAN`), seeded identically to
@@ -367,7 +358,8 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             .filter(|&i| Some(i) != exclude)
             .collect();
         assert!(!candidates.is_empty(), "no shard to route to");
-        let affinity = candidates[(fnv1a(problem_id) % candidates.len() as u64) as usize];
+        let affinity = candidates
+            [(mage_logic::fnv1a(problem_id.as_bytes()) % candidates.len() as u64) as usize];
         let min_load = candidates.iter().map(|&i| self.load[i]).min().unwrap();
         if self.load[affinity] > min_load + self.opts.spread {
             *candidates

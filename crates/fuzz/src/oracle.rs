@@ -17,8 +17,9 @@
 //!    bytecode) or fail with the identical error.
 //!
 //! All executors are constructed via [`Simulator::with_mode`] with the
-//! two-state and fusion switches set explicitly, so the oracles give
-//! the same verdict under every `MAGE_SIM_*` environment leg of CI.
+//! two-state and fusion switches set explicitly, so the verdict is
+//! independent of the `MAGE_SIM_EXEC` environment switch, which only
+//! [`Simulator::new`] reads.
 
 use crate::gen::{drives_for, GenCase};
 use mage_logic::LogicVec;

@@ -68,4 +68,6 @@ pub use synthetic::{
     corrupt_testbench_for_test, parse_feedback, ParsedFeedback, ProblemOracle, SyntheticModel,
     SyntheticModelConfig,
 };
-pub use transport::{Attempt, FaultInjectedTransport, Transport, TransportCall, TransportError};
+pub use transport::{
+    send_under_plan, Attempt, FaultInjectedTransport, Transport, TransportCall, TransportError,
+};

@@ -109,6 +109,76 @@ pub trait Transport {
     fn hedge_latency_ms(&self, backend: usize, key: u64, attempt: u32) -> u64;
 }
 
+/// One [`FaultPlan`]-scripted attempt per call of `batch` on
+/// `backend` — the fault table every plan-driven transport shares. A
+/// scripted-dead backend refuses each call fast (being asked anyway is
+/// not an error, e.g. a health probe); a call the plan faults fails
+/// with the matching [`TransportError`] and virtual latency; the clean
+/// subset goes through **one** `resolve` call, which must answer each
+/// call it is given, in order. Faulted attempts never reach `resolve`.
+pub fn send_under_plan(
+    plan: &FaultPlan,
+    backend: usize,
+    batch: &[TransportCall<'_>],
+    resolve: impl FnOnce(&[&TransportCall<'_>]) -> Vec<LlmResponse>,
+) -> Vec<Attempt> {
+    let dead = plan.dead(backend);
+    let faults: Vec<Option<Attempt>> = batch
+        .iter()
+        .map(|call| {
+            let latency = || plan.latency_ms(call.key, call.attempt);
+            let (err, latency_ms) = if dead {
+                (TransportError::BackendDown, 1)
+            } else {
+                match plan.decide(call.key, call.attempt)? {
+                    FaultKind::Transient => (TransportError::Transient, latency()),
+                    FaultKind::Timeout => (
+                        TransportError::Timeout {
+                            after_ms: plan.spec.timeout_ms,
+                        },
+                        plan.spec.timeout_ms,
+                    ),
+                    FaultKind::RateLimited { retry_after_ms } => {
+                        (TransportError::RateLimited { retry_after_ms }, latency())
+                    }
+                    FaultKind::Garbled => (TransportError::Garbled, latency()),
+                    FaultKind::BackendDown => (TransportError::BackendDown, 1),
+                }
+            };
+            Some(Attempt {
+                result: Err(err),
+                latency_ms,
+            })
+        })
+        .collect();
+    let clean: Vec<&TransportCall<'_>> = batch
+        .iter()
+        .zip(&faults)
+        .filter_map(|(call, fault)| fault.is_none().then_some(call))
+        .collect();
+    let responses = if clean.is_empty() {
+        Vec::new()
+    } else {
+        resolve(&clean)
+    };
+    assert_eq!(
+        responses.len(),
+        clean.len(),
+        "clean-subset resolution returned a short batch"
+    );
+    let mut responses = responses.into_iter();
+    batch
+        .iter()
+        .zip(faults)
+        .map(|(call, fault)| {
+            fault.unwrap_or_else(|| Attempt {
+                result: Ok(responses.next().expect("every clean call answered")),
+                latency_ms: plan.latency_ms(call.key, call.attempt),
+            })
+        })
+        .collect()
+}
+
 /// The synthetic transport: any [`RtlLanguageModel`] behind a
 /// [`FaultPlan`]-scripted channel with `n_backends` routes. Clean
 /// sub-batches resolve through **one** `generate_batch` call (the
@@ -136,11 +206,6 @@ impl<M: RtlLanguageModel> FaultInjectedTransport<M> {
         &self.model
     }
 
-    /// The wrapped model, mutably.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// The plan this channel consults.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
@@ -161,76 +226,12 @@ impl<M: RtlLanguageModel> Transport for FaultInjectedTransport<M> {
     }
 
     fn send_batch(&mut self, backend: usize, batch: &[TransportCall<'_>]) -> Vec<Attempt> {
-        // A scripted-dead backend refuses every call fast (the caller
-        // should have routed around it; being asked anyway is not an
-        // error — e.g. a health probe).
-        if self.plan.dead(backend) {
-            return batch
-                .iter()
-                .map(|_| Attempt {
-                    result: Err(TransportError::BackendDown),
-                    latency_ms: 1,
-                })
-                .collect();
-        }
-        // Partition by the plan; the clean subset rides one pipelined
-        // generate_batch call, in batch order.
-        let mut out: Vec<Option<Attempt>> = Vec::with_capacity(batch.len());
-        let mut clean: Vec<usize> = Vec::new();
-        for (ix, call) in batch.iter().enumerate() {
-            match self.plan.decide(call.key, call.attempt) {
-                None => {
-                    clean.push(ix);
-                    out.push(None);
-                }
-                Some(kind) => {
-                    let (err, latency_ms) = match kind {
-                        FaultKind::Transient => (
-                            TransportError::Transient,
-                            self.plan.latency_ms(call.key, call.attempt),
-                        ),
-                        FaultKind::Timeout => (
-                            TransportError::Timeout {
-                                after_ms: self.plan.spec.timeout_ms,
-                            },
-                            self.plan.spec.timeout_ms,
-                        ),
-                        FaultKind::RateLimited { retry_after_ms } => (
-                            TransportError::RateLimited { retry_after_ms },
-                            self.plan.latency_ms(call.key, call.attempt),
-                        ),
-                        FaultKind::Garbled => (
-                            TransportError::Garbled,
-                            self.plan.latency_ms(call.key, call.attempt),
-                        ),
-                        FaultKind::BackendDown => (TransportError::BackendDown, 1),
-                    };
-                    out.push(Some(Attempt {
-                        result: Err(err),
-                        latency_ms,
-                    }));
-                }
-            }
-        }
-        if !clean.is_empty() {
-            let reqs: Vec<LlmRequest> = clean.iter().map(|&ix| batch[ix].req.clone()).collect();
-            let responses = self.model.generate_batch(&reqs);
-            assert_eq!(
-                responses.len(),
-                clean.len(),
-                "generate_batch returned a short batch"
-            );
-            for (&ix, resp) in clean.iter().zip(responses) {
-                let call = &batch[ix];
-                out[ix] = Some(Attempt {
-                    result: Ok(resp),
-                    latency_ms: self.plan.latency_ms(call.key, call.attempt),
-                });
-            }
-        }
-        out.into_iter()
-            .map(|a| a.expect("every slot filled"))
-            .collect()
+        // The clean subset rides one pipelined generate_batch call, in
+        // batch order.
+        send_under_plan(&self.plan, backend, batch, |clean| {
+            let reqs: Vec<LlmRequest> = clean.iter().map(|call| call.req.clone()).collect();
+            self.model.generate_batch(&reqs)
+        })
     }
 
     fn hedge_latency_ms(&self, _backend: usize, key: u64, attempt: u32) -> u64 {

@@ -47,17 +47,6 @@ pub enum SchedMode {
     Wave,
 }
 
-impl SchedMode {
-    /// Parse a `--sched` flag value.
-    pub fn parse(s: &str) -> Option<SchedMode> {
-        match s {
-            "bsp" => Some(SchedMode::Bsp),
-            "wave" => Some(SchedMode::Wave),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for SchedMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {

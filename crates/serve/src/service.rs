@@ -304,57 +304,10 @@ impl<S: LlmService> Transport for ServiceTransport<S> {
     }
 
     fn send_batch(&mut self, backend: usize, batch: &[TransportCall<'_>]) -> Vec<Attempt> {
-        use mage_llm::{FaultKind, TransportError};
-        if self.plan.dead(backend) {
-            return batch
+        mage_llm::send_under_plan(&self.plan, backend, batch, |clean| {
+            let reqs = clean
                 .iter()
-                .map(|_| Attempt {
-                    result: Err(TransportError::BackendDown),
-                    latency_ms: 1,
-                })
-                .collect();
-        }
-        let mut out: Vec<Option<Attempt>> = Vec::with_capacity(batch.len());
-        let mut clean: Vec<usize> = Vec::new();
-        for (ix, call) in batch.iter().enumerate() {
-            match self.plan.decide(call.key, call.attempt) {
-                None => {
-                    clean.push(ix);
-                    out.push(None);
-                }
-                Some(kind) => {
-                    let (err, latency_ms) = match kind {
-                        FaultKind::Transient => (
-                            TransportError::Transient,
-                            self.plan.latency_ms(call.key, call.attempt),
-                        ),
-                        FaultKind::Timeout => (
-                            TransportError::Timeout {
-                                after_ms: self.plan.spec.timeout_ms,
-                            },
-                            self.plan.spec.timeout_ms,
-                        ),
-                        FaultKind::RateLimited { retry_after_ms } => (
-                            TransportError::RateLimited { retry_after_ms },
-                            self.plan.latency_ms(call.key, call.attempt),
-                        ),
-                        FaultKind::Garbled => (
-                            TransportError::Garbled,
-                            self.plan.latency_ms(call.key, call.attempt),
-                        ),
-                        FaultKind::BackendDown => (TransportError::BackendDown, 1),
-                    };
-                    out.push(Some(Attempt {
-                        result: Err(err),
-                        latency_ms,
-                    }));
-                }
-            }
-        }
-        if !clean.is_empty() {
-            let reqs: Vec<(JobId, LlmRequest)> = clean
-                .iter()
-                .map(|&ix| (batch[ix].tag, batch[ix].req.clone()))
+                .map(|call| (call.tag, call.req.clone()))
                 .collect();
             let responses = self.inner.run_batch(reqs);
             assert_eq!(
@@ -363,20 +316,15 @@ impl<S: LlmService> Transport for ServiceTransport<S> {
                 "inner service returned a short batch"
             );
             let mut by_tag: HashMap<JobId, LlmResponse> = responses.into_iter().collect();
-            for &ix in &clean {
-                let call = &batch[ix];
-                let resp = by_tag
-                    .remove(&call.tag)
-                    .expect("inner service answered every tagged job");
-                out[ix] = Some(Attempt {
-                    result: Ok(resp),
-                    latency_ms: self.plan.latency_ms(call.key, call.attempt),
-                });
-            }
-        }
-        out.into_iter()
-            .map(|a| a.expect("every slot filled"))
-            .collect()
+            clean
+                .iter()
+                .map(|call| {
+                    by_tag
+                        .remove(&call.tag)
+                        .expect("inner service answered every tagged job")
+                })
+                .collect()
+        })
     }
 
     fn hedge_latency_ms(&self, _backend: usize, key: u64, attempt: u32) -> u64 {

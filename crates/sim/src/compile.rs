@@ -355,21 +355,22 @@ pub struct CompiledProcess {
     /// stream can **never** bail out: no division/modulo, no dynamic
     /// bit selects, every constant part select statically in bounds,
     /// and no undefined constants anywhere (so the process cannot
-    /// store an `X` for its own loads to re-read). The interpreter
-    /// then skips the pre-run write-set snapshot — the rewind can
-    /// never be needed — which matters because the snapshot is per
-    /// evaluation and bailouts are rare.
+    /// store an `X` for its own loads to re-read). Such a stream gets
+    /// a fused [`plan`](CompiledProcess::plan), whose dispatch skips
+    /// the pre-run write-set snapshot — the rewind can never be
+    /// needed — which matters because the snapshot is per evaluation
+    /// and bailouts are rare.
     pub hazard_free: bool,
     /// Per-slot valid-bit masks (`narrow` path only).
     pub slot_masks: Vec<u64>,
     /// Constant pool as plane-word pairs (`narrow` path only).
     pub narrow_consts: Vec<(u64, u64)>,
-    /// The fused straight-line evaluation plan (`hazard_free` streams
-    /// only, else `None`). Built unconditionally at compile time —
-    /// dispatch, not construction, is gated by
-    /// [`crate::plan::fuse_enabled`], so fused and unfused runs execute
-    /// structurally identical designs and delta-reused units carry
-    /// their plans verbatim.
+    /// The fused straight-line evaluation plan (non-empty
+    /// `hazard_free` streams only, else `None`). Built unconditionally
+    /// at compile time — dispatch, not construction, is gated per
+    /// simulator by [`crate::Simulator::set_fuse`], so fused and
+    /// unfused runs execute structurally identical designs and
+    /// delta-reused units carry their plans verbatim.
     pub plan: Option<EvalPlan>,
 }
 

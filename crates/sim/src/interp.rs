@@ -16,7 +16,7 @@
 //!
 //! # The interpreter stack
 //!
-//! Four loops share the instruction set, selected per process and per
+//! Three loops share the instruction set, selected per process and per
 //! evaluation:
 //!
 //! * [`execute_wide`] — `LogicVec` slots, any width (four-state);
@@ -25,11 +25,14 @@
 //! * [`execute_two_state`] — narrow **two-state**: pure-value
 //!   instructions run over the aval plane with bval known zero,
 //!   bailing out (and rewinding) to `execute_narrow` when an `X`/`Z`
-//!   or an X-producing hazard appears mid-run;
-//! * [`execute_two_state_pure`] — narrow two-state over bare `u64`
-//!   aval registers for [`CompiledProcess::hazard_free`] streams,
-//!   which cannot bail: the Verilator model, and the steady-state hot
-//!   loop of defined kernels.
+//!   or an X-producing hazard appears mid-run.
+//!
+//! [`CompiledProcess::hazard_free`] streams cannot bail, so they
+//! dispatch their fused [`crate::plan::EvalPlan`] over bare `u64`
+//! aval registers instead (the steady-state hot path of defined
+//! kernels); with fusion switched off on the simulator they run
+//! `execute_two_state`, the unfused reference the plans are
+//! store-exact against.
 //!
 //! Dispatch between four-state and two-state happens in [`execute`]:
 //! an eligible process takes the two-state path whenever its read set
@@ -79,15 +82,15 @@ pub enum RegFile {
     /// `LogicVec` per slot.
     Wide(Vec<LogicVec>),
     /// Narrow state: `(aval, bval)` per slot, plus the two-state
-    /// machinery — a pure aval-plane file for hazard-free streams and
-    /// the pooled pre-run write-set snapshot the bailing two-state
-    /// path rewinds from.
+    /// machinery — the fused plan's aval-plane file and the pooled
+    /// pre-run write-set snapshot the bailing two-state path rewinds
+    /// from.
     Narrow {
         /// `(aval, bval)` per slot.
         regs: Vec<(u64, u64)>,
-        /// aval word per slot ([`CompiledProcess::hazard_free`]
-        /// streams only, else empty): the two-state interpreter for
-        /// those runs touches no bval storage at all.
+        /// aval word per slot (processes with a fused
+        /// [`CompiledProcess::plan`] only, else empty): plan runs
+        /// touch no bval storage at all.
         aregs: Vec<u64>,
         /// Plane pairs of `proc.writes`, captured before a bail-able
         /// two-state attempt (empty between runs).
@@ -101,7 +104,7 @@ impl RegFile {
         if proc.narrow {
             RegFile::Narrow {
                 regs: proc.make_narrow_regs(),
-                aregs: if proc.hazard_free {
+                aregs: if proc.plan.is_some() {
                     vec![0; proc.slot_widths.len()]
                 } else {
                     Vec::new()
@@ -190,25 +193,18 @@ pub fn execute(
         RegFile::Narrow { regs, aregs, snap } => {
             if two_state && proc.two_state {
                 if proc.reads_fully_defined(store) {
-                    if proc.hazard_free {
-                        // No bail site exists in the stream. With fusion
-                        // enabled, dispatch the superinstruction plan
-                        // (store-exact against the pure interpreter by
-                        // construction); otherwise run the unfused pure
-                        // aval-plane interpreter — no snapshot, no bval
-                        // storage, no rewind path either way.
-                        if fuse {
-                            if let Some(plan) = &proc.plan {
-                                let (ops, src) =
-                                    crate::plan::execute_plan(plan, aregs, store, nba, changed);
-                                return ExecOutcome::Fused { ops, src };
-                            }
+                    // A hazard-free stream has no bail site: with fusion
+                    // enabled, dispatch its superinstruction plan — no
+                    // snapshot, no bval storage, no rewind path.
+                    if fuse {
+                        if let Some(plan) = &proc.plan {
+                            let (ops, src) =
+                                crate::plan::execute_plan(plan, aregs, store, nba, changed);
+                            return ExecOutcome::Fused { ops, src };
                         }
-                        execute_two_state_pure(proc, aregs, store, nba, changed);
-                        return ExecOutcome::TwoState;
                     }
-                    // Bail-able stream: snapshot the write set so a
-                    // mid-run bailout can rewind.
+                    // Snapshot the write set so a mid-run bailout can
+                    // rewind.
                     snap.clear();
                     snap.extend(
                         proc.writes
@@ -911,216 +907,6 @@ fn execute_narrow(
 // ----------------------------------------------------------------------
 // Two-state path: fully defined inputs → aval-plane-only execution
 // ----------------------------------------------------------------------
-
-/// The pure two-state interpreter for [`CompiledProcess::hazard_free`]
-/// streams: registers are bare aval words, no bval plane is read,
-/// written or even stored, and no bail site exists — by the hazard
-/// analysis, given a fully defined read set every intermediate value is
-/// defined (no division/modulo, no dynamic bit selects, statically
-/// in-bounds part selects, no undefined constants, and the process
-/// cannot store an `X` for its own loads to re-read). This is the
-/// Verilator execution model verbatim, and the steady-state hot loop of
-/// the grading path: defined corpus kernels dispatch here for every
-/// evaluation.
-fn execute_two_state_pure(
-    proc: &CompiledProcess,
-    regs: &mut [u64],
-    store: &mut Store,
-    nba: &mut Vec<PendingWrite>,
-    changed: &mut Vec<SignalId>,
-) {
-    debug_assert_eq!(regs.len(), proc.slot_widths.len());
-    debug_assert!(proc.hazard_free);
-    let masks = &proc.slot_masks;
-    let mut pc = 0usize;
-    while pc < proc.code.len() {
-        match &proc.code[pc] {
-            Instr::Const { dst, k } => {
-                // Hazard-free pools are fully defined: bval is 0.
-                regs[*dst as usize] = proc.narrow_consts[*k as usize].0;
-            }
-            Instr::Load { dst, sig } => {
-                let (a, _) = store[sig.index()].planes_u64();
-                regs[*dst as usize] = a & masks[*dst as usize];
-            }
-            Instr::Copy { dst, src } => {
-                regs[*dst as usize] = regs[*src as usize] & masks[*dst as usize];
-            }
-            Instr::Slice { dst, src, lsb } => {
-                regs[*dst as usize] = (regs[*src as usize] >> lsb) & masks[*dst as usize];
-            }
-            Instr::Not { dst, a } => {
-                regs[*dst as usize] = !regs[*a as usize] & masks[*dst as usize];
-            }
-            Instr::Bin { op, dst, a, b } => {
-                let x = regs[*a as usize];
-                let y = regs[*b as usize];
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = match op {
-                    BinOp::And => x & y,
-                    BinOp::Or => x | y,
-                    BinOp::Xor => x ^ y,
-                    BinOp::Xnor => !(x ^ y) & m,
-                    BinOp::Add => x.wrapping_add(y) & m,
-                    BinOp::Sub => x.wrapping_sub(y) & m,
-                    BinOp::Mul => x.wrapping_mul(y) & m,
-                    // Excluded by the hazard analysis.
-                    BinOp::Div | BinOp::Mod => unreachable!("hazard-free stream has no div/mod"),
-                };
-            }
-            Instr::Shift { left, dst, a, amt } => {
-                let v = regs[*a as usize];
-                let n = regs[*amt as usize];
-                let w = proc.slot_widths[*dst as usize] as u64;
-                regs[*dst as usize] = if n >= w {
-                    0
-                } else if *left {
-                    (v << n) & masks[*dst as usize]
-                } else {
-                    v >> n
-                };
-            }
-            Instr::LogicBin { and, dst, a, b } => {
-                let ta = regs[*a as usize] != 0;
-                let tb = regs[*b as usize] != 0;
-                regs[*dst as usize] = (if *and { ta && tb } else { ta || tb }) as u64;
-            }
-            Instr::Reduce { op, dst, a } => {
-                let v = regs[*a as usize];
-                let am = masks[*a as usize];
-                regs[*dst as usize] = match op {
-                    ReduceOp::And => (v == am) as u64,
-                    ReduceOp::Nand => (v != am) as u64,
-                    ReduceOp::Or => (v != 0) as u64,
-                    ReduceOp::Nor => (v == 0) as u64,
-                    ReduceOp::Xor => (v.count_ones() & 1) as u64,
-                    ReduceOp::Xnor => (1 - (v.count_ones() & 1)) as u64,
-                    ReduceOp::LogicNot => (v == 0) as u64,
-                };
-            }
-            Instr::Cmp { op, dst, a, b } => {
-                let x = regs[*a as usize];
-                let y = regs[*b as usize];
-                regs[*dst as usize] = match op {
-                    // With every value defined, case equality *is*
-                    // logical equality.
-                    CmpOp::Eq | CmpOp::CaseEq => (x == y) as u64,
-                    CmpOp::Neq | CmpOp::CaseNeq => (x != y) as u64,
-                    CmpOp::Lt => (x < y) as u64,
-                    CmpOp::Le => (x <= y) as u64,
-                    CmpOp::Gt => (x > y) as u64,
-                    CmpOp::Ge => (x >= y) as u64,
-                };
-            }
-            Instr::Select { dst, c, t, f } => {
-                let r = if regs[*c as usize] != 0 {
-                    regs[*t as usize]
-                } else {
-                    regs[*f as usize]
-                };
-                regs[*dst as usize] = r & masks[*dst as usize];
-            }
-            Instr::Concat { dst, parts } => {
-                let mut acc = 0u64;
-                for (slot, offset) in parts {
-                    acc |= regs[*slot as usize] << offset;
-                }
-                regs[*dst as usize] = acc;
-            }
-            Instr::Repl { dst, src, n } => {
-                let v = regs[*src as usize];
-                let w = proc.slot_widths[*src as usize];
-                let mut acc = 0u64;
-                for k in 0..*n {
-                    acc |= v << (k * w);
-                }
-                regs[*dst as usize] = acc;
-            }
-            Instr::BitSelSig { .. } => unreachable!("hazard-free stream has no dynamic bit select"),
-            Instr::ReadSlice { dst, sig, lsb } => {
-                // Statically in bounds by the hazard analysis.
-                let (sa, _) = store[sig.index()].planes_u64();
-                regs[*dst as usize] = (sa >> lsb) & masks[*dst as usize];
-            }
-            Instr::Jump { target } => {
-                pc = *target;
-                continue;
-            }
-            Instr::JumpIfNotTrue { cond, target } => {
-                if regs[*cond as usize] == 0 {
-                    pc = *target;
-                    continue;
-                }
-            }
-            Instr::JumpIfMatch {
-                sel,
-                label,
-                kind: _,
-                target,
-            } => {
-                // No undefined constants → no casez wildcards: both
-                // case flavors reduce to word equality.
-                if regs[*sel as usize] == regs[*label as usize] {
-                    pc = *target;
-                    continue;
-                }
-            }
-            Instr::Store {
-                sig,
-                src,
-                lsb,
-                width,
-                nonblocking,
-            } => {
-                let va = regs[*src as usize];
-                if *nonblocking {
-                    nba.push(PendingWrite {
-                        signal: *sig,
-                        lsb: *lsb,
-                        width: *width,
-                        value: LogicVec::from_planes_u64(*width, va, 0),
-                    });
-                } else {
-                    let cur = &mut store[sig.index()];
-                    if *lsb == 0 && *width == cur.width() {
-                        if cur.planes_u64() != (va, 0) {
-                            *cur = LogicVec::from_planes_u64(*width, va, 0);
-                            changed.push(*sig);
-                        }
-                    } else {
-                        let value = LogicVec::from_planes_u64(*width, va, 0);
-                        apply_write(store, *sig, *lsb, *width, &value, changed);
-                    }
-                }
-            }
-            Instr::StoreBitDyn {
-                sig,
-                idx,
-                lsb_index,
-                src,
-                nonblocking,
-            } => {
-                let ia = regs[*idx as usize];
-                let width = store[sig.index()].width();
-                let phys = ia as i64 - lsb_index;
-                if phys >= 0 && (phys as usize) < width {
-                    let value = LogicVec::from_planes_u64(1, regs[*src as usize], 0);
-                    if *nonblocking {
-                        nba.push(PendingWrite {
-                            signal: *sig,
-                            lsb: phys,
-                            width: 1,
-                            value,
-                        });
-                    } else {
-                        apply_write(store, *sig, phys, 1, &value, changed);
-                    }
-                }
-            }
-        }
-        pc += 1;
-    }
-}
 
 /// The two-state interpreter (Verilator's execution model): pure-value
 /// instructions run over the aval plane alone with the bval plane known

@@ -44,8 +44,9 @@
 //! ([`eval`]/[`exec`]) with its scan-based worklist scheduler remains
 //! available as the differential-testing oracle via
 //! [`ExecMode::Legacy`] (or the `MAGE_SIM_EXEC=legacy` environment
-//! hook); `MAGE_SIM_TWO_STATE=off` pins the compiled executor to pure
-//! four-state.
+//! hook); [`Simulator::set_two_state`] and [`Simulator::set_fuse`]
+//! reach the pure four-state and unfused two-state references of the
+//! compiled executor.
 //!
 //! # Example
 //!
@@ -97,7 +98,7 @@ pub use design::{CExpr, CLValue, CStmt, Design, Process, SignalDecl, SignalId};
 pub use elab::{elaborate, elaborate_delta, elaborate_with, fold_const_expr};
 pub use error::{ElabError, SimError};
 pub use eval::{eval, exec, PendingWrite, Store};
-pub use plan::{fuse_enabled, CascadePlan, EvalPlan, PlanOp};
+pub use plan::{CascadePlan, EvalPlan, PlanOp};
 pub use sim::{EvalCounts, ExecMode, Simulator};
 pub use unit::{
     unit_hash, ChainedUnits, DeltaStats, DesignUnits, ProcessUnit, UnitKey, UnitSource, UnitTag,

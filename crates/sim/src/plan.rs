@@ -1,8 +1,8 @@
 //! Whole-design evaluation plans: superinstruction fusion and
 //! straight-line comb-cascade execution for hazard-free streams.
 //!
-//! The two-state pure interpreter ([`crate::interp`]) still pays one
-//! dispatch per bytecode instruction. This module closes that gap for
+//! The two-state interpreter ([`crate::interp`]) pays one dispatch per
+//! bytecode instruction. This module closes that gap for
 //! [`CompiledProcess::hazard_free`] streams in three layers:
 //!
 //! 1. **Superinstruction fusion** — [`build_plan`] peephole-fuses the
@@ -24,13 +24,14 @@
 //!
 //! Plans are built unconditionally at compile time (they are cheap and
 //! deterministic, so delta-built designs stay structurally exact
-//! against scratch builds); only *dispatch* is gated, by
-//! [`fuse_enabled`] — `MAGE_SIM_FUSE=off` keeps the unfused pure
-//! interpreter live as the differential oracle. A fused run is store-exact
-//! against the unfused path by construction: every opcode reproduces
-//! the corresponding [`Instr`](crate::compile::Instr) semantics of
-//! [`crate::interp`]'s hazard-free loop verbatim, which
-//! `tests/fused_vs_unfused_corpus.rs` verifies over the whole corpus.
+//! against scratch builds); only *dispatch* is gated, per simulator, by
+//! [`crate::Simulator::set_fuse`] — on by default, off in the
+//! differential suites that keep the unfused two-state interpreter
+//! live as the oracle. A fused run is store-exact against the unfused
+//! path by construction: every opcode reproduces the corresponding
+//! [`Instr`] semantics of [`crate::interp`]'s two-state loop on a
+//! hazard-free stream, which `tests/fused_vs_unfused_corpus.rs`
+//! verifies over the whole corpus.
 //!
 //! Under delta rebuilds, plans invalidate structurally: per-process
 //! plans travel inside their content-addressed unit, and cascade plans
@@ -44,25 +45,6 @@ use crate::compile::{BinOp, CmpOp, CompiledProcess, Instr, ReduceOp, Slot};
 use crate::design::{Design, Process, SignalId};
 use crate::eval::{apply_write, PendingWrite, Store};
 use mage_logic::LogicVec;
-
-/// Whether fused-plan dispatch is enabled.
-///
-/// `MAGE_SIM_FUSE=off` (or `0`/`false`, case-insensitive) disables it,
-/// keeping the unfused per-instruction two-state interpreter live as
-/// the differential oracle; anything else — including unset — enables
-/// it. Snapshotted once per `Simulator` at construction (`env::var`
-/// takes a process lock — too hot for the per-drain path); suites that
-/// need both sides on live simulators use `Simulator::set_fuse`
-/// instead of flipping the environment.
-pub fn fuse_enabled() -> bool {
-    match std::env::var("MAGE_SIM_FUSE") {
-        Ok(v) => {
-            let v = v.to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
-    }
-}
 
 /// One fused-plan opcode.
 ///
@@ -365,13 +347,6 @@ pub struct EvalPlan {
     /// `true` when any store is non-blocking (such processes are
     /// excluded from comb cascades, whose members commit nothing).
     pub has_nba: bool,
-}
-
-impl EvalPlan {
-    /// Number of ops that retired more than one source instruction.
-    pub fn fused_ops(&self) -> usize {
-        self.src_counts.iter().filter(|&&c| c > 1).count()
-    }
 }
 
 /// A fused combinational cascade: the transitive hazard-free closure
@@ -948,8 +923,8 @@ fn topo_order(procs: &[CompiledProcess], members: &[u32]) -> Option<Vec<u32>> {
 }
 
 /// Execute one [`EvalPlan`] over bare `u64` aval slots. Semantically
-/// identical to the hazard-free two-state interpreter
-/// ([`crate::interp`]) on the same stream — the caller must have
+/// identical to the two-state interpreter ([`crate::interp`]) on the
+/// same hazard-free stream — the caller must have
 /// verified the read set is fully defined. Returns the retired
 /// `(plan ops, source instructions covered)` pair feeding
 /// `EvalCounts::plan_steps` / `plan_unfused_steps`.
@@ -1311,24 +1286,6 @@ mod tests {
         let cd = d.compiled();
         assert!(cd.cascades.is_empty());
         assert!(cd.cascade_of.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn fuse_gate_reads_environment_per_call() {
-        let key = "MAGE_SIM_FUSE";
-        let prev = std::env::var(key).ok();
-        std::env::set_var(key, "off");
-        assert!(!fuse_enabled());
-        std::env::set_var(key, "0");
-        assert!(!fuse_enabled());
-        std::env::set_var(key, "false");
-        assert!(!fuse_enabled());
-        std::env::set_var(key, "on");
-        assert!(fuse_enabled());
-        match prev {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
     }
 
     #[test]

@@ -70,13 +70,18 @@
 //!    hazards (division by zero, out-of-range reads, a re-read of a
 //!    just-stored `X`) bail out, rewind, and re-run four-state —
 //!    completed two-state runs are store-exact by construction.
-//!    [`Simulator::set_two_state`] or `MAGE_SIM_TWO_STATE=off`
-//!    disables the dispatch; `EvalCounts::two_state_evals` /
+//!    Hazard-free processes run their fused evaluation plan
+//!    ([`crate::plan`]) instead of the per-instruction interpreter.
+//!    Both are on for every compiled simulator;
+//!    [`Simulator::set_two_state`] and [`Simulator::set_fuse`] turn
+//!    them off per simulator, which is how tests reach the four-state
+//!    and unfused references. `EvalCounts::two_state_evals` /
 //!    `two_state_fallbacks` account for every eligible evaluation.
 //!
 //! The corpus lockstep suites (`tests/compiled_vs_interp_corpus.rs`,
-//! `crates/sim/tests/{event_wheel,two_state}.rs`) hold all three
-//! store-exact after every poke.
+//! `crates/sim/tests/{event_wheel,two_state}.rs`) hold the default
+//! compiled simulator, its four-state and unfused references and the
+//! legacy executor store-exact after every poke.
 
 use crate::compile::CompiledDesign;
 use crate::design::{Design, Process, SignalId};
@@ -138,8 +143,8 @@ pub struct EvalCounts {
     pub edge_probes: u64,
     /// Process body executions serviced by the two-state
     /// (aval-plane-only) interpreter — a subset of
-    /// `comb_evals + seq_evals`. Zero in legacy mode and with
-    /// `MAGE_SIM_TWO_STATE=off`.
+    /// `comb_evals + seq_evals`. Zero in legacy mode and after
+    /// [`Simulator::set_two_state`]`(false)`.
     pub two_state_evals: u64,
     /// Executions of two-state-*eligible* processes that ran four-state
     /// anyway: an `X`/`Z` in the read set at dispatch (including the
@@ -150,8 +155,9 @@ pub struct EvalCounts {
     pub two_state_fallbacks: u64,
     /// Process body executions serviced by a fused
     /// [`crate::plan::EvalPlan`] (superinstruction dispatch) — a subset
-    /// of `two_state_evals`. Zero in legacy mode, with
-    /// `MAGE_SIM_TWO_STATE=off`, and under `MAGE_SIM_FUSE=off`.
+    /// of `two_state_evals`. Zero in legacy mode and after
+    /// [`Simulator::set_two_state`]`(false)` or
+    /// [`Simulator::set_fuse`]`(false)`.
     pub fused_evals: u64,
     /// Fused plan opcodes retired across all `fused_evals`.
     pub plan_steps: u64,
@@ -215,16 +221,14 @@ pub struct Simulator {
     time: u64,
     mode: ExecMode,
     /// Two-state fast-path dispatch enable (compiled mode; on by
-    /// default, off under `MAGE_SIM_TWO_STATE=off`/`0` or
-    /// [`Simulator::set_two_state`] — the hook the differential suites
-    /// use to hold the pure four-state path against the fast path).
+    /// default, off after [`Simulator::set_two_state`]`(false)` — the
+    /// hook the differential suites use to hold the pure four-state
+    /// path against the fast path).
     two_state: bool,
-    /// Fused-plan dispatch enable (compiled mode; defaults to the
-    /// `MAGE_SIM_FUSE` environment gate ([`crate::plan::fuse_enabled`])
-    /// snapshotted at construction — `env::var` takes a process lock,
-    /// too hot for the per-drain path — and overridden per simulator
-    /// with [`Simulator::set_fuse`], the hook the differential suites
-    /// use).
+    /// Fused-plan dispatch enable (compiled mode; on by default, off
+    /// after [`Simulator::set_fuse`]`(false)` — the hook the
+    /// differential suites use to hold the unfused two-state
+    /// interpreter against the plans).
     fuse: bool,
     /// Wheel scheduler state (the default path).
     wheel: Wheel,
@@ -468,12 +472,6 @@ impl Simulator {
                 }
             }
         }
-        let two_state = mode == ExecMode::Compiled
-            && !matches!(
-                std::env::var("MAGE_SIM_TWO_STATE"),
-                Ok(v) if v == "0" || v.eq_ignore_ascii_case("off")
-            );
-        let fuse = mode == ExecMode::Compiled && crate::fuse_enabled();
         let mut counts = EvalCounts::default();
         if let Some(compiled) = &compiled {
             // Surface the design's delta-rebuild plan drops: 0 for
@@ -488,8 +486,8 @@ impl Simulator {
             store,
             time: 0,
             mode,
-            two_state,
-            fuse,
+            two_state: mode == ExecMode::Compiled,
+            fuse: mode == ExecMode::Compiled,
             wheel,
             legacy,
             fault: None,
@@ -531,20 +529,18 @@ impl Simulator {
         self.two_state = on && self.mode == ExecMode::Compiled;
     }
 
-    /// Force fused-plan dispatch on or off for this simulator,
-    /// overriding the `MAGE_SIM_FUSE` environment gate snapshotted at
-    /// construction (compiled mode only; legacy never fuses). The
-    /// differential suites use this to lockstep fused execution against
-    /// the unfused two-state interpreter without touching process
-    /// environment.
+    /// Enable or disable fused-plan dispatch (compiled mode only;
+    /// legacy never fuses). Turning it off runs every hazard-free
+    /// process on the per-instruction two-state interpreter — the
+    /// differential suites use this to lockstep fused execution
+    /// against the unfused path on the same executor.
     pub fn set_fuse(&mut self, on: bool) {
         self.fuse = on && self.mode == ExecMode::Compiled;
     }
 
-    /// Whether fused-plan dispatch is active: the
-    /// [`Simulator::set_fuse`] override if called, else the
-    /// `MAGE_SIM_FUSE` environment gate as read at construction, and
-    /// never in legacy mode.
+    /// Whether fused-plan dispatch is active: on by default in compiled
+    /// mode unless [`Simulator::set_fuse`] turned it off, never in
+    /// legacy mode.
     pub fn fuse_active(&self) -> bool {
         self.fuse
     }
@@ -579,16 +575,8 @@ impl Simulator {
         self.counts = EvalCounts::default();
     }
 
-    /// Run process `pi`'s body with the configured executor. `fuse` is
-    /// the drain's per-call fused-dispatch decision (always `false` on
-    /// the legacy scheduler's call sites — the oracle never fuses).
-    fn run_body(
-        &mut self,
-        pi: usize,
-        nba: &mut Vec<PendingWrite>,
-        changed: &mut Vec<SignalId>,
-        fuse: bool,
-    ) {
+    /// Run process `pi`'s body with the configured executor.
+    fn run_body(&mut self, pi: usize, nba: &mut Vec<PendingWrite>, changed: &mut Vec<SignalId>) {
         match self.mode {
             ExecMode::Compiled => {
                 let compiled = self.compiled.as_ref().expect("wheel mode has bytecode");
@@ -599,7 +587,7 @@ impl Simulator {
                     nba,
                     changed,
                     self.two_state,
-                    fuse,
+                    self.fuse,
                 );
                 match outcome {
                     interp::ExecOutcome::TwoState => self.counts.two_state_evals += 1,
@@ -920,14 +908,10 @@ impl Simulator {
     /// outside the differential contract, and the pipeline abandons
     /// faulted candidates at the first error).
     fn drain(&mut self) -> Result<(), SimError> {
-        // One fused-dispatch decision per drain, from the
-        // construction-time snapshot (or its `set_fuse` override) — the
-        // drain path is too hot for an `env::var` read.
-        let fuse = self.fuse_active();
         let mut wheel = std::mem::take(&mut self.wheel);
         let result = self
-            .nba_region(&mut wheel, fuse)
-            .and_then(|()| self.active_region(&mut wheel, fuse));
+            .nba_region(&mut wheel)
+            .and_then(|()| self.active_region(&mut wheel));
         self.wheel = wheel;
         result
     }
@@ -937,7 +921,7 @@ impl Simulator {
     /// those commits produce (clock dividers), up to [`CASCADE_LIMIT`]
     /// waves. Blocking writes and commits enqueue comb fanout on the
     /// active region as they land.
-    fn nba_region(&mut self, wheel: &mut Wheel, fuse: bool) -> Result<(), SimError> {
+    fn nba_region(&mut self, wheel: &mut Wheel) -> Result<(), SimError> {
         if wheel.triggered.is_empty() {
             return Ok(());
         }
@@ -964,7 +948,7 @@ impl Simulator {
                 // Blocking writes inside sequential bodies write
                 // through (standard Verilog); their fanout becomes
                 // active events immediately.
-                self.run_body(pi, &mut nba, &mut changed, fuse);
+                self.run_body(pi, &mut nba, &mut changed);
                 for &sig in &changed {
                     wheel.comb_fanout(&compiled, sig);
                 }
@@ -1021,7 +1005,7 @@ impl Simulator {
 
     /// Drain the active region: evaluate pending combinational processes
     /// to a fixpoint, enqueueing the fanout of *net* output changes.
-    fn active_region(&mut self, wheel: &mut Wheel, fuse: bool) -> Result<(), SimError> {
+    fn active_region(&mut self, wheel: &mut Wheel) -> Result<(), SimError> {
         if wheel.active.is_empty() {
             return Ok(());
         }
@@ -1053,7 +1037,7 @@ impl Simulator {
             // anywhere in the read closure) falls through to the
             // ordinary per-process path, which dispatches four-state —
             // and the cascade resumes as soon as the unknown clears.
-            if fuse && self.two_state {
+            if self.fuse && self.two_state {
                 if let Some(ci) = compiled.cascade_of[pi] {
                     let cascade = &compiled.cascades[ci as usize];
                     if cascade
@@ -1117,7 +1101,7 @@ impl Simulator {
             let mut scratch = std::mem::take(&mut wheel.scratch);
             nba.clear();
             scratch.clear();
-            self.run_body(pi, &mut nba, &mut scratch, fuse);
+            self.run_body(pi, &mut nba, &mut scratch);
             // NBAs inside comb always blocks commit immediately at the
             // end of the process (simplified @* semantics).
             for w in &nba {
@@ -1310,7 +1294,7 @@ impl Simulator {
                 // Blocking writes inside sequential bodies write
                 // through (standard Verilog), tracked in `changed`.
                 self.counts.seq_evals += 1;
-                self.run_body(pi, &mut nba, changed, false);
+                self.run_body(pi, &mut nba, changed);
             }
             // Commit NBAs, detecting new edges.
             let mut nba_changed: Vec<SignalId> = Vec::new();
@@ -1453,7 +1437,7 @@ impl Simulator {
             let mut scratch = std::mem::take(&mut sched.wl.scratch);
             nba.clear();
             scratch.clear();
-            self.run_body(pi, &mut nba, &mut scratch, false);
+            self.run_body(pi, &mut nba, &mut scratch);
             // NBAs inside comb always blocks commit immediately at the end
             // of the process (simplified @* semantics).
             for w in &nba {

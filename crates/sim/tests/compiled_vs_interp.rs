@@ -1,11 +1,11 @@
 //! Differential tests: the bytecode interpreter vs the legacy
 //! tree-walking oracle.
 //!
-//! Every problem in the benchmark corpus — plus mutated candidates of
-//! each — is driven through two lock-stepped simulators, one per
-//! executor, comparing the **entire value store** (every signal,
-//! four-state exact) after boot and after every stimulus step. Faults
-//! (combinational loops, edge cascades) must also agree.
+//! Each design is driven through lock-stepped simulators — the legacy
+//! oracle and the default, four-state and unfused configurations of the
+//! compiled executor — comparing the **entire value store** (every
+//! signal, four-state exact) after boot and after every stimulus step.
+//! Faults (combinational loops, edge cascades) must also agree.
 //!
 //! The corpus and mutation machinery live in downstream crates
 //! (`mage-problems`, `mage-llm`), so this test drives them through the
@@ -18,17 +18,34 @@ use mage_logic::LogicVec;
 use mage_sim::{elaborate, Design, ExecMode, SimError, Simulator};
 use std::sync::Arc;
 
-/// Drive both executors in lockstep and compare the full store after
-/// every poke. Returns the error both agreed on, if any.
+/// Drive the legacy oracle and the compiled executor's default
+/// (two-state, fused), pure four-state and unfused two-state
+/// configurations in lockstep and compare the full store after every
+/// poke. Returns the error all agreed on, if any.
 fn lockstep(design: &Arc<Design>, schedule: &[(&str, u64)]) -> Option<SimError> {
-    let mut fast = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
+    let compiled = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
+    let mut four = compiled();
+    four.set_two_state(false);
+    let mut unfused = compiled();
+    unfused.set_fuse(false);
+    let mut fasts = [
+        (compiled(), "compiled"),
+        (four, "four-state"),
+        (unfused, "unfused"),
+    ];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-    let rf = fast.settle();
     let rs = slow.settle();
-    assert_eq!(rf, rs, "settle outcome diverged");
-    compare_stores(design, &mut fast, &mut slow, "after boot settle");
-    if rf.is_err() {
-        return rf.err();
+    for (fast, label) in &mut fasts {
+        assert_eq!(fast.settle(), rs, "{label}: settle outcome diverged");
+        compare_stores(
+            design,
+            fast,
+            &mut slow,
+            &format!("{label} after boot settle"),
+        );
+    }
+    if rs.is_err() {
+        return rs.err();
     }
     for (i, (name, value)) in schedule.iter().enumerate() {
         let width = design
@@ -36,40 +53,34 @@ fn lockstep(design: &Arc<Design>, schedule: &[(&str, u64)]) -> Option<SimError> 
             .map(|id| design.width(id))
             .expect("schedule drives known signals");
         let v = LogicVec::from_u64(width, *value);
-        let rf = fast.poke(name, v.clone());
-        let rs = slow.poke(name, v);
-        assert_eq!(rf, rs, "poke #{i} ({name}={value}) outcome diverged");
-        compare_stores(
-            design,
-            &mut fast,
-            &mut slow,
-            &format!("after poke #{i} {name}={value}"),
-        );
-        if rf.is_err() {
-            return rf.err();
+        let rs = slow.poke(name, v.clone());
+        for (fast, label) in &mut fasts {
+            let at = format!("{label} after poke #{i} {name}={value}");
+            assert_eq!(fast.poke(name, v.clone()), rs, "{at}: outcome diverged");
+            compare_stores(design, fast, &mut slow, &at);
         }
-        // Edge-free pokes defer their combinational flush: settle both
-        // so propagation faults surface (identically) at every step.
-        let rf = fast.settle();
+        if rs.is_err() {
+            return rs.err();
+        }
+        // Edge-free pokes defer their combinational flush: settle every
+        // simulator so propagation faults surface (identically) at
+        // every step.
         let rs = slow.settle();
-        assert_eq!(rf, rs, "settle #{i} ({name}={value}) outcome diverged");
-        compare_stores(
-            design,
-            &mut fast,
-            &mut slow,
-            &format!("after settle #{i} {name}={value}"),
-        );
-        if rf.is_err() {
-            return rf.err();
+        for (fast, label) in &mut fasts {
+            let at = format!("{label} after settle #{i} {name}={value}");
+            assert_eq!(fast.settle(), rs, "{at}: outcome diverged");
+            compare_stores(design, fast, &mut slow, &at);
+        }
+        if rs.is_err() {
+            return rs.err();
         }
     }
     None
 }
 
 fn compare_stores(design: &Design, fast: &mut Simulator, slow: &mut Simulator, at: &str) {
-    for (ix, decl) in design.signals.iter().enumerate() {
+    for decl in &design.signals {
         let id = design.signal(&decl.name).expect("name resolves");
-        let _ = ix;
         let (f, s) = (fast.peek(id).clone(), slow.peek(id));
         assert!(
             f.case_eq(s),

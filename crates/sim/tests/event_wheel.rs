@@ -1,6 +1,7 @@
 //! Event-wheel differential suite: multi-clock designs driven through
-//! the wheel scheduler (`ExecMode::Compiled`) and the legacy worklist
-//! oracle (`ExecMode::Legacy`) in lockstep, asserting bit-identical
+//! the wheel scheduler (`ExecMode::Compiled`, in its default, four-state
+//! and unfused configurations) and the legacy worklist oracle
+//! (`ExecMode::Legacy`) in lockstep, asserting bit-identical
 //! stores after every operation — including interleaved `settle()`
 //! calls, which the wheel services by draining pending events while the
 //! oracle re-evaluates everything.
@@ -43,27 +44,39 @@ fn compare_stores(design: &Design, fast: &mut Simulator, slow: &mut Simulator, a
     }
 }
 
-/// Run `ops` on both schedulers, comparing every signal after each op.
+/// Run `ops` on the legacy scheduler and on the wheel's default,
+/// four-state and unfused configurations, comparing every signal after
+/// each op.
 fn lockstep(design: &Arc<Design>, ops: Vec<Op<'_>>) {
-    let mut fast = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
+    let wheel = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
+    let mut four = wheel();
+    four.set_two_state(false);
+    let mut unfused = wheel();
+    unfused.set_fuse(false);
+    let mut fasts = [
+        (wheel(), "wheel"),
+        (four, "four-state"),
+        (unfused, "unfused"),
+    ];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-    let rf = fast.settle();
     let rs = slow.settle();
-    assert_eq!(rf, rs, "boot settle diverged");
-    compare_stores(design, &mut fast, &mut slow, "boot");
+    for (fast, label) in &mut fasts {
+        assert_eq!(fast.settle(), rs, "{label}: boot settle diverged");
+        compare_stores(design, fast, &mut slow, &format!("{label} boot"));
+    }
     for (i, op) in ops.into_iter().enumerate() {
-        let at = format!("op {i}");
-        let (rf, rs) = match op {
-            Op::Poke(name, val) => (fast.poke(name, val.clone()), slow.poke(name, val)),
-            Op::PokeMany(drives) => (
-                fast.poke_many(drives.iter().map(|(n, v)| (*n, v.clone()))),
-                slow.poke_many(drives.iter().map(|(n, v)| (*n, v.clone()))),
-            ),
-            Op::Settle => (fast.settle(), slow.settle()),
+        let apply = |sim: &mut Simulator| match &op {
+            Op::Poke(name, val) => sim.poke(name, val.clone()),
+            Op::PokeMany(drives) => sim.poke_many(drives.iter().map(|(n, v)| (*n, v.clone()))),
+            Op::Settle => sim.settle(),
         };
-        assert_eq!(rf, rs, "{at} diverged in result");
-        compare_stores(design, &mut fast, &mut slow, &at);
-        if rf.is_err() {
+        let rs = apply(&mut slow);
+        for (fast, label) in &mut fasts {
+            let at = format!("{label} op {i}");
+            assert_eq!(apply(fast), rs, "{at} diverged in result");
+            compare_stores(design, fast, &mut slow, &at);
+        }
+        if rs.is_err() {
             return;
         }
     }

@@ -5,10 +5,13 @@
 //! defined, falling back to the four-state path when an `X`/`Z`
 //! appears (or a runtime hazard — division by zero, out-of-range read
 //! — bails out mid-run). These tests hold that machinery to the
-//! store-exactness contract against **both** retained oracles:
+//! store-exactness contract against **every** retained reference:
 //!
 //! * the four-state compiled path ([`Simulator::set_two_state`]`(false)`
-//!   — same bytecode, same wheel, no fast path), and
+//!   — same bytecode, same wheel, no fast path),
+//! * the unfused two-state path ([`Simulator::set_fuse`]`(false)` —
+//!   hazard-free processes on the per-instruction interpreter instead
+//!   of their fused plans), and
 //! * the legacy tree-walker with the scan worklist
 //!   ([`ExecMode::Legacy`]);
 //!
@@ -18,8 +21,8 @@
 //!
 //! The proptest at the bottom is the corpus version: a single `X`/`Z`
 //! bit injected at a random input/step of an otherwise-defined corpus
-//! run, three executors in lockstep, every signal compared four-state
-//! exact after every poke.
+//! run, all four executors in lockstep, every signal compared
+//! four-state exact after every poke.
 
 use mage_logic::{LogicBit, LogicVec};
 use mage_sim::{elaborate, Design, ExecMode, SimError, Simulator};
@@ -36,43 +39,57 @@ fn v(w: usize, x: u64) -> LogicVec {
     LogicVec::from_u64(w, x)
 }
 
-/// Three executors over one design: two-state (the default), pure
-/// four-state compiled, and the legacy tree-walker.
-struct Trio {
+/// Four executors over one design: the default compiled simulator
+/// (two-state and fused), pure four-state compiled, unfused two-state
+/// compiled, and the legacy tree-walker.
+struct Quad {
     fast: Simulator,
     four: Simulator,
+    unfused: Simulator,
     legacy: Simulator,
 }
 
-impl Trio {
-    fn new(design: &Arc<Design>) -> Trio {
-        // Pin both compiled variants explicitly (the suite must test
-        // the fast path even when CI exports MAGE_SIM_TWO_STATE=off to
-        // run everything *else* four-state; the default-on contract is
-        // covered by `two_state_env.rs`).
-        let mut fast = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-        fast.set_two_state(true);
+impl Quad {
+    fn new(design: &Arc<Design>) -> Quad {
+        let fast = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
+        assert!(fast.two_state() && fast.fuse_active(), "compiled defaults");
         let mut four = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
         four.set_two_state(false);
+        let mut unfused = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
+        unfused.set_fuse(false);
         let legacy = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-        Trio { fast, four, legacy }
+        assert!(!legacy.two_state() && !legacy.fuse_active());
+        Quad {
+            fast,
+            four,
+            unfused,
+            legacy,
+        }
+    }
+
+    /// The three reference simulators the default one is held against.
+    fn refs(&mut self) -> [(&mut Simulator, &'static str); 3] {
+        [
+            (&mut self.four, "four-state"),
+            (&mut self.unfused, "unfused"),
+            (&mut self.legacy, "legacy"),
+        ]
     }
 
     fn settle(&mut self) -> Result<(), SimError> {
         let rf = self.fast.settle();
-        let r4 = self.four.settle();
-        let rl = self.legacy.settle();
-        assert_eq!(rf, r4, "settle diverged vs four-state");
-        assert_eq!(rf, rl, "settle diverged vs legacy");
+        for (other, label) in self.refs() {
+            assert_eq!(rf, other.settle(), "settle diverged vs {label}");
+        }
         rf
     }
 
     fn poke(&mut self, name: &str, value: LogicVec, at: &str) -> Result<(), SimError> {
         let rf = self.fast.poke(name, value.clone());
-        let r4 = self.four.poke(name, value.clone());
-        let rl = self.legacy.poke(name, value);
-        assert_eq!(rf, r4, "poke {name} at {at} diverged vs four-state");
-        assert_eq!(rf, rl, "poke {name} at {at} diverged vs legacy");
+        for (other, label) in self.refs() {
+            let ro = other.poke(name, value.clone());
+            assert_eq!(rf, ro, "poke {name} at {at} diverged vs {label}");
+        }
         self.compare(at);
         rf
     }
@@ -84,15 +101,15 @@ impl Trio {
         at: &str,
     ) -> Result<(), SimError> {
         let rf = self.fast.poke_id(id, value.clone());
-        let r4 = self.four.poke_id(id, value.clone());
-        let rl = self.legacy.poke_id(id, value);
-        assert_eq!(rf, r4, "poke_id at {at} diverged vs four-state");
-        assert_eq!(rf, rl, "poke_id at {at} diverged vs legacy");
+        for (other, label) in self.refs() {
+            let ro = other.poke_id(id, value.clone());
+            assert_eq!(rf, ro, "poke_id at {at} diverged vs {label}");
+        }
         self.compare(at);
         rf
     }
 
-    /// Every signal, four-state exact, across all three stores.
+    /// Every signal, four-state exact, across all four stores.
     fn compare(&mut self, at: &str) {
         let names: Vec<String> = self
             .fast
@@ -104,7 +121,7 @@ impl Trio {
         for name in names {
             let id = self.fast.design().signal(&name).expect("name resolves");
             let f = self.fast.peek(id).clone();
-            for (other, label) in [(&mut self.four, "four-state"), (&mut self.legacy, "legacy")] {
+            for (other, label) in self.refs() {
                 let o = other.peek(id);
                 assert!(
                     f.case_eq(o),
@@ -137,7 +154,6 @@ const ALU_SRC: &str = "module top(input clk, input rst, input [3:0] a, input [3:
 /// Boot the ALU: reset released, clock low, all data inputs defined.
 fn booted_alu(design: &Arc<Design>) -> Simulator {
     let mut sim = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-    sim.set_two_state(true);
     sim.settle().unwrap();
     sim.poke_many([
         ("clk", v(1, 0)),
@@ -157,7 +173,6 @@ fn booted_alu(design: &Arc<Design>) -> Simulator {
 fn x_boot_runs_four_state_then_defined_inputs_go_two_state() {
     let design = design_of(ALU_SRC);
     let mut sim = Simulator::with_mode(Arc::clone(&design), ExecMode::Compiled);
-    sim.set_two_state(true);
     sim.settle().unwrap();
     let boot = sim.eval_counts();
     assert_eq!(
@@ -216,42 +231,42 @@ fn two_state_disabled_counts_nothing() {
 #[test]
 fn x_injection_falls_back_and_recovers() {
     let design = design_of("module top(input a, input b, output y); assign y = a & b; endmodule");
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("a", v(1, 1), "define a").unwrap();
-    trio.poke("b", v(1, 1), "define b").unwrap();
-    trio.fast.reset_eval_counts();
+    let mut quad = Quad::new(&design);
+    quad.settle().unwrap();
+    quad.poke("a", v(1, 1), "define a").unwrap();
+    quad.poke("b", v(1, 1), "define b").unwrap();
+    quad.fast.reset_eval_counts();
 
     // Inject: X on `a` forces the single AND process four-state.
-    trio.poke("a", LogicVec::all_x(1), "inject X").unwrap();
-    let c = trio.fast.eval_counts();
+    quad.poke("a", LogicVec::all_x(1), "inject X").unwrap();
+    let c = quad.fast.eval_counts();
     assert_eq!(c.two_state_evals, 0);
     assert_eq!(c.two_state_fallbacks, 1, "X read set → fallback");
-    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
+    assert!(quad.fast.peek_by_name("y").unwrap().has_unknown());
 
     // Recover: a defined re-drive goes straight back to two-state.
-    trio.poke("a", v(1, 0), "recover a").unwrap();
-    let c = trio.fast.eval_counts();
+    quad.poke("a", v(1, 0), "recover a").unwrap();
+    let c = quad.fast.eval_counts();
     assert_eq!(c.two_state_evals, 1, "defined re-drive recovers");
     assert_eq!(c.two_state_fallbacks, 1);
-    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0));
+    assert_eq!(quad.fast.peek_by_name("y").unwrap().to_u64(), Some(0));
 }
 
 #[test]
 fn z_injection_is_as_unknown_as_x() {
     let design = design_of("module top(input [3:0] a, output [3:0] y); assign y = ~a; endmodule");
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("a", v(4, 5), "define").unwrap();
-    trio.fast.reset_eval_counts();
+    let mut quad = Quad::new(&design);
+    quad.settle().unwrap();
+    quad.poke("a", v(4, 5), "define").unwrap();
+    quad.fast.reset_eval_counts();
     let mut z = v(4, 5);
     z.set_bit(2, LogicBit::Z);
-    trio.poke("a", z, "inject Z").unwrap();
-    let c = trio.fast.eval_counts();
+    quad.poke("a", z, "inject Z").unwrap();
+    let c = quad.fast.eval_counts();
     assert_eq!(c.two_state_evals, 0, "Z gates the fast path like X");
     assert_eq!(c.two_state_fallbacks, 1);
-    trio.poke("a", v(4, 5), "recover").unwrap();
-    assert_eq!(trio.fast.eval_counts().two_state_evals, 1);
+    quad.poke("a", v(4, 5), "recover").unwrap();
+    assert_eq!(quad.fast.eval_counts().two_state_evals, 1);
 }
 
 #[test]
@@ -264,29 +279,29 @@ fn division_by_zero_bails_out_mid_run() {
            assign m = a % b;
          endmodule",
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("a", v(4, 12), "define a").unwrap();
-    trio.poke("b", v(4, 3), "define b").unwrap();
-    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
-    let defined_hits = trio.fast.eval_counts().two_state_evals;
+    let mut quad = Quad::new(&design);
+    quad.settle().unwrap();
+    quad.poke("a", v(4, 12), "define a").unwrap();
+    quad.poke("b", v(4, 3), "define b").unwrap();
+    assert_eq!(quad.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
+    let defined_hits = quad.fast.eval_counts().two_state_evals;
     assert!(defined_hits > 0, "nonzero divisor runs two-state");
 
-    trio.fast.reset_eval_counts();
-    trio.poke("b", v(4, 0), "zero divisor").unwrap();
-    let c = trio.fast.eval_counts();
+    quad.fast.reset_eval_counts();
+    quad.poke("b", v(4, 0), "zero divisor").unwrap();
+    let c = quad.fast.eval_counts();
     assert!(
         c.two_state_fallbacks > 0,
         "division by zero must bail out of the two-state run"
     );
     assert_eq!(c.two_state_evals, 0);
-    assert!(trio.fast.peek_by_name("q").unwrap().is_all_x());
-    assert!(trio.fast.peek_by_name("m").unwrap().is_all_x());
+    assert!(quad.fast.peek_by_name("q").unwrap().is_all_x());
+    assert!(quad.fast.peek_by_name("m").unwrap().is_all_x());
 
     // Recovery: a nonzero divisor re-runs two-state.
-    trio.poke("b", v(4, 5), "recover divisor").unwrap();
-    assert!(trio.fast.eval_counts().two_state_evals > 0);
-    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(2));
+    quad.poke("b", v(4, 5), "recover divisor").unwrap();
+    assert!(quad.fast.eval_counts().two_state_evals > 0);
+    assert_eq!(quad.fast.peek_by_name("q").unwrap().to_u64(), Some(2));
 }
 
 #[test]
@@ -303,14 +318,14 @@ fn casez_wildcard_labels_stay_two_state() {
            endcase
          endmodule",
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.fast.reset_eval_counts();
+    let mut quad = Quad::new(&design);
+    quad.settle().unwrap();
+    quad.fast.reset_eval_counts();
     for (r, y) in [(0b1010, 3), (0b0110, 2), (0b0010, 1), (0b0001, 0)] {
-        trio.poke("r", v(4, r), "casez sweep").unwrap();
-        assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(y));
+        quad.poke("r", v(4, r), "casez sweep").unwrap();
+        assert_eq!(quad.fast.peek_by_name("y").unwrap().to_u64(), Some(y));
     }
-    let c = trio.fast.eval_counts();
+    let c = quad.fast.eval_counts();
     assert_eq!(c.two_state_fallbacks, 0);
     assert_eq!(c.two_state_evals, c.total_evals());
     assert!(c.two_state_evals > 0);
@@ -327,11 +342,11 @@ fn undefined_const_in_arithmetic_is_ineligible() {
            assign w = a & 4'b1100;
          endmodule",
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.fast.reset_eval_counts();
-    trio.poke("a", v(4, 7), "define").unwrap();
-    let c = trio.fast.eval_counts();
+    let mut quad = Quad::new(&design);
+    quad.settle().unwrap();
+    quad.fast.reset_eval_counts();
+    quad.poke("a", v(4, 7), "define").unwrap();
+    let c = quad.fast.eval_counts();
     assert!(c.total_evals() > 0);
     // The tainted-adder process is ineligible; the masking AND beside
     // it is eligible and hits.
@@ -341,8 +356,8 @@ fn undefined_const_in_arithmetic_is_ineligible() {
         c.two_state_evals < c.total_evals(),
         "the tainted process must not be counted two-state"
     );
-    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
-    assert_eq!(trio.fast.peek_by_name("w").unwrap().to_u64(), Some(4));
+    assert!(quad.fast.peek_by_name("y").unwrap().has_unknown());
+    assert_eq!(quad.fast.peek_by_name("w").unwrap().to_u64(), Some(4));
 }
 
 #[test]
@@ -360,24 +375,24 @@ fn own_store_x_reread_bails_out_and_rewinds() {
            end
          endmodule",
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("sel", v(1, 1), "defined branch").unwrap();
-    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
-    trio.fast.reset_eval_counts();
+    let mut quad = Quad::new(&design);
+    quad.settle().unwrap();
+    quad.poke("sel", v(1, 1), "defined branch").unwrap();
+    assert_eq!(quad.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
+    quad.fast.reset_eval_counts();
 
     // Defined entry state, X stored mid-run: must bail, not complete.
-    trio.poke("sel", v(1, 0), "take the X branch").unwrap();
-    let c = trio.fast.eval_counts();
+    quad.poke("sel", v(1, 0), "take the X branch").unwrap();
+    let c = quad.fast.eval_counts();
     assert_eq!(c.two_state_evals, 0, "the X re-read must bail out");
     assert!(c.two_state_fallbacks > 0);
-    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
+    assert!(quad.fast.peek_by_name("y").unwrap().has_unknown());
 
     // Recovery: the defined branch re-runs two-state once `t` is
     // defined again (the four-state run that defines it falls back).
-    trio.poke("sel", v(1, 1), "recover").unwrap();
-    assert!(trio.fast.eval_counts().two_state_evals > 0);
-    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
+    quad.poke("sel", v(1, 1), "recover").unwrap();
+    assert!(quad.fast.eval_counts().two_state_evals > 0);
+    assert_eq!(quad.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
 }
 
 #[test]
@@ -390,37 +405,33 @@ fn sequential_processes_take_the_fast_path_too() {
            end
          endmodule",
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("clk", v(1, 0), "clk low").unwrap();
-    trio.poke("rst", v(1, 1), "reset on").unwrap();
-    trio.poke("clk", v(1, 1), "reset edge").unwrap();
-    trio.poke("clk", v(1, 0), "clk low").unwrap();
-    trio.poke("rst", v(1, 0), "reset off").unwrap();
-    trio.fast.reset_eval_counts();
+    let mut quad = Quad::new(&design);
+    quad.settle().unwrap();
+    quad.poke("clk", v(1, 0), "clk low").unwrap();
+    quad.poke("rst", v(1, 1), "reset on").unwrap();
+    quad.poke("clk", v(1, 1), "reset edge").unwrap();
+    quad.poke("clk", v(1, 0), "clk low").unwrap();
+    quad.poke("rst", v(1, 0), "reset off").unwrap();
+    quad.fast.reset_eval_counts();
     for _ in 0..4 {
-        trio.poke("clk", v(1, 1), "rise").unwrap();
-        trio.poke("clk", v(1, 0), "fall").unwrap();
+        quad.poke("clk", v(1, 1), "rise").unwrap();
+        quad.poke("clk", v(1, 0), "fall").unwrap();
     }
-    let c = trio.fast.eval_counts();
+    let c = quad.fast.eval_counts();
     assert_eq!(c.seq_evals, 4);
     assert_eq!(c.two_state_evals, 4, "all four flop evals are two-state");
     assert_eq!(c.two_state_fallbacks, 0);
-    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
+    assert_eq!(quad.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
 }
 
-// The `MAGE_SIM_TWO_STATE` env hook is covered in `two_state_env.rs` —
-// a separate test binary, because mutating a process-global env var
-// would race the parallel tests here.
-
 // ----------------------------------------------------------------------
-// Corpus proptest: single X/Z injection, three executors in lockstep
+// Corpus proptest: single X/Z injection, four executors in lockstep
 // ----------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Pick a corpus problem, run its stimulus on all three executors,
+    /// Pick a corpus problem, run its stimulus on all four executors,
     /// inject one `X`/`Z` bit into a random input at a random step,
     /// re-drive the defined value two steps later, and hold every
     /// signal store-exact after every poke — fallback and recovery
@@ -438,8 +449,8 @@ proptest! {
         let oracle = p.oracle(0x75A7E);
         let design = &oracle.golden_design;
         let stim = &oracle.stimulus;
-        let mut trio = Trio::new(design);
-        if trio.settle().is_err() {
+        let mut quad = Quad::new(design);
+        if quad.settle().is_err() {
             return Ok(()); // boot fault: equality already asserted
         }
         // Cap the walked steps so a 1500-step clocked stimulus doesn't
@@ -454,23 +465,23 @@ proptest! {
         let mut saved: Option<LogicVec> = None;
 
         if let Some(clk) = &stim.clock {
-            if trio.poke(clk, LogicVec::from_bool(false), "clk boot").is_err() {
+            if quad.poke(clk, LogicVec::from_bool(false), "clk boot").is_err() {
                 return Ok(());
             }
         }
         'outer: for (i, step) in steps.iter().enumerate() {
             for (name, value) in step.iter() {
-                if trio.poke(name, value.clone(), &format!("step {i}")).is_err() {
+                if quad.poke(name, value.clone(), &format!("step {i}")).is_err() {
                     break 'outer;
                 }
             }
             if i == inject_at {
                 // Flip one bit of the chosen input to X or Z.
-                let mut poisoned = trio.fast.peek(inject_id).clone();
+                let mut poisoned = quad.fast.peek(inject_id).clone();
                 let bit = bit_pick % poisoned.width();
                 saved = Some(poisoned.clone());
                 poisoned.set_bit(bit, if use_z { LogicBit::Z } else { LogicBit::X });
-                if trio.poke_id(inject_id, poisoned, &format!("inject @{i}")).is_err() {
+                if quad.poke_id(inject_id, poisoned, &format!("inject @{i}")).is_err() {
                     break 'outer;
                 }
             }
@@ -480,23 +491,25 @@ proptest! {
                     // (later stimulus steps may re-drive it anyway; this
                     // guarantees the X window closes even when they
                     // don't).
-                    if trio.poke_id(inject_id, v, &format!("recover @{i}")).is_err() {
+                    if quad.poke_id(inject_id, v, &format!("recover @{i}")).is_err() {
                         break 'outer;
                     }
                 }
             }
             if let Some(clk) = &stim.clock {
-                if trio.poke(clk, LogicVec::from_bool(true), &format!("step {i} rise")).is_err()
-                    || trio.poke(clk, LogicVec::from_bool(false), &format!("step {i} fall")).is_err()
+                if quad.poke(clk, LogicVec::from_bool(true), &format!("step {i} rise")).is_err()
+                    || quad.poke(clk, LogicVec::from_bool(false), &format!("step {i} fall")).is_err()
                 {
                     break 'outer;
                 }
             }
         }
         // Two-state never runs with the fast path disabled or on the
-        // tree-walker, whatever the schedule did.
-        prop_assert_eq!(trio.four.eval_counts().two_state_evals, 0);
-        prop_assert_eq!(trio.four.eval_counts().two_state_fallbacks, 0);
-        prop_assert_eq!(trio.legacy.eval_counts().two_state_evals, 0);
+        // tree-walker, and plans never run with fusion disabled,
+        // whatever the schedule did.
+        prop_assert_eq!(quad.four.eval_counts().two_state_evals, 0);
+        prop_assert_eq!(quad.four.eval_counts().two_state_fallbacks, 0);
+        prop_assert_eq!(quad.unfused.eval_counts().fused_evals, 0);
+        prop_assert_eq!(quad.legacy.eval_counts().two_state_evals, 0);
     }
 }

@@ -1,7 +1,8 @@
 //! Corpus-wide differential test: every benchmark problem — and mutated
-//! candidates of each — runs through both the bytecode interpreter and
-//! the legacy tree-walking oracle in lockstep, asserting bit-identical
-//! stores (every signal, four-state exact) after every poke.
+//! candidates of each — runs through the bytecode interpreter (in its
+//! default, four-state and unfused configurations) and the legacy
+//! tree-walking oracle in lockstep, asserting bit-identical stores
+//! (every signal, four-state exact) after every poke.
 //!
 //! This is the guarantee that lets the compiled executor replace the
 //! tree-walker as the default grading path: on the full corpus the two
@@ -10,85 +11,65 @@
 use mage::llm::mutate::{apply_mutation, sample_mutations};
 use mage::logic::LogicVec;
 use mage::problems::all_problems;
-use mage::sim::{elaborate, Design, ExecMode, Simulator};
+use mage::sim::{elaborate, Design, ExecMode, SimError, Simulator};
 use mage::tb::Stimulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Drive both executors through `stim` in testbench order (drives, then
-/// a full clock cycle for clocked designs), comparing the full store
-/// after every poke. Stops (without failing) at the first simulation
-/// fault, after asserting both executors report the same fault.
+/// Drive the legacy oracle and the compiled executor's default,
+/// four-state and unfused configurations through `stim` in testbench
+/// order (drives, then a full clock cycle for clocked designs),
+/// comparing the full store after every poke. Stops (without failing)
+/// at the first simulation fault, after asserting every executor
+/// reports the same fault.
 fn lockstep(design: &Arc<Design>, stim: &Stimulus, label: &str) {
-    let mut fast = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
+    let compiled = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
+    let mut four = compiled();
+    four.set_two_state(false);
+    let mut unfused = compiled();
+    unfused.set_fuse(false);
+    let mut fasts = [
+        (compiled(), "compiled"),
+        (four, "four-state"),
+        (unfused, "unfused"),
+    ];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-    let rf = fast.settle();
-    let rs = slow.settle();
-    assert_eq!(rf, rs, "{label}: settle diverged");
-    compare_stores(design, &mut fast, &mut slow, label, "boot");
-    if rf.is_err() {
+    // Apply one operation everywhere, comparing every store; `true`
+    // while the simulators are fault-free.
+    let mut step = |at: &str, op: &dyn Fn(&mut Simulator) -> Result<(), SimError>| -> bool {
+        let rs = op(&mut slow);
+        for (fast, exec) in &mut fasts {
+            assert_eq!(op(fast), rs, "{label} [{exec}]: {at} diverged");
+            compare_stores(design, fast, &mut slow, &format!("{label} [{exec}]"), at);
+        }
+        rs.is_ok()
+    };
+    if !step("boot settle", &|s| s.settle()) {
         return;
     }
-    let poke_both =
-        |name: &str, v: LogicVec, fast: &mut Simulator, slow: &mut Simulator, at: &str| -> bool {
-            let rf = fast.poke(name, v.clone());
-            let rs = slow.poke(name, v);
-            assert_eq!(rf, rs, "{label}: poke {name} at {at} diverged");
-            compare_stores(design, fast, slow, label, at);
-            rf.is_ok()
-        };
-    if let Some(clk) = &stim.clock {
-        if !poke_both(
-            clk,
-            LogicVec::from_bool(false),
-            &mut fast,
-            &mut slow,
-            "clk boot",
-        ) {
-            return;
-        }
+    let clk = stim.clock.as_deref().unwrap_or_default();
+    let low = |s: &mut Simulator| s.poke(clk, LogicVec::from_bool(false));
+    let high = |s: &mut Simulator| s.poke(clk, LogicVec::from_bool(true));
+    if stim.clock.is_some() && !step("clk boot", &low) {
+        return;
     }
-    for (i, step) in stim.steps.iter().enumerate() {
-        for (name, v) in step {
-            if !poke_both(name, v.clone(), &mut fast, &mut slow, &format!("step {i}")) {
+    for (i, drives) in stim.steps.iter().enumerate() {
+        for (name, v) in drives {
+            let poke = |s: &mut Simulator| s.poke(name, v.clone());
+            if !step(&format!("poke {name} at step {i}"), &poke) {
                 return;
             }
         }
-        if let Some(clk) = &stim.clock {
-            if !poke_both(
-                clk,
-                LogicVec::from_bool(true),
-                &mut fast,
-                &mut slow,
-                &format!("step {i} rise"),
-            ) {
-                return;
-            }
-            if !poke_both(
-                clk,
-                LogicVec::from_bool(false),
-                &mut fast,
-                &mut slow,
-                &format!("step {i} fall"),
-            ) {
-                return;
-            }
+        if stim.clock.is_some()
+            && !(step(&format!("step {i} rise"), &high) && step(&format!("step {i} fall"), &low))
+        {
+            return;
         }
         // Interleaved settle: the wheel drains its (empty) pending-event
         // regions while the oracle re-evaluates every comb process — the
         // stores must agree either way, corpus-wide.
-        let rf = fast.settle();
-        let rs = slow.settle();
-        assert_eq!(rf, rs, "{label}: settle at step {i} diverged");
-        compare_stores(
-            design,
-            &mut fast,
-            &mut slow,
-            label,
-            &format!("step {i} settle"),
-        );
-        if rf.is_err() {
+        if !step(&format!("settle at step {i}"), &|s| s.settle()) {
             return;
         }
     }

@@ -5,9 +5,9 @@
 //! ([`mage::sim::elaborate_with`] over [`mage::sim::DesignUnits`]), and
 //! the two builds are asserted *store-exact*: structurally identical
 //! (processes, signals, bytecode, fanout index) and bit-identical under
-//! simulation on all three executors (bytecode four-state, bytecode
-//! two-state, legacy tree-walker) after every poke of the problem's own
-//! stimulus.
+//! simulation on all four executors (bytecode four-state, bytecode
+//! two-state unfused and fused, legacy tree-walker) after every poke of
+//! the problem's own stimulus.
 //!
 //! This is the guarantee that lets the serve/fleet layers reuse cached
 //! process units verbatim: a delta-built design is indistinguishable
@@ -27,12 +27,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// The three executors every delta build must match its scratch twin
-/// on: `(mode, two_state, label)`.
-const EXECUTORS: [(ExecMode, bool, &str); 3] = [
-    (ExecMode::Compiled, false, "compiled"),
-    (ExecMode::Compiled, true, "compiled+2s"),
-    (ExecMode::Legacy, false, "legacy"),
+/// The four executors every delta build must match its scratch twin
+/// on: `(mode, two_state, fuse, label)`.
+const EXECUTORS: [(ExecMode, bool, bool, &str); 4] = [
+    (ExecMode::Compiled, false, false, "compiled"),
+    (ExecMode::Compiled, true, false, "compiled+2s unfused"),
+    (ExecMode::Compiled, true, true, "compiled+2s"),
+    (ExecMode::Legacy, false, false, "legacy"),
 ];
 
 /// Assert the delta build is structurally identical to the scratch
@@ -61,12 +62,14 @@ fn assert_structurally_exact(scratch: &Design, delta: &Design, label: &str) {
 /// (without failing) at the first simulation fault, after asserting
 /// both builds report the same fault.
 fn lockstep_one(scratch: &Arc<Design>, delta: &Arc<Design>, stim: &Stimulus, label: &str) {
-    for (mode, two_state, exec) in EXECUTORS {
+    for (mode, two_state, fuse, exec) in EXECUTORS {
         let label = format!("{label} [{exec}]");
         let mut a = Simulator::with_mode(Arc::clone(scratch), mode);
         let mut b = Simulator::with_mode(Arc::clone(delta), mode);
-        a.set_two_state(two_state);
-        b.set_two_state(two_state);
+        for sim in [&mut a, &mut b] {
+            sim.set_two_state(two_state);
+            sim.set_fuse(fuse);
+        }
         let ra = a.settle();
         let rb = b.settle();
         assert_eq!(ra, rb, "{label}: settle diverged");
@@ -167,7 +170,7 @@ fn full_corpus_golden_self_delta_reuses_everything() {
 fn full_corpus_single_edit_mutants_are_store_exact() {
     // A single-edit mutant delta-built against the unedited golden must
     // equal its own from-scratch build exactly — on every problem, on
-    // all three executors.
+    // all four executors.
     for (pi, p) in all_problems().iter().enumerate() {
         let oracle = p.oracle(0xD1FF);
         let mut rng = StdRng::seed_from_u64(0xDE17A ^ ((pi as u64) << 8));

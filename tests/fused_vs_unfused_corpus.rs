@@ -1,9 +1,9 @@
 //! Corpus-wide fused-execution differential test: every benchmark
 //! problem's golden design — and single-edit mutants of each — is driven
 //! through its own stimulus on two simulators over the *same* design,
-//! one with fused-plan dispatch forced on ([`Simulator::set_fuse`], the
-//! superinstruction/cascade path) and one with it forced off (the
-//! unfused two-state interpreter, the `MAGE_SIM_FUSE=off` oracle), and
+//! one with fused-plan dispatch on (the default, the
+//! superinstruction/cascade path) and one with it switched off by
+//! [`Simulator::set_fuse`] (the unfused two-state interpreter), and
 //! the two runs are asserted *store-exact* after every poke — on the
 //! two-state path, and again with two-state disabled (where fusion must
 //! be inert: zero fused evals).
