@@ -30,7 +30,9 @@
 //! section shards the stream, records per-shard dispatch calls,
 //! migration counts and cache-fabric hit rates, and asserts in-process
 //! that the fleet does identical per-job work and that a pinned replay
-//! of its placement trace is bit-identical.
+//! of its placement trace is bit-identical. The wave pass's design- and
+//! score-cache counters are recorded too, and both caches must report
+//! zero key collisions.
 //!
 //! Usage:
 //! `cargo run --release -p mage-bench --bin bench_engine [--smoke] [out.json]`
@@ -61,6 +63,14 @@ const MASTER_SEED: u64 = 0xBE;
 /// Interleaved repetitions per mode; the minimum is reported.
 const SAMPLES: usize = 3;
 
+/// CPUs available to the harness; every serve mode runs one sim worker
+/// per CPU.
+fn cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 fn stream_specs() -> Vec<JobSpec> {
     let problems = mage_problems::suite(SuiteId::V1Human);
     let mut specs = Vec::new();
@@ -83,9 +93,7 @@ fn run_serve(sched: SchedMode, batch_llm: bool) -> (f64, mage_serve::ServeReport
     let service = synthetic_service(&specs);
     let mut engine = ServeEngine::new(
         ServeOptions {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            workers: cpus(),
             batch_llm,
             max_in_flight: 0,
             sched,
@@ -111,9 +119,7 @@ fn run_faulted(plan: FaultPlan) -> (ServeStats, usize, usize) {
     let service = synthetic_service_with(&specs, plan, DispatchPolicy::default());
     let mut engine = ServeEngine::new(
         ServeOptions {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            workers: cpus(),
             batch_llm: true,
             max_in_flight: 0,
             sched: SchedMode::Wave,
@@ -137,9 +143,7 @@ fn run_fleet(pinned: Option<PlacementTrace>) -> (f64, FleetReport) {
     let mut fleet = FleetEngine::synthetic(FleetOptions {
         shards: FLEET_SHARDS,
         serve: ServeOptions {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            workers: cpus(),
             batch_llm: true,
             max_in_flight: 0,
             sched: SchedMode::Wave,
@@ -215,6 +219,8 @@ fn main() {
     }
     let wreport = wave_report.expect("ran");
     let (hits, misses) = (wreport.cache_hits, wreport.cache_misses);
+    let (score_hits, score_misses) = (wreport.score_hits, wreport.score_misses);
+    let cpus = cpus();
     let wstats = wreport.stats;
     let bstats = bsp_stats.expect("ran");
     let sstats = scalar_stats.expect("ran");
@@ -225,6 +231,13 @@ fn main() {
     assert!(
         wreport.unit_hits > 0,
         "debug-loop re-compiles never reused a cached unit"
+    );
+    // Cache-keying invariant: distinct inputs never share a 64-bit key
+    // on this stream, in the design cache or the score cache.
+    assert_eq!(
+        (wreport.cache_collisions, wreport.score_collisions),
+        (0, 0),
+        "design / score cache key collisions"
     );
 
     // Scheduler invariants, asserted in-process on the registry stream.
@@ -332,7 +345,8 @@ fn main() {
     );
     println!(
         "wave llm: {} requests in {} dispatch calls ({:.1} avg, {} overlapped steps); \
-         bsp: {} calls; scalar: {} calls; cache {hits} hits / {misses} misses",
+         bsp: {} calls; scalar: {} calls; design cache {hits} hits / {misses} misses; \
+         score cache {score_hits} hits / {score_misses} misses",
         wstats.llm_requests,
         wstats.llm_batch_calls,
         wstats.llm_requests as f64 / wstats.llm_batch_calls.max(1) as f64,
@@ -384,6 +398,8 @@ fn main() {
          \"design_promotions\": {}, \"score_promotions\": {}, \"design_global_hits\": {}, \
          \"score_global_hits\": {} }}\n  }},\n  \
          \"design_cache\": {{ \"hits\": {hits}, \"misses\": {misses} }},\n  \
+         \"score_cache\": {{ \"hits\": {score_hits}, \"misses\": {score_misses}, \
+         \"collisions\": {} }},\n  \
          \"notes\": \"serve_wave = overlapped wave scheduler (default; coalescing join keeps \
          dispatch calls <= BSP, asserted in-process along with overlap_steps > 0); serve_bsp = \
          the retained BSP round oracle, batching on; serve_scalar = BSP with batching off; \
@@ -401,11 +417,14 @@ fn main() {
          the wave pass's process-unit cache counters: the debug loop re-compiles edited \
          candidates against their parent design, so unchanged processes are served from \
          the unit tier (hit_rate = hits / (hits + misses)); the harness asserts nonzero \
-         unit hits. Stream = VerilogEval-Human x \
+         unit hits. design_cache and score_cache record the wave pass's design- and \
+         score-cache counters; the harness asserts 0 key collisions in both. Score hits \
+         are telemetry: with more than one sim worker, identical requests in one wave \
+         race, so hits can differ by one between runs. Stream = VerilogEval-Human x \
          {RUNS_PER_PROBLEM} runs, high-temperature MAGE config, seed 0xBE. Wall times are \
-         interleaved best-of-{samples} minima; this container has a single CPU, so the \
-         background sim wave shows no wall gain here — the scheduler section's deterministic \
-         counts (dispatch calls, sim waves, overlap steps) are the architecture signal. \
+         interleaved best-of-{samples} minima on {cpus} CPUs (the serve modes run one sim \
+         worker per CPU) and are telemetry; the scheduler section's deterministic counts \
+         (dispatch calls, sim waves, overlap steps) are the architecture signal. \
          Regenerate with: cargo run --release -p mage-bench --bin bench_engine\"\n}}\n",
         jobs as f64 / wave_s,
         jobs as f64 / bsp_s,
@@ -438,6 +457,7 @@ fn main() {
         fleet.fabric.score_local.promotions,
         fleet.fabric.design_global.hits,
         fleet.fabric.score_global.hits,
+        wreport.score_collisions,
     );
     std::fs::write(&out_path, json).expect("write baseline");
     println!("wrote {out_path}");

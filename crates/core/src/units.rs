@@ -5,8 +5,8 @@
 //! engine's per-solve unit pool ([`SolveUnits`]), and `mage-serve`'s
 //! design, score and unit caches with the fleet's local/global fabric
 //! over them. A tier maps a hash key to a value and stores, beside each
-//! value, the full *witness* the key was hashed from (candidate source,
-//! source plus bench text, or a [`UnitTag`]). The tier alone owns the
+//! value, the full *witness* the key was derived from (candidate source,
+//! source plus bench, or a [`UnitTag`]). The tier alone owns the
 //! caching rule:
 //!
 //! * a key hit serves its value only when the stored witness equals the
@@ -14,7 +14,8 @@
 //!   serve each other's design, score or bytecode. A mismatch counts a
 //!   collision and falls through as a miss;
 //! * a hit refreshes the entry's recency; an insert at capacity evicts
-//!   the least-recently-used entry;
+//!   the least-recently-used entry, popped from a stamp-ordered index in
+//!   O(log n);
 //! * a tier may sit over a shared parent tier: a local miss probes the
 //!   parent and promotes its hit locally, and freshly computed values
 //!   publish up to the parent, so sibling tiers reuse each other's work;
@@ -36,7 +37,7 @@
 
 use mage_sim::{ProcessUnit, UnitKey, UnitSource, UnitTag};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -58,6 +59,9 @@ pub struct CacheTier<K, Q: ?Sized + ToOwned, V> {
 
 struct Slots<K, W, V> {
     map: HashMap<K, Slot<W, V>>,
+    /// Every entry's key by its recency stamp, oldest first: eviction
+    /// pops the first entry in O(log n) instead of scanning the map.
+    order: BTreeMap<u64, K>,
     /// Monotonic recency clock; bumped on every probe and store.
     tick: u64,
 }
@@ -76,12 +80,23 @@ impl<K, W, V> Slots<K, W, V> {
     }
 }
 
+impl<W, V> Slot<W, V> {
+    /// Move this slot (held under `key`) to `stamp` in the recency
+    /// index `order`.
+    fn restamp<K>(&mut self, key: K, stamp: u64, order: &mut BTreeMap<u64, K>) {
+        order.remove(&self.stamp);
+        order.insert(stamp, key);
+        self.stamp = stamp;
+    }
+}
+
 impl<K: Copy + Eq + Hash, Q: ?Sized + PartialEq + ToOwned, V: Clone> CacheTier<K, Q, V> {
     /// An empty tier bounded to `capacity` entries (0 = unbounded).
     pub fn with_capacity(capacity: usize) -> Self {
         CacheTier {
             slots: Mutex::new(Slots {
                 map: HashMap::new(),
+                order: BTreeMap::new(),
                 tick: 0,
             }),
             capacity,
@@ -143,11 +158,12 @@ impl<K: Copy + Eq + Hash, Q: ?Sized + PartialEq + ToOwned, V: Clone> CacheTier<K
     /// recency; a key held by a different witness counts a collision
     /// and misses.
     fn probe(&self, key: K, witness: &Q) -> Option<V> {
-        let mut slots = self.lock();
+        let mut guard = self.lock();
+        let slots = &mut *guard;
         let stamp = slots.next_tick();
         if let Some(slot) = slots.map.get_mut(&key) {
             if slot.witness.borrow() == witness {
-                slot.stamp = stamp;
+                slot.restamp(key, stamp, &mut slots.order);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(slot.value.clone());
             }
@@ -160,31 +176,24 @@ impl<K: Copy + Eq + Hash, Q: ?Sized + PartialEq + ToOwned, V: Clone> CacheTier<K
     /// Store `value` in this tier alone, evicting the least-recently-used
     /// entry at capacity.
     fn store(&self, key: K, witness: &Q, value: V) {
-        let mut slots = self.lock();
+        let mut guard = self.lock();
+        let slots = &mut *guard;
         let stamp = slots.next_tick();
         match slots.map.get_mut(&key) {
-            // A racing insert of the same witness: the first value stays.
-            Some(slot) if slot.witness.borrow() == witness => slot.stamp = stamp,
-            // A colliding witness: the most recent one keeps the slot, so
-            // the side the stream is probing now stays warm.
             Some(slot) => {
-                *slot = Slot {
-                    witness: witness.to_owned(),
-                    value,
-                    stamp,
+                // A colliding witness: the most recent one keeps the
+                // slot, so the side the stream is probing now stays
+                // warm. A racing insert of the same witness keeps the
+                // first value.
+                if slot.witness.borrow() != witness {
+                    slot.witness = witness.to_owned();
+                    slot.value = value;
                 }
+                slot.restamp(key, stamp, &mut slots.order);
             }
             None => {
-                // A linear min-stamp scan: eviction runs only on an
-                // at-capacity insert, where the adjacent compile or
-                // simulation dwarfs it.
                 if self.capacity > 0 && slots.map.len() >= self.capacity {
-                    let oldest = slots
-                        .map
-                        .iter()
-                        .min_by_key(|(_, slot)| slot.stamp)
-                        .map(|(&key, _)| key);
-                    if let Some(oldest) = oldest {
+                    if let Some((_, oldest)) = slots.order.pop_first() {
                         slots.map.remove(&oldest);
                     }
                 }
@@ -194,6 +203,7 @@ impl<K: Copy + Eq + Hash, Q: ?Sized + PartialEq + ToOwned, V: Clone> CacheTier<K
                     stamp,
                 };
                 slots.map.insert(key, slot);
+                slots.order.insert(stamp, key);
             }
         }
     }
@@ -338,6 +348,45 @@ mod tests {
         a.insert(2, "y", 6);
         assert_eq!(a.get(1, "x"), Some(5));
         assert_eq!((a.promotions(), global.len()), (1, 2));
+    }
+
+    #[test]
+    fn lru_order_matches_a_naive_model() {
+        // A fixed pseudo-random stream of probes and inserts over more
+        // keys than the tier holds; the model is a Vec in recency order
+        // (least recent first), evicting from the front.
+        const CAPACITY: usize = 4;
+        let tier = Tier::with_capacity(CAPACITY);
+        let mut model: Vec<u64> = Vec::new();
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for op in 0..2000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let key = rng % 11;
+            let witness = key.to_string();
+            let held = model.iter().position(|&k| k == key);
+            if let Some(at) = held {
+                model.remove(at);
+                model.push(key);
+            }
+            if rng & 0x100 == 0 {
+                let got = tier.get(key, &witness);
+                assert_eq!(got.is_some(), held.is_some(), "probe {op} of key {key}");
+                assert_eq!(got.is_some_and(|v| v == key as u32), held.is_some());
+            } else {
+                tier.insert(key, &witness, key as u32);
+                if held.is_none() {
+                    if model.len() == CAPACITY {
+                        model.remove(0);
+                    }
+                    model.push(key);
+                }
+            }
+            assert_eq!(tier.len(), model.len(), "after op {op}");
+        }
+        assert_eq!(tier.collisions(), 0);
+        assert!(tier.hits() > 0 && tier.misses() > 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The shared result caches: elaborations ([`DesignCache`]), scoring
 //! outcomes ([`ScoreCache`]), and per-process compilation units
 //! ([`UnitCache`]). Each is one [`CacheTier`] keyed by a 64-bit hash and
-//! witnessed by the full text it was hashed from; the tier alone owns
+//! witnessed by the full input the key was derived from (candidate
+//! source, source plus bench, or a unit tag); the tier alone owns
 //! verify-on-hit, LRU eviction, parent tiering and the hit / miss /
 //! collision / promotion counters (see [`mage_core::units`]). The two
 //! wrappers here only choose the key and witness and say what to compute
@@ -14,7 +15,7 @@
 //! computing; a parent hit is **promoted** into the local tier, and
 //! every fresh computation is published to the parent so sibling tiers
 //! can reuse it. Entries are schedule-independent facts (pure functions
-//! of their key text), so the fabric can only change *where* work
+//! of their witness), so the fabric can only change *where* work
 //! happens, never *what* any lookup returns — tiering is invisible to
 //! traces by construction.
 
@@ -22,7 +23,7 @@ use mage_core::solvejob::{SimOutcome, SimRequest};
 use mage_core::{compile_pooled, CacheTier, UnitCache};
 use mage_sim::Design;
 use mage_tb::Testbench;
-use std::fmt::Write;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -30,9 +31,11 @@ use std::sync::Arc;
 /// small enough that a day-long stream cannot grow without limit.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
-/// Hash function keying the design and score caches. Injectable so
-/// tests can force distinct inputs onto one key and exercise the
-/// collision path.
+/// Hash function over text keying the design and score caches: the
+/// design key is the hasher over the source; the score key mixes the
+/// hasher over the source with the hasher over the bench's structural
+/// fingerprint. Injectable so tests can force distinct inputs onto one
+/// key and exercise the collision path.
 pub type SourceHasher = fn(&str) -> u64;
 
 fn fnv1a_source(source: &str) -> u64 {
@@ -128,39 +131,97 @@ impl DesignCache {
 }
 
 /// Default [`ScoreCache`] entry bound. Scored outcomes carry full
-/// reports (one record per bench step), so the bound sits below the
-/// design cache's.
+/// reports (one record per bench check) and their witnesses pin the
+/// benches they were scored on, so the bound sits below the design
+/// cache's.
 pub const DEFAULT_SCORE_CAPACITY: usize = 4096;
 
-/// The tier behind a [`ScoreCache`]: score identity text to outcome.
-type ScoreTier = CacheTier<u64, str, SimOutcome>;
+/// The tier behind a [`ScoreCache`]: `(source, bench)` witness to outcome.
+type ScoreTier = CacheTier<u64, ScoreWitness, SimOutcome>;
 
-/// The identity text a scored outcome is keyed under and verified
-/// against: candidate source and the bench's full structural rendering,
-/// NUL-joined (Verilog source never contains NUL, so the pair cannot
-/// alias across the boundary). Two benches share scores iff their
-/// renderings are identical.
-fn score_identity(source: &str, tb: &Testbench) -> String {
-    let mut identity = String::with_capacity(source.len() + 64);
-    identity.push_str(source);
-    identity.push('\0');
-    write!(identity, "{tb:?}").expect("formatting into a String cannot fail");
-    identity
+/// What a scored outcome is stored with and verified against: the
+/// candidate source and the bench it was scored on. Two witnesses are
+/// equal when their sources are equal and their benches are the same
+/// `Arc` or structurally equal, so jobs that generated equal benches
+/// share scores whichever `Arc` holds them.
+#[derive(Clone)]
+pub struct ScoreWitness {
+    source: String,
+    bench: Arc<Testbench>,
 }
 
-/// A bounded map from `(candidate source, bench content)` to the full
-/// scoring outcome, shared across jobs exactly like [`DesignCache`].
+impl PartialEq for ScoreWitness {
+    fn eq(&self, other: &Self) -> bool {
+        self.source == other.source
+            && (Arc::ptr_eq(&self.bench, &other.bench) || self.bench == other.bench)
+    }
+}
+
+/// A word-at-a-time [`Hasher`] for bench fingerprints: folds input
+/// eight bytes at a time, `h = (h.rotl(5) ^ word) * K`. Benches run to
+/// tens of kilobytes of drives and expected values, which a byte-wise
+/// hash walks far more slowly. Not collision-resistant; it need not be,
+/// because every hit is verified against the witness.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.fold(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.fold(i as u64);
+    }
+}
+
+/// The bench's structural fingerprint: its derived [`Hash`] through a
+/// [`WordHasher`]. Structurally equal benches share it.
+fn bench_fingerprint(bench: &Testbench) -> u64 {
+    let mut hasher = WordHasher::default();
+    bench.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// A bounded map from `(candidate source, bench)` to the full scoring
+/// outcome, shared across jobs exactly like [`DesignCache`].
 ///
 /// Scores could not ride the design cache: a score depends on the
 /// *bench* the job generated, and benches are per-job artifacts. But
 /// they are still pure — [`mage_tb::run_testbench`] is a deterministic
 /// function of `(bench, design)`, and the design is a pure function of
-/// the source — so two jobs that generated *textually identical*
-/// benches for the same candidate source must observe the same report
-/// and score. This cache shares exactly those: the key is
-/// `fnv1a(source ++ NUL ++ bench text)` with that full identity text as
-/// the witness, so a colliding lookup falls through to a real
-/// simulation.
+/// the source — so two jobs that generated *structurally equal* benches
+/// for the same candidate source must observe the same report and
+/// score. This cache shares exactly those: the key mixes the source
+/// hasher over the source with the source hasher over the bench's
+/// structural fingerprint (its derived `Hash` folded a word at a time),
+/// and the witness holds the source and the request's `Arc<Testbench>`,
+/// so a colliding lookup falls through to a real simulation. Nothing
+/// renders the bench, and a hit costs a refcount bump: the report's
+/// records are shared.
 ///
 /// Compile-only probes (no bench) are never cached here — the design
 /// cache already covers them.
@@ -194,8 +255,9 @@ impl ScoreCache {
         Self::with_capacity_and_hasher(capacity, fnv1a_source)
     }
 
-    /// An empty cache with an explicit hasher over the score identity
-    /// text; tests inject degenerate hashers to force key collisions.
+    /// An empty cache with an explicit hasher, applied to the candidate
+    /// source and to the bench fingerprint (see [`ScoreCache`]); tests
+    /// inject degenerate hashers to force key collisions.
     pub fn with_capacity_and_hasher(capacity: usize, hasher: SourceHasher) -> Self {
         ScoreCache {
             tier: Arc::new(CacheTier::with_capacity(capacity)),
@@ -214,7 +276,7 @@ impl ScoreCache {
     }
 
     /// Resolve `req` through the cache: a scoring request whose
-    /// `(source, bench)` identity was seen before returns the cached
+    /// `(source, bench)` pair was seen before returns the cached
     /// outcome; anything else runs `execute` (and, for scoring
     /// requests, caches the result).
     pub fn get_or_run(
@@ -226,9 +288,17 @@ impl ScoreCache {
             // Compile-only probe: the design cache's territory.
             return execute(req);
         };
-        let identity = score_identity(&req.source, bench);
+        // Both halves go through the injectable hasher, so a degenerate
+        // one forces any two requests onto one key.
+        let mut key = WordHasher::default();
+        key.write_u64((self.hasher)(&req.source));
+        key.write_u64((self.hasher)(&format!("{:016x}", bench_fingerprint(bench))));
+        let witness = ScoreWitness {
+            source: req.source.clone(),
+            bench: Arc::clone(bench),
+        };
         self.tier
-            .get_or_insert_with((self.hasher)(&identity), &identity, || execute(req))
+            .get_or_insert_with(key.finish(), &witness, || execute(req))
     }
 }
 
@@ -236,6 +306,8 @@ impl ScoreCache {
 mod tests {
     use super::*;
     use mage_core::compile;
+    use mage_logic::LogicVec;
+    use mage_tb::{Check, TbStep};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const GOOD: &str = "module top_module(input a, output y); assign y = a; endmodule";
@@ -453,6 +525,79 @@ mod tests {
         assert_eq!(b.score, 0.75, "collision must not serve the wrong score");
         assert_eq!(cache.collisions(), 1);
         assert_eq!(cache.len(), 1, "one slot thrashes; correctness holds");
+    }
+
+    /// A bench with one step per `expected` value: drive `a` with it and
+    /// check `y` against it.
+    fn checked_bench(expected: &[u64]) -> Testbench {
+        Testbench {
+            name: "tb".into(),
+            clock: None,
+            steps: expected
+                .iter()
+                .map(|&value| TbStep {
+                    drives: vec![("a".into(), LogicVec::from_u64(1, value))],
+                    checks: vec![Check {
+                        signal: "y".into(),
+                        expected: LogicVec::from_u64(1, value),
+                    }],
+                    clocks: vec![],
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn equal_benches_in_distinct_arcs_share_one_simulation() {
+        // Two jobs generating the same bench hold it in distinct `Arc`s.
+        let cache = ScoreCache::new();
+        let runs = AtomicUsize::new(0);
+        let run = |_: &SimRequest| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            fake_outcome(0.5)
+        };
+        let (a, b) = (
+            Arc::new(checked_bench(&[0, 1, 1])),
+            Arc::new(checked_bench(&[0, 1, 1])),
+        );
+        assert!(!Arc::ptr_eq(&a, &b));
+        cache.get_or_run(&score_req(GOOD, Some(a)), run);
+        cache.get_or_run(&score_req(GOOD, Some(b)), run);
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "cross-job lookup must hit");
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn benches_differing_in_one_expected_value_score_apart() {
+        let cache = ScoreCache::new();
+        let runs = AtomicUsize::new(0);
+        let run = |_: &SimRequest| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            fake_outcome(0.5)
+        };
+        let a = checked_bench(&[0, 1, 1]);
+        let mut b = a.clone();
+        b.steps[2].checks[0].expected = LogicVec::from_u64(1, 0);
+        cache.get_or_run(&score_req(GOOD, Some(Arc::new(a))), run);
+        cache.get_or_run(&score_req(GOOD, Some(Arc::new(b))), run);
+        assert_eq!(runs.load(Ordering::Relaxed), 2);
+        assert_eq!((cache.hits(), cache.collisions()), (0, 0));
+    }
+
+    #[test]
+    fn colliding_benches_for_one_source_both_run_fresh() {
+        let cache = ScoreCache::with_capacity_and_hasher(8, collide_all);
+        let a = Arc::new(checked_bench(&[0, 1]));
+        let b = Arc::new(checked_bench(&[1, 1]));
+        let first = cache.get_or_run(&score_req(GOOD, Some(a)), |_| fake_outcome(0.25));
+        // Same key and source, different bench: must NOT serve a's outcome.
+        let second = cache.get_or_run(&score_req(GOOD, Some(b)), |_| fake_outcome(0.75));
+        assert_eq!(first.score, 0.25);
+        assert_eq!(
+            second.score, 0.75,
+            "collision must not serve the wrong score"
+        );
+        assert_eq!((cache.misses(), cache.collisions()), (2, 1));
     }
 
     #[test]

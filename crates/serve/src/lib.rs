@@ -105,19 +105,22 @@
 //!
 //! # Cache keying
 //!
-//! Every cache is one [`CacheTier`]: a hash key, the full text it was
-//! hashed from verified on every hit, LRU eviction, and an optional
+//! Every cache is one [`CacheTier`]: a hash key, the full input it was
+//! derived from verified on every hit, LRU eviction, and an optional
 //! parent tier. The [`DesignCache`] maps `fnv1a(source text) →
 //! elaboration result`. Elaboration is a pure function of the source, so
 //! a cache entry is valid for every job, ablation and bench; a miss
 //! delta-compiles ([`mage_core::compile_pooled`]) against the request's
 //! parent design and the [`UnitCache`], which shares unchanged process
 //! units between candidates that differ in a few processes. The
-//! [`ScoreCache`] extends the same idea to scoring: keyed by
-//! `fnv1a(candidate source ++ bench text)`, it shares complete scoring
-//! outcomes between jobs that generated textually identical benches —
-//! scores are pure in `(source, bench)`, so sharing cannot leak state
-//! between solves.
+//! [`ScoreCache`] extends the same idea to scoring: its key mixes
+//! `fnv1a(candidate source)` with a structural fingerprint of the bench
+//! (the bench's derived `Hash`, folded a word at a time), and its
+//! witness holds the source and the request's `Arc<Testbench>`, so it
+//! shares complete scoring outcomes between jobs that generated
+//! structurally equal benches without ever rendering one. Scores are
+//! pure in `(source, bench)`, so sharing cannot leak state between
+//! solves; cached reports share their records, so a hit copies none.
 //!
 //! # Checkpointing
 //!

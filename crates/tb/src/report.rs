@@ -28,10 +28,17 @@ pub struct CheckRecord {
 }
 
 /// The result of running a [`crate::Testbench`] against a DUT.
+///
+/// The records are shared: a clone bumps a refcount instead of copying
+/// one record per check, so caches and job hand-offs can pass reports
+/// around freely.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TbReport {
     name: String,
-    records: Vec<CheckRecord>,
+    /// An `Arc<Vec>` rather than an `Arc<[_]>`: wrapping the runner's
+    /// vector moves it, where converting it to a slice would copy every
+    /// record once more.
+    records: Arc<Vec<CheckRecord>>,
     sim_fault: Option<String>,
 }
 
@@ -40,7 +47,7 @@ impl TbReport {
     pub fn new(name: String, records: Vec<CheckRecord>, sim_fault: Option<String>) -> Self {
         TbReport {
             name,
-            records,
+            records: Arc::new(records),
             sim_fault,
         }
     }
@@ -129,7 +136,7 @@ impl TbReport {
     /// Signals that have at least one mismatch, in first-failure order.
     pub fn failing_signals(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        for r in &self.records {
+        for r in self.records.iter() {
             if !r.pass && !out.contains(&r.signal) {
                 out.push(r.signal.clone());
             }
@@ -222,5 +229,17 @@ mod tests {
         );
         assert_eq!(r.failing_signals(), vec!["b".to_string(), "a".to_string()]);
         assert_eq!(r.mismatches_for("b"), 2);
+    }
+
+    #[test]
+    fn clones_share_records() {
+        let r = TbReport::new(
+            "t".into(),
+            vec![rec(0, "y", true), rec(1, "y", false)],
+            None,
+        );
+        let c = r.clone();
+        assert_eq!(c.records().as_ptr(), r.records().as_ptr());
+        assert_eq!(c, r);
     }
 }

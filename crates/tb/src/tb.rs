@@ -12,7 +12,7 @@ use std::sync::Arc;
 pub const TIME_PER_STEP: u64 = 10;
 
 /// An output check within a step.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Check {
     /// Output signal name.
     pub signal: String,
@@ -22,7 +22,7 @@ pub struct Check {
 
 /// One testbench step: drives, then (for clocked benches) a clock cycle,
 /// then checks against settled outputs.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct TbStep {
     /// Inputs applied at the start of the step.
     pub drives: Vec<Drive>,
@@ -44,7 +44,7 @@ pub struct TbStep {
 /// as data (stimulus schedule + per-step expected values) and renders the
 /// textual log from the run records (see [`crate::textlog`]). See
 /// `DESIGN.md` for why this substitution is behaviour-preserving.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Testbench {
     /// Descriptive name (usually the problem id).
     pub name: String,
@@ -181,7 +181,9 @@ pub fn run_testbench_with_counts(
     }
 
     let mut sim = Simulator::new(Arc::clone(design));
-    let mut records: Vec<CheckRecord> = Vec::new();
+    // One record per check, sized exactly: the report shares this buffer
+    // for as long as it lives, so growth slack would stay allocated.
+    let mut records: Vec<CheckRecord> = Vec::with_capacity(tb.total_checks());
     let mut sim_fault: Option<String> = None;
 
     let mut boot = || -> Result<(), SimError> {
