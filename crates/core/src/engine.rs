@@ -677,10 +677,9 @@ pub(crate) fn bench_digest(tb: &Testbench) -> String {
         tb.name,
         tb.steps.len(),
         tb.total_checks(),
-        match tb.all_clocks().as_slice() {
-            [] => ", combinational".to_string(),
-            [c] => format!(", clocked by `{c}`"),
-            many => format!(", clocked by `{}`", many.join("`, `")),
+        match &tb.clock {
+            None => ", combinational".to_string(),
+            Some(c) => format!(", clocked by `{c}`"),
         }
     )
 }

@@ -144,15 +144,6 @@ pub fn grading_bench_shared(problem: &Problem) -> Arc<Testbench> {
     )
 }
 
-/// Number of problems with a cached grading bench (test hook).
-#[doc(hidden)]
-pub fn grading_bench_cache_size() -> usize {
-    GRADING_BENCH_CACHE
-        .get()
-        .map(|c| c.lock().expect("grading cache poisoned").len())
-        .unwrap_or(0)
-}
-
 /// Grade a final answer against the benchmark bench.
 pub fn grade(problem: &Problem, source: &str) -> bool {
     let Ok(design) = compile(source) else {
@@ -561,7 +552,6 @@ mod tests {
         assert!(grade(p, p.golden));
         let again = grading_bench_shared(p);
         assert!(Arc::ptr_eq(&first, &again), "bench must be cached");
-        assert!(grading_bench_cache_size() >= 1);
         // And the cached bench equals a fresh synthesis (purity).
         assert_eq!(*first, grading_bench(p));
     }

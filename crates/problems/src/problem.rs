@@ -131,42 +131,7 @@ impl Problem {
 
     /// Build the problem's stimulus, deterministically from `seed`.
     pub fn stimulus(&self, seed: u64) -> Stimulus {
-        let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(self.id.as_bytes()));
-        let inputs = self.data_inputs();
-        match self.stim {
-            StimSpec::Exhaustive => {
-                let total: usize = inputs.iter().map(|(_, w)| w).sum();
-                if total <= 12 {
-                    Stimulus::exhaustive(&inputs)
-                } else {
-                    random_comb(&inputs, 256, &mut rng)
-                }
-            }
-            StimSpec::RandomComb { vectors } => random_comb(&inputs, vectors, &mut rng),
-            StimSpec::Clocked {
-                cycles,
-                reset,
-                reset_active_high,
-                reset_cycles,
-            } => {
-                let mut steps = Vec::with_capacity(reset_cycles + cycles);
-                for i in 0..reset_cycles + cycles {
-                    let mut drives = Vec::with_capacity(inputs.len() + 1);
-                    if let Some(rst) = reset {
-                        let active = i < reset_cycles;
-                        drives.push((
-                            rst.to_string(),
-                            LogicVec::from_bool(active == reset_active_high),
-                        ));
-                    }
-                    for (name, w) in &inputs {
-                        drives.push((name.clone(), random_vec(*w, &mut rng)));
-                    }
-                    steps.push(drives);
-                }
-                Stimulus::clocked("clk", steps)
-            }
-        }
+        self.generate_stimulus(seed, 256, 1, 1, 1)
     }
 
     /// The benchmark-side grading stimulus: like [`Problem::stimulus`]
@@ -175,7 +140,24 @@ impl Problem {
     /// an agent writes during the run. Always derived from `seed` alone,
     /// so grading is identical for every system under test.
     pub fn grading_stimulus(&self, seed: u64) -> Stimulus {
-        let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(self.id.as_bytes()) ^ 0x6AD3);
+        // A salted seed, 768 vectors for a spec too wide to sweep, and
+        // two independent reset phases with long random tails.
+        self.generate_stimulus(seed ^ 0x6AD3, 768, 3, 2, 2)
+    }
+
+    /// The one stimulus recipe. An exhaustive spec too wide to sweep gets
+    /// `wide_vectors` random vectors and a random one `vector_factor`
+    /// times its vectors; a clocked spec runs `reset_phases` times
+    /// through its reset cycles and then `cycle_factor` times its cycles.
+    fn generate_stimulus(
+        &self,
+        seed: u64,
+        wide_vectors: usize,
+        vector_factor: usize,
+        reset_phases: usize,
+        cycle_factor: usize,
+    ) -> Stimulus {
+        let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(self.id.as_bytes()));
         let inputs = self.data_inputs();
         match self.stim {
             StimSpec::Exhaustive => {
@@ -183,23 +165,24 @@ impl Problem {
                 if total <= 12 {
                     Stimulus::exhaustive(&inputs)
                 } else {
-                    random_comb(&inputs, 768, &mut rng)
+                    random_comb(&inputs, wide_vectors, &mut rng)
                 }
             }
-            StimSpec::RandomComb { vectors } => random_comb(&inputs, vectors * 3, &mut rng),
+            StimSpec::RandomComb { vectors } => {
+                random_comb(&inputs, vectors * vector_factor, &mut rng)
+            }
             StimSpec::Clocked {
                 cycles,
                 reset,
                 reset_active_high,
                 reset_cycles,
             } => {
-                // Two independent reset phases with long random tails.
-                let mut steps = Vec::new();
-                for _phase in 0..2 {
-                    for i in 0..reset_cycles + cycles * 2 {
+                let phase = reset_cycles + cycles * cycle_factor;
+                let steps = (0..reset_phases * phase)
+                    .map(|i| {
                         let mut drives = Vec::with_capacity(inputs.len() + 1);
                         if let Some(rst) = reset {
-                            let active = i < reset_cycles;
+                            let active = i % phase < reset_cycles;
                             drives.push((
                                 rst.to_string(),
                                 LogicVec::from_bool(active == reset_active_high),
@@ -208,9 +191,9 @@ impl Problem {
                         for (name, w) in &inputs {
                             drives.push((name.clone(), random_vec(*w, &mut rng)));
                         }
-                        steps.push(drives);
-                    }
-                }
+                        drives
+                    })
+                    .collect();
                 Stimulus::clocked("clk", steps)
             }
         }

@@ -541,7 +541,6 @@ mod tests {
                         signal: "y".into(),
                         expected: LogicVec::from_u64(1, value),
                     }],
-                    clocks: vec![],
                 })
                 .collect(),
         }

@@ -422,7 +422,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Sizes accepted by [`vec`]: a fixed `usize` or a range.
+    /// Sizes accepted by [`vec()`]: a fixed `usize` or a range.
     pub trait IntoSizeRange {
         /// Lower and inclusive upper bound.
         fn bounds(&self) -> (usize, usize);
@@ -452,7 +452,7 @@ pub mod collection {
         VecStrategy { element, min, max }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,

@@ -345,7 +345,7 @@ pub struct CompiledProcess {
     /// fully defined inputs, the interpreter may execute it over the
     /// aval plane alone, skipping every bval-plane masking/merging
     /// formula (the Verilator execution model). Decided once at compile
-    /// time by [`two_state_eligible`]; at dispatch the `reads` set is
+    /// time by `two_state_eligible`; at dispatch the `reads` set is
     /// the definedness summary the scheduler scans (all inputs defined
     /// → two-state, any `X`/`Z` → the four-state path), and the
     /// X-producing operations left in the stream (division by zero,

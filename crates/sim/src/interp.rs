@@ -19,10 +19,10 @@
 //! Three loops share the instruction set, selected per process and per
 //! evaluation:
 //!
-//! * [`execute_wide`] — `LogicVec` slots, any width (four-state);
-//! * [`execute_narrow`] — raw `(aval, bval)` word pairs when every
+//! * `execute_wide` — `LogicVec` slots, any width (four-state);
+//! * `execute_narrow` — raw `(aval, bval)` word pairs when every
 //!   value fits in 64 bits (four-state);
-//! * [`execute_two_state`] — narrow **two-state**: pure-value
+//! * `execute_two_state` — narrow **two-state**: pure-value
 //!   instructions run over the aval plane with bval known zero,
 //!   bailing out (and rewinding) to `execute_narrow` when an `X`/`Z`
 //!   or an X-producing hazard appears mid-run.

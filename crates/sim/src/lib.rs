@@ -8,12 +8,12 @@
 //!
 //! Elaboration is *unit-based*: every process is produced as a
 //! content-addressed compilation unit keyed by `(item fingerprint,
-//! binding hash, ordinal)` — see the [`unit`] module. [`elaborate_with`]
-//! probes a [`UnitSource`] (typically the candidate's parent design via
-//! [`DesignUnits`], optionally chained over a unit cache tier) and
-//! reuses every verified hit verbatim, interpreter form and bytecode
-//! both, so a one-process edit rebuilds one unit instead of the whole
-//! design. [`elaborate`] is the same pipeline without a provider and
+//! binding hash, ordinal)` — see the [`unit`](mod@unit) module.
+//! [`elaborate_with`] probes a [`UnitSource`] (typically the candidate's
+//! parent design via [`DesignUnits`], optionally chained over a unit
+//! cache tier) and reuses every verified hit verbatim, interpreter form
+//! and bytecode both, so a one-process edit rebuilds one unit instead of
+//! the whole design. [`elaborate`] is the same pipeline without a provider and
 //! stays live as the reference build the delta suites and the fuzz
 //! oracle difference against; delta-built designs are store-exact
 //! against it by construction (full text + environment verification on
@@ -88,7 +88,6 @@ pub mod interp;
 pub mod plan;
 mod sim;
 pub mod unit;
-mod vcd;
 
 pub use compile::{
     assemble_design, compile_design, compile_process, CompiledDesign, CompiledProcess,
@@ -103,4 +102,3 @@ pub use sim::{EvalCounts, ExecMode, Simulator};
 pub use unit::{
     unit_hash, ChainedUnits, DeltaStats, DesignUnits, ProcessUnit, UnitKey, UnitSource, UnitTag,
 };
-pub use vcd::VcdRecorder;

@@ -49,7 +49,7 @@ use mage_logic::LogicVec;
 /// One fused-plan opcode.
 ///
 /// Semantically each variant is one or more
-/// [`Instr`](crate::compile::Instr)s of a hazard-free stream with
+/// [`Instr`]s of a hazard-free stream with
 /// every indirection resolved at build time: constants are inline
 /// words, widths are inline masks, and the fused variants
 /// (`LoadBinStore`, `CmpBranch`, `MaskMove` chains, …) retire a whole
@@ -797,7 +797,7 @@ fn move_parts(i: &Instr) -> (Slot, usize, Slot) {
 /// Build the per-root cascade plans of a design: for every eligible
 /// combinational process, the transitive closure of comb readers of
 /// its writes, when that closure is entirely hazard-free, NBA-free,
-/// acyclic, and within [`CASCADE_MEMBER_LIMIT`]. Returns the plans and
+/// acyclic, and within `CASCADE_MEMBER_LIMIT`. Returns the plans and
 /// the per-process root index (`cascade_of[p]` names the plan the
 /// scheduler runs when `p` pops off the active region).
 pub fn build_cascades(

@@ -218,7 +218,6 @@ pub struct Simulator {
     /// Per-process register files, reused across executions.
     regs: Vec<interp::RegFile>,
     store: Store,
-    time: u64,
     mode: ExecMode,
     /// Two-state fast-path dispatch enable (compiled mode; on by
     /// default, off after [`Simulator::set_two_state`]`(false)` — the
@@ -419,7 +418,7 @@ pub enum ExecMode {
 }
 
 impl Simulator {
-    /// Create a simulator with every signal at `X` and time 0, using the
+    /// Create a simulator with every signal at `X`, using the
     /// bytecode executor (or the legacy tree-walker when the
     /// `MAGE_SIM_EXEC=legacy` environment variable is set — the hook the
     /// perf harness uses to measure the pre-bytecode baseline
@@ -484,7 +483,6 @@ impl Simulator {
             compiled,
             regs,
             store,
-            time: 0,
             mode,
             two_state: mode == ExecMode::Compiled,
             fuse: mode == ExecMode::Compiled,
@@ -616,16 +614,6 @@ impl Simulator {
                 exec(&design, &mut self.store, body, nba, changed);
             }
         }
-    }
-
-    /// Current simulation time (advanced only by [`Simulator::advance`]).
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-
-    /// Advance the nominal time stamp (used by testbench logs).
-    pub fn advance(&mut self, dt: u64) {
-        self.time += dt;
     }
 
     /// Read the current value of a signal, flushing any deferred

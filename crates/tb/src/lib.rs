@@ -11,6 +11,14 @@
 //! the three feedback formats of Fig. 3 (pass-rate summary, checkpoint
 //! window, full WF-TextLog).
 //!
+//! Every bench runs on one schedule, with at most one clock: boot with
+//! the clock low; per step drive the inputs, then raise the clock (or
+//! settle, for a combinational bench), sample the outputs, and lower the
+//! clock; the first simulation fault latches. [`run_testbench`] samples
+//! checks into records, and [`synthesize_testbench`] samples a reference
+//! design's outputs into expectations on the same loop, so a synthesized
+//! bench checks exactly the points a run of it compares.
+//!
 //! # Example
 //!
 //! ```
@@ -40,7 +48,5 @@ pub mod textlog;
 
 pub use report::{CheckRecord, TbReport};
 pub use stimulus::{Drive, Stimulus};
-pub use synth::{build_from_reference_report, synthesize_testbench, CheckDensity};
-pub use tb::{
-    run_testbench, run_testbench_with_counts, Check, TbError, TbStep, Testbench, TIME_PER_STEP,
-};
+pub use synth::{synthesize_testbench, CheckDensity};
+pub use tb::{run_testbench, Check, TbError, TbStep, Testbench, TIME_PER_STEP};

@@ -8,9 +8,11 @@ pub type Drive = (String, LogicVec);
 /// An input schedule: what to drive at each step.
 ///
 /// A *step* is the unit of testbench time. For clocked designs a step is
-/// one full clock cycle (inputs applied while the clock is low, outputs
-/// checked after the rising edge has settled); for combinational designs
-/// a step is apply-settle-check. Each step spans
+/// one full cycle of the single clock (inputs applied while the clock is
+/// low, outputs sampled after the rising edge has settled, then the
+/// clock falls); for combinational designs a step is apply-settle-check.
+/// [`crate::synthesize_testbench`] turns a stimulus into a bench on the
+/// same schedule [`crate::run_testbench`] runs. Each step spans
 /// [`crate::TIME_PER_STEP`] time units in the textual logs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stimulus {
@@ -27,7 +29,7 @@ impl Stimulus {
         Stimulus { clock: None, steps }
     }
 
-    /// A clocked stimulus: `clock` is toggled once per step.
+    /// A clocked stimulus: `clock` rises and falls once per step.
     pub fn clocked(clock: impl Into<String>, steps: Vec<Vec<Drive>>) -> Self {
         Stimulus {
             clock: Some(clock.into()),

@@ -9,9 +9,8 @@
 //! error model — see `mage-llm`). The same function also builds each
 //! problem's benchmark ("golden") testbench.
 
-use crate::report::TbReport;
 use crate::stimulus::Stimulus;
-use crate::tb::{Check, TbStep, Testbench};
+use crate::tb::{run_schedule, Check, TbStep, Testbench};
 use mage_sim::Design;
 use std::sync::Arc;
 
@@ -29,19 +28,20 @@ pub enum CheckDensity {
 /// Simulate `reference` over `stim` and build a [`Testbench`] whose
 /// expected values are the reference outputs.
 ///
-/// Checks are only emitted for fully-defined reference outputs: a golden
-/// model that outputs `X` at some step (before reset, say) produces no
-/// check there, matching how benchmark testbenches avoid pre-reset
-/// comparisons.
+/// The reference runs on the same step schedule as
+/// [`crate::run_testbench`], so every expectation is sampled exactly
+/// where a run of the bench will compare it: after the step's drives and
+/// rising edge settle. Checks are only emitted for fully-defined
+/// reference outputs: a golden model that outputs `X` at some step
+/// (before reset, say) produces no check there, matching how benchmark
+/// testbenches avoid pre-reset comparisons. A reference that faults
+/// mid-stimulus keeps its steps but gets no checks from the fault on.
 pub fn synthesize_testbench(
     name: impl Into<String>,
     reference: &Arc<Design>,
     stim: &Stimulus,
     density: CheckDensity,
 ) -> Testbench {
-    // Drive the reference directly — one pass, no probe bench or report
-    // to allocate. Timing mirrors `run_testbench`: drives land while the
-    // clock is low, outputs are sampled after the rising edge settles.
     let outputs: Vec<(String, mage_sim::SignalId)> = reference
         .output_ports()
         .into_iter()
@@ -50,45 +50,17 @@ pub fn synthesize_testbench(
             (n, id)
         })
         .collect();
-    let mut sim = mage_sim::Simulator::new(Arc::clone(reference));
-    let mut faulted = sim.settle().is_err();
-    if !faulted {
-        if let Some(clk) = &stim.clock {
-            faulted = sim
-                .poke(clk, mage_logic::LogicVec::from_bool(false))
-                .is_err();
-        }
-    }
     let mut steps: Vec<TbStep> = Vec::with_capacity(stim.steps.len());
-    for (i, drives) in stim.steps.iter().enumerate() {
-        if !faulted {
-            faulted = sim
-                .poke_many(drives.iter().map(|(n, v)| (n.as_str(), v.clone())))
-                .is_err();
-        }
-        if !faulted {
-            if let Some(clk) = &stim.clock {
-                faulted = sim
-                    .poke(clk, mage_logic::LogicVec::from_bool(true))
-                    .is_err();
-            }
-        }
+    let drives = stim.steps.iter().map(Vec::as_slice);
+    run_schedule(reference, stim.clock.as_deref(), drives, |i, sim| {
         let keep = match density {
             CheckDensity::EveryStep => true,
             CheckDensity::EveryN(n) => n != 0 && (i + 1) % n == 0,
         };
         let mut checks = Vec::new();
-        if keep && !faulted {
-            // Clockless stimuli leave every poke deferred: settle so a
-            // propagation fault surfaces here instead of silently
-            // freezing the peeks below.
-            faulted = sim.settle().is_err();
-        }
-        if keep && !faulted {
+        if let Some(sim) = sim.filter(|_| keep) {
             for (n, id) in &outputs {
                 let got = sim.peek(*id);
-                // A reference that outputs X (before reset, say) produces
-                // no check there.
                 if got.is_fully_defined() {
                     checks.push(Check {
                         signal: n.clone(),
@@ -98,57 +70,10 @@ pub fn synthesize_testbench(
             }
         }
         steps.push(TbStep {
-            drives: drives.clone(),
+            drives: stim.steps[i].clone(),
             checks,
-            clocks: vec![],
         });
-        if !faulted {
-            if let Some(clk) = &stim.clock {
-                faulted = sim
-                    .poke(clk, mage_logic::LogicVec::from_bool(false))
-                    .is_err();
-            }
-        }
-    }
-    Testbench {
-        name: name.into(),
-        clock: stim.clock.clone(),
-        steps,
-    }
-}
-
-/// Build a bench from an already-captured reference report (the `got`
-/// values become expectations).
-pub fn build_from_reference_report(
-    name: impl Into<String>,
-    stim: &Stimulus,
-    reference_report: &TbReport,
-    density: CheckDensity,
-) -> Testbench {
-    let mut steps: Vec<TbStep> = stim
-        .steps
-        .iter()
-        .map(|drives| TbStep {
-            drives: drives.clone(),
-            checks: Vec::new(),
-            clocks: vec![],
-        })
-        .collect();
-    for rec in reference_report.records() {
-        let keep = match density {
-            CheckDensity::EveryStep => true,
-            CheckDensity::EveryN(n) => n != 0 && (rec.step + 1) % n == 0,
-        };
-        if !keep || !rec.got.is_fully_defined() {
-            continue;
-        }
-        if let Some(step) = steps.get_mut(rec.step) {
-            step.checks.push(Check {
-                signal: rec.signal.clone(),
-                expected: rec.got.clone(),
-            });
-        }
-    }
+    });
     Testbench {
         name: name.into(),
         clock: stim.clock.clone(),
@@ -226,6 +151,25 @@ mod tests {
         assert_eq!(tb.steps[1].checks.len(), 1);
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed());
+    }
+
+    #[test]
+    fn faulting_reference_checks_only_before_the_fault() {
+        // The oscillator loops once `a` goes 1 at step 1; driving it back
+        // to 0 at step 2 does not revive the run.
+        let d = design(
+            "module top(input a, output y); assign y = a ? ~y : 1'b0; endmodule",
+            "top",
+        );
+        let stim = Stimulus::combinational(
+            [0, 1, 0]
+                .map(|a| vec![("a".into(), LogicVec::from_u64(1, a))])
+                .into(),
+        );
+        let tb = synthesize_testbench("osc", &d, &stim, CheckDensity::EveryStep);
+        let checks: Vec<usize> = tb.steps.iter().map(|s| s.checks.len()).collect();
+        assert_eq!(checks, [1, 0, 0], "every step keeps its drives");
+        assert_eq!(tb.steps[0].checks[0].expected, LogicVec::from_u64(1, 0));
     }
 
     #[test]

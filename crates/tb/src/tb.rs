@@ -1,4 +1,4 @@
-//! The structured testbench and its runner.
+//! The structured testbench and the one schedule every bench runs on.
 
 use crate::report::{CheckRecord, TbReport};
 use crate::stimulus::Drive;
@@ -20,20 +20,14 @@ pub struct Check {
     pub expected: LogicVec,
 }
 
-/// One testbench step: drives, then (for clocked benches) a clock cycle,
-/// then checks against settled outputs.
+/// One testbench step: drives, then (for clocked benches) a rising edge
+/// of [`Testbench::clock`], then checks against the settled outputs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct TbStep {
     /// Inputs applied at the start of the step.
     pub drives: Vec<Drive>,
     /// Checks evaluated at the end of the step.
     pub checks: Vec<Check>,
-    /// Clocks cycled this step (rise together after the drives, fall
-    /// together after the checks). Empty means "use the bench-level
-    /// [`Testbench::clock`]" — the single-clock schedule format is the
-    /// degenerate case. Multi-clock designs list any subset per step,
-    /// so domains can tick at different rates or simultaneously.
-    pub clocks: Vec<String>,
 }
 
 /// A structured testbench: the essential content of the paper's
@@ -48,8 +42,7 @@ pub struct TbStep {
 pub struct Testbench {
     /// Descriptive name (usually the problem id).
     pub name: String,
-    /// Default clock input toggled once per step, if sequential. Steps
-    /// with a non-empty [`TbStep::clocks`] override it.
+    /// Clock input cycled once per step (`None` = combinational bench).
     pub clock: Option<String>,
     /// Steps in order.
     pub steps: Vec<TbStep>,
@@ -59,42 +52,6 @@ impl Testbench {
     /// Total number of checks across all steps.
     pub fn total_checks(&self) -> usize {
         self.steps.iter().map(|s| s.checks.len()).sum()
-    }
-
-    /// Iterate over all `(step_index, check)` pairs.
-    pub fn checks(&self) -> impl Iterator<Item = (usize, &Check)> {
-        self.steps
-            .iter()
-            .enumerate()
-            .flat_map(|(i, s)| s.checks.iter().map(move |c| (i, c)))
-    }
-
-    /// The clocks cycled by `step`: its own set, or the bench-level
-    /// default when the step declares none.
-    pub fn step_clocks<'a>(&'a self, step: &'a TbStep) -> Vec<&'a str> {
-        if !step.clocks.is_empty() {
-            step.clocks.iter().map(String::as_str).collect()
-        } else {
-            self.clock.as_deref().into_iter().collect()
-        }
-    }
-
-    /// Every clock the bench ever cycles (bench default plus per-step
-    /// sets), first-use order, deduplicated. These are driven low at
-    /// boot so the first rise of each is a real posedge.
-    pub fn all_clocks(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        if let Some(clk) = self.clock.as_deref() {
-            out.push(clk);
-        }
-        for step in &self.steps {
-            for clk in &step.clocks {
-                if !out.contains(&clk.as_str()) {
-                    out.push(clk);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -122,12 +79,14 @@ impl std::error::Error for TbError {}
 
 /// Run `tb` against `design` and produce the per-check report.
 ///
-/// The driver path rides the simulator's event wheel: each step batches
-/// its drives through [`Simulator::poke_many`] (one edge wave + one
-/// fanout settle per step), clock edges dispatch through the per-edge
-/// trigger lists computed at elaboration, and the process bytecode is
-/// compiled once per [`Design`] — repeated runs against the same design
-/// (the grading loop) skip recompilation entirely.
+/// The bench runs on the one step schedule that also synthesizes benches
+/// ([`crate::synthesize_testbench`]): each step batches its drives
+/// through [`Simulator::poke_many`] while the clock is low, raises the
+/// clock (or settles, for a combinational bench), and samples the checks
+/// there — before the falling half-cycle, which is what makes wrong-edge
+/// bugs observable. Process bytecode is compiled once per [`Design`], so
+/// repeated runs against the same design (the grading loop) skip
+/// recompilation entirely.
 ///
 /// Simulation faults (combinational loops, edge cascades) do not abort
 /// the report: the offending step and all later checks are recorded as
@@ -136,162 +95,134 @@ impl std::error::Error for TbError {}
 ///
 /// # Errors
 ///
-/// [`TbError::InterfaceMismatch`] when the DUT lacks driven inputs or
-/// checked outputs — the candidate declared a wrong port list.
+/// [`TbError::InterfaceMismatch`] when the DUT lacks the clock, a driven
+/// input or a checked output — the candidate declared a wrong port list.
 pub fn run_testbench(tb: &Testbench, design: &Arc<Design>) -> Result<TbReport, TbError> {
-    run_testbench_with_counts(tb, design).map(|(report, _)| report)
-}
-
-/// [`run_testbench`], also returning the simulator's scheduler work
-/// counters for the run ([`mage_sim::EvalCounts`]: process evaluations
-/// and edge probes). The perf harness divides these by the step count
-/// to track events-per-step across scheduler changes; the report is
-/// bit-identical to [`run_testbench`]'s.
-///
-/// # Errors
-///
-/// As [`run_testbench`].
-pub fn run_testbench_with_counts(
-    tb: &Testbench,
-    design: &Arc<Design>,
-) -> Result<(TbReport, mage_sim::EvalCounts), TbError> {
-    // Interface validation.
-    let mut missing: Vec<String> = Vec::new();
-    let input_names: Vec<String> = design.input_ports().into_iter().map(|(n, _)| n).collect();
-    let output_names: Vec<String> = design.output_ports().into_iter().map(|(n, _)| n).collect();
-    for clk in tb.all_clocks() {
-        if !input_names.iter().any(|n| n == clk) && !missing.iter().any(|m| m == clk) {
-            missing.push(clk.to_string());
-        }
-    }
-    for step in &tb.steps {
-        for (name, _) in &step.drives {
-            if !input_names.contains(name) && !missing.contains(name) {
-                missing.push(name.clone());
-            }
-        }
-        for check in &step.checks {
-            if !output_names.contains(&check.signal) && !missing.contains(&check.signal) {
-                missing.push(check.signal.clone());
-            }
-        }
-    }
-    if !missing.is_empty() {
-        return Err(TbError::InterfaceMismatch { missing });
-    }
-
-    let mut sim = Simulator::new(Arc::clone(design));
+    check_interface(tb, design)?;
     // One record per check, sized exactly: the report shares this buffer
     // for as long as it lives, so growth slack would stay allocated.
     let mut records: Vec<CheckRecord> = Vec::with_capacity(tb.total_checks());
-    let mut sim_fault: Option<String> = None;
-
-    let mut boot = || -> Result<(), SimError> {
-        sim.settle()?;
-        // Every clock the bench will ever cycle starts low, so each
-        // domain's first rise is a real posedge.
-        sim.poke_many(
-            tb.all_clocks()
-                .into_iter()
-                .map(|clk| (clk, LogicVec::from_bool(false))),
-        )?;
-        Ok(())
-    };
-    if let Err(e) = boot() {
-        sim_fault = Some(e.to_string());
-    }
-
     let mut inputs_now: Vec<Drive> = Vec::new();
     // Shared per-step snapshot: checks of one step all point at the same
     // drive list (rebuilt only when drives actually change).
     let mut inputs_snapshot: Arc<Vec<Drive>> = Arc::new(Vec::new());
-    for (i, step) in tb.steps.iter().enumerate() {
-        let time = (i as u64 + 1) * TIME_PER_STEP;
-        if sim_fault.is_none() {
-            // Drive inputs while the clock is low, raise the clock, and
-            // sample checkpoints after the rising edge settles (the
-            // falling half-cycle completes after the checks, as a real
-            // checkpoint testbench does). Sampling here — not after the
-            // full cycle — is what makes wrong-edge bugs observable.
-            let r = exec_step_rise(&mut sim, &tb.step_clocks(step), &step.drives);
-            match r {
-                Ok(()) => {
-                    // Track the full input picture for the log snapshot.
-                    for (n, v) in &step.drives {
-                        if let Some(slot) = inputs_now.iter_mut().find(|(en, _)| en == n) {
-                            slot.1 = v.clone();
-                        } else {
-                            inputs_now.push((n.clone(), v.clone()));
-                        }
-                    }
-                    if !step.drives.is_empty() {
-                        inputs_snapshot = Arc::new(inputs_now.clone());
-                    }
+    let drives = tb.steps.iter().map(|s| s.drives.as_slice());
+    let fault = run_schedule(design, tb.clock.as_deref(), drives, |i, mut sim| {
+        let step = &tb.steps[i];
+        if sim.is_some() {
+            // Track the full input picture for the log snapshot.
+            for (n, v) in &step.drives {
+                if let Some(slot) = inputs_now.iter_mut().find(|(en, _)| en == n) {
+                    slot.1 = v.clone();
+                } else {
+                    inputs_now.push((n.clone(), v.clone()));
                 }
-                Err(e) => sim_fault = Some(e.to_string()),
+            }
+            if !step.drives.is_empty() {
+                inputs_snapshot = Arc::new(inputs_now.clone());
             }
         }
         for check in &step.checks {
-            let got = if sim_fault.is_none() {
-                sim.peek_by_name(&check.signal)
-                    .cloned()
-                    .unwrap_or_else(|| LogicVec::all_x(check.expected.width()))
-            } else {
-                LogicVec::all_x(check.expected.width())
-            };
-            let pass = sim_fault.is_none() && got.case_eq(&check.expected);
+            let got = sim
+                .as_deref_mut()
+                .and_then(|sim| sim.peek_by_name(&check.signal).cloned())
+                .unwrap_or_else(|| LogicVec::all_x(check.expected.width()));
             records.push(CheckRecord {
-                time,
+                time: (i as u64 + 1) * TIME_PER_STEP,
                 step: i,
                 signal: check.signal.clone(),
+                pass: sim.is_some() && got.case_eq(&check.expected),
                 got,
                 expected: check.expected.clone(),
-                pass,
                 inputs: Arc::clone(&inputs_snapshot),
             });
         }
-        // Complete the clock cycle(s) after the checkpoints are sampled.
-        // (Run even after the last step: a fault on the falling
-        // half-cycle must still surface as `sim_fault`.)
-        if sim_fault.is_none() {
-            let clocks = tb.step_clocks(step);
-            if !clocks.is_empty() {
-                let r = sim.poke_many(
-                    clocks
-                        .into_iter()
-                        .map(|clk| (clk, LogicVec::from_bool(false))),
-                );
-                if let Err(e) = r {
-                    sim_fault = Some(e.to_string());
-                }
-            }
-        }
-    }
-
-    Ok((
-        TbReport::new(tb.name.clone(), records, sim_fault),
-        sim.eval_counts(),
+    });
+    Ok(TbReport::new(
+        tb.name.clone(),
+        records,
+        fault.map(|e| e.to_string()),
     ))
 }
 
-fn exec_step_rise(sim: &mut Simulator, clocks: &[&str], drives: &[Drive]) -> Result<(), SimError> {
+/// Every name the bench cycles, drives or checks must be a port of the
+/// right direction; the missing ones are reported in first-use order.
+fn check_interface(tb: &Testbench, design: &Design) -> Result<(), TbError> {
+    let inputs: Vec<String> = design.input_ports().into_iter().map(|(n, _)| n).collect();
+    let outputs: Vec<String> = design.output_ports().into_iter().map(|(n, _)| n).collect();
+    let mut missing: Vec<String> = Vec::new();
+    let mut require = |ports: &[String], name: &str| {
+        if !ports.iter().any(|p| p == name) && !missing.iter().any(|m| m == name) {
+            missing.push(name.to_string());
+        }
+    };
+    if let Some(clk) = &tb.clock {
+        require(&inputs, clk);
+    }
+    for step in &tb.steps {
+        for (name, _) in &step.drives {
+            require(&inputs, name);
+        }
+        for check in &step.checks {
+            require(&outputs, &check.signal);
+        }
+    }
+    if missing.is_empty() {
+        Ok(())
+    } else {
+        Err(TbError::InterfaceMismatch { missing })
+    }
+}
+
+/// The bench schedule: grading ([`run_testbench`]), bench synthesis
+/// ([`crate::synthesize_testbench`]) and the synthetic judge all run
+/// through this one loop, each with its own sampler.
+///
+/// Boot settles the design and drives `clock` low, so its first rise is
+/// a real posedge. Each step then drives its inputs, raises the clock (a
+/// combinational bench settles instead), calls `sample(step, Some(sim))`
+/// on the settled outputs, and lowers the clock. The first fault latches:
+/// from then on `sample` gets `None` and the simulator is left alone.
+/// Returns that fault, including one on the last falling half-cycle.
+pub(crate) fn run_schedule<'s>(
+    design: &Arc<Design>,
+    clock: Option<&str>,
+    steps: impl IntoIterator<Item = &'s [Drive]>,
+    mut sample: impl FnMut(usize, Option<&mut Simulator>),
+) -> Option<SimError> {
+    let mut sim = Simulator::new(Arc::clone(design));
+    let mut fault = boot(&mut sim, clock).err();
+    for (i, drives) in steps.into_iter().enumerate() {
+        if fault.is_none() {
+            fault = rise(&mut sim, clock, drives).err();
+        }
+        sample(i, fault.is_none().then_some(&mut sim));
+        if let (None, Some(clk)) = (&fault, clock) {
+            fault = sim.poke(clk, LogicVec::from_bool(false)).err();
+        }
+    }
+    fault
+}
+
+fn boot(sim: &mut Simulator, clock: Option<&str>) -> Result<(), SimError> {
+    sim.settle()?;
+    match clock {
+        Some(clk) => sim.poke(clk, LogicVec::from_bool(false)),
+        None => Ok(()),
+    }
+}
+
+fn rise(sim: &mut Simulator, clock: Option<&str>, drives: &[Drive]) -> Result<(), SimError> {
     // Batched: stores update first, edges fire once, fanout settles once
     // — instead of a full re-settle per driven input.
     sim.poke_many(drives.iter().map(|(n, v)| (n.as_str(), v.clone())))?;
-    if clocks.is_empty() {
+    match clock {
+        Some(clk) => sim.poke(clk, LogicVec::from_bool(true)),
         // Edge-free drives defer their combinational flush; settle so a
-        // propagation fault surfaces here as the step's error instead
-        // of silently freezing the checkpoint reads.
-        sim.settle()?;
-        sim.advance(TIME_PER_STEP);
-    } else {
-        // All of the step's clocks rise in one batch: simultaneous
-        // edges trigger every listed domain in a single wave.
-        sim.advance(TIME_PER_STEP / 2);
-        sim.poke_many(clocks.iter().map(|clk| (*clk, LogicVec::from_bool(true))))?;
-        sim.advance(TIME_PER_STEP / 2);
+        // propagation fault surfaces here as the step's error instead of
+        // silently freezing the sampled outputs.
+        None => sim.settle(),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -324,7 +255,6 @@ mod tests {
                         signal: "y".into(),
                         expected: v(1, (p & 1) ^ (p >> 1)),
                     }],
-                    clocks: vec![],
                 })
                 .collect(),
         };
@@ -352,7 +282,6 @@ mod tests {
                         signal: "y".into(),
                         expected: v(1, (p & 1) | (p >> 1)),
                     }],
-                    clocks: vec![],
                 })
                 .collect(),
         };
@@ -379,7 +308,6 @@ mod tests {
                 signal: "q".into(),
                 expected: v(4, 0),
             }],
-            clocks: vec![],
         }];
         for i in 1..=5u64 {
             steps.push(TbStep {
@@ -388,7 +316,6 @@ mod tests {
                     signal: "q".into(),
                     expected: v(4, i),
                 }],
-                clocks: vec![],
             });
         }
         let tb = Testbench {
@@ -412,7 +339,6 @@ mod tests {
             steps: vec![TbStep {
                 drives: vec![("nonexistent".into(), v(1, 0))],
                 checks: vec![],
-                clocks: vec![],
             }],
         };
         let err = run_testbench(&tb, &d).unwrap_err();
@@ -436,7 +362,6 @@ mod tests {
                         signal: "y".into(),
                         expected: v(1, 0),
                     }],
-                    clocks: vec![],
                 },
                 TbStep {
                     drives: vec![("a".into(), v(1, 1))],
@@ -444,7 +369,6 @@ mod tests {
                         signal: "y".into(),
                         expected: v(1, 0),
                     }],
-                    clocks: vec![],
                 },
             ],
         };
@@ -456,128 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_clock_bench_independent_domains() {
-        // Two clock domains at different rates against the dual-clock
-        // bench kernel: clka ticks every step, clkb every other step.
-        let src = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../bench/benches/dualclk_kernel.v"
-        ))
-        .unwrap();
-        let d = design(&src, "top_module");
-        let step = |clocks: &[&str], drives: Vec<Drive>, checks: Vec<(&str, usize, u64)>| TbStep {
-            drives,
-            checks: checks
-                .into_iter()
-                .map(|(s, w, x)| Check {
-                    signal: s.into(),
-                    expected: v(w, x),
-                })
-                .collect(),
-            clocks: clocks.iter().map(|c| c.to_string()).collect(),
-        };
-        let tb = Testbench {
-            name: "dualclk".into(),
-            clock: None,
-            steps: vec![
-                // Reset both domains (simultaneous edges in one step).
-                step(
-                    &["clka", "clkb"],
-                    vec![("rst".into(), v(1, 1))],
-                    vec![("qa", 8, 0), ("qb", 16, 0)],
-                ),
-                // clka only: qa accumulates da, qb holds.
-                step(
-                    &["clka"],
-                    vec![
-                        ("rst".into(), v(1, 0)),
-                        ("da".into(), v(8, 5)),
-                        ("db".into(), v(8, 9)),
-                    ],
-                    vec![("qa", 8, 5), ("qb", 16, 0), ("mixa", 8, 0)],
-                ),
-                // Both clocks: qa += da again, qb += db for the first time.
-                step(
-                    &["clka", "clkb"],
-                    vec![],
-                    vec![("qa", 8, 10), ("qb", 16, 9), ("mixa", 8, 15)],
-                ),
-                // clkb only: qa holds, qb advances.
-                step(&["clkb"], vec![], vec![("qa", 8, 10), ("qb", 16, 18)]),
-            ],
-        };
-        let report = run_testbench(&tb, &d).unwrap();
-        assert!(report.passed(), "{:?}", report.first_mismatch());
-        assert!(report.sim_fault().is_none());
-    }
-
-    #[test]
-    fn multi_clock_bench_mixes_default_and_per_step_sets() {
-        // Handshake kernel: per-step clock sets override the bench-level
-        // default (clka); steps with an empty set fall back to it.
-        let src = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../bench/benches/handshake_kernel.v"
-        ))
-        .unwrap();
-        let d = design(&src, "top_module");
-        let tb = Testbench {
-            name: "handshake".into(),
-            clock: Some("clka".into()),
-            steps: vec![
-                TbStep {
-                    drives: vec![
-                        ("rst".into(), v(1, 1)),
-                        ("req".into(), v(1, 0)),
-                        ("data".into(), v(8, 0)),
-                    ],
-                    checks: vec![Check {
-                        signal: "ack".into(),
-                        expected: v(1, 0),
-                    }],
-                    clocks: vec!["clka".into(), "clkb".into()],
-                },
-                // Default clock (clka) syncs the request into domain A.
-                TbStep {
-                    drives: vec![
-                        ("rst".into(), v(1, 0)),
-                        ("req".into(), v(1, 1)),
-                        ("data".into(), v(8, 0xA5)),
-                    ],
-                    checks: vec![Check {
-                        signal: "busy".into(),
-                        expected: v(1, 1),
-                    }],
-                    clocks: vec![],
-                },
-                // Domain B acknowledges and captures on its own edge.
-                TbStep {
-                    drives: vec![],
-                    checks: vec![
-                        Check {
-                            signal: "ack".into(),
-                            expected: v(1, 1),
-                        },
-                        Check {
-                            signal: "captured".into(),
-                            expected: v(8, 0xA5),
-                        },
-                        Check {
-                            signal: "busy".into(),
-                            expected: v(1, 0),
-                        },
-                    ],
-                    clocks: vec!["clkb".into()],
-                },
-            ],
-        };
-        assert_eq!(tb.all_clocks(), vec!["clka", "clkb"]);
-        assert_eq!(tb.step_clocks(&tb.steps[1]), vec!["clka"]);
-        let report = run_testbench(&tb, &d).unwrap();
-        assert!(report.passed(), "{:?}", report.first_mismatch());
-    }
-
-    #[test]
     fn multi_clock_missing_clock_is_interface_mismatch() {
         let d = design(
             "module top(input clk, output reg q); always @(posedge clk) q <= ~q; endmodule",
@@ -585,12 +387,8 @@ mod tests {
         );
         let tb = Testbench {
             name: "badclk".into(),
-            clock: Some("clk".into()),
-            steps: vec![TbStep {
-                drives: vec![],
-                checks: vec![],
-                clocks: vec!["clk".into(), "clk_phantom".into()],
-            }],
+            clock: Some("clk_phantom".into()),
+            steps: vec![TbStep::default()],
         };
         let err = run_testbench(&tb, &d).unwrap_err();
         match err {
@@ -616,7 +414,6 @@ mod tests {
                         signal: "y".into(),
                         expected: v(1, 0),
                     }],
-                    clocks: vec![],
                 },
                 TbStep {
                     // only b changes; a must persist in the snapshot
@@ -625,7 +422,6 @@ mod tests {
                         signal: "y".into(),
                         expected: v(1, 1),
                     }],
-                    clocks: vec![],
                 },
             ],
         };

@@ -6,11 +6,12 @@
 //! cargo run --release --example quickstart [problem_id]
 //! ```
 
+use mage::core::experiments::grading_bench;
 use mage::core::{compile, Mage, MageConfig, Task};
 use mage::llm::{SyntheticModel, SyntheticModelConfig};
 use mage::problems::by_id;
+use mage::tb::run_testbench;
 use mage::tb::textlog::render_full_log;
-use mage::tb::{run_testbench, synthesize_testbench, CheckDensity};
 
 fn main() {
     let id = std::env::args()
@@ -54,13 +55,7 @@ fn main() {
 
     // Grade the answer against the benchmark's reference bench, like the
     // evaluation harness does.
-    let oracle = problem.oracle(seed);
-    let grading = synthesize_testbench(
-        format!("{}-golden", problem.id),
-        &oracle.golden_design,
-        &problem.grading_stimulus(0x0D0C_5EED),
-        CheckDensity::EveryStep,
-    );
+    let grading = grading_bench(problem);
     match compile(&trace.final_source) {
         Ok(design) => {
             let report = run_testbench(&grading, &design).expect("interface matches");
