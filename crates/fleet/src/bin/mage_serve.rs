@@ -1,29 +1,8 @@
 //! `mage-serve`: drive the full problem registry as a concurrent job
 //! stream — on one engine or a sharded fleet — and report throughput,
-//! latency, token and batching stats.
-//!
-//! ```text
-//! Usage: mage-serve [options]
-//!   --suite v1|v2|all     problem suite to stream        [all]
-//!   --runs N              jobs per problem               [1]
-//!   --workers N           sim worker threads             [available]
-//!   --max-in-flight N     admission cap (0 = unlimited)  [32]
-//!   --seed S              master seed                    [0xCAFE]
-//!   --budget T            per-agent context token budget [4000]
-//!   --shards N            fleet shards (1 = single engine) [1]
-//!   --migrate-after-steps K  rebalance cadence in fleet rounds (0 = off) [0]
-//!   --placement-trace F   pin placement from F if it exists, else
-//!                         record this run's placement into F
-//!   --fault-plan P        fault plan: name or seed:name  [$MAGE_FAULT_PLAN]
-//!                         (none|canonical|single-transient|burst-rate-limit|
-//!                          one-backend-dead|all-dead|mid-wave-timeout)
-//!   --retries N           engine re-dispatches per request [2]
-//!   --hedge-after-ms MS   hedge threshold (0 = off)      [80]
-//!   --deadline-ms MS      per-job virtual deadline (0 = off) [off]
-//!   --low                 low-temperature config (default high)
-//!   --scalar              disable LLM batching (one call per request)
-//!   --no-grade            skip grading final answers
-//! ```
+//! latency, token and batching stats. `mage-serve --help` prints the
+//! flag table ([`USAGE`]); a bad argument prints one line naming it,
+//! then the table, on stderr and exits with status 2.
 //!
 //! With `--shards 1` the stream runs on a plain [`ServeEngine`] exactly
 //! as before; `--shards N` (N ≥ 2) routes it through a
@@ -39,11 +18,37 @@ use mage_core::experiments::unit_seed;
 use mage_core::{MageConfig, SolveTrace, SystemKind};
 use mage_fleet::{FleetEngine, FleetOptions, PlacementTrace};
 use mage_llm::{DispatchPolicy, FaultPlan};
-use mage_problems::SuiteId;
+use mage_problems::{Problem, SuiteId};
 use mage_serve::{synthetic_service_with, JobSpec, ServeEngine, ServeOptions};
+use std::process::ExitCode;
+use std::str::FromStr;
+
+/// The flag table.
+const USAGE: &str = "\
+Usage: mage-serve [options]
+  --suite v1|v2|all     problem suite to stream        [all]
+  --runs N              jobs per problem               [1]
+  --workers N           sim worker threads             [available]
+  --max-in-flight N     admission cap (0 = unlimited)  [32]
+  --seed S              master seed                    [0xCAFE]
+  --budget T            per-agent context token budget [4000]
+  --shards N            fleet shards (1 = single engine) [1]
+  --migrate-after-steps K  rebalance cadence in fleet rounds (0 = off) [0]
+  --placement-trace F   pin placement from F if it exists, else
+                        record this run's placement into F
+  --fault-plan P        fault plan: name or seed:name  [$MAGE_FAULT_PLAN]
+                        (none|canonical|single-transient|burst-rate-limit|
+                         one-backend-dead|all-dead|mid-wave-timeout)
+  --retries N           engine re-dispatches per request [2]
+  --hedge-after-ms MS   hedge threshold (0 = off)      [80]
+  --deadline-ms MS      per-job virtual deadline (0 = off) [off]
+  --low                 low-temperature config (default high)
+  --scalar              disable LLM batching (one call per request)
+  --no-grade            skip grading final answers
+";
 
 struct Args {
-    suite: String,
+    problems: Vec<&'static Problem>,
     runs: usize,
     workers: usize,
     max_in_flight: usize,
@@ -61,9 +66,28 @@ struct Args {
     grade: bool,
 }
 
-fn parse_args() -> Args {
+/// A usage error: one line naming the bad argument, then the flag
+/// table, on stderr; exit status 2.
+fn usage(problem: &str) -> ExitCode {
+    eprintln!("mage-serve: {problem}");
+    eprint!("{USAGE}");
+    ExitCode::from(2)
+}
+
+/// The value following `flag`, parsed.
+fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, ExitCode> {
+    let v = it
+        .next()
+        .ok_or_else(|| usage(&format!("{flag} requires a value")))?;
+    v.parse()
+        .map_err(|_| usage(&format!("{flag}: invalid value `{v}`")))
+}
+
+/// Parse the command line; `Err` carries the exit status to stop with
+/// (0 after `--help`, 2 after a usage error).
+fn parse_args() -> Result<Args, ExitCode> {
     let mut args = Args {
-        suite: "all".to_string(),
+        problems: mage_problems::all_problems(),
         runs: 1,
         workers: std::thread::available_parallelism()
             .map(|n| n.get())
@@ -84,52 +108,50 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
+        let it = &mut it;
         match flag.as_str() {
-            "--suite" => args.suite = value("--suite"),
-            "--runs" => args.runs = value("--runs").parse().expect("--runs N"),
-            "--workers" => args.workers = value("--workers").parse().expect("--workers N"),
-            "--max-in-flight" => {
-                args.max_in_flight = value("--max-in-flight").parse().expect("--max-in-flight N")
+            "--suite" => {
+                args.problems = match value::<String>(it, &flag)?.as_str() {
+                    "v1" => mage_problems::suite(SuiteId::V1Human),
+                    "v2" => mage_problems::suite(SuiteId::V2),
+                    "all" => mage_problems::all_problems(),
+                    other => {
+                        return Err(usage(&format!(
+                            "--suite: unknown suite `{other}` (v1|v2|all)"
+                        )))
+                    }
+                }
             }
-            "--seed" => args.seed = value("--seed").parse().expect("--seed S"),
-            "--budget" => args.budget = value("--budget").parse().expect("--budget T"),
-            "--shards" => args.shards = value("--shards").parse().expect("--shards N"),
-            "--migrate-after-steps" => {
-                args.migrate_after_steps = value("--migrate-after-steps")
-                    .parse()
-                    .expect("--migrate-after-steps K")
-            }
-            "--placement-trace" => args.placement_trace = Some(value("--placement-trace")),
+            "--runs" => args.runs = value(it, &flag)?,
+            "--workers" => args.workers = value(it, &flag)?,
+            "--max-in-flight" => args.max_in_flight = value(it, &flag)?,
+            "--seed" => args.seed = value(it, &flag)?,
+            "--budget" => args.budget = value(it, &flag)?,
+            "--shards" => args.shards = value(it, &flag)?,
+            "--migrate-after-steps" => args.migrate_after_steps = value(it, &flag)?,
+            "--placement-trace" => args.placement_trace = Some(value(it, &flag)?),
             "--fault-plan" => {
-                let v = value("--fault-plan");
+                let v: String = value(it, &flag)?;
                 args.fault_plan =
-                    FaultPlan::parse(&v).unwrap_or_else(|e| panic!("--fault-plan: {e}"));
+                    FaultPlan::parse(&v).map_err(|e| usage(&format!("--fault-plan: {e}")))?;
             }
-            "--retries" => args.retries = value("--retries").parse().expect("--retries N"),
-            "--hedge-after-ms" => {
-                args.hedge_after_ms = value("--hedge-after-ms")
-                    .parse()
-                    .expect("--hedge-after-ms MS")
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = value("--deadline-ms").parse().expect("--deadline-ms MS")
-            }
+            "--retries" => args.retries = value(it, &flag)?,
+            "--hedge-after-ms" => args.hedge_after_ms = value(it, &flag)?,
+            "--deadline-ms" => args.deadline_ms = value(it, &flag)?,
             "--low" => args.low = true,
             "--scalar" => args.scalar = true,
             "--no-grade" => args.grade = false,
             "--help" | "-h" => {
-                println!("see module docs: cargo doc -p mage-fleet --bin mage-serve");
-                std::process::exit(0);
+                print!("{USAGE}");
+                return Err(ExitCode::SUCCESS);
             }
-            other => panic!("unknown flag `{other}` (try --help)"),
+            other => return Err(usage(&format!("unknown flag `{other}`"))),
         }
     }
-    assert!(args.shards >= 1, "--shards must be at least 1");
-    args
+    if args.shards == 0 {
+        return Err(usage("--shards must be at least 1"));
+    }
+    Ok(args)
 }
 
 fn grade_traces<'a>(traces: impl Iterator<Item = &'a SolveTrace>) -> (usize, usize, f64) {
@@ -153,14 +175,12 @@ fn grade_traces<'a>(traces: impl Iterator<Item = &'a SolveTrace>) -> (usize, usi
     (passed, graded, score_sum)
 }
 
-fn main() {
-    let args = parse_args();
-    let problems: Vec<&'static mage_problems::Problem> = match args.suite.as_str() {
-        "v1" => mage_problems::suite(SuiteId::V1Human),
-        "v2" => mage_problems::suite(SuiteId::V2),
-        "all" => mage_problems::all_problems(),
-        other => panic!("unknown suite `{other}` (v1|v2|all)"),
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(args) => args,
+        Err(code) => return code,
     };
+    let problems = &args.problems;
 
     let mut config = if args.low {
         MageConfig::low_temperature()
@@ -175,7 +195,7 @@ fn main() {
     // The job stream: runs × problems, in (run, problem) order.
     let mut specs: Vec<JobSpec> = Vec::new();
     for run in 0..args.runs {
-        for p in &problems {
+        for p in problems {
             specs.push(JobSpec {
                 problem_id: p.id.to_string(),
                 spec: p.spec.to_string(),
@@ -248,6 +268,7 @@ fn main() {
     } else {
         run_single(&args, specs, opts, policy);
     }
+    ExitCode::SUCCESS
 }
 
 /// The classic single-engine path (`--shards 1`), byte-identical in

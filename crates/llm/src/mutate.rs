@@ -90,13 +90,6 @@ pub struct Mutation {
     pub kind: MutationKind,
 }
 
-impl Mutation {
-    /// Human-readable description for logs.
-    pub fn describe(&self) -> String {
-        format!("{:?} at {:?}", self.kind, self.site)
-    }
-}
-
 /// Widths of declared signals (needs constant-foldable ranges, which the
 /// benchmark golden modules guarantee).
 fn signal_widths(m: &Module) -> BTreeMap<String, usize> {

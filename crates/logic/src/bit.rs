@@ -32,7 +32,7 @@ pub enum LogicBit {
 
 impl LogicBit {
     /// Encode as the `(aval, bval)` bit pair used by [`crate::LogicVec`]
-    /// (and by `mage-sim`'s narrow interpreter registers).
+    /// (and by `mage-sim`'s two-state registers).
     #[inline]
     pub fn to_planes(self) -> (bool, bool) {
         match self {
@@ -58,12 +58,6 @@ impl LogicBit {
     #[inline]
     pub fn is_unknown(self) -> bool {
         matches!(self, LogicBit::X | LogicBit::Z)
-    }
-
-    /// `true` when the bit is exactly `1`.
-    #[inline]
-    pub fn is_one(self) -> bool {
-        self == LogicBit::One
     }
 
     /// `true` when the bit is exactly `0`.

@@ -41,11 +41,6 @@ impl Truth {
         self == Truth::True
     }
 
-    /// `true` only when definitely false.
-    pub fn is_false(self) -> bool {
-        self == Truth::False
-    }
-
     /// Verilog `&&`.
     pub fn and(self, rhs: Truth) -> Truth {
         match (self, rhs) {

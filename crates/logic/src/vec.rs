@@ -161,7 +161,7 @@ impl LogicVec {
 
     /// Build an inline (≤ 64-bit) vector directly from its aval/bval
     /// plane words (bits above `width` are masked off). This is the
-    /// bridge out of `mage-sim`'s narrow interpreter registers.
+    /// bridge out of `mage-sim`'s two-state registers.
     ///
     /// # Panics
     ///

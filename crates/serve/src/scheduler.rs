@@ -363,11 +363,6 @@ impl JobIntake {
         self.shared.cv.notify_all();
     }
 
-    /// `true` once closed.
-    pub fn is_closed(&self) -> bool {
-        self.shared.state.lock().expect("intake poisoned").closed
-    }
-
     fn drain(&self) -> Vec<JobSpec> {
         let mut state = self.shared.state.lock().expect("intake poisoned");
         state.queue.drain(..).collect()
@@ -581,13 +576,6 @@ impl<S: LlmService> ServeEngine<S> {
                 _ => None,
             })
             .collect()
-    }
-
-    /// `true` while a [`step`](Self::step) could still do work: live
-    /// unpaused jobs, undispatched queue entries, or an in-flight wave.
-    /// The cluster driver's idle test.
-    pub fn can_progress(&self) -> bool {
-        self.progress_possible()
     }
 
     /// The options this engine runs under.

@@ -338,8 +338,9 @@ pub struct CompiledProcess {
     /// *net* output changes.
     pub writes: Vec<SignalId>,
     /// `true` when every slot and every touched signal fits in 64 bits:
-    /// the interpreter then runs its narrow path over raw
-    /// `(aval, bval)` word pairs instead of `LogicVec`s.
+    /// the precondition of the two-state interpreter and the fused
+    /// plans, which run over raw plane words instead of `LogicVec`s.
+    /// Four-state runs use `LogicVec` slots at every width.
     pub narrow: bool,
     /// `true` when the (narrow) stream is **two-state eligible**: given
     /// fully defined inputs, the interpreter may execute it over the
@@ -361,9 +362,11 @@ pub struct CompiledProcess {
     /// needed — which matters because the snapshot is per evaluation
     /// and bailouts are rare.
     pub hazard_free: bool,
-    /// Per-slot valid-bit masks (`narrow` path only).
+    /// Per-slot valid-bit masks (`narrow` streams only; read by the
+    /// two-state interpreter and plan building).
     pub slot_masks: Vec<u64>,
-    /// Constant pool as plane-word pairs (`narrow` path only).
+    /// Constant pool as plane-word pairs (`narrow` streams only; read
+    /// by the two-state interpreter and plan building).
     pub narrow_consts: Vec<(u64, u64)>,
     /// The fused straight-line evaluation plan (non-empty
     /// `hazard_free` streams only, else `None`). Built unconditionally
@@ -375,25 +378,6 @@ pub struct CompiledProcess {
 }
 
 impl CompiledProcess {
-    /// A fresh register file for this process: one pre-sized vector per
-    /// slot (contents are don't-care — every use is dominated by a
-    /// definition).
-    pub fn make_regs(&self) -> Vec<LogicVec> {
-        if self.narrow {
-            return Vec::new();
-        }
-        self.slot_widths.iter().map(|&w| LogicVec::new(w)).collect()
-    }
-
-    /// A fresh narrow register file (empty unless `narrow`).
-    pub fn make_narrow_regs(&self) -> Vec<(u64, u64)> {
-        if self.narrow {
-            vec![(0, 0); self.slot_widths.len()]
-        } else {
-            Vec::new()
-        }
-    }
-
     /// `true` when every signal in `reads` is fully defined in `store`
     /// — the dispatch gate of the two-state path. The read set is
     /// derived from the executable artifact (every `Load`, `BitSelSig`

@@ -16,16 +16,16 @@
 //!
 //! # The interpreter stack
 //!
-//! Three loops share the instruction set, selected per process and per
+//! Two loops share the instruction set, selected per process and per
 //! evaluation:
 //!
-//! * `execute_wide` — `LogicVec` slots, any width (four-state);
-//! * `execute_narrow` — raw `(aval, bval)` word pairs when every
-//!   value fits in 64 bits (four-state);
-//! * `execute_two_state` — narrow **two-state**: pure-value
-//!   instructions run over the aval plane with bval known zero,
-//!   bailing out (and rewinding) to `execute_narrow` when an `X`/`Z`
-//!   or an X-producing hazard appears mid-run.
+//! * `execute_wide` — the four-state loop: `LogicVec` slots, any
+//!   width. Every evaluation that can see an `X`/`Z` runs here;
+//! * `execute_two_state` — **two-state**, for narrow (≤ 64-bit)
+//!   eligible streams: pure-value instructions run over the aval
+//!   plane of `(aval, bval)` word pairs with bval known zero, bailing
+//!   out (and rewinding) to `execute_wide` when an `X`/`Z` or an
+//!   X-producing hazard appears mid-run.
 //!
 //! [`CompiledProcess::hazard_free`] streams cannot bail, so they
 //! dispatch their fused [`crate::plan::EvalPlan`] over bare `u64`
@@ -46,7 +46,7 @@
 //! per-activation setup beyond the `pc` loop itself.
 //!
 //! Change reporting is what feeds the event wheel: blocking stores go
-//! through `apply_write` (or the narrow whole-signal fast path below),
+//! through `apply_write` (or the two-state whole-signal fast path below),
 //! which records a signal in `changed` only when the stored value
 //! actually moved — the scheduler turns exactly those entries into
 //! fanout events, so a store of an unchanged value schedules nothing.
@@ -75,44 +75,41 @@ fn set_bit_result(dst: &mut LogicVec, bit: LogicBit) {
     dst.set_bit(0, bit);
 }
 
-/// Register file of one process: wide processes hold `LogicVec` slots,
-/// narrow processes (every width ≤ 64) hold raw plane-word pairs.
+/// Register file of one process. Slot contents are don't-care between
+/// runs: every use is dominated by a definition.
 #[derive(Debug, Clone)]
-pub enum RegFile {
-    /// `LogicVec` per slot.
-    Wide(Vec<LogicVec>),
-    /// Narrow state: `(aval, bval)` per slot, plus the two-state
-    /// machinery — the fused plan's aval-plane file and the pooled
-    /// pre-run write-set snapshot the bailing two-state path rewinds
-    /// from.
-    Narrow {
-        /// `(aval, bval)` per slot.
-        regs: Vec<(u64, u64)>,
-        /// aval word per slot (processes with a fused
-        /// [`CompiledProcess::plan`] only, else empty): plan runs
-        /// touch no bval storage at all.
-        aregs: Vec<u64>,
-        /// Plane pairs of `proc.writes`, captured before a bail-able
-        /// two-state attempt (empty between runs).
-        snap: Vec<(u64, u64)>,
-    },
+pub struct RegFile {
+    /// `LogicVec` per slot: the four-state loop's file (every process).
+    regs: Vec<LogicVec>,
+    /// `(aval, bval)` per slot (two-state-eligible processes only, else
+    /// empty).
+    pairs: Vec<(u64, u64)>,
+    /// aval word per slot (processes with a fused
+    /// [`CompiledProcess::plan`] only, else empty): plan runs touch no
+    /// bval storage at all.
+    pub(crate) aregs: Vec<u64>,
+    /// Plane pairs of `proc.writes`, captured before a bail-able
+    /// two-state attempt (empty between runs).
+    snap: Vec<(u64, u64)>,
 }
 
 impl RegFile {
     /// The matching register file for a compiled process.
     pub fn for_process(proc: &CompiledProcess) -> RegFile {
-        if proc.narrow {
-            RegFile::Narrow {
-                regs: proc.make_narrow_regs(),
-                aregs: if proc.plan.is_some() {
-                    vec![0; proc.slot_widths.len()]
-                } else {
-                    Vec::new()
-                },
-                snap: Vec::new(),
-            }
-        } else {
-            RegFile::Wide(proc.make_regs())
+        let slots = proc.slot_widths.len();
+        RegFile {
+            regs: proc.slot_widths.iter().map(|&w| LogicVec::new(w)).collect(),
+            pairs: if proc.two_state {
+                vec![(0, 0); slots]
+            } else {
+                Vec::new()
+            },
+            aregs: if proc.plan.is_some() {
+                vec![0; slots]
+            } else {
+                Vec::new()
+            },
+            snap: Vec::new(),
         }
     }
 }
@@ -176,10 +173,10 @@ pub enum BailReason {
 /// fails this until the first defined store, so X-boot always runs
 /// four-state), the write set is snapshotted, and a mid-run bailout
 /// rewinds every observable effect (stores, queued NBAs, change
-/// records) before re-running the four-state narrow path — a completed
-/// two-state run is therefore store-exact by construction, which the
-/// corpus lockstep suites and `tests/two_state.rs` verify against both
-/// retained oracles.
+/// records) before re-running the four-state `LogicVec` loop — a
+/// completed two-state run is therefore store-exact by construction,
+/// which the corpus lockstep suites and `tests/two_state.rs` verify
+/// against both retained oracles.
 pub fn execute(
     proc: &CompiledProcess,
     regfile: &mut RegFile,
@@ -189,67 +186,62 @@ pub fn execute(
     two_state: bool,
     fuse: bool,
 ) -> ExecOutcome {
-    match regfile {
-        RegFile::Narrow { regs, aregs, snap } => {
-            if two_state && proc.two_state {
-                if proc.reads_fully_defined(store) {
-                    // A hazard-free stream has no bail site: with fusion
-                    // enabled, dispatch its superinstruction plan — no
-                    // snapshot, no bval storage, no rewind path.
-                    if fuse {
-                        if let Some(plan) = &proc.plan {
-                            let (ops, src) =
-                                crate::plan::execute_plan(plan, aregs, store, nba, changed);
-                            return ExecOutcome::Fused { ops, src };
-                        }
-                    }
-                    // Snapshot the write set so a mid-run bailout can
-                    // rewind.
-                    snap.clear();
-                    snap.extend(
-                        proc.writes
-                            .iter()
-                            .map(|sig| store[sig.index()].planes_u64()),
-                    );
-                    let nba_len = nba.len();
-                    let changed_len = changed.len();
-                    if execute_two_state(proc, regs, store, nba, changed) {
-                        snap.clear();
-                        return ExecOutcome::TwoState;
-                    }
-                    // Bailout: rewind the partial run so the four-state
-                    // re-execution sees exactly the dispatch-time state.
-                    nba.truncate(nba_len);
-                    changed.truncate(changed_len);
-                    for (sig, &(a, b)) in proc.writes.iter().zip(snap.iter()) {
-                        let cur = &mut store[sig.index()];
-                        if cur.planes_u64() != (a, b) {
-                            let width = cur.width();
-                            *cur = LogicVec::from_planes_u64(width, a, b);
-                        }
-                    }
-                    snap.clear();
-                    execute_narrow(proc, regs, store, nba, changed);
-                    return ExecOutcome::Fallback {
-                        reason: BailReason::MidRun,
-                    };
-                }
-                execute_narrow(proc, regs, store, nba, changed);
-                return ExecOutcome::Fallback {
-                    reason: BailReason::DispatchUndef,
-                };
-            }
-            execute_narrow(proc, regs, store, nba, changed);
-            ExecOutcome::FourState
+    if !(two_state && proc.two_state) {
+        execute_wide(proc, &mut regfile.regs, store, nba, changed);
+        return ExecOutcome::FourState;
+    }
+    if !proc.reads_fully_defined(store) {
+        execute_wide(proc, &mut regfile.regs, store, nba, changed);
+        return ExecOutcome::Fallback {
+            reason: BailReason::DispatchUndef,
+        };
+    }
+    // A hazard-free stream has no bail site: with fusion enabled,
+    // dispatch its superinstruction plan — no snapshot, no bval
+    // storage, no rewind path.
+    if fuse {
+        if let Some(plan) = &proc.plan {
+            let (ops, src) =
+                crate::plan::execute_plan(plan, &mut regfile.aregs, store, nba, changed);
+            return ExecOutcome::Fused { ops, src };
         }
-        RegFile::Wide(w) => {
-            execute_wide(proc, w, store, nba, changed);
-            ExecOutcome::FourState
+    }
+    // Snapshot the write set so a mid-run bailout can rewind.
+    let snap = &mut regfile.snap;
+    snap.clear();
+    snap.extend(
+        proc.writes
+            .iter()
+            .map(|sig| store[sig.index()].planes_u64()),
+    );
+    let nba_len = nba.len();
+    let changed_len = changed.len();
+    if execute_two_state(proc, &mut regfile.pairs, store, nba, changed) {
+        snap.clear();
+        return ExecOutcome::TwoState;
+    }
+    // Bailout: rewind the partial run so the four-state re-execution
+    // sees exactly the dispatch-time state.
+    nba.truncate(nba_len);
+    changed.truncate(changed_len);
+    for (sig, &(a, b)) in proc.writes.iter().zip(snap.iter()) {
+        let cur = &mut store[sig.index()];
+        if cur.planes_u64() != (a, b) {
+            let width = cur.width();
+            *cur = LogicVec::from_planes_u64(width, a, b);
         }
+    }
+    snap.clear();
+    execute_wide(proc, &mut regfile.regs, store, nba, changed);
+    ExecOutcome::Fallback {
+        reason: BailReason::MidRun,
     }
 }
 
-/// The `LogicVec`-slot interpreter (processes touching > 64-bit values).
+/// The four-state interpreter: `LogicVec` slots, any width. Runs every
+/// evaluation that can see an `X`/`Z` — processes that are not
+/// two-state eligible, eligible ones with an unknown in their read set
+/// at dispatch, and the re-run after a mid-run two-state bailout.
 fn execute_wide(
     proc: &CompiledProcess,
     regs: &mut [LogicVec],
@@ -476,442 +468,14 @@ fn execute_wide(
 }
 
 // ----------------------------------------------------------------------
-// Narrow path: every slot and signal ≤ 64 bits → raw plane-word pairs
-// ----------------------------------------------------------------------
-
-/// Truth value of a canonical `(aval, bval)` pair (no masking needed:
-/// registers keep bits above their width clear).
-#[inline]
-fn truth_of(a: u64, b: u64) -> Truth {
-    if a & !b != 0 {
-        Truth::True
-    } else if b != 0 {
-        Truth::Unknown
-    } else {
-        Truth::False
-    }
-}
-
-/// Encode a [`LogicBit`] as an LSB plane pair.
-#[inline]
-fn bit_planes(bit: LogicBit) -> (u64, u64) {
-    let (a, b) = bit.to_planes();
-    (a as u64, b as u64)
-}
-
-/// The narrow interpreter: identical semantics to the wide path, word
-/// arithmetic only. Mirrors `eval`'s four-state rules bit-exactly — the
-/// differential suite drives all three executors against each other.
-fn execute_narrow(
-    proc: &CompiledProcess,
-    regs: &mut [(u64, u64)],
-    store: &mut Store,
-    nba: &mut Vec<PendingWrite>,
-    changed: &mut Vec<SignalId>,
-) {
-    debug_assert_eq!(regs.len(), proc.slot_widths.len());
-    let masks = &proc.slot_masks;
-    let mut pc = 0usize;
-    while pc < proc.code.len() {
-        match &proc.code[pc] {
-            Instr::Const { dst, k } => {
-                // Pool entries are pre-masked to the slot width.
-                regs[*dst as usize] = proc.narrow_consts[*k as usize];
-            }
-            Instr::Load { dst, sig } => {
-                let (a, b) = store[sig.index()].planes_u64();
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = (a & m, b & m);
-            }
-            Instr::Copy { dst, src } => {
-                let (a, b) = regs[*src as usize];
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = (a & m, b & m);
-            }
-            Instr::Slice { dst, src, lsb } => {
-                let (a, b) = regs[*src as usize];
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = ((a >> lsb) & m, (b >> lsb) & m);
-            }
-            Instr::Not { dst, a } => {
-                let (aa, ab) = regs[*a as usize];
-                let m = masks[*dst as usize];
-                let na = aa | ab;
-                regs[*dst as usize] = ((!na | ab) & m, ab & m);
-            }
-            Instr::Bin { op, dst, a, b } => {
-                let (aa, ax) = regs[*a as usize];
-                let (ba, bx) = regs[*b as usize];
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = match op {
-                    BinOp::And => {
-                        let (na, ma2) = (aa | ax, ba | bx);
-                        let x = (ax | bx) & na & ma2;
-                        let ones = (na & !ax) & (ma2 & !bx);
-                        ((ones | x) & m, x & m)
-                    }
-                    BinOp::Or => {
-                        let (na, ma2) = (aa | ax, ba | bx);
-                        let one_a = na & !ax;
-                        let one_b = ma2 & !bx;
-                        let x = (ax | bx) & !one_a & !one_b;
-                        ((one_a | one_b | x) & m, x & m)
-                    }
-                    BinOp::Xor => {
-                        let x = ax | bx;
-                        ((((aa | ax) ^ (ba | bx)) | x) & m, x & m)
-                    }
-                    BinOp::Xnor => {
-                        let x = ax | bx;
-                        let v = (aa | ax) ^ (ba | bx);
-                        ((!v | x) & m, x & m)
-                    }
-                    BinOp::Add => {
-                        if ax | bx != 0 {
-                            (m, m)
-                        } else {
-                            (aa.wrapping_add(ba) & m, 0)
-                        }
-                    }
-                    BinOp::Sub => {
-                        if ax | bx != 0 {
-                            (m, m)
-                        } else {
-                            (aa.wrapping_sub(ba) & m, 0)
-                        }
-                    }
-                    BinOp::Mul => {
-                        if ax | bx != 0 {
-                            (m, m)
-                        } else {
-                            (aa.wrapping_mul(ba) & m, 0)
-                        }
-                    }
-                    BinOp::Div => {
-                        if ax | bx != 0 || ba == 0 {
-                            (m, m)
-                        } else {
-                            ((aa / ba) & m, 0)
-                        }
-                    }
-                    BinOp::Mod => {
-                        if ax | bx != 0 || ba == 0 {
-                            (m, m)
-                        } else {
-                            ((aa % ba) & m, 0)
-                        }
-                    }
-                };
-            }
-            Instr::Shift { left, dst, a, amt } => {
-                let (aa, ax) = regs[*a as usize];
-                let (na, nx) = regs[*amt as usize];
-                let m = masks[*dst as usize];
-                let w = proc.slot_widths[*dst as usize] as u64;
-                regs[*dst as usize] = if nx != 0 {
-                    // Unknown amount poisons; an X *value* merely shifts.
-                    (m, m)
-                } else if na >= w {
-                    (0, 0)
-                } else if *left {
-                    ((aa << na) & m, (ax << na) & m)
-                } else {
-                    (aa >> na, ax >> na)
-                };
-            }
-            Instr::LogicBin { and, dst, a, b } => {
-                let (aa, ax) = regs[*a as usize];
-                let (ba, bx) = regs[*b as usize];
-                let (ta, tb) = (truth_of(aa, ax), truth_of(ba, bx));
-                let t = if *and { ta.and(tb) } else { ta.or(tb) };
-                regs[*dst as usize] = bit_planes(t.to_bit());
-            }
-            Instr::Reduce { op, dst, a } => {
-                let (aa, ax) = regs[*a as usize];
-                let am = masks[*a as usize];
-                let na = aa | ax;
-                let bit = match op {
-                    ReduceOp::And => {
-                        if !na & am != 0 {
-                            LogicBit::Zero
-                        } else if ax != 0 {
-                            LogicBit::X
-                        } else {
-                            LogicBit::One
-                        }
-                    }
-                    ReduceOp::Nand => {
-                        if !na & am != 0 {
-                            LogicBit::One
-                        } else if ax != 0 {
-                            LogicBit::X
-                        } else {
-                            LogicBit::Zero
-                        }
-                    }
-                    ReduceOp::Or => {
-                        if aa & !ax != 0 {
-                            LogicBit::One
-                        } else if ax != 0 {
-                            LogicBit::X
-                        } else {
-                            LogicBit::Zero
-                        }
-                    }
-                    ReduceOp::Nor => {
-                        if aa & !ax != 0 {
-                            LogicBit::Zero
-                        } else if ax != 0 {
-                            LogicBit::X
-                        } else {
-                            LogicBit::One
-                        }
-                    }
-                    ReduceOp::Xor => {
-                        if ax != 0 {
-                            LogicBit::X
-                        } else if aa.count_ones() & 1 == 1 {
-                            LogicBit::One
-                        } else {
-                            LogicBit::Zero
-                        }
-                    }
-                    ReduceOp::Xnor => {
-                        if ax != 0 {
-                            LogicBit::X
-                        } else if aa.count_ones() & 1 == 1 {
-                            LogicBit::Zero
-                        } else {
-                            LogicBit::One
-                        }
-                    }
-                    ReduceOp::LogicNot => truth_of(aa, ax).not().to_bit(),
-                };
-                regs[*dst as usize] = bit_planes(bit);
-            }
-            Instr::Cmp { op, dst, a, b } => {
-                let (aa, ax) = regs[*a as usize];
-                let (ba, bx) = regs[*b as usize];
-                let bit = match op {
-                    CmpOp::Eq | CmpOp::Neq => {
-                        let defined = !ax & !bx;
-                        let eq = if (aa ^ ba) & defined != 0 {
-                            LogicBit::Zero
-                        } else if ax | bx != 0 {
-                            LogicBit::X
-                        } else {
-                            LogicBit::One
-                        };
-                        if matches!(op, CmpOp::Eq) {
-                            eq
-                        } else {
-                            eq.not()
-                        }
-                    }
-                    CmpOp::CaseEq => LogicBit::from(aa == ba && ax == bx),
-                    CmpOp::CaseNeq => LogicBit::from(!(aa == ba && ax == bx)),
-                    CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                        if ax | bx != 0 {
-                            LogicBit::X
-                        } else {
-                            LogicBit::from(match op {
-                                CmpOp::Lt => aa < ba,
-                                CmpOp::Le => aa <= ba,
-                                CmpOp::Gt => aa > ba,
-                                CmpOp::Ge => aa >= ba,
-                                _ => unreachable!(),
-                            })
-                        }
-                    }
-                };
-                regs[*dst as usize] = bit_planes(bit);
-            }
-            Instr::Select { dst, c, t, f } => {
-                let (ca, cx) = regs[*c as usize];
-                let (ta, tx) = regs[*t as usize];
-                let (fa, fx) = regs[*f as usize];
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = match truth_of(ca, cx) {
-                    Truth::True => (ta & m, tx & m),
-                    Truth::False => (fa & m, fx & m),
-                    Truth::Unknown => {
-                        // Per-bit merge of the normalized branches:
-                        // agreeing positions keep their value, the rest
-                        // go X.
-                        let (nt, nf) = (ta | tx, fa | fx);
-                        let eq = !((nt ^ nf) | (tx ^ fx));
-                        (((nt & eq) | !eq) & m, ((tx & eq) | !eq) & m)
-                    }
-                };
-            }
-            Instr::Concat { dst, parts } => {
-                let mut acc = (0u64, 0u64);
-                for (slot, offset) in parts {
-                    let (pa, pb) = regs[*slot as usize];
-                    acc.0 |= pa << offset;
-                    acc.1 |= pb << offset;
-                }
-                regs[*dst as usize] = acc;
-            }
-            Instr::Repl { dst, src, n } => {
-                let (pa, pb) = regs[*src as usize];
-                let w = proc.slot_widths[*src as usize];
-                let mut acc = (0u64, 0u64);
-                for k in 0..*n {
-                    acc.0 |= pa << (k * w);
-                    acc.1 |= pb << (k * w);
-                }
-                regs[*dst as usize] = acc;
-            }
-            Instr::BitSelSig {
-                dst,
-                sig,
-                idx,
-                lsb_index,
-            } => {
-                let (ia, ix) = regs[*idx as usize];
-                let value = &store[sig.index()];
-                let bit = if ix != 0 {
-                    LogicBit::X
-                } else {
-                    let phys = ia as i64 - lsb_index;
-                    if phys >= 0 && (phys as usize) < value.width() {
-                        let (sa, sb) = value.planes_u64();
-                        LogicBit::from_planes((sa >> phys) & 1 == 1, (sb >> phys) & 1 == 1)
-                    } else {
-                        LogicBit::X
-                    }
-                };
-                regs[*dst as usize] = bit_planes(bit);
-            }
-            Instr::ReadSlice { dst, sig, lsb } => {
-                let value = &store[sig.index()];
-                let (sa, sb) = value.planes_u64();
-                let w = proc.slot_widths[*dst as usize];
-                let m = masks[*dst as usize];
-                let sw = value.width() as i64;
-                regs[*dst as usize] = if *lsb >= 0 && lsb + (w as i64) <= sw {
-                    (((sa >> lsb) & m), ((sb >> lsb) & m))
-                } else {
-                    // Out-of-range positions read X.
-                    let mut acc = (0u64, 0u64);
-                    for i in 0..w {
-                        let src = lsb + i as i64;
-                        let (ba, bb) = if src >= 0 && src < sw {
-                            ((sa >> src) & 1, (sb >> src) & 1)
-                        } else {
-                            (1, 1)
-                        };
-                        acc.0 |= ba << i;
-                        acc.1 |= bb << i;
-                    }
-                    acc
-                };
-            }
-            Instr::Jump { target } => {
-                pc = *target;
-                continue;
-            }
-            Instr::JumpIfNotTrue { cond, target } => {
-                let (ca, cx) = regs[*cond as usize];
-                if !truth_of(ca, cx).is_true() {
-                    pc = *target;
-                    continue;
-                }
-            }
-            Instr::JumpIfMatch {
-                sel,
-                label,
-                kind,
-                target,
-            } => {
-                let (sa, sx) = regs[*sel as usize];
-                let (la, lx) = regs[*label as usize];
-                let hit = match kind {
-                    CaseKind::Case => sa == la && sx == lx,
-                    CaseKind::Casez => {
-                        let wild = lx & !la;
-                        ((sa ^ la) | (sx ^ lx)) & !wild == 0
-                    }
-                };
-                if hit {
-                    pc = *target;
-                    continue;
-                }
-            }
-            Instr::Store {
-                sig,
-                src,
-                lsb,
-                width,
-                nonblocking,
-            } => {
-                let (va, vb) = regs[*src as usize];
-                if *nonblocking {
-                    nba.push(PendingWrite {
-                        signal: *sig,
-                        lsb: *lsb,
-                        width: *width,
-                        value: LogicVec::from_planes_u64(*width, va, vb),
-                    });
-                } else {
-                    let cur = &mut store[sig.index()];
-                    if *lsb == 0 && *width == cur.width() {
-                        // Whole-signal fast path: plane compare, no
-                        // LogicVec round-trip on the no-change case.
-                        if cur.planes_u64() != (va, vb) {
-                            *cur = LogicVec::from_planes_u64(*width, va, vb);
-                            changed.push(*sig);
-                        }
-                    } else {
-                        let value = LogicVec::from_planes_u64(*width, va, vb);
-                        apply_write(store, *sig, *lsb, *width, &value, changed);
-                    }
-                }
-            }
-            Instr::StoreBitDyn {
-                sig,
-                idx,
-                lsb_index,
-                src,
-                nonblocking,
-            } => {
-                let (ia, ix) = regs[*idx as usize];
-                let width = store[sig.index()].width();
-                let valid_phys = if ix != 0 {
-                    None
-                } else {
-                    let phys = ia as i64 - lsb_index;
-                    (phys >= 0 && (phys as usize) < width).then_some(phys)
-                };
-                if let Some(phys) = valid_phys {
-                    let (va, vb) = regs[*src as usize];
-                    let value = LogicVec::from_planes_u64(1, va, vb);
-                    if *nonblocking {
-                        nba.push(PendingWrite {
-                            signal: *sig,
-                            lsb: phys,
-                            width: 1,
-                            value,
-                        });
-                    } else {
-                        apply_write(store, *sig, phys, 1, &value, changed);
-                    }
-                }
-            }
-        }
-        pc += 1;
-    }
-}
-
-// ----------------------------------------------------------------------
 // Two-state path: fully defined inputs → aval-plane-only execution
 // ----------------------------------------------------------------------
 
 /// The two-state interpreter (Verilator's execution model): pure-value
 /// instructions run over the aval plane alone with the bval plane known
-/// zero, skipping every four-state masking/merging formula of
-/// [`execute_narrow`].
+/// zero, skipping the four-state rules of [`execute_wide`]. Its
+/// registers are `(aval, bval)` word pairs, so it serves narrow
+/// (≤ 64-bit) streams only.
 ///
 /// Exactness is maintained by a three-part contract with
 /// [`crate::compile::two_state_eligible`]:
@@ -930,8 +494,8 @@ fn execute_narrow(
 ///   non-zero (the process re-reading an `X` it just stored).
 ///
 /// `false` means the caller must rewind (writes snapshot, `nba`,
-/// `changed`) and re-run [`execute_narrow`]; `true` means the stores
-/// performed are bit-identical to what the four-state path would have
+/// `changed`) and re-run [`execute_wide`]; `true` means the stores
+/// performed are bit-identical to what the four-state loop would have
 /// produced.
 fn execute_two_state(
     proc: &CompiledProcess,

@@ -29,13 +29,13 @@
 //! is lowered ([`compile`]) to a flat width-annotated instruction
 //! stream — once per [`Design`], shared by every simulator over it —
 //! that the interpreter ([`interp`]) runs over pre-sized register
-//! files, with a narrow fast path on raw plane words when every value
-//! fits in 64 bits and a **two-state fast path** on top of it: when an
-//! eligible process's inputs are fully defined, its bytecode executes
-//! over the aval plane only (Verilator-style), falling back to
-//! four-state on demand — an `X`/`Z` appearing on any read, or an
+//! files: a four-state loop over `LogicVec` slots at every width, and
+//! a **two-state fast path** for streams whose values fit in 64 bits:
+//! when an eligible process's inputs are fully defined, its bytecode
+//! executes over the aval plane only (Verilator-style), falling back
+//! to four-state on demand — an `X`/`Z` appearing on any read, or an
 //! X-producing hazard mid-run, rewinds and re-runs the four-state
-//! path. Scheduling is event-driven: a two-region event wheel (active
+//! loop. Scheduling is event-driven: a two-region event wheel (active
 //! combinational events + an NBA commit region) fans each signal
 //! change out to exactly the processes whose bytecode reads it, and
 //! dispatches clock edges through per-edge trigger lists computed at

@@ -58,12 +58,14 @@
 //!    pre-wheel scheduler (full-scan edge dispatch + a per-call
 //!    worklist seeded after the fact) driving the tree-walking
 //!    evaluator: the differential oracle, kept verbatim.
-//! 2. **Four-state compiled** — the bytecode interpreter on the event
-//!    wheel, full `X`/`Z` propagation over both value planes.
+//! 2. **Four-state compiled** — the bytecode interpreter's `LogicVec`
+//!    loop on the event wheel, full `X`/`Z` propagation at any width.
+//!    Every compiled evaluation that can see an `X`/`Z` runs here.
 //! 3. **Two-state compiled** (the default dispatch inside
-//!    [`ExecMode::Compiled`]) — when an eligible process's read set is
-//!    fully defined, its bytecode executes over the aval plane only,
-//!    skipping all bval-plane masking/merging (the Verilator model).
+//!    [`ExecMode::Compiled`]) — when an eligible (≤ 64-bit) process's
+//!    read set is fully defined, its bytecode executes over the aval
+//!    plane only, skipping all bval-plane masking/merging (the
+//!    Verilator model).
 //!    The gate is per evaluation: the all-`X` boot state runs
 //!    four-state until the first defined store, an `X`/`Z` poked into
 //!    a read demotes exactly the processes that read it, and mid-run
@@ -546,11 +548,6 @@ impl Simulator {
     /// The design being simulated.
     pub fn design(&self) -> &Design {
         &self.design
-    }
-
-    /// The executor currently in use.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Cumulative scheduler work counters since construction (or the
@@ -1045,16 +1042,10 @@ impl Simulator {
                                 .plan
                                 .as_ref()
                                 .expect("cascade members have plans");
-                            let aregs = match &mut self.regs[m] {
-                                interp::RegFile::Narrow { aregs, .. } => aregs,
-                                interp::RegFile::Wide(_) => {
-                                    unreachable!("cascade members are narrow")
-                                }
-                            };
                             scratch.clear();
                             let (ops, src) = crate::plan::execute_plan(
                                 plan,
-                                aregs,
+                                &mut self.regs[m].aregs,
                                 &mut self.store,
                                 &mut nba,
                                 &mut scratch,

@@ -177,11 +177,6 @@ pub fn for_each_item<'a>(m: &'a Module, mut f: impl FnMut(usize, &'a Item)) {
     }
 }
 
-/// The item at [`Module::items`] index `ix`, or `None` out of range.
-pub fn item_at(m: &Module, ix: usize) -> Option<&Item> {
-    m.items.get(ix)
-}
-
 // ----------------------------------------------------------------------
 // Assignment enumeration
 // ----------------------------------------------------------------------
