@@ -88,12 +88,12 @@ fn run(c: &mut Criterion) {
 
     let p = by_id("prob029_alu4").expect("registered");
     let oracle = p.oracle(1);
-    let tb = synthesize_testbench(
+    let tb = Arc::new(synthesize_testbench(
         p.id,
         &oracle.golden_design,
         &oracle.stimulus,
         CheckDensity::EveryStep,
-    );
+    ));
     c.bench_function("score_candidate_vs_bench", |b| {
         b.iter(|| std::hint::black_box(run_testbench(&tb, &oracle.golden_design).expect("runs")))
     });

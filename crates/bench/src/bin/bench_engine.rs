@@ -418,9 +418,9 @@ fn main() {
          candidates against their parent design, so unchanged processes are served from \
          the unit tier (hit_rate = hits / (hits + misses)); the harness asserts nonzero \
          unit hits. design_cache and score_cache record the wave pass's design- and \
-         score-cache counters; the harness asserts 0 key collisions in both. Score hits \
-         are telemetry: with more than one sim worker, identical requests in one wave \
-         race, so hits can differ by one between runs. Stream = VerilogEval-Human x \
+         score-cache counters; the harness asserts 0 key collisions in both. Identical \
+         scoring requests in one wave take turns on their key's lock, so the second copy \
+         hits at any worker count. Stream = VerilogEval-Human x \
          {RUNS_PER_PROBLEM} runs, high-temperature MAGE config, seed 0xBE. Wall times are \
          interleaved best-of-{samples} minima on {cpus} CPUs (the serve modes run one sim \
          worker per CPU) and are telemetry; the scheduler section's deterministic counts \

@@ -14,6 +14,7 @@ use mage_llm::{
 use mage_problems::by_id;
 use mage_tb::textlog::{render_checkpoint_window, render_summary};
 use mage_tb::{run_testbench, synthesize_testbench, CheckDensity, Testbench};
+use std::sync::Arc;
 
 /// The buggy candidate of the case study: `mux_in[0]` is missing its
 /// `(c & d)` term — exactly Fig. 3a.
@@ -55,7 +56,7 @@ fn case_bench(seed: u64) -> Testbench {
 /// Run the case study with `trials` debug attempts per feedback style.
 pub fn fig3(trials: usize, seed: u64) -> Fig3 {
     let p = by_id("prob093_ece241_2014_q3").expect("case-study problem registered");
-    let tb = case_bench(seed);
+    let tb = Arc::new(case_bench(seed));
     let buggy_design = compile(FIG3_BUGGY).expect("buggy candidate compiles");
     let report = run_testbench(&tb, &buggy_design).expect("interface matches");
     assert!(!report.passed(), "the case-study bug must be observable");

@@ -6,9 +6,11 @@
 //! production backend would render each request to a prompt (every request
 //! type provides `render_prompt`) and parse the completion; the offline
 //! reproduction uses [`crate::SyntheticModel`], a calibrated
-//! bug-injection channel (see `DESIGN.md`).
+//! bug-injection channel that answers from each problem's golden design
+//! and injects the errors a real model makes.
 
 use mage_tb::Testbench;
+use std::sync::Arc;
 
 /// Sampling parameters, matching the paper's experiment configurations
 /// (Low: `T = 0, top_p = 0.01`; High: `T = 0.85, top_p = 0.95`).
@@ -346,8 +348,9 @@ pub struct JudgeTbRequest<'a> {
     pub problem_id: &'a str,
     /// Natural-language specification.
     pub spec_text: &'a str,
-    /// The testbench under judgment.
-    pub testbench: &'a Testbench,
+    /// The testbench under judgment, shared so a judge can run it
+    /// without copying it.
+    pub testbench: &'a Arc<Testbench>,
     /// Evidence gathered by the engine (e.g. "the initial RTL failed
     /// these checks …").
     pub evidence: &'a str,

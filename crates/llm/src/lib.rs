@@ -12,8 +12,8 @@
 //! * [`SyntheticModel`] — the offline backend: a stochastic channel that
 //!   takes each problem's golden design and injects semantic mutations
 //!   ([`mutate`]) at a rate governed by difficulty, grounding,
-//!   interference and temperature (see `DESIGN.md` for the calibration
-//!   contract).
+//!   interference and temperature, calibrated so the vanilla baseline
+//!   lands near the paper's Table III pass rate.
 //!
 //! # Example
 //!

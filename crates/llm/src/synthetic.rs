@@ -1,6 +1,6 @@
 //! The synthetic language model: a calibrated bug-injection channel.
 //!
-//! This is the substitution for Claude 3.5 Sonnet (see `DESIGN.md`). The
+//! This is the reproduction's offline stand-in for Claude 3.5 Sonnet. The
 //! model *knows* the right answer to every benchmark problem (its
 //! [`ProblemOracle`] holds the golden design) — the interesting part is
 //! the noise: how often, and in what ways, its outputs deviate. Every
@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tunable behaviour of the synthetic channel. One knob per claimed
-/// effect; see the module docs and `DESIGN.md`.
+/// effect; see the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticModelConfig {
     /// Expected mutations per candidate at difficulty 1.0, no grounding,
@@ -157,7 +157,9 @@ impl ProblemOracle {
 pub struct SyntheticModel {
     name: String,
     config: SyntheticModelConfig,
-    oracles: HashMap<String, ProblemOracle>,
+    /// Shared: every call takes a refcount on its problem's oracle
+    /// instead of copying the golden AST and stimulus.
+    oracles: HashMap<String, Arc<ProblemOracle>>,
     rng: StdRng,
     seed: u64,
     /// corrupted-source hash → clean source (syntax-repair memory).
@@ -179,12 +181,12 @@ impl SyntheticModel {
 
     /// Register a problem oracle.
     pub fn register(&mut self, problem_id: impl Into<String>, oracle: ProblemOracle) {
-        self.oracles.insert(problem_id.into(), oracle);
+        self.oracles.insert(problem_id.into(), Arc::new(oracle));
     }
 
     /// Access the registered oracle for a problem.
     pub fn oracle(&self, problem_id: &str) -> Option<&ProblemOracle> {
-        self.oracles.get(problem_id)
+        self.oracles.get(problem_id).map(Arc::as_ref)
     }
 
     /// Current configuration.
@@ -575,7 +577,7 @@ impl RtlLanguageModel for SyntheticModel {
         // The fix: align the chosen site with the golden module. When the
         // site was never mutated this is a no-op — which is exactly how
         // an unlucky (non-localized) debug trial fails to help.
-        let golden_top = oracle.top_module().clone();
+        let golden_top = oracle.top_module();
         let understood = self.comprehends(req.problem_id, oracle.difficulty, interference);
         let wrong_fix = !understood || rng.gen::<f64>() < wrong_fix_prob;
         let module = &mut file.modules[top_ix];
@@ -597,13 +599,13 @@ impl RtlLanguageModel for SyntheticModel {
                 if !sites.is_empty() {
                     let ix = rng.gen_range(0..sites.len());
                     let site = sites.remove(ix);
-                    if revert_site_to_golden(module, &golden_top, &site) {
+                    if revert_site_to_golden(module, golden_top, &site) {
                         repaired = true;
                         break;
                     }
                 } else if !always_items.is_empty() {
                     let ix = always_items[rng.gen_range(0..always_items.len())];
-                    if revert_always_sensitivity(module, &golden_top, ix) {
+                    if revert_always_sensitivity(module, golden_top, ix) {
                         repaired = true;
                         break;
                     }
@@ -874,7 +876,7 @@ mod tests {
                 conversation: &conv,
             });
             let golden = &m.oracle("p1").unwrap().golden_design;
-            if run_testbench(&out.value, golden)
+            if run_testbench(&Arc::new(out.value), golden)
                 .map(|r| r.passed())
                 .unwrap_or(false)
             {
@@ -901,6 +903,7 @@ mod tests {
         );
         let mut bad = good.clone();
         corrupt_testbench_for_test(&mut bad, 11);
+        let (good, bad) = (Arc::new(good), Arc::new(bad));
         let mut good_votes = 0;
         let mut bad_votes = 0;
         for _ in 0..30 {

@@ -12,6 +12,7 @@ use mage_sim::elaborate;
 use mage_tb::textlog::{render_checkpoint_window, render_summary};
 use mage_tb::{run_testbench, synthesize_testbench, CheckDensity, Stimulus};
 use mage_verilog::parse;
+use std::sync::Arc;
 
 /// The Fig. 3 case study module (Prob093-ece241-2014-q3 style): a 4-to-1
 /// mux input decoder where `mux_in[0]` needs three OR terms.
@@ -39,7 +40,12 @@ fn fixture() -> (ProblemOracle, String, String) {
     let golden = parse(GOLDEN).unwrap();
     let stim = Stimulus::exhaustive(&[("c".into(), 1), ("d".into(), 1)]);
     let oracle = ProblemOracle::new(golden, "top", stim.clone(), 1.0);
-    let tb = synthesize_testbench("mux", &oracle.golden_design, &stim, CheckDensity::EveryStep);
+    let tb = Arc::new(synthesize_testbench(
+        "mux",
+        &oracle.golden_design,
+        &stim,
+        CheckDensity::EveryStep,
+    ));
     let buggy_design = std::sync::Arc::new(elaborate(&parse(BUGGY).unwrap(), "top").unwrap());
     let report = run_testbench(&tb, &buggy_design).unwrap();
     assert!(!report.passed(), "the buggy candidate must fail");
@@ -66,12 +72,12 @@ fn debug_once(oracle: &ProblemOracle, feedback: &str, seed: u64) -> bool {
     let Ok(design) = elaborate(&file, "top") else {
         return false;
     };
-    let tb = synthesize_testbench(
+    let tb = Arc::new(synthesize_testbench(
         "mux",
         &oracle.golden_design,
         &oracle.stimulus,
         CheckDensity::EveryStep,
-    );
+    ));
     run_testbench(&tb, &std::sync::Arc::new(design))
         .map(|r| r.passed())
         .unwrap_or(false)
@@ -133,12 +139,12 @@ fn iterate_once(seed: u64) -> bool {
     let mut model = SyntheticModel::new(SyntheticModelConfig::default(), seed);
     model.register("mux", oracle.clone());
     let conv = Conversation::new();
-    let tb = synthesize_testbench(
+    let tb = Arc::new(synthesize_testbench(
         "mux",
         &oracle.golden_design,
         &oracle.stimulus,
         CheckDensity::EveryStep,
-    );
+    ));
     let mut source = BUGGY.to_string();
     let mut fixed = false;
     for _round in 0..8 {

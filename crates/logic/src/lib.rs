@@ -20,8 +20,8 @@
 //!   matching event-driven simulators such as Icarus Verilog.
 //! * Logical equality `==` returns `0` when any *defined* bits differ, `X`
 //!   when the defined bits agree but unknowns remain, `1` otherwise.
-//! * All arithmetic is **unsigned**; the MAGE benchmark subset does not use
-//!   signed declarations (documented deviation, see `DESIGN.md`).
+//! * All arithmetic is **unsigned**: the MAGE benchmark subset declares
+//!   no signed values, so signed semantics are left out.
 //!
 //! # Example
 //!

@@ -3,8 +3,8 @@
 //! These exercise the substrate more broadly (wide datapaths, nested
 //! hierarchies, less common operators) and are available to users via
 //! [`crate::all_problems`] / [`crate::by_id`], but belong to neither
-//! evaluated suite — the suites (and therefore every number in
-//! `EXPERIMENTS.md`) stay frozen.
+//! evaluated suite — the suites (and therefore every reported table
+//! and figure) stay frozen.
 
 use crate::problem::{Category, Problem, StimSpec};
 

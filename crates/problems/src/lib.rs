@@ -4,7 +4,7 @@
 //! design in the MAGE Verilog subset, a difficulty rating for the
 //! synthetic channel, and a stimulus recipe. Two suites mirror the
 //! paper's benchmarks: [`SuiteId::V1Human`] and [`SuiteId::V2`]
-//! (scaled-down but mixture-matched; see `DESIGN.md`).
+//! (scaled down from VerilogEval, with the same mixture of categories).
 //!
 //! # Example
 //!

@@ -2,11 +2,14 @@
 
 use mage_llm::ProblemOracle;
 use mage_logic::{fnv1a, LogicVec};
+use mage_sim::{elaborate, Design};
 use mage_tb::Stimulus;
 use mage_verilog::ast::Direction;
 use mage_verilog::{parse, SourceFile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Problem category, mirroring the VerilogEval mixture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,53 +83,58 @@ pub struct Problem {
     pub in_v2: bool,
 }
 
+/// What every oracle of a problem shares: the parsed golden source, its
+/// data inputs and the elaborated golden design. None of it depends on
+/// the seed, so it is built once per problem per process.
+#[derive(Debug)]
+struct Golden {
+    file: SourceFile,
+    inputs: Vec<(String, usize)>,
+    design: Arc<Design>,
+}
+
+/// Process-wide golden cache, keyed by problem id (ids are unique in the
+/// registry).
+static GOLDEN_CACHE: OnceLock<Mutex<HashMap<&'static str, Arc<Golden>>>> = OnceLock::new();
+
 impl Problem {
-    /// Parse the golden source.
+    /// The problem's golden source, design and data inputs, from the
+    /// process-wide cache (built on a problem's first use).
+    fn golden(&self) -> Arc<Golden> {
+        let cache = GOLDEN_CACHE.get_or_init(Default::default);
+        if let Some(hit) = cache.lock().expect("golden cache poisoned").get(self.id) {
+            return Arc::clone(hit);
+        }
+        // Build outside the lock: parallel evaluation units would
+        // otherwise serialize on it.
+        let file =
+            parse(self.golden).unwrap_or_else(|e| panic!("golden of {} broken: {e}", self.id));
+        let inputs = data_inputs(self, &file);
+        let design = elaborate(&file, self.top)
+            .unwrap_or_else(|e| panic!("golden of {} does not elaborate: {e}", self.id));
+        let golden = Arc::new(Golden {
+            file,
+            inputs,
+            design: Arc::new(design),
+        });
+        let mut cache = cache.lock().expect("golden cache poisoned");
+        Arc::clone(cache.entry(self.id).or_insert(golden))
+    }
+
+    /// The parsed golden source.
     ///
     /// # Panics
     ///
     /// Panics when the embedded golden source is invalid — that is a
     /// library bug caught by the self-consistency tests.
     pub fn golden_file(&self) -> SourceFile {
-        parse(self.golden).unwrap_or_else(|e| panic!("golden of {} broken: {e}", self.id))
+        self.golden().file.clone()
     }
 
     /// `(name, width)` of the top module's data inputs — everything
     /// except the clock and reset named by the stimulus recipe.
     pub fn data_inputs(&self) -> Vec<(String, usize)> {
-        let file = self.golden_file();
-        let module = file.module(self.top).expect("top module present");
-        let mut consts = std::collections::HashMap::new();
-        for p in &module.params {
-            if let Some(v) = mage_sim::fold_const_expr(&p.default, &consts) {
-                consts.insert(p.name.clone(), v);
-            }
-        }
-        let (clock, reset) = match self.stim {
-            StimSpec::Clocked { reset, .. } => (Some("clk"), reset),
-            _ => (None, None),
-        };
-        module
-            .ports
-            .iter()
-            .filter(|p| p.dir == Direction::Input)
-            .filter(|p| Some(p.name.as_str()) != clock && Some(p.name.as_str()) != reset)
-            .map(|p| {
-                let w = match &p.range {
-                    None => 1,
-                    Some(r) => {
-                        let msb = mage_sim::fold_const_expr(&r.msb, &consts)
-                            .and_then(|v| v.to_u64())
-                            .unwrap_or(0);
-                        let lsb = mage_sim::fold_const_expr(&r.lsb, &consts)
-                            .and_then(|v| v.to_u64())
-                            .unwrap_or(0);
-                        (msb - lsb + 1) as usize
-                    }
-                };
-                (p.name.clone(), w)
-            })
-            .collect()
+        self.golden().inputs.clone()
     }
 
     /// Build the problem's stimulus, deterministically from `seed`.
@@ -158,18 +166,19 @@ impl Problem {
         cycle_factor: usize,
     ) -> Stimulus {
         let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(self.id.as_bytes()));
-        let inputs = self.data_inputs();
+        let golden = self.golden();
+        let inputs = &golden.inputs;
         match self.stim {
             StimSpec::Exhaustive => {
                 let total: usize = inputs.iter().map(|(_, w)| w).sum();
                 if total <= 12 {
-                    Stimulus::exhaustive(&inputs)
+                    Stimulus::exhaustive(inputs)
                 } else {
-                    random_comb(&inputs, wide_vectors, &mut rng)
+                    random_comb(inputs, wide_vectors, &mut rng)
                 }
             }
             StimSpec::RandomComb { vectors } => {
-                random_comb(&inputs, vectors * vector_factor, &mut rng)
+                random_comb(inputs, vectors * vector_factor, &mut rng)
             }
             StimSpec::Clocked {
                 cycles,
@@ -188,7 +197,7 @@ impl Problem {
                                 LogicVec::from_bool(active == reset_active_high),
                             ));
                         }
-                        for (name, w) in &inputs {
+                        for (name, w) in inputs {
                             drives.push((name.clone(), random_vec(*w, &mut rng)));
                         }
                         drives
@@ -199,15 +208,58 @@ impl Problem {
         }
     }
 
-    /// Build the [`ProblemOracle`] the synthetic channel registers.
+    /// Build the [`ProblemOracle`] the synthetic channel registers. The
+    /// golden design is the problem's cached one, shared by every
+    /// oracle (and so is its compiled bytecode); only the stimulus is
+    /// built per seed.
     pub fn oracle(&self, seed: u64) -> ProblemOracle {
-        ProblemOracle::new(
-            self.golden_file(),
-            self.top,
-            self.stimulus(seed),
-            self.difficulty,
-        )
+        let golden = self.golden();
+        ProblemOracle {
+            golden: golden.file.clone(),
+            top: self.top.to_string(),
+            golden_design: Arc::clone(&golden.design),
+            stimulus: self.stimulus(seed),
+            difficulty: self.difficulty,
+        }
     }
+}
+
+/// `(name, width)` of the top module's data inputs in `file`, `problem`'s
+/// golden source — everything except the clock and reset named by its
+/// stimulus recipe.
+fn data_inputs(problem: &Problem, file: &SourceFile) -> Vec<(String, usize)> {
+    let module = file.module(problem.top).expect("top module present");
+    let mut consts = HashMap::new();
+    for p in &module.params {
+        if let Some(v) = mage_sim::fold_const_expr(&p.default, &consts) {
+            consts.insert(p.name.clone(), v);
+        }
+    }
+    let (clock, reset) = match problem.stim {
+        StimSpec::Clocked { reset, .. } => (Some("clk"), reset),
+        _ => (None, None),
+    };
+    module
+        .ports
+        .iter()
+        .filter(|p| p.dir == Direction::Input)
+        .filter(|p| Some(p.name.as_str()) != clock && Some(p.name.as_str()) != reset)
+        .map(|p| {
+            let w = match &p.range {
+                None => 1,
+                Some(r) => {
+                    let msb = mage_sim::fold_const_expr(&r.msb, &consts)
+                        .and_then(|v| v.to_u64())
+                        .unwrap_or(0);
+                    let lsb = mage_sim::fold_const_expr(&r.lsb, &consts)
+                        .and_then(|v| v.to_u64())
+                        .unwrap_or(0);
+                    (msb - lsb + 1) as usize
+                }
+            };
+            (p.name.clone(), w)
+        })
+        .collect()
 }
 
 fn random_vec<R: Rng>(width: usize, rng: &mut R) -> LogicVec {

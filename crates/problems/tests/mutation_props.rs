@@ -50,12 +50,12 @@ fn mutated_candidates_are_scoreable() {
     let mut rng = StdRng::seed_from_u64(0x5C0);
     for p in all_problems().into_iter().step_by(5) {
         let oracle = p.oracle(3);
-        let tb = synthesize_testbench(
+        let tb = Arc::new(synthesize_testbench(
             p.id,
             &oracle.golden_design,
             &oracle.stimulus,
             CheckDensity::EveryStep,
-        );
+        ));
         for k in 1..=3usize {
             let mut file = p.golden_file();
             let top_ix = file
@@ -115,12 +115,12 @@ proptest! {
         let all = all_problems();
         let p = all[problem_ix % all.len()];
         let oracle = p.oracle(1);
-        let tb = synthesize_testbench(
+        let tb = Arc::new(synthesize_testbench(
             p.id,
             &oracle.golden_design,
             &oracle.stimulus,
             CheckDensity::EveryStep,
-        );
+        ));
         let mut file = p.golden_file();
         let top_ix = file.modules.iter().position(|m| m.name == p.top).expect("top");
         let mut rng = StdRng::seed_from_u64(seed);

@@ -6,17 +6,18 @@
 
 use mage_problems::{all_problems, by_id};
 use mage_tb::{run_testbench, synthesize_testbench, CheckDensity};
+use std::sync::Arc;
 
 #[test]
 fn every_golden_passes_its_own_checkpoint_bench() {
     for p in all_problems() {
         let oracle = p.oracle(0xBEEF);
-        let tb = synthesize_testbench(
+        let tb = Arc::new(synthesize_testbench(
             p.id,
             &oracle.golden_design,
             &oracle.stimulus,
             CheckDensity::EveryStep,
-        );
+        ));
         assert!(
             tb.total_checks() >= 4,
             "{}: too few checks ({}) — outputs mostly X?",
@@ -40,12 +41,12 @@ fn every_golden_passes_its_own_checkpoint_bench() {
 fn every_golden_is_deterministic_across_runs() {
     for p in all_problems() {
         let oracle = p.oracle(7);
-        let tb = synthesize_testbench(
+        let tb = Arc::new(synthesize_testbench(
             p.id,
             &oracle.golden_design,
             &oracle.stimulus,
             CheckDensity::EveryStep,
-        );
+        ));
         let r1 = run_testbench(&tb, &oracle.golden_design).unwrap();
         let r2 = run_testbench(&tb, &oracle.golden_design).unwrap();
         assert_eq!(r1.records(), r2.records(), "{}", p.id);
@@ -60,12 +61,12 @@ fn every_golden_is_deterministic_across_runs() {
 fn check_comb(id: &str, f: impl Fn(&[(String, u64)]) -> Vec<(&'static str, u64)>) {
     let p = by_id(id).unwrap_or_else(|| panic!("unknown problem {id}"));
     let oracle = p.oracle(99);
-    let tb = synthesize_testbench(
+    let tb = Arc::new(synthesize_testbench(
         id,
         &oracle.golden_design,
         &oracle.stimulus,
         CheckDensity::EveryStep,
-    );
+    ));
     let report = run_testbench(&tb, &oracle.golden_design).unwrap();
     for rec in report.records() {
         let inputs: Vec<(String, u64)> = rec
@@ -199,12 +200,12 @@ fn reference_fig3_mux() {
 fn reference_counter4_model() {
     let p = by_id("prob030_counter4").unwrap();
     let oracle = p.oracle(5);
-    let tb = synthesize_testbench(
+    let tb = Arc::new(synthesize_testbench(
         p.id,
         &oracle.golden_design,
         &oracle.stimulus,
         CheckDensity::EveryStep,
-    );
+    ));
     let report = run_testbench(&tb, &oracle.golden_design).unwrap();
     let mut model: u64 = u64::MAX; // unknown until reset
     for rec in report.records() {
@@ -230,12 +231,12 @@ fn reference_lfsr4_period() {
     // x^4 + x^3 + 1 is maximal: period 15 from a non-zero seed.
     let p = by_id("prob056_lfsr4").unwrap();
     let oracle = p.oracle(5);
-    let tb = synthesize_testbench(
+    let tb = Arc::new(synthesize_testbench(
         p.id,
         &oracle.golden_design,
         &oracle.stimulus,
         CheckDensity::EveryStep,
-    );
+    ));
     let report = run_testbench(&tb, &oracle.golden_design).unwrap();
     let states: Vec<u64> = report
         .records()

@@ -25,7 +25,7 @@ use mage_sim::Design;
 use mage_tb::Testbench;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default entry bound: comfortably above any one round's working set,
 /// small enough that a day-long stream cannot grow without limit.
@@ -130,10 +130,9 @@ impl DesignCache {
     }
 }
 
-/// Default [`ScoreCache`] entry bound. Scored outcomes carry full
-/// reports (one record per bench check) and their witnesses pin the
-/// benches they were scored on, so the bound sits below the design
-/// cache's.
+/// Default [`ScoreCache`] entry bound. Scored outcomes carry reports,
+/// and their witnesses (and reports) pin the benches they were scored
+/// on, so the bound sits below the design cache's.
 pub const DEFAULT_SCORE_CAPACITY: usize = 4096;
 
 /// The tier behind a [`ScoreCache`]: `(source, bench)` witness to outcome.
@@ -220,14 +219,29 @@ fn bench_fingerprint(bench: &Testbench) -> u64 {
 /// structural fingerprint (its derived `Hash` folded a word at a time),
 /// and the witness holds the source and the request's `Arc<Testbench>`,
 /// so a colliding lookup falls through to a real simulation. Nothing
-/// renders the bench, and a hit costs a refcount bump: the report's
-/// records are shared.
+/// renders the bench, and a hit costs refcount bumps: a report shares
+/// its bench and its observations.
 ///
 /// Compile-only probes (no bench) are never cached here — the design
 /// cache already covers them.
+///
+/// A request holds its key's turn lock while it looks up and, on a
+/// miss, scores. Twin requests in one sim wave (jobs running in
+/// lockstep) therefore score once: the second copy waits for the first
+/// to publish and hits, at any worker count.
 pub struct ScoreCache {
     tier: Arc<ScoreTier>,
     hasher: SourceHasher,
+    /// Turn locks by key stripe. Unrelated keys that share a stripe
+    /// only take turns.
+    turns: Box<[Mutex<()>]>,
+}
+
+/// How many turn locks a [`ScoreCache`] spreads its keys over.
+const SCORE_TURNS: usize = 64;
+
+fn score_turns() -> Box<[Mutex<()>]> {
+    (0..SCORE_TURNS).map(|_| Mutex::new(())).collect()
 }
 
 impl Default for ScoreCache {
@@ -262,6 +276,7 @@ impl ScoreCache {
         ScoreCache {
             tier: Arc::new(CacheTier::with_capacity(capacity)),
             hasher,
+            turns: score_turns(),
         }
     }
 
@@ -272,6 +287,7 @@ impl ScoreCache {
         ScoreCache {
             tier: Arc::new(CacheTier::tiered(capacity, Arc::clone(&parent.tier))),
             hasher: parent.hasher,
+            turns: score_turns(),
         }
     }
 
@@ -293,12 +309,15 @@ impl ScoreCache {
         let mut key = WordHasher::default();
         key.write_u64((self.hasher)(&req.source));
         key.write_u64((self.hasher)(&format!("{:016x}", bench_fingerprint(bench))));
+        let key = key.finish();
         let witness = ScoreWitness {
             source: req.source.clone(),
             bench: Arc::clone(bench),
         };
-        self.tier
-            .get_or_insert_with(key.finish(), &witness, || execute(req))
+        let _turn = self.turns[(key % SCORE_TURNS as u64) as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.tier.get_or_insert_with(key, &witness, || execute(req))
     }
 }
 
@@ -474,6 +493,33 @@ mod tests {
         let b = cache.get_or_run(&req, run);
         assert_eq!(runs.load(Ordering::Relaxed), 1, "second lookup must hit");
         assert_eq!(a.score, b.score);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn racing_twin_requests_score_once() {
+        // Two workers probe one (source, bench) at the same moment, as
+        // twin jobs in one sim wave do: the second waits for the first
+        // copy's score and hits instead of scoring again.
+        let cache = ScoreCache::new();
+        let runs = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(2);
+        let twin = || {
+            let req = score_req(GOOD, Some(bench("tb", 2)));
+            start.wait();
+            cache.get_or_run(&req, |_| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                fake_outcome(0.75)
+            })
+        };
+        let scores = std::thread::scope(|s| {
+            let a = s.spawn(twin);
+            let b = s.spawn(twin);
+            [a.join().unwrap().score, b.join().unwrap().score]
+        });
+        assert_eq!(scores, [0.75, 0.75]);
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "twins must score once");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 

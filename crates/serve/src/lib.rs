@@ -120,7 +120,7 @@
 //! shares complete scoring outcomes between jobs that generated
 //! structurally equal benches without ever rendering one. Scores are
 //! pure in `(source, bench)`, so sharing cannot leak state between
-//! solves; cached reports share their records, so a hit copies none.
+//! solves; cached reports are compact and shared, so a hit copies none.
 //!
 //! # Checkpointing
 //!

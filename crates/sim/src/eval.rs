@@ -1,7 +1,7 @@
 //! Expression evaluation and statement execution over a value store.
 //!
-//! Width semantics follow the simplified context-determined rules laid
-//! out in `DESIGN.md`: the assignment target's width is pushed down
+//! Width semantics follow a simplified form of Verilog's
+//! context-determined rules: the assignment target's width is pushed down
 //! through arithmetic/bitwise/ternary operators (so `{c, s} = a + b`
 //! keeps its carry), while comparisons, shifts amounts, concatenations
 //! and selects are self-determined.

@@ -21,7 +21,8 @@
 //!
 //! The intended cycle-level usage mirrors a Verilog testbench: drive
 //! inputs with [`Simulator::poke`] (or a whole step's drives at once
-//! with [`Simulator::poke_many`]), toggle the clock input, and read
+//! with [`Simulator::poke_many`], or [`Simulator::poke_many_ids`] on
+//! ids resolved once up front), toggle the clock input, and read
 //! outputs with [`Simulator::peek`]. The `mage-tb` crate builds the
 //! paper's checkpointed testbench protocol on top of this interface.
 //!

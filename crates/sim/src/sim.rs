@@ -676,6 +676,23 @@ impl Simulator {
         self.poke_id(id, value)
     }
 
+    /// Drive several top-level inputs by name at once: resolves the
+    /// names, then runs [`Simulator::poke_many_ids`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownInput`] if any name is not a top-level input
+    /// (the batch then applies nothing); propagation errors as in
+    /// [`Simulator::settle`].
+    pub fn poke_many<'d>(
+        &mut self,
+        drives: impl IntoIterator<Item = (&'d str, LogicVec)>,
+    ) -> Result<(), SimError> {
+        self.fault = None;
+        let resolved = Self::resolve_drives(&self.design, drives)?;
+        self.poke_many_ids(&resolved)
+    }
+
     /// Drive several top-level inputs at once, then propagate: all
     /// stores update first, every edge those updates produce triggers
     /// once, and the combinational fanout settles a single time.
@@ -683,20 +700,28 @@ impl Simulator {
     /// This is the testbench fast path — poking a step's drives one by
     /// one re-settles the entire fanout per input, multiplying process
     /// activations by the drive count. Simultaneous edges on several
-    /// clocks trigger both domains in one wave.
+    /// clocks trigger both domains in one wave. Drives apply in order:
+    /// a later drive of the same signal transitions from the earlier
+    /// drive's value.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownInput`] if any name is not a top-level input —
-    /// the names are validated up front, so a failed batch applies
+    /// [`SimError::UnknownInput`] if any id is not a top-level input —
+    /// the ids are validated up front, so a failed batch applies
     /// nothing (both schedulers agree on this, which the lockstep
     /// suites depend on); propagation errors as in
     /// [`Simulator::settle`].
-    pub fn poke_many<'d>(
-        &mut self,
-        drives: impl IntoIterator<Item = (&'d str, LogicVec)>,
-    ) -> Result<(), SimError> {
+    pub fn poke_many_ids(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
         self.fault = None;
+        if let Some((id, _)) = drives
+            .iter()
+            .find(|(id, _)| !self.design.inputs.contains(id))
+        {
+            let name = self.design.signals.get(id.index()).map(|d| d.name.clone());
+            return Err(SimError::UnknownInput(
+                name.unwrap_or_else(|| format!("#{}", id.index())),
+            ));
+        }
         match self.mode {
             ExecMode::Compiled => self.poke_many_wheel(drives),
             ExecMode::Legacy => self.poke_many_legacy(drives),
@@ -800,38 +825,36 @@ impl Simulator {
         self.latch(r)
     }
 
-    /// Would applying `resolved` in order fire any edge-triggered
-    /// process? Sequential-application semantics: a later drive of the
-    /// same signal transitions from the earlier drive's value, so the
-    /// pre-pass tracks an overlay rather than diffing against the store.
-    fn batch_fires(&self, resolved: &[(SignalId, LogicVec)]) -> bool {
-        let mut overlay: std::collections::HashMap<usize, LogicVec> =
-            std::collections::HashMap::new();
-        for (id, value) in resolved {
+    /// Would applying `drives` in order fire any edge-triggered
+    /// process? Sequential-application semantics: a drive transitions
+    /// from the latest earlier drive of the same signal in the batch,
+    /// or from the store when there is none.
+    fn batch_fires(&self, drives: &[(SignalId, LogicVec)]) -> bool {
+        drives.iter().enumerate().any(|(k, (id, value))| {
             let width = self.design.width(*id);
             let value = value.resized(width);
-            let old = overlay.get(&id.index()).unwrap_or(&self.store[id.index()]);
+            let earlier = drives[..k].iter().rev().find(|(prev, _)| prev == id);
+            let redriven;
+            let old = match earlier {
+                Some((_, prev)) => {
+                    redriven = prev.resized(width);
+                    &redriven
+                }
+                None => &self.store[id.index()],
+            };
             if old.case_eq(&value) {
-                continue;
+                return false;
             }
             let old_bit = old.get(0).unwrap_or(LogicBit::X);
             let new_bit = value.get(0).unwrap_or(LogicBit::X);
-            if Self::transition_fires(&self.design, *id, old_bit, new_bit) {
-                return true;
-            }
-            overlay.insert(id.index(), value);
-        }
-        false
+            Self::transition_fires(&self.design, *id, old_bit, new_bit)
+        })
     }
 
-    fn poke_many_wheel<'d>(
-        &mut self,
-        drives: impl IntoIterator<Item = (&'d str, LogicVec)>,
-    ) -> Result<(), SimError> {
+    fn poke_many_wheel(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
         let design = Arc::clone(&self.design);
         let compiled = self.compiled();
-        let resolved = Self::resolve_drives(&design, drives)?;
-        let fires = self.batch_fires(&resolved);
+        let fires = self.batch_fires(drives);
         if fires {
             // Pre-edge flush, as in `poke_id_wheel`.
             let r = self.drain();
@@ -841,7 +864,7 @@ impl Simulator {
         }
         let mut wheel = std::mem::take(&mut self.wheel);
         let mut any_changed = false;
-        for (id, value) in resolved {
+        for &(id, ref value) in drives {
             let width = design.width(id);
             let value = value.resized(width);
             let old = &self.store[id.index()];
@@ -865,8 +888,8 @@ impl Simulator {
         self.latch(r)
     }
 
-    /// Validate and resolve a drive batch up front, so an unknown name
-    /// fails the whole batch before any store is touched.
+    /// Resolve a drive batch by name up front, so an unknown name fails
+    /// the whole batch before any store is touched.
     fn resolve_drives<'d>(
         design: &Design,
         drives: impl IntoIterator<Item = (&'d str, LogicVec)>,
@@ -1174,11 +1197,7 @@ impl Simulator {
         self.latch(r)
     }
 
-    fn poke_many_legacy<'d>(
-        &mut self,
-        drives: impl IntoIterator<Item = (&'d str, LogicVec)>,
-    ) -> Result<(), SimError> {
-        let resolved = Self::resolve_drives(&self.design, drives)?;
+    fn poke_many_legacy(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
         let mut sched = self.take_legacy();
         // Pass 1 — no store writes yet: collect the change set and the
         // triggered processes with sequential-application semantics (an
@@ -1188,7 +1207,7 @@ impl Simulator {
             std::collections::HashMap::new();
         let mut changed: Vec<SignalId> = Vec::new();
         let mut triggered: Vec<usize> = Vec::new();
-        for (id, value) in resolved {
+        for &(id, ref value) in drives {
             let width = self.design.width(id);
             let value = value.resized(width);
             let old = overlay.get(&id.index()).unwrap_or(&self.store[id.index()]);

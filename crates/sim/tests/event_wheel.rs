@@ -46,8 +46,9 @@ fn compare_stores(design: &Design, fast: &mut Simulator, slow: &mut Simulator, a
 
 /// Run `ops` on the legacy scheduler and on the wheel's default,
 /// four-state and unfused configurations, comparing every signal after
-/// each op.
-fn lockstep(design: &Arc<Design>, ops: Vec<Op<'_>>) {
+/// each op. Returns the legacy simulator, which every configuration
+/// matched at the end.
+fn lockstep(design: &Arc<Design>, ops: Vec<Op<'_>>) -> Simulator {
     let wheel = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
     let mut four = wheel();
     four.set_two_state(false);
@@ -77,9 +78,10 @@ fn lockstep(design: &Arc<Design>, ops: Vec<Op<'_>>) {
             compare_stores(design, fast, &mut slow, &at);
         }
         if rs.is_err() {
-            return;
+            return slow;
         }
     }
+    slow
 }
 
 const DUAL_COUNTER: &str = "module top(
@@ -174,6 +176,59 @@ fn mixed_edge_directions_lockstep() {
         ops.push(Op::Poke("clk", v(1, 0))); // negedge domain
     }
     lockstep(&d, ops);
+}
+
+#[test]
+fn redriven_signal_in_one_batch_lockstep() {
+    // The last batch drives clk twice: 1 -> 0 is a negedge and the
+    // re-drive 0 -> 1 a posedge, each judged against the earlier drive
+    // of the batch rather than the store. Both flops fire in one wave
+    // on the pre-batch state: qn <= 3 + 1, qp <= d = 9.
+    let d = design_of(MIXED_EDGES, "top");
+    let mut sim = lockstep(
+        &d,
+        vec![
+            Op::PokeMany(vec![("rst", v(1, 1)), ("clk", v(1, 0)), ("d", v(4, 3))]),
+            Op::Poke("rst", v(1, 0)),
+            Op::Poke("clk", v(1, 1)),
+            Op::Poke("d", v(4, 5)),
+            Op::PokeMany(vec![("clk", v(1, 0)), ("d", v(4, 9)), ("clk", v(1, 1))]),
+        ],
+    );
+    let bits = |sim: &mut Simulator, name: &str| sim.peek_by_name(name).unwrap().to_binary_string();
+    assert_eq!(bits(&mut sim, "clk"), "1");
+    assert_eq!(bits(&mut sim, "qp"), "1001");
+    assert_eq!(bits(&mut sim, "qn"), "0100");
+    assert_eq!(bits(&mut sim, "y"), "1101");
+
+    // Here only the re-drive is an edge (no process waits on a negedge
+    // of clk), and the flop it fires closes a combinational loop: the
+    // batch must propagate, and fail, in the call that applied it.
+    let d = design_of(
+        "module top(input clk, input rst, output reg en, output y);
+           always @(posedge clk or posedge rst) if (rst) en <= 1'b0; else en <= 1'b1;
+           assign y = en ? ~y : 1'b0;
+         endmodule",
+        "top",
+    );
+    lockstep(
+        &d,
+        vec![
+            Op::PokeMany(vec![("rst", v(1, 1)), ("clk", v(1, 0))]),
+            Op::Poke("clk", v(1, 1)),
+            Op::Poke("rst", v(1, 0)),
+            Op::PokeMany(vec![("clk", v(1, 0)), ("clk", v(1, 1))]),
+        ],
+    );
+    let mut s = Simulator::with_mode(Arc::clone(&d), ExecMode::Compiled);
+    s.settle().unwrap();
+    s.poke_many([("rst", v(1, 1)), ("clk", v(1, 0))]).unwrap();
+    s.poke("clk", v(1, 1)).unwrap();
+    s.poke("rst", v(1, 0)).unwrap();
+    assert!(
+        s.poke_many([("clk", v(1, 0)), ("clk", v(1, 1))]).is_err(),
+        "the re-driven posedge must fire inside the batch"
+    );
 }
 
 #[test]

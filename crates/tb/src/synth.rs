@@ -10,8 +10,8 @@
 //! problem's benchmark ("golden") testbench.
 
 use crate::stimulus::Stimulus;
-use crate::tb::{run_schedule, Check, TbStep, Testbench};
-use mage_sim::Design;
+use crate::tb::{lower, run_schedule, Check, TbStep, Testbench};
+use mage_sim::{Design, SignalId};
 use std::sync::Arc;
 
 /// How densely the synthesized bench checks outputs.
@@ -35,35 +35,36 @@ pub enum CheckDensity {
 /// reference outputs: a golden model that outputs `X` at some step
 /// (before reset, say) produces no check there, matching how benchmark
 /// testbenches avoid pre-reset comparisons. A reference that faults
-/// mid-stimulus keeps its steps but gets no checks from the fault on.
+/// mid-stimulus keeps its steps but gets no checks from the fault on;
+/// so does a stimulus that names something the reference does not take
+/// as an input, from the first step that names it.
 pub fn synthesize_testbench(
     name: impl Into<String>,
     reference: &Arc<Design>,
     stim: &Stimulus,
     density: CheckDensity,
 ) -> Testbench {
-    let outputs: Vec<(String, mage_sim::SignalId)> = reference
-        .output_ports()
-        .into_iter()
-        .map(|(n, _)| {
-            let id = reference.signal(&n).expect("output port resolves");
-            (n, id)
-        })
+    let outputs: Vec<(&str, SignalId)> = reference
+        .outputs
+        .iter()
+        .map(|&id| (reference.decl(id).name.as_str(), id))
         .collect();
     let mut steps: Vec<TbStep> = Vec::with_capacity(stim.steps.len());
-    let drives = stim.steps.iter().map(Vec::as_slice);
-    run_schedule(reference, stim.clock.as_deref(), drives, |i, sim| {
+    let no_checks: &[Check] = &[];
+    let stim_steps = stim.steps.iter().map(|drives| (&drives[..], no_checks));
+    let (schedule, _, _) = lower(reference, stim.clock.as_deref(), stim_steps);
+    run_schedule(reference, &schedule, stim.steps.len(), |i, sim| {
         let keep = match density {
             CheckDensity::EveryStep => true,
             CheckDensity::EveryN(n) => n != 0 && (i + 1) % n == 0,
         };
         let mut checks = Vec::new();
         if let Some(sim) = sim.filter(|_| keep) {
-            for (n, id) in &outputs {
-                let got = sim.peek(*id);
+            for &(name, id) in &outputs {
+                let got = sim.peek(id);
                 if got.is_fully_defined() {
                     checks.push(Check {
-                        signal: n.clone(),
+                        signal: name.to_string(),
                         expected: got.clone(),
                     });
                 }
@@ -100,7 +101,12 @@ mod tests {
             "top",
         );
         let stim = Stimulus::exhaustive(&[("a".into(), 2), ("b".into(), 2)]);
-        let tb = synthesize_testbench("adder", &d, &stim, CheckDensity::EveryStep);
+        let tb = Arc::new(synthesize_testbench(
+            "adder",
+            &d,
+            &stim,
+            CheckDensity::EveryStep,
+        ));
         assert_eq!(tb.total_checks(), 16);
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed());
@@ -118,7 +124,12 @@ mod tests {
             "top",
         );
         let stim = Stimulus::exhaustive(&[("a".into(), 2), ("b".into(), 2)]);
-        let tb = synthesize_testbench("adder", &golden, &stim, CheckDensity::EveryStep);
+        let tb = Arc::new(synthesize_testbench(
+            "adder",
+            &golden,
+            &stim,
+            CheckDensity::EveryStep,
+        ));
         let report = run_testbench(&tb, &buggy).unwrap();
         assert!(!report.passed());
         assert!(report.score() < 1.0);
@@ -146,7 +157,12 @@ mod tests {
                 ],
             ],
         );
-        let tb = synthesize_testbench("dff", &d, &stim, CheckDensity::EveryStep);
+        let tb = Arc::new(synthesize_testbench(
+            "dff",
+            &d,
+            &stim,
+            CheckDensity::EveryStep,
+        ));
         assert_eq!(tb.steps[0].checks.len(), 0, "X output must not be checked");
         assert_eq!(tb.steps[1].checks.len(), 1);
         let report = run_testbench(&tb, &d).unwrap();
@@ -166,10 +182,33 @@ mod tests {
                 .map(|a| vec![("a".into(), LogicVec::from_u64(1, a))])
                 .into(),
         );
-        let tb = synthesize_testbench("osc", &d, &stim, CheckDensity::EveryStep);
+        let tb = Arc::new(synthesize_testbench(
+            "osc",
+            &d,
+            &stim,
+            CheckDensity::EveryStep,
+        ));
         let checks: Vec<usize> = tb.steps.iter().map(|s| s.checks.len()).collect();
         assert_eq!(checks, [1, 0, 0], "every step keeps its drives");
         assert_eq!(tb.steps[0].checks[0].expected, LogicVec::from_u64(1, 0));
+    }
+
+    #[test]
+    fn unknown_stimulus_input_checks_only_before_its_step() {
+        // Step 1 names an input the reference lacks: the run faults
+        // there, as a by-name batch would, and the bench keeps every
+        // step's drives.
+        let d = design(
+            "module top(input a, output y); assign y = a; endmodule",
+            "top",
+        );
+        let drive = |name: &str, v| vec![(name.to_string(), LogicVec::from_u64(1, v))];
+        let stim = Stimulus::combinational(vec![drive("a", 0), drive("phantom", 1), drive("a", 0)]);
+        let tb = synthesize_testbench("phantom", &d, &stim, CheckDensity::EveryStep);
+        let checks: Vec<usize> = tb.steps.iter().map(|s| s.checks.len()).collect();
+        assert_eq!(checks, [1, 0, 0]);
+        let drives: Vec<_> = tb.steps.iter().map(|s| s.drives.clone()).collect();
+        assert_eq!(drives, stim.steps);
     }
 
     #[test]

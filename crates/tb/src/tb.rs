@@ -1,15 +1,20 @@
 //! The structured testbench and the one schedule every bench runs on.
 
-use crate::report::{CheckRecord, TbReport};
+use crate::report::{Observed, TbReport};
 use crate::stimulus::Drive;
 use mage_logic::LogicVec;
-use mage_sim::{Design, SimError, Simulator};
+use mage_sim::{Design, SignalId, SimError, Simulator};
 use std::fmt;
 use std::sync::Arc;
 
 /// Simulated time units per testbench step (one clock cycle or one
 /// combinational apply-settle-check).
 pub const TIME_PER_STEP: u64 = 10;
+
+/// Simulated time at which step `step`'s checks are sampled.
+pub(crate) fn time_of(step: usize) -> u64 {
+    (step as u64 + 1) * TIME_PER_STEP
+}
 
 /// An output check within a step.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -36,8 +41,9 @@ pub struct TbStep {
 /// The paper's Step 1 generates Verilog testbenches that print a
 /// state-checkpoint log; this reproduction represents the same artifact
 /// as data (stimulus schedule + per-step expected values) and renders the
-/// textual log from the run records (see [`crate::textlog`]). See
-/// `DESIGN.md` for why this substitution is behaviour-preserving.
+/// textual log from the run records (see [`crate::textlog`]). The
+/// substitution preserves behaviour: a run samples the same checkpoints
+/// a printing bench would, and the log lines are rendered from them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Testbench {
     /// Descriptive name (usually the problem id).
@@ -77,16 +83,25 @@ impl fmt::Display for TbError {
 
 impl std::error::Error for TbError {}
 
-/// Run `tb` against `design` and produce the per-check report.
+/// Run `tb` against `design` and produce its compact report.
 ///
-/// The bench runs on the one step schedule that also synthesizes benches
+/// The bench is first lowered against the design in one pass that is
+/// also the interface check: the clock and every driven input resolve
+/// to input ids and every checked output to an output id, through the
+/// design's name index. The lowered bench then runs on the one step
+/// schedule that also synthesizes benches
 /// ([`crate::synthesize_testbench`]): each step batches its drives
-/// through [`Simulator::poke_many`] while the clock is low, raises the
-/// clock (or settles, for a combinational bench), and samples the checks
-/// there — before the falling half-cycle, which is what makes wrong-edge
-/// bugs observable. Process bytecode is compiled once per [`Design`], so
-/// repeated runs against the same design (the grading loop) skip
-/// recompilation entirely.
+/// through [`Simulator::poke_many_ids`] while the clock is low, raises
+/// the clock (or settles, for a combinational bench), and samples the
+/// checks there by id — before the falling half-cycle, which is what
+/// makes wrong-edge bugs observable. Process bytecode is compiled once
+/// per [`Design`], so repeated runs against the same design (the
+/// grading loop) skip recompilation entirely.
+///
+/// The report keeps only what the bench cannot reproduce: the observed
+/// value of each check that differs from its expectation, the mismatch
+/// count, and where a fault stopped sampling. [`TbReport::records`]
+/// rebuilds the full per-check records from that and the bench.
 ///
 /// Simulation faults (combinational loops, edge cascades) do not abort
 /// the report: the offending step and all later checks are recorded as
@@ -97,127 +112,176 @@ impl std::error::Error for TbError {}
 ///
 /// [`TbError::InterfaceMismatch`] when the DUT lacks the clock, a driven
 /// input or a checked output — the candidate declared a wrong port list.
-pub fn run_testbench(tb: &Testbench, design: &Arc<Design>) -> Result<TbReport, TbError> {
-    check_interface(tb, design)?;
-    // One record per check, sized exactly: the report shares this buffer
-    // for as long as it lives, so growth slack would stay allocated.
-    let mut records: Vec<CheckRecord> = Vec::with_capacity(tb.total_checks());
-    let mut inputs_now: Vec<Drive> = Vec::new();
-    // Shared per-step snapshot: checks of one step all point at the same
-    // drive list (rebuilt only when drives actually change).
-    let mut inputs_snapshot: Arc<Vec<Drive>> = Arc::new(Vec::new());
-    let drives = tb.steps.iter().map(|s| s.drives.as_slice());
-    let fault = run_schedule(design, tb.clock.as_deref(), drives, |i, mut sim| {
-        let step = &tb.steps[i];
-        if sim.is_some() {
-            // Track the full input picture for the log snapshot.
-            for (n, v) in &step.drives {
-                if let Some(slot) = inputs_now.iter_mut().find(|(en, _)| en == n) {
-                    slot.1 = v.clone();
-                } else {
-                    inputs_now.push((n.clone(), v.clone()));
+/// Each missing name is reported once, in first-use order.
+pub fn run_testbench(tb: &Arc<Testbench>, design: &Arc<Design>) -> Result<TbReport, TbError> {
+    let steps = tb.steps.iter().map(|s| (&s.drives[..], &s.checks[..]));
+    let (schedule, outputs, missing) = lower(design, tb.clock.as_deref(), steps);
+    if !missing.is_empty() {
+        return Err(TbError::InterfaceMismatch { missing });
+    }
+    let mut observed = Observed::default();
+    let mut next = 0;
+    let fault = run_schedule(design, &schedule, tb.steps.len(), |i, sim| {
+        let checks = &tb.steps[i].checks;
+        let ids = &outputs[next..next + checks.len()];
+        next += checks.len();
+        match sim {
+            Some(sim) => {
+                for (k, (check, &id)) in checks.iter().zip(ids).enumerate() {
+                    observed.sample(i, k, check, sim.peek(id));
                 }
             }
-            if !step.drives.is_empty() {
-                inputs_snapshot = Arc::new(inputs_now.clone());
-            }
-        }
-        for check in &step.checks {
-            let got = sim
-                .as_deref_mut()
-                .and_then(|sim| sim.peek_by_name(&check.signal).cloned())
-                .unwrap_or_else(|| LogicVec::all_x(check.expected.width()));
-            records.push(CheckRecord {
-                time: (i as u64 + 1) * TIME_PER_STEP,
-                step: i,
-                signal: check.signal.clone(),
-                pass: sim.is_some() && got.case_eq(&check.expected),
-                got,
-                expected: check.expected.clone(),
-                inputs: Arc::clone(&inputs_snapshot),
-            });
+            None => observed.unsampled(i, checks.len()),
         }
     });
-    Ok(TbReport::new(
-        tb.name.clone(),
-        records,
+    Ok(TbReport::from_run(
+        Arc::clone(tb),
+        observed,
         fault.map(|e| e.to_string()),
     ))
 }
 
-/// Every name the bench cycles, drives or checks must be a port of the
-/// right direction; the missing ones are reported in first-use order.
-fn check_interface(tb: &Testbench, design: &Design) -> Result<(), TbError> {
-    let inputs: Vec<String> = design.input_ports().into_iter().map(|(n, _)| n).collect();
-    let outputs: Vec<String> = design.output_ports().into_iter().map(|(n, _)| n).collect();
+/// A schedule lowered against one design: the clock and every step's
+/// drives resolved to signal ids.
+pub(crate) struct Schedule {
+    clock: Option<SignalId>,
+    /// Every step's drives in order: step `i` drives
+    /// `drives[bounds[i]..bounds[i + 1]]`.
+    drives: Vec<(SignalId, LogicVec)>,
+    bounds: Vec<usize>,
+    /// Why lowering stopped before the last step: the step after the
+    /// lowered ones (or the boot, for the clock) names an input the
+    /// design lacks, and faults with this error instead of running.
+    unresolved: Option<SimError>,
+}
+
+impl Schedule {
+    /// Step `i`'s drives, or the fault that stops the run there: every
+    /// step past the lowered ones runs into `unresolved`.
+    fn step(&self, i: usize) -> Result<&[(SignalId, LogicVec)], SimError> {
+        match (self.bounds.get(i), self.bounds.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => Ok(&self.drives[lo..hi]),
+            _ => self.unresolved.clone().map_or(Ok(&[]), Err),
+        }
+    }
+}
+
+/// Lower a bench's clock and `(drives, checks)` steps against `design`
+/// in one pass: the clock and driven names resolve among its inputs,
+/// checked names among its outputs. Returns the schedule, every check's
+/// output id in check order, and each name the design lacks once, in
+/// first-use order — the interface check.
+///
+/// The schedule stops at the first step that drives a missing name (at
+/// the first step, for a missing clock): that step and every later one
+/// fault with [`SimError::UnknownInput`] instead of running, as a
+/// by-name batch would have.
+pub(crate) fn lower<'b>(
+    design: &Design,
+    clock: Option<&str>,
+    steps: impl ExactSizeIterator<Item = (&'b [Drive], &'b [Check])>,
+) -> (Schedule, Vec<SignalId>, Vec<String>) {
+    let port = |name: &str, ports: &[SignalId]| design.signal(name).filter(|id| ports.contains(id));
     let mut missing: Vec<String> = Vec::new();
-    let mut require = |ports: &[String], name: &str| {
-        if !ports.iter().any(|p| p == name) && !missing.iter().any(|m| m == name) {
+    let mut miss = |name: &str| {
+        if !missing.iter().any(|m| m == name) {
             missing.push(name.to_string());
         }
     };
-    if let Some(clk) = &tb.clock {
-        require(&inputs, clk);
+    let mut bounds = Vec::with_capacity(steps.len() + 1);
+    bounds.push(0);
+    let mut schedule = Schedule {
+        clock: clock.and_then(|clk| port(clk, &design.inputs)),
+        drives: Vec::new(),
+        bounds,
+        unresolved: None,
+    };
+    if let (Some(clk), None) = (clock, schedule.clock) {
+        miss(clk);
+        schedule.unresolved = Some(SimError::UnknownInput(clk.to_string()));
     }
-    for step in &tb.steps {
-        for (name, _) in &step.drives {
-            require(&inputs, name);
+    let mut outputs = Vec::new();
+    for (drives, checks) in steps {
+        for (name, value) in drives {
+            match port(name, &design.inputs) {
+                Some(id) if schedule.unresolved.is_none() => {
+                    schedule.drives.push((id, value.clone()));
+                }
+                Some(_) => {}
+                None => {
+                    miss(name);
+                    let stop = || SimError::UnknownInput(name.clone());
+                    schedule.unresolved.get_or_insert_with(stop);
+                }
+            }
         }
-        for check in &step.checks {
-            require(&outputs, &check.signal);
+        // A step that names a missing input stays open: its partial
+        // drives never run.
+        if schedule.unresolved.is_none() {
+            schedule.bounds.push(schedule.drives.len());
+        }
+        for check in checks {
+            match port(&check.signal, &design.outputs) {
+                Some(id) => outputs.push(id),
+                None => miss(&check.signal),
+            }
         }
     }
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(TbError::InterfaceMismatch { missing })
-    }
+    (schedule, outputs, missing)
 }
 
 /// The bench schedule: grading ([`run_testbench`]), bench synthesis
 /// ([`crate::synthesize_testbench`]) and the synthetic judge all run
 /// through this one loop, each with its own sampler.
 ///
-/// Boot settles the design and drives `clock` low, so its first rise is
-/// a real posedge. Each step then drives its inputs, raises the clock (a
-/// combinational bench settles instead), calls `sample(step, Some(sim))`
-/// on the settled outputs, and lowers the clock. The first fault latches:
-/// from then on `sample` gets `None` and the simulator is left alone.
-/// Returns that fault, including one on the last falling half-cycle.
-pub(crate) fn run_schedule<'s>(
+/// Boot settles the design and drives the clock low, so its first rise
+/// is a real posedge. Each of the `steps` steps then drives its inputs,
+/// raises the clock (a combinational bench settles instead), calls
+/// `sample(step, Some(sim))` on the settled outputs, and lowers the
+/// clock. The first fault latches: from then on `sample` gets `None`
+/// and the simulator is left alone. Returns that fault, including one
+/// on the last falling half-cycle.
+pub(crate) fn run_schedule(
     design: &Arc<Design>,
-    clock: Option<&str>,
-    steps: impl IntoIterator<Item = &'s [Drive]>,
+    schedule: &Schedule,
+    steps: usize,
     mut sample: impl FnMut(usize, Option<&mut Simulator>),
 ) -> Option<SimError> {
     let mut sim = Simulator::new(Arc::clone(design));
-    let mut fault = boot(&mut sim, clock).err();
-    for (i, drives) in steps.into_iter().enumerate() {
+    let mut fault = boot(&mut sim, schedule.clock).err();
+    for i in 0..steps {
         if fault.is_none() {
-            fault = rise(&mut sim, clock, drives).err();
+            fault = schedule
+                .step(i)
+                .and_then(|drives| rise(&mut sim, schedule.clock, drives))
+                .err();
         }
         sample(i, fault.is_none().then_some(&mut sim));
-        if let (None, Some(clk)) = (&fault, clock) {
-            fault = sim.poke(clk, LogicVec::from_bool(false)).err();
+        if let (None, Some(clk)) = (&fault, schedule.clock) {
+            fault = sim.poke_id(clk, LogicVec::from_bool(false)).err();
         }
     }
     fault
 }
 
-fn boot(sim: &mut Simulator, clock: Option<&str>) -> Result<(), SimError> {
+fn boot(sim: &mut Simulator, clock: Option<SignalId>) -> Result<(), SimError> {
     sim.settle()?;
     match clock {
-        Some(clk) => sim.poke(clk, LogicVec::from_bool(false)),
+        Some(clk) => sim.poke_id(clk, LogicVec::from_bool(false)),
         None => Ok(()),
     }
 }
 
-fn rise(sim: &mut Simulator, clock: Option<&str>, drives: &[Drive]) -> Result<(), SimError> {
+fn rise(
+    sim: &mut Simulator,
+    clock: Option<SignalId>,
+    drives: &[(SignalId, LogicVec)],
+) -> Result<(), SimError> {
     // Batched: stores update first, edges fire once, fanout settles once
     // — instead of a full re-settle per driven input.
-    sim.poke_many(drives.iter().map(|(n, v)| (n.as_str(), v.clone())))?;
+    sim.poke_many_ids(drives)?;
     match clock {
-        Some(clk) => sim.poke(clk, LogicVec::from_bool(true)),
+        Some(clk) => sim.poke_id(clk, LogicVec::from_bool(true)),
         // Edge-free drives defer their combinational flush; settle so a
         // propagation fault surfaces here as the step's error instead of
         // silently freezing the sampled outputs.
@@ -245,7 +309,7 @@ mod tests {
             "module top(input a, input b, output y); assign y = a ^ b; endmodule",
             "top",
         );
-        let tb = Testbench {
+        let tb = Arc::new(Testbench {
             name: "xor".into(),
             clock: None,
             steps: (0..4u64)
@@ -257,7 +321,7 @@ mod tests {
                     }],
                 })
                 .collect(),
-        };
+        });
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed());
         assert_eq!(report.total_checks(), 4);
@@ -272,7 +336,7 @@ mod tests {
             "module top(input a, input b, output y); assign y = a & b; endmodule",
             "top",
         );
-        let tb = Testbench {
+        let tb = Arc::new(Testbench {
             name: "or".into(),
             clock: None,
             steps: (0..4u64)
@@ -284,7 +348,7 @@ mod tests {
                     }],
                 })
                 .collect(),
-        };
+        });
         let report = run_testbench(&tb, &d).unwrap();
         assert!(!report.passed());
         assert_eq!(report.mismatches(), 2); // patterns 01 and 10
@@ -318,11 +382,11 @@ mod tests {
                 }],
             });
         }
-        let tb = Testbench {
+        let tb = Arc::new(Testbench {
             name: "counter".into(),
             clock: Some("clk".into()),
             steps,
-        };
+        });
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed(), "{:?}", report.first_mismatch());
     }
@@ -333,16 +397,56 @@ mod tests {
             "module top(input a, output y); assign y = a; endmodule",
             "top",
         );
-        let tb = Testbench {
+        let tb = Arc::new(Testbench {
             name: "bad".into(),
             clock: None,
             steps: vec![TbStep {
                 drives: vec![("nonexistent".into(), v(1, 0))],
                 checks: vec![],
             }],
-        };
+        });
         let err = run_testbench(&tb, &d).unwrap_err();
         assert!(matches!(err, TbError::InterfaceMismatch { .. }));
+    }
+
+    #[test]
+    fn interface_mismatch_names_each_missing_port_once_in_first_use_order() {
+        // `ck` is missing as the clock, then driven and checked; `a` is
+        // an input, so checking it is a miss on the output side; `b` is
+        // driven on two steps.
+        let d = design(
+            "module top(input clk, input a, output y); assign y = a; endmodule",
+            "top",
+        );
+        let check = |signal: &str| Check {
+            signal: signal.into(),
+            expected: v(1, 0),
+        };
+        let tb = Arc::new(Testbench {
+            name: "ports".into(),
+            clock: Some("ck".into()),
+            steps: vec![
+                TbStep {
+                    drives: vec![
+                        ("a".into(), v(1, 0)),
+                        ("ck".into(), v(1, 0)),
+                        ("b".into(), v(1, 0)),
+                    ],
+                    checks: vec![check("a"), check("ck"), check("y")],
+                },
+                TbStep {
+                    drives: vec![("b".into(), v(1, 1)), ("clk".into(), v(1, 0))],
+                    checks: vec![check("y"), check("b")],
+                },
+            ],
+        });
+        let err = run_testbench(&tb, &d).unwrap_err();
+        assert_eq!(
+            err,
+            TbError::InterfaceMismatch {
+                missing: vec!["ck".into(), "b".into(), "a".into()],
+            }
+        );
     }
 
     #[test]
@@ -352,7 +456,7 @@ mod tests {
             "module top(input a, output y); assign y = a ? ~y : 1'b0; endmodule",
             "top",
         );
-        let tb = Testbench {
+        let tb = Arc::new(Testbench {
             name: "osc".into(),
             clock: None,
             steps: vec![
@@ -371,7 +475,7 @@ mod tests {
                     }],
                 },
             ],
-        };
+        });
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.sim_fault().is_some());
         assert_eq!(report.mismatches(), 1);
@@ -385,11 +489,11 @@ mod tests {
             "module top(input clk, output reg q); always @(posedge clk) q <= ~q; endmodule",
             "top",
         );
-        let tb = Testbench {
+        let tb = Arc::new(Testbench {
             name: "badclk".into(),
             clock: Some("clk_phantom".into()),
             steps: vec![TbStep::default()],
-        };
+        });
         let err = run_testbench(&tb, &d).unwrap_err();
         match err {
             TbError::InterfaceMismatch { missing } => {
@@ -404,7 +508,7 @@ mod tests {
             "module top(input a, input b, output y); assign y = a & b; endmodule",
             "top",
         );
-        let tb = Testbench {
+        let tb = Arc::new(Testbench {
             name: "snap".into(),
             clock: None,
             steps: vec![
@@ -424,7 +528,7 @@ mod tests {
                     }],
                 },
             ],
-        };
+        });
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed());
         let rec = &report.records()[1];

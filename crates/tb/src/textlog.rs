@@ -10,6 +10,7 @@
 //! * [`render_full_log`] — the complete WF-TextLog, one line per check.
 
 use crate::report::{CheckRecord, TbReport};
+use crate::tb::time_of;
 use std::fmt::Write as _;
 
 /// Render the pass-rate-only feedback a golden testbench provides: total
@@ -32,16 +33,15 @@ pub fn render_summary(report: &TbReport) -> String {
         return out;
     }
     for signal in report.failing_signals() {
-        let first = report
-            .records()
-            .iter()
-            .find(|r| !r.pass && r.signal == signal)
+        let (step, _) = report
+            .failing_checks()
+            .find(|(_, check)| check.signal == signal)
             .expect("failing signal has a mismatch");
         let _ = writeln!(
             out,
             "Output '{signal}' has {} mismatches. First mismatch occurred at time {}.",
             report.mismatches_for(&signal),
-            first.time
+            time_of(step)
         );
     }
     let _ = writeln!(
@@ -82,7 +82,9 @@ pub fn render_checkpoint_window(report: &TbReport, lw: usize) -> String {
     if let Some(fault) = report.sim_fault() {
         let _ = writeln!(out, "SIMULATION FAULT: {fault}");
     }
-    let Some(first) = report.first_mismatch() else {
+    // The window ends at the first mismatch, so it holds that record.
+    let window = report.window(lw);
+    let Some(first) = window.iter().find(|r| !r.pass) else {
         let _ = writeln!(out, "No mismatches: all checkpoints passed.");
         return out;
     };
@@ -105,7 +107,7 @@ pub fn render_checkpoint_window(report: &TbReport, lw: usize) -> String {
         first.expected.to_display_string(),
     );
     let _ = writeln!(out, "State checkpoints in window (L_W = {lw}):");
-    for r in report.window(lw) {
+    for r in &window {
         render_record_line(&mut out, r);
     }
     out
@@ -120,7 +122,7 @@ pub fn render_full_log(report: &TbReport) -> String {
     if let Some(fault) = report.sim_fault() {
         let _ = writeln!(out, "SIMULATION FAULT: {fault}");
     }
-    for r in report.records() {
+    for r in &report.records() {
         render_record_line(&mut out, r);
     }
     let _ = writeln!(
@@ -136,31 +138,45 @@ pub fn render_full_log(report: &TbReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::testing::report_of;
+    use crate::{run_testbench, Check, TbStep, Testbench};
     use mage_logic::LogicVec;
+    use std::sync::Arc;
 
+    fn design(src: &str) -> Arc<mage_sim::Design> {
+        let file = mage_verilog::parse(src).unwrap();
+        Arc::new(mage_sim::elaborate(&file, "top").unwrap())
+    }
+
+    /// `q` follows the 4-bit input `g`; step `i` drives `c = 1`,
+    /// `d = i mod 2` and `g = got`, and expects `q = exp`.
     fn report() -> TbReport {
-        let mk = |step: usize, pass: bool, got: u64, exp: u64| CheckRecord {
-            time: (step as u64 + 1) * 10,
-            step,
-            signal: "q".into(),
-            got: LogicVec::from_u64(4, got),
-            expected: LogicVec::from_u64(4, exp),
-            pass,
-            inputs: std::sync::Arc::new(vec![
-                ("c".into(), LogicVec::from_u64(1, 1)),
-                ("d".into(), LogicVec::from_u64(1, (step % 2) as u64)),
-            ]),
-        };
-        TbReport::new(
-            "prob".into(),
-            vec![
-                mk(0, true, 3, 3),
-                mk(1, true, 4, 4),
-                mk(2, false, 8, 9),
-                mk(3, false, 8, 9),
-            ],
-            None,
-        )
+        let d = design(
+            "module top(input c, input d, input [3:0] g, output [3:0] q);
+               assign q = g;
+             endmodule",
+        );
+        let steps = [(3, 3), (4, 4), (8, 9), (8, 9)]
+            .iter()
+            .enumerate()
+            .map(|(step, &(got, exp))| TbStep {
+                drives: vec![
+                    ("c".into(), LogicVec::from_u64(1, 1)),
+                    ("d".into(), LogicVec::from_u64(1, (step % 2) as u64)),
+                    ("g".into(), LogicVec::from_u64(4, got)),
+                ],
+                checks: vec![Check {
+                    signal: "q".into(),
+                    expected: LogicVec::from_u64(4, exp),
+                }],
+            })
+            .collect();
+        let tb = Arc::new(Testbench {
+            name: "prob".into(),
+            clock: None,
+            steps,
+        });
+        run_testbench(&tb, &d).unwrap()
     }
 
     #[test]
@@ -177,7 +193,7 @@ mod tests {
     fn checkpoint_window_names_signal_values() {
         let s = render_checkpoint_window(&report(), 1);
         assert!(s.contains("First mismatch at time 30"));
-        assert!(s.contains("Inputs: c=1, d=0"));
+        assert!(s.contains("Inputs: c=1, d=0, g=8"));
         assert!(s.contains("Got q=1000 (8), Expected q=1001 (9)."));
         // Window includes the pre-mismatch checkpoint.
         assert!(s.contains("time=  20"));
@@ -193,7 +209,30 @@ mod tests {
 
     #[test]
     fn passing_report_renders_clean() {
-        let r = TbReport::new("ok".into(), vec![], None);
+        let r = report_of(&[]);
         assert!(render_checkpoint_window(&r, 3).contains("No mismatches"));
+    }
+
+    #[test]
+    fn passing_check_on_a_wider_output_renders_the_dut_width() {
+        // Case equality zero-extends, so a 4-bit expectation passes
+        // against the 8-bit output; the log shows what the DUT drove.
+        let d =
+            design("module top(input [3:0] a, output [7:0] y); assign y = {4'b0000, a}; endmodule");
+        let tb = Arc::new(Testbench {
+            name: "wide".into(),
+            clock: None,
+            steps: vec![TbStep {
+                drives: vec![("a".into(), LogicVec::from_u64(4, 5))],
+                checks: vec![Check {
+                    signal: "y".into(),
+                    expected: LogicVec::from_u64(4, 5),
+                }],
+            }],
+        });
+        let report = run_testbench(&tb, &d).unwrap();
+        assert!(report.passed());
+        assert!(render_full_log(&report)
+            .contains("time=  10 [OK      ] inputs: a=5 | y: got=00000101 (5) expected=0101 (5)"));
     }
 }

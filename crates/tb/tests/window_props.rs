@@ -1,29 +1,47 @@
 //! Property tests on the report/window machinery (Eqs. 2, 5, 6) over
-//! synthetic check records.
+//! bench runs with a chosen pass pattern.
 
 use mage_logic::LogicVec;
-use mage_tb::{CheckRecord, TbReport};
+use mage_tb::{run_testbench, Check, TbReport, TbStep, Testbench};
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
-fn record(step: usize, signal: &str, pass: bool) -> CheckRecord {
-    CheckRecord {
-        time: (step as u64 + 1) * 10,
-        step,
-        signal: signal.into(),
-        got: LogicVec::from_u64(4, if pass { 5 } else { 6 }),
-        expected: LogicVec::from_u64(4, 5),
-        pass,
-        inputs: std::sync::Arc::new(vec![("a".into(), LogicVec::from_u64(2, step as u64 & 3))]),
-    }
+/// `q` follows the input `g`; `a` is a bystander input the snapshots
+/// carry.
+fn identity() -> &'static Arc<mage_sim::Design> {
+    static DESIGN: OnceLock<Arc<mage_sim::Design>> = OnceLock::new();
+    DESIGN.get_or_init(|| {
+        let file = mage_verilog::parse(
+            "module top(input [1:0] a, input [3:0] g, output [3:0] q); assign q = g; endmodule",
+        )
+        .unwrap();
+        Arc::new(mage_sim::elaborate(&file, "top").unwrap())
+    })
 }
 
+/// One check of `q` per step: the DUT drives 5 on a passing step and 6
+/// on a failing one, against an expected 5.
 fn report_from(passes: &[bool]) -> TbReport {
-    let records: Vec<CheckRecord> = passes
+    let steps = passes
         .iter()
         .enumerate()
-        .map(|(i, &p)| record(i, "q", p))
+        .map(|(step, &pass)| TbStep {
+            drives: vec![
+                ("a".into(), LogicVec::from_u64(2, step as u64 & 3)),
+                ("g".into(), LogicVec::from_u64(4, if pass { 5 } else { 6 })),
+            ],
+            checks: vec![Check {
+                signal: "q".into(),
+                expected: LogicVec::from_u64(4, 5),
+            }],
+        })
         .collect();
-    TbReport::new("prop".into(), records, None)
+    let tb = Arc::new(Testbench {
+        name: "prop".into(),
+        clock: None,
+        steps,
+    });
+    run_testbench(&tb, identity()).unwrap()
 }
 
 proptest! {

@@ -15,7 +15,7 @@
 //! instances with named/ordered connections and parameter overrides, and
 //! the full operator set ([`ast::BinaryOp`], [`ast::UnaryOp`]).
 //!
-//! Deviations (documented in `DESIGN.md`): no `signed` arithmetic, no
+//! Deviations from IEEE 1364: no `signed` arithmetic, no
 //! `generate`/`function`/`task`/`initial`, no indexed part-selects
 //! (`+:`), `casex` parsed as `casez`.
 //!

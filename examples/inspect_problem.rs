@@ -43,12 +43,12 @@ fn main() {
         design.processes.len()
     );
 
-    let tb = synthesize_testbench(
+    let tb = Arc::new(synthesize_testbench(
         problem.id,
         design,
         &oracle.stimulus,
         CheckDensity::EveryStep,
-    );
+    ));
     println!(
         "\n--- synthesized checkpoint testbench: {} steps, {} checkpoints ---",
         tb.steps.len(),

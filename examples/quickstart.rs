@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart [problem_id]
 //! ```
 
-use mage::core::experiments::grading_bench;
+use mage::core::experiments::grading_bench_shared;
 use mage::core::{compile, Mage, MageConfig, Task};
 use mage::llm::{SyntheticModel, SyntheticModelConfig};
 use mage::problems::by_id;
@@ -55,7 +55,7 @@ fn main() {
 
     // Grade the answer against the benchmark's reference bench, like the
     // evaluation harness does.
-    let grading = grading_bench(problem);
+    let grading = grading_bench_shared(problem);
     match compile(&trace.final_source) {
         Ok(design) => {
             let report = run_testbench(&grading, &design).expect("interface matches");

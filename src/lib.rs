@@ -1,8 +1,7 @@
 //! MAGE: a multi-agent engine for automated RTL code generation.
 //!
-//! This meta-crate re-exports the whole MAGE reproduction workspace (see
-//! `DESIGN.md` for the architecture and `EXPERIMENTS.md` for
-//! paper-vs-measured results):
+//! This meta-crate re-exports the whole MAGE reproduction workspace, one
+//! crate per layer:
 //!
 //! * [`logic`] — four-state logic vectors;
 //! * [`verilog`] — lexer, parser, AST, printer, static analysis;

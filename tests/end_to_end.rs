@@ -6,6 +6,7 @@ use mage::core::{compile, Mage, MageConfig, SystemKind, Task};
 use mage::llm::{SyntheticModel, SyntheticModelConfig};
 use mage::problems::{by_id, suite, SuiteId};
 use mage::tb::{run_testbench, synthesize_testbench, CheckDensity};
+use std::sync::Arc;
 
 #[test]
 fn solve_and_grade_one_problem_end_to_end() {
@@ -142,12 +143,12 @@ fn checkpoint_bench_catches_wrong_edge_bugs() {
     // Regression: checks sampled mid-cycle make EdgeFlip observable.
     let problem = by_id("prob040_dff").expect("corpus problem");
     let oracle = problem.oracle(3);
-    let tb = synthesize_testbench(
+    let tb = Arc::new(synthesize_testbench(
         problem.id,
         &oracle.golden_design,
         &oracle.stimulus,
         CheckDensity::EveryStep,
-    );
+    ));
     let flipped = compile(
         "module top_module(input clk, input rst, input d, output reg q);
            always @(negedge clk) begin
