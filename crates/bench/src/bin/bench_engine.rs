@@ -1,14 +1,12 @@
 //! Engine-throughput baseline harness: drive a fixed job stream through
-//! `mage-serve` in four modes and write `BENCH_engine.json` so future
-//! PRs can track the serving-path trajectory alongside `BENCH_sim.json`.
+//! `mage-serve` and write `BENCH_engine.json` so future PRs can track
+//! the serving-path trajectory alongside `BENCH_sim.json`.
 //!
 //! Modes measured (interleaved best-of-N, like `bench_sim`):
 //!
-//! * `serve_wave`   — the overlapped wave scheduler (default): LLM
+//! * `serve_wave`   — the wave scheduler with LLM batching on: LLM
 //!   batches dispatch while sim waves crunch in the background;
-//! * `serve_bsp`    — the BSP round oracle with LLM batching on: each
-//!   round's requests across all jobs coalesce into one dispatch call;
-//! * `serve_scalar` — the BSP scheduler, batching off (one dispatch
+//! * `serve_scalar` — the wave scheduler, batching off (one dispatch
 //!   call per request): isolates the batching win in call counts;
 //! * `serve_fleet`  — the same stream sharded across `FLEET_SHARDS`
 //!   wave engines behind the `mage-fleet` affinity router (rebalancer
@@ -17,20 +15,25 @@
 //!   `Mage::solve` after another, no shared design cache.
 //!
 //! Besides wall time the JSON records a deterministic `scheduler`
-//! section — per-mode LLM dispatch calls, productive steps, sim waves
-//! launched, and overlapped steps (an LLM batch dispatched while a sim
-//! wave was in flight) — and asserts the wave invariants in-process:
-//! wave dispatch calls ≤ BSP's on the registry stream, wave overlap
-//! strictly positive, BSP overlap exactly zero, identical per-job work
-//! either way, and batched calls < requests (the PR 2 acceptance
-//! invariant). A `resilience` section re-runs the wave stream under the
-//! canonical fault plan and asserts the retry machinery both fires
-//! (nonzero retries and rate-limit defers) and absorbs (zero failed
-//! jobs), while the empty plan leaves every counter at zero. A `fleet`
-//! section shards the stream, records per-shard dispatch calls,
-//! migration counts and cache-fabric hit rates, and asserts in-process
-//! that the fleet does identical per-job work and that a pinned replay
-//! of its placement trace is bit-identical. The wave pass's design- and
+//! section — the wave pass's LLM dispatch calls, productive steps, sim
+//! waves launched, and overlapped steps (an LLM batch dispatched while
+//! a sim wave was in flight) — next to a `barrier`: the dispatch calls,
+//! sim waves and steps of a schedule that resolves every job's k-th
+//! request together in step k, counted from each job's solo need
+//! sequence (its `SolveJob` driven by hand, no serve code). It asserts
+//! in-process: wave dispatch calls ≤ the barrier's on this stream, wave
+//! overlap strictly positive, per-job work identical in the wave and
+//! scalar passes, and batched calls < requests. The
+//! wave, scalar and fleet passes run under an explicit empty fault
+//! plan, so the gates do not depend on `$MAGE_FAULT_PLAN`; the empty
+//! plan must leave every resilience counter at zero. A `resilience`
+//! section re-runs the wave stream under the canonical fault plan and
+//! asserts the retry machinery both fires (nonzero retries and
+//! rate-limit defers) and absorbs (zero failed jobs). A `fleet` section
+//! shards the stream, records per-shard dispatch calls, migration
+//! counts and cache-fabric hit rates, and asserts in-process that the
+//! fleet does identical per-job work and that a pinned replay of its
+//! placement trace is bit-identical. The wave pass's design- and
 //! score-cache counters are recorded too, and both caches must report
 //! zero key collisions.
 //!
@@ -40,19 +43,17 @@
 //! `--smoke` cuts the sampling to one interleaved pass per mode so CI
 //! can gate merges on the in-process invariants in a fraction of the
 //! wall clock. The job stream itself stays the canonical
-//! V1×RUNS_PER_PROBLEM one either way — the wave ≤ BSP dispatch-call
-//! invariant is a property of the coalescing join *on that stream* —
-//! so the dispatch-economics assertions are identical.
+//! V1×RUNS_PER_PROBLEM one either way — the wave ≤ barrier
+//! dispatch-call invariant is a property of the coalescing join *on
+//! that stream* — so the dispatch-economics assertions are identical.
 
 use mage_core::experiments::unit_seed;
+use mage_core::solvejob::{execute_sim_with, SolveJob, SolveStep, StepInput};
 use mage_core::{Mage, MageConfig, SystemKind, Task};
 use mage_fleet::{FleetEngine, FleetOptions, FleetReport, PlacementTrace};
-use mage_llm::{DispatchPolicy, FaultPlan, SyntheticModel, SyntheticModelConfig};
+use mage_llm::{DispatchPolicy, FaultPlan, RtlLanguageModel, SyntheticModel, SyntheticModelConfig};
 use mage_problems::SuiteId;
-use mage_serve::{
-    synthetic_service, synthetic_service_with, JobSpec, SchedMode, ServeEngine, ServeOptions,
-    ServeStats,
-};
+use mage_serve::{synthetic_service_with, JobSpec, ServeEngine, ServeOptions, ServeStats};
 use std::time::Instant;
 
 /// Shards in the fleet mode.
@@ -87,16 +88,18 @@ fn stream_specs() -> Vec<JobSpec> {
     specs
 }
 
-/// One serve pass; returns (seconds, full report).
-fn run_serve(sched: SchedMode, batch_llm: bool) -> (f64, mage_serve::ServeReport) {
+/// One serve pass under an explicit fault plan (ignores
+/// `$MAGE_FAULT_PLAN`: the dispatch-economics and resilience gates must
+/// hold whatever environment the harness runs in). Returns (seconds,
+/// full report).
+fn run_serve(plan: FaultPlan, batch_llm: bool) -> (f64, mage_serve::ServeReport) {
     let specs = stream_specs();
-    let service = synthetic_service(&specs);
+    let service = synthetic_service_with(&specs, plan, DispatchPolicy::default());
     let mut engine = ServeEngine::new(
         ServeOptions {
             workers: cpus(),
             batch_llm,
             max_in_flight: 0,
-            sched,
             ..ServeOptions::default()
         },
         service,
@@ -110,49 +113,84 @@ fn run_serve(sched: SchedMode, batch_llm: bool) -> (f64, mage_serve::ServeReport
     (secs, engine.report())
 }
 
-/// One wave pass under an explicit fault plan (ignores
-/// `$MAGE_FAULT_PLAN` — the resilience gate must check both the empty
-/// and the canonical plan whatever environment the harness runs in).
-/// Returns (stats, jobs failed, jobs pushed).
-fn run_faulted(plan: FaultPlan) -> (ServeStats, usize, usize) {
-    let specs = stream_specs();
-    let service = synthetic_service_with(&specs, plan, DispatchPolicy::default());
-    let mut engine = ServeEngine::new(
-        ServeOptions {
-            workers: cpus(),
-            batch_llm: true,
-            max_in_flight: 0,
-            sched: SchedMode::Wave,
-            ..ServeOptions::default()
-        },
-        service,
-    );
-    for spec in specs {
-        engine.push_job(spec);
+/// The counts of a barrier schedule over an uncapped, fault-free
+/// stream: step k advances every job once, then dispatches every LLM
+/// request of the step as one call, then runs every sim request of the
+/// step as one wave. Job j's k-th request then always lands in step k,
+/// so the counts follow from each job's solo need sequence alone — no
+/// scheduler involved.
+struct Barrier {
+    /// Steps with at least one LLM request.
+    dispatch_calls: usize,
+    /// Steps with at least one sim request.
+    sim_waves: usize,
+    /// Steps until the last job retires (its final advance included).
+    steps: usize,
+}
+
+/// Drive each job's `SolveJob` alone — scalar model calls,
+/// `mage_core::compile` — recording whether its k-th need is an LLM
+/// request, and fold the sequences into [`Barrier`] counts.
+fn barrier_counts(specs: &[JobSpec]) -> Barrier {
+    let needs: Vec<Vec<bool>> = specs
+        .iter()
+        .map(|spec| {
+            let p = mage_problems::by_id(&spec.problem_id).expect("registry problem");
+            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
+            model.register(p.id, p.oracle(spec.seed));
+            let mut job = SolveJob::new(p.id, p.spec, spec.config.clone());
+            let mut input = StepInput::Start;
+            let mut is_llm = Vec::new();
+            loop {
+                input = match job.advance(input) {
+                    SolveStep::NeedLlm(req) => {
+                        is_llm.push(true);
+                        StepInput::Llm(model.dispatch(&req))
+                    }
+                    SolveStep::NeedSim(req) => {
+                        is_llm.push(false);
+                        StepInput::Sim(execute_sim_with(&req, mage_core::compile))
+                    }
+                    SolveStep::Done(_) => break is_llm,
+                };
+            }
+        })
+        .collect();
+    let depth = needs.iter().map(Vec::len).max().unwrap_or(0);
+    let steps_with = |llm: bool| {
+        (0..depth)
+            .filter(|&k| needs.iter().any(|n| n.get(k) == Some(&llm)))
+            .count()
+    };
+    Barrier {
+        dispatch_calls: steps_with(true),
+        sim_waves: steps_with(false),
+        steps: depth + 1,
     }
-    engine.run();
-    let report = engine.report();
-    (report.stats, report.failed, report.jobs)
 }
 
 /// One fleet pass over the canonical stream: `FLEET_SHARDS` wave
-/// engines behind the affinity router with the rebalancer on. Passing
-/// a recorded trace replays it pinned (the determinism gate).
+/// engines behind the affinity router with the rebalancer on, under
+/// the same empty fault plan as the wave pass it is compared with.
+/// Passing a recorded trace replays it pinned (the determinism gate).
 fn run_fleet(pinned: Option<PlacementTrace>) -> (f64, FleetReport) {
     let specs = stream_specs();
-    let mut fleet = FleetEngine::synthetic(FleetOptions {
-        shards: FLEET_SHARDS,
-        serve: ServeOptions {
-            workers: cpus(),
-            batch_llm: true,
-            max_in_flight: 0,
-            sched: SchedMode::Wave,
-            ..ServeOptions::default()
+    let mut fleet = FleetEngine::synthetic_with(
+        FleetOptions {
+            shards: FLEET_SHARDS,
+            serve: ServeOptions {
+                workers: cpus(),
+                batch_llm: true,
+                max_in_flight: 0,
+                ..ServeOptions::default()
+            },
+            migrate_after_steps: 8,
+            pinned,
+            ..FleetOptions::default()
         },
-        migrate_after_steps: 8,
-        pinned,
-        ..FleetOptions::default()
-    });
+        FaultPlan::none(),
+        DispatchPolicy::default(),
+    );
     for spec in specs {
         fleet.push_job(spec);
     }
@@ -189,27 +227,23 @@ fn main() {
     // Smoke mode: one interleaved sample per mode — CI runs the
     // harness for its assertions, not its timings. The job stream is
     // the canonical V1×RUNS_PER_PROBLEM one in both modes: the wave ≤
-    // BSP dispatch-call invariant is a property of the coalescing join
-    // *on this stream*, so the gate must re-check exactly it.
+    // barrier dispatch-call invariant is a property of the coalescing
+    // join *on this stream*, so the gate must re-check exactly it.
     let samples = if smoke { 1 } else { SAMPLES };
     let jobs = stream_specs().len();
+    let barrier = barrier_counts(&stream_specs());
 
-    // Interleave the four modes so load drift hits all equally.
-    let (mut wave_s, mut bsp_s, mut scalar_s, mut solo_s) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    // Interleave the modes so load drift hits all equally.
+    let (mut wave_s, mut scalar_s, mut solo_s) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let mut wave_report: Option<mage_serve::ServeReport> = None;
-    let mut bsp_stats: Option<ServeStats> = None;
     let mut scalar_stats: Option<ServeStats> = None;
     let mut fleet_s = f64::INFINITY;
     let mut fleet_report: Option<FleetReport> = None;
     for _ in 0..samples {
-        let (s, report) = run_serve(SchedMode::Wave, true);
+        let (s, report) = run_serve(FaultPlan::none(), true);
         wave_s = wave_s.min(s);
         wave_report.get_or_insert(report);
-        let (s, report) = run_serve(SchedMode::Bsp, true);
-        bsp_s = bsp_s.min(s);
-        bsp_stats.get_or_insert(report.stats);
-        let (s, report) = run_serve(SchedMode::Bsp, false);
+        let (s, report) = run_serve(FaultPlan::none(), false);
         scalar_s = scalar_s.min(s);
         scalar_stats.get_or_insert(report.stats);
         let (s, report) = run_fleet(None);
@@ -222,7 +256,6 @@ fn main() {
     let (score_hits, score_misses) = (wreport.score_hits, wreport.score_misses);
     let cpus = cpus();
     let wstats = wreport.stats;
-    let bstats = bsp_stats.expect("ran");
     let sstats = scalar_stats.expect("ran");
 
     // Delta-compilation invariant: the wave pass compiles through the
@@ -243,27 +276,26 @@ fn main() {
     // Scheduler invariants, asserted in-process on the registry stream.
     //
     // Identical per-job work whatever the schedule…
-    assert_eq!(wstats.llm_requests, bstats.llm_requests);
-    assert_eq!(wstats.sim_requests, bstats.sim_requests);
-    assert_eq!(wstats.jobs_done, bstats.jobs_done);
-    // …the wave scheduler must coalesce at least as well as the BSP
+    assert_eq!(wstats.llm_requests, sstats.llm_requests);
+    assert_eq!(wstats.sim_requests, sstats.sim_requests);
+    assert_eq!(wstats.jobs_done, sstats.jobs_done);
+    // …the wave scheduler must coalesce at least as well as the
     // barrier (its coalescing join exists for exactly this)…
     assert!(
-        wstats.llm_batch_calls <= bstats.llm_batch_calls,
-        "wave dispatches more LLM calls than BSP: {} vs {}",
+        wstats.llm_batch_calls <= barrier.dispatch_calls,
+        "wave dispatches more LLM calls than the barrier: {} vs {}",
         wstats.llm_batch_calls,
-        bstats.llm_batch_calls
+        barrier.dispatch_calls
     );
-    // …while actually overlapping sim under LLM (BSP never does)…
+    // …while actually overlapping sim under LLM…
     assert!(wstats.overlap_steps > 0, "wave mode never overlapped");
-    assert_eq!(bstats.overlap_steps, 0, "BSP rounds cannot overlap");
     // …and batching must coalesce: strictly fewer LLM calls than
     // requests on a multi-job stream, while scalar is 1:1.
     assert!(
-        bstats.llm_batch_calls < bstats.llm_requests,
+        wstats.llm_batch_calls < wstats.llm_requests,
         "batched mode must coalesce: {} calls vs {} requests",
-        bstats.llm_batch_calls,
-        bstats.llm_requests
+        wstats.llm_batch_calls,
+        wstats.llm_requests
     );
     assert_eq!(sstats.llm_batch_calls, sstats.llm_requests);
 
@@ -271,19 +303,19 @@ fn main() {
     // zero (the fault machinery is a strict passthrough when unused);
     // the canonical plan lights the retry and rate-limit paths while
     // failing nothing (every canonical fault is absorbable).
-    let (clean, clean_failed, _) = run_faulted(FaultPlan::none());
-    assert_eq!(clean_failed, 0, "empty plan failed a job");
+    assert_eq!(wreport.failed, 0, "empty plan failed a job");
     assert_eq!(
         (
-            clean.retries,
-            clean.hedges,
-            clean.rate_limit_defers,
-            clean.failovers,
+            wstats.retries,
+            wstats.hedges,
+            wstats.rate_limit_defers,
+            wstats.failovers,
         ),
         (0, 0, 0, 0),
         "empty plan left nonzero resilience counters"
     );
-    let (faulted, faulted_failed, faulted_jobs) = run_faulted(FaultPlan::canonical());
+    let (_, report) = run_serve(FaultPlan::canonical(), true);
+    let (faulted, faulted_failed, faulted_jobs) = (report.stats, report.failed, report.jobs);
     assert_eq!(
         faulted_failed, 0,
         "canonical plan must be fully absorbed ({faulted_failed}/{faulted_jobs} jobs failed)"
@@ -328,7 +360,6 @@ fn main() {
         );
     };
     line("serve_wave", wave_s);
-    line("serve_bsp", bsp_s);
     line("serve_scalar", scalar_s);
     line("serve_fleet", fleet_s);
     line("solo_loop", solo_s);
@@ -345,13 +376,13 @@ fn main() {
     );
     println!(
         "wave llm: {} requests in {} dispatch calls ({:.1} avg, {} overlapped steps); \
-         bsp: {} calls; scalar: {} calls; design cache {hits} hits / {misses} misses; \
+         barrier: {} calls; scalar: {} calls; design cache {hits} hits / {misses} misses; \
          score cache {score_hits} hits / {score_misses} misses",
         wstats.llm_requests,
         wstats.llm_batch_calls,
         wstats.llm_requests as f64 / wstats.llm_batch_calls.max(1) as f64,
         wstats.overlap_steps,
-        bstats.llm_batch_calls,
+        barrier.dispatch_calls,
         sstats.llm_batch_calls,
     );
     println!(
@@ -367,23 +398,18 @@ fn main() {
         100.0 * wreport.unit_hits as f64 / (wreport.unit_hits + wreport.unit_misses).max(1) as f64,
     );
 
-    let sched_mode = |stats: &ServeStats| {
-        format!(
-            "{{ \"dispatch_calls\": {}, \"steps\": {}, \"sim_waves\": {}, \"overlap_steps\": {} }}",
-            stats.llm_batch_calls, stats.rounds, stats.sim_waves, stats.overlap_steps
-        )
-    };
     let json = format!(
         "{{\n  \"jobs\": {jobs},\n  \"modes\": {{\n    \
          \"serve_wave\":   {{ \"wall_s\": {wave_s:.6}, \"jobs_per_sec\": {:.3} }},\n    \
-         \"serve_bsp\":    {{ \"wall_s\": {bsp_s:.6}, \"jobs_per_sec\": {:.3} }},\n    \
          \"serve_scalar\": {{ \"wall_s\": {scalar_s:.6}, \"jobs_per_sec\": {:.3} }},\n    \
          \"solo_loop\":    {{ \"wall_s\": {solo_s:.6}, \"jobs_per_sec\": {:.3} }}\n  }},\n  \
          \"llm_dispatch\": {{\n    \
-         \"requests\": {},\n    \"wave_calls\": {},\n    \"bsp_calls\": {},\n    \
+         \"requests\": {},\n    \"wave_calls\": {},\n    \"barrier_calls\": {},\n    \
          \"scalar_calls\": {},\n    \"avg_wave_batch_size\": {:.2}\n  }},\n  \
          \"scheduler\": {{\n    \
-         \"wave\": {},\n    \"bsp\": {},\n    \
+         \"wave\": {{ \"dispatch_calls\": {}, \"steps\": {}, \"sim_waves\": {}, \
+         \"overlap_steps\": {} }},\n    \
+         \"barrier\": {{ \"dispatch_calls\": {}, \"steps\": {}, \"sim_waves\": {} }},\n    \
          \"delta\": {{ \"unit_hits\": {}, \"unit_misses\": {}, \"unit_collisions\": {}, \
          \"hit_rate\": {:.4} }}\n  }},\n  \
          \"resilience\": {{\n    \
@@ -400,10 +426,14 @@ fn main() {
          \"design_cache\": {{ \"hits\": {hits}, \"misses\": {misses} }},\n  \
          \"score_cache\": {{ \"hits\": {score_hits}, \"misses\": {score_misses}, \
          \"collisions\": {} }},\n  \
-         \"notes\": \"serve_wave = overlapped wave scheduler (default; coalescing join keeps \
-         dispatch calls <= BSP, asserted in-process along with overlap_steps > 0); serve_bsp = \
-         the retained BSP round oracle, batching on; serve_scalar = BSP with batching off; \
-         solo_loop = sequential Mage::solve without serve. All serve modes use per-job \
+         \"notes\": \"serve_wave = the wave scheduler with LLM batching on; serve_scalar = \
+         the wave scheduler with batching off; solo_loop = sequential Mage::solve without \
+         serve. scheduler.barrier counts a schedule that resolves every job's k-th request \
+         together in step k, derived from each job's solo need sequence (its SolveJob driven \
+         by hand, no serve code): the wave scheduler's coalescing join keeps its dispatch \
+         calls <= the barrier's, asserted in-process along with overlap_steps > 0 and identical \
+         per-job work in every pass. The serve_wave, serve_scalar and fleet passes \
+         run under an explicit empty fault plan. All serve modes use per-job \
          synthetic models and the shared design+score caches. The resilience section drives \
          the same wave stream through the canonical fault plan (every fault kind, all \
          absorbable): counters are asserted zero fault-free and nonzero (with zero failed \
@@ -425,18 +455,26 @@ fn main() {
          interleaved best-of-{samples} minima on {cpus} CPUs (the serve modes run one sim \
          worker per CPU) and are telemetry; the scheduler section's deterministic counts \
          (dispatch calls, sim waves, overlap steps) are the architecture signal. \
+         ci/bench-engine.expected pins scheduler.wave, scheduler.barrier, llm_dispatch, \
+         resilience and score_cache. design_cache and scheduler.delta stay out: the design \
+         cache has no turn lock, so twin compiles in one wave can both miss and move those \
+         counts by a few; fleet is telemetry. \
          Regenerate with: cargo run --release -p mage-bench --bin bench_engine\"\n}}\n",
         jobs as f64 / wave_s,
-        jobs as f64 / bsp_s,
         jobs as f64 / scalar_s,
         jobs as f64 / solo_s,
         wstats.llm_requests,
         wstats.llm_batch_calls,
-        bstats.llm_batch_calls,
+        barrier.dispatch_calls,
         sstats.llm_batch_calls,
         wstats.llm_requests as f64 / wstats.llm_batch_calls.max(1) as f64,
-        sched_mode(&wstats),
-        sched_mode(&bstats),
+        wstats.llm_batch_calls,
+        wstats.rounds,
+        wstats.sim_waves,
+        wstats.overlap_steps,
+        barrier.dispatch_calls,
+        barrier.steps,
+        barrier.sim_waves,
         wreport.unit_hits,
         wreport.unit_misses,
         wreport.unit_collisions,

@@ -63,14 +63,14 @@ pub enum SolveStep {
 /// A not-yet-dispatched external effect, parked per job by an
 /// overlapped scheduler.
 ///
-/// The BSP round engine resolves every [`SolveStep`] within the round
-/// that produced it, so a request never outlives its round. A wave
-/// scheduler instead *parks* the request — in an LLM queue waiting for
-/// the next dispatch point, or in a sim queue waiting for the worker
-/// pool — while other jobs advance. This envelope is that parked state:
-/// it owns the request, so the job can be checkpointed mid-queue and
-/// the request re-enqueued on restore, and the response (arriving out
-/// of round) still routes to the right job by its queue tag.
+/// [`crate::Mage::solve`] resolves every [`SolveStep`] as soon as it is
+/// yielded. A wave scheduler instead *parks* the request — in an LLM
+/// queue waiting for the next dispatch point, or in a sim queue waiting
+/// for the worker pool — while other jobs advance. This envelope is
+/// that parked state: it owns the request, so the job can be
+/// checkpointed mid-queue and the request re-enqueued on restore, and
+/// the response (arriving whenever its batch or wave completes) still
+/// routes to the right job by its queue tag.
 #[derive(Debug, Clone)]
 pub enum PendingWork {
     /// An LLM request awaiting the next dispatch point.

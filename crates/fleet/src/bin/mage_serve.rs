@@ -9,10 +9,6 @@
 //! [`FleetEngine`] and adds per-shard, migration and cache-fabric
 //! report lines. `--placement-trace` closes the determinism loop from
 //! the shell: run once to record, run again to replay pinned.
-//!
-//! Jobs always run on the wave scheduler; its BSP reference
-//! (`ServeOptions::sched`) is reached from the serve and fleet test
-//! suites and `bench_engine`, not from this binary.
 
 use mage_core::experiments::unit_seed;
 use mage_core::{MageConfig, SolveTrace, SystemKind};
@@ -150,6 +146,9 @@ fn parse_args() -> Result<Args, ExitCode> {
     }
     if args.shards == 0 {
         return Err(usage("--shards must be at least 1"));
+    }
+    if args.workers == 0 {
+        return Err(usage("--workers must be at least 1"));
     }
     Ok(args)
 }

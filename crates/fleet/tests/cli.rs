@@ -13,13 +13,14 @@ fn mage_serve(args: &[&str]) -> Output {
 
 #[test]
 fn bad_arguments_exit_2_without_panicking() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--runs", "abc"], "--runs"),
         (&["--runs"], "--runs"),
         (&["--bogus"], "--bogus"),
         (&["--suite", "bogus"], "--suite"),
         (&["--fault-plan", "bogus"], "--fault-plan"),
         (&["--shards", "0"], "--shards"),
+        (&["--workers", "0"], "--workers"),
     ];
     for (args, flag) in cases {
         let out = mage_serve(args);

@@ -1,18 +1,19 @@
 //! Fleet determinism: a sharded run must retire every job with a
-//! `SolveTrace` bit-identical to a single `ServeEngine` over the same
-//! stream — whatever the shard count, scheduler mode, worker count, or
-//! fault plan — and a run replayed under its own recorded
-//! `PlacementTrace` must re-record that trace exactly.
+//! `SolveTrace` bit-identical to the one `Mage::solve` gives for that
+//! job alone — whatever the shard count, schedule (batched or scalar
+//! dispatch), worker count, or fault plan — and a run replayed under
+//! its own recorded `PlacementTrace` must re-record that trace exactly.
 //!
 //! Like the serve suites, the service plan comes from `MAGE_FAULT_PLAN`
 //! (via `FleetEngine::synthetic`), so CI re-runs this whole file under
 //! the canonical chaos plan; the explicit-plan tests pin canonical
-//! regardless of the environment.
+//! regardless of the environment. Every canonical fault is absorbable,
+//! so the solo solves stay the reference either way.
 
-use mage_core::{MageConfig, SolveTrace};
+use mage_core::{Mage, MageConfig, SolveTrace, Task};
 use mage_fleet::{FleetEngine, FleetOptions};
-use mage_llm::{DispatchPolicy, FaultPlan};
-use mage_serve::{synthetic_service, JobSpec, SchedMode, ServeEngine, ServeOptions};
+use mage_llm::{DispatchPolicy, FaultPlan, SyntheticModel, SyntheticModelConfig};
+use mage_serve::{JobSpec, ServeOptions, ServeStats};
 
 const PROBLEMS: [&str; 4] = [
     "prob012_mux4_case",
@@ -51,31 +52,41 @@ fn skewed_specs(n: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-fn serve_opts(sched: SchedMode, workers: usize) -> ServeOptions {
+/// The two schedules every grid sweeps: one coalesced LLM batch per
+/// dispatch point, and scalar dispatch (one call per request).
+const SCHEDULES: [(&str, bool); 2] = [("batched", true), ("scalar", false)];
+
+fn serve_opts(batch_llm: bool, workers: usize) -> ServeOptions {
     ServeOptions {
         workers,
-        batch_llm: true,
+        batch_llm,
         max_in_flight: 0,
-        sched,
         ..ServeOptions::default()
     }
 }
 
-/// The single-engine reference: traces in job (= push) order.
-fn single_engine(stream: &[JobSpec], opts: ServeOptions) -> Vec<SolveTrace> {
-    let service = synthetic_service(stream);
-    let mut engine = ServeEngine::new(opts, service);
-    for spec in stream {
-        engine.push_job(spec.clone());
-    }
-    engine.run();
-    let traces: Vec<SolveTrace> = engine
-        .traces()
-        .into_iter()
-        .map(|(_, t)| t.clone())
-        .collect();
-    assert_eq!(traces.len(), stream.len(), "all jobs retire");
-    traces
+/// A run really had its schedule: batching coalesced requests into
+/// fewer calls, scalar dispatch made one call per request.
+fn assert_schedule(batch_llm: bool, stats: &ServeStats) {
+    let coalesced = stats.llm_batch_calls < stats.llm_requests;
+    assert_eq!(coalesced, batch_llm, "schedule did not apply: {stats:?}");
+}
+
+/// The reference: each job solved alone by `Mage::solve`, in job
+/// (= push) order.
+fn solo(stream: &[JobSpec]) -> Vec<SolveTrace> {
+    stream
+        .iter()
+        .map(|spec| {
+            let p = mage_problems::by_id(&spec.problem_id).expect("corpus problem");
+            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
+            model.register(p.id, p.oracle(spec.seed));
+            Mage::new(&mut model, spec.config.clone()).solve(&Task {
+                id: p.id,
+                spec: p.spec,
+            })
+        })
+        .collect()
 }
 
 /// Push a stream through a fleet and return its traces in fleet-job
@@ -100,18 +111,19 @@ fn run_fleet(stream: &[JobSpec], opts: FleetOptions) -> mage_fleet::FleetReport 
 #[test]
 fn fleet_matches_single_engine_across_shard_counts_and_modes() {
     let stream = specs(3);
-    let reference = single_engine(&stream, serve_opts(SchedMode::Bsp, 1));
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    let reference = solo(&stream);
+    for (sched, batch) in SCHEDULES {
         for shards in [1usize, 2, 4] {
             let report = run_fleet(
                 &stream,
                 FleetOptions {
                     shards,
-                    serve: serve_opts(sched, 2),
+                    serve: serve_opts(batch, 2),
                     migrate_after_steps: 4,
                     ..FleetOptions::default()
                 },
             );
+            assert_schedule(batch, &report.stats);
             let got = fleet_traces(&report, stream.len());
             assert_eq!(got, reference, "diverged at {shards} shards / {sched}");
             assert_eq!(report.placements, stream.len());
@@ -124,26 +136,14 @@ fn fleet_determinism_holds_under_the_canonical_fault_plan() {
     let stream = specs(2);
     let plan = FaultPlan::parse("canonical").expect("canonical preset");
     let policy = DispatchPolicy::default();
+    let reference = solo(&stream);
 
-    let service = mage_serve::synthetic_service_with(&stream, plan.clone(), policy.clone());
-    let mut engine = ServeEngine::new(serve_opts(SchedMode::Bsp, 1), service);
-    for spec in &stream {
-        engine.push_job(spec.clone());
-    }
-    engine.run();
-    let reference: Vec<SolveTrace> = engine
-        .traces()
-        .into_iter()
-        .map(|(_, t)| t.clone())
-        .collect();
-    assert_eq!(reference.len(), stream.len());
-
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    for (sched, batch) in SCHEDULES {
         for shards in [2usize, 4] {
             let mut fleet = FleetEngine::synthetic_with(
                 FleetOptions {
                     shards,
-                    serve: serve_opts(sched, 2),
+                    serve: serve_opts(batch, 2),
                     migrate_after_steps: 3,
                     ..FleetOptions::default()
                 },
@@ -154,6 +154,7 @@ fn fleet_determinism_holds_under_the_canonical_fault_plan() {
                 fleet.push_job(spec.clone());
             }
             let report = fleet.run();
+            assert_schedule(batch, &report.stats);
             let got = fleet_traces(&report, stream.len());
             assert_eq!(
                 got, reference,
@@ -176,7 +177,7 @@ fn skewed_stream_rebalances_and_replays_bit_identically() {
     let stream = skewed_specs(10);
     let record_opts = FleetOptions {
         shards: 3,
-        serve: serve_opts(SchedMode::Wave, 2),
+        serve: serve_opts(true, 2),
         migrate_after_steps: 2,
         // A wide spread defeats placement-time spilling, so the whole
         // skewed stream lands on its affinity shard and only the
@@ -215,20 +216,21 @@ fn skewed_stream_rebalances_and_replays_bit_identically() {
         "replay changed a solve trace"
     );
 
-    // And the whole migrating run still matches one engine.
-    let reference = single_engine(&stream, serve_opts(SchedMode::Bsp, 1));
-    assert_eq!(fleet_traces(&recorded, stream.len()), reference);
+    // And the whole migrating run still matches the solo solves.
+    assert_eq!(fleet_traces(&recorded, stream.len()), solo(&stream));
 }
 
 #[test]
 fn mid_stream_migration_is_invisible_in_every_mode_and_worker_count() {
+    // The schedules sweep batching, never the cap: migration moves a
+    // checkpoint, and a queued job has none.
     let stream = specs(2);
-    let reference = single_engine(&stream, serve_opts(SchedMode::Bsp, 1));
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    let reference = solo(&stream);
+    for (sched, batch) in SCHEDULES {
         for workers in [1usize, 2, 8] {
             let mut fleet = FleetEngine::synthetic(FleetOptions {
                 shards: 2,
-                serve: serve_opts(sched, workers),
+                serve: serve_opts(batch, workers),
                 ..FleetOptions::default()
             });
             for spec in &stream {
@@ -246,6 +248,7 @@ fn mid_stream_migration_is_invisible_in_every_mode_and_worker_count() {
             );
             let report = fleet.run();
             assert!(report.migrations >= 1);
+            assert_schedule(batch, &report.stats);
             let got = fleet_traces(&report, stream.len());
             assert_eq!(
                 got, reference,
@@ -258,10 +261,10 @@ fn mid_stream_migration_is_invisible_in_every_mode_and_worker_count() {
 #[test]
 fn drain_and_restart_preserve_every_trace() {
     let stream = specs(3);
-    let reference = single_engine(&stream, serve_opts(SchedMode::Bsp, 1));
+    let reference = solo(&stream);
     let mut fleet = FleetEngine::synthetic(FleetOptions {
         shards: 3,
-        serve: serve_opts(SchedMode::Wave, 2),
+        serve: serve_opts(true, 2),
         ..FleetOptions::default()
     });
     for spec in &stream {
@@ -292,7 +295,7 @@ fn affinity_keeps_a_problem_on_one_shard_and_spill_balances_load() {
         &stream,
         FleetOptions {
             shards: 4,
-            serve: serve_opts(SchedMode::Wave, 2),
+            serve: serve_opts(true, 2),
             spread: 64,
             ..FleetOptions::default()
         },
@@ -317,7 +320,7 @@ fn affinity_keeps_a_problem_on_one_shard_and_spill_balances_load() {
         &skew,
         FleetOptions {
             shards: 2,
-            serve: serve_opts(SchedMode::Wave, 1),
+            serve: serve_opts(true, 1),
             spread: 0,
             ..FleetOptions::default()
         },
@@ -344,7 +347,7 @@ fn cache_fabric_shares_work_across_shards() {
         &stream,
         FleetOptions {
             shards: 4,
-            serve: serve_opts(SchedMode::Wave, 1),
+            serve: serve_opts(true, 1),
             spread: 0,
             ..FleetOptions::default()
         },

@@ -8,12 +8,13 @@
 //! **the plan is a pure function of `(seed, request key, attempt)`**:
 //!
 //! * It holds no mutable state, so consulting it from differently
-//!   ordered batches (BSP rounds vs overlapped waves, 1 vs 8 workers)
-//!   yields the same per-request outcome sequence.
+//!   ordered batches (batched vs scalar dispatch, capped vs uncapped
+//!   admission, 1 vs 8 workers) yields the same per-request outcome
+//!   sequence.
 //! * It is keyed by the request (a hash of the rendered prompt, salted
 //!   by the job) and the attempt number — never by backend identity,
 //!   health scores, or global call order, so retry schedules are
-//!   bit-identical across scheduler modes.
+//!   bit-identical across schedules.
 //! * Backend-down comes in two flavours: a *drawn* [`FaultKind::BackendDown`]
 //!   (a per-call blip, backend-independent like every other draw) and
 //!   the *scripted* [`FaultSpec::dead_backends`] set (a static outage

@@ -15,12 +15,12 @@
 //!
 //! — and consumes their answers through `advance(StepInput)`. Because a
 //! job never blocks, the [`ServeEngine`] can interleave hundreds of
-//! them. *How* they interleave is the scheduler mode
-//! ([`ServeOptions::sched`]).
+//! them.
 //!
-//! # The wave scheduler (default, [`SchedMode::Wave`])
+//! # The wave scheduler
 //!
-//! Jobs live in per-need queues. Each iteration:
+//! Jobs live in per-need queues. Each iteration
+//! ([`ServeEngine::step`]):
 //!
 //! 1. *Wave boundary*: drain the streaming [`JobIntake`], re-enqueue
 //!    restored checkpoints' parked requests, admit queued jobs up to
@@ -38,34 +38,29 @@
 //!    alternating with it; [`ServeStats::overlap_steps`] counts how
 //!    often that overlap actually happened.
 //!
-//! # The BSP oracle ([`SchedMode::Bsp`])
-//!
-//! The original bulk-synchronous engine, kept verbatim as the
-//! differential oracle: every job advances once per round, then the
-//! round's LLM batch dispatches, then the round's sims run — each phase
-//! a global barrier, so sim time and LLM time strictly alternate.
-//!
 //! # Determinism
 //!
-//! In both modes the *schedule* — which requests coalesce into which
-//! batch, and in which order — is a pure function of job states and
-//! queue contents, never of thread timing: the wave scheduler joins its
-//! background sim wave only at deterministically chosen points (an
-//! empty LLM queue, a checkpoint), never by polling for completion.
-//! With per-job models ([`PerJobModels`], one independently seeded
-//! backend per job) every trace is bit-identical whether the engine
-//! runs with 1, 2 or 8 workers, in wave or BSP mode, and identical to
-//! driving each job alone through [`mage_core::Mage::solve`]. The
-//! determinism suite sweeps exactly this grid.
+//! The *schedule* — which requests coalesce into which batch, and in
+//! which order — is a pure function of job states and queue contents,
+//! never of thread timing: the scheduler joins its background sim wave
+//! only at deterministically chosen points (an empty LLM queue, a
+//! checkpoint), never by polling for completion. Serving only
+//! interleaves solves, so each served trace has one correct value: the
+//! one [`mage_core::Mage::solve`] gives for that job alone, with the
+//! same seed. With per-job models ([`PerJobModels`], one independently
+//! seeded backend per job) every trace equals that solo solve
+//! bit-for-bit, whether the engine runs with 1, 2 or 8 workers, batched
+//! or scalar dispatch, and any admission cap. The determinism suite
+//! checks exactly this against solo solves.
 //!
 //! # Streaming admission
 //!
-//! With the global round barrier gone, jobs are admitted at wave
-//! boundaries, so [`ServeEngine::push_job`] is valid mid-run between
-//! steps, and [`ServeEngine::intake`] hands out a clonable, thread-safe
-//! [`JobIntake`]: submissions land while `run` is blocking and are
-//! admitted at the next boundary; an idle engine parks on the intake
-//! and `run` returns once it is closed and drained.
+//! Jobs are admitted at wave boundaries, so [`ServeEngine::push_job`]
+//! is valid mid-run between steps, and [`ServeEngine::intake`] hands
+//! out a clonable, thread-safe [`JobIntake`]: submissions land while
+//! `run` is blocking and are admitted at the next boundary; an idle
+//! engine parks on the intake and `run` returns once it is closed and
+//! drained.
 //!
 //! # Fault tolerance
 //!
@@ -86,7 +81,7 @@
 //! *before* the model is consulted, so the per-job model streams
 //! advance exactly once per request, and an absorbable plan yields
 //! traces bit-identical to the fault-free run — the chaos suite sweeps
-//! plans × modes × worker counts against exactly that invariant. All
+//! plans × schedules × worker counts against exactly that invariant. All
 //! virtual channel latency (fault draws, backoff, retry-after, hedges)
 //! accrues on a per-job virtual clock that [`ServeOptions::deadline_ms`]
 //! is checked against.
@@ -128,8 +123,7 @@
 //! the engine as a value (job state + pending input *or* parked
 //! request + its model state from the service) — held arbitrarily
 //! long, and [`ServeEngine::restore`]d into the same or another engine,
-//! in either scheduler mode, resuming mid-solve with bit-identical
-//! results.
+//! resuming mid-solve with bit-identical results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

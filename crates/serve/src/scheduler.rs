@@ -1,12 +1,12 @@
-//! The job engine core: slots, admission, the BSP oracle round, and the
-//! mode switch to the overlapped wave scheduler in [`crate::wave`]. See
-//! the crate docs for the protocol.
+//! The job engine core: slots, admission, LLM dispatch, checkpoints and
+//! reports. The wave iteration that [`ServeEngine::step`] runs lives in
+//! [`crate::wave`]; see the crate docs for the protocol.
 
 use crate::cache::{DesignCache, ScoreCache};
 use crate::service::{LlmCall, LlmOutcome, LlmService};
 use crate::wave::WaveState;
 use mage_core::solvejob::{
-    execute_sim_with, PendingWork, SimOutcome, SimRequest, SolveJob, SolveStep, StepInput,
+    execute_sim_with, PendingWork, SimOutcome, SimRequest, SolveJob, StepInput,
 };
 use mage_core::{MageConfig, SolveTrace, UnitCache};
 use mage_llm::{DispatchError, LlmRequest, TokenUsage};
@@ -31,28 +31,21 @@ pub struct JobSpec {
     pub seed: u64,
 }
 
-/// Which scheduler advances the jobs.
+/// Which scheduler advances the jobs: the overlapped wave scheduler is
+/// the only one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
-    /// Bulk-synchronous rounds: every job advances once, then the
-    /// round's LLM batch dispatches, then the round's sims run — each
-    /// phase a global barrier. Kept verbatim as the differential
-    /// oracle: wave-mode traces must be bit-identical to BSP's.
-    Bsp,
-    /// The overlapped wave scheduler (default): per-need queues, LLM
-    /// batches cut whenever the LLM queue is non-empty at a dispatch
-    /// point, and sim waves draining on the worker pool *concurrently*
-    /// with LLM dispatch — sim latency hides under LLM latency.
+    /// The overlapped wave scheduler: per-need queues, LLM batches cut
+    /// whenever the LLM queue is non-empty at a dispatch point, and sim
+    /// waves draining on the worker pool *concurrently* with LLM
+    /// dispatch — sim latency hides under LLM latency.
     #[default]
     Wave,
 }
 
 impl std::fmt::Display for SchedMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SchedMode::Bsp => "bsp",
-            SchedMode::Wave => "wave",
-        })
+        f.write_str("wave")
     }
 }
 
@@ -69,7 +62,7 @@ pub struct ServeOptions {
     /// Admission cap: at most this many jobs in flight (0 = unlimited).
     /// Bounds memory on long streams and staggers job start times.
     pub max_in_flight: usize,
-    /// Scheduler mode: overlapped waves (default) or the BSP oracle.
+    /// Scheduler: the overlapped wave scheduler, the only mode.
     pub sched: SchedMode,
     /// Engine-level retry budget per LLM request: how many *terminal*
     /// dispatch failures (the service already retried internally) are
@@ -101,9 +94,9 @@ impl Default for ServeOptions {
 /// Dispatch counters of one engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Productive scheduler steps (BSP rounds / wave iterations that
-    /// admitted, advanced, dispatched, launched or joined something).
-    /// A step on an idle engine — e.g. every job paused — counts zero.
+    /// Productive scheduler steps (wave iterations that admitted,
+    /// advanced, dispatched, launched or joined something). A step on
+    /// an idle engine — e.g. every job paused — counts zero.
     pub rounds: usize,
     /// Individual LLM requests resolved.
     pub llm_requests: usize,
@@ -114,12 +107,11 @@ pub struct ServeStats {
     pub llm_batch_calls: usize,
     /// Simulation requests executed.
     pub sim_requests: usize,
-    /// Sim batches launched on the worker pool (BSP: one per round with
-    /// sims; wave: one per wave).
+    /// Sim waves launched on the worker pool.
     pub sim_waves: usize,
     /// Steps in which an LLM batch dispatched while a sim wave was
     /// concurrently in flight — the overlap the wave scheduler exists
-    /// to create. Always zero in BSP mode (rounds alternate instead).
+    /// to create.
     pub overlap_steps: usize,
     /// Jobs retired.
     pub jobs_done: usize,
@@ -240,8 +232,8 @@ pub(crate) struct JobSlot {
     /// LLM requests this job has *emitted* so far (the per-job request
     /// sequence number). Incremented at emit time only — never on a
     /// re-park or restored-checkpoint sweep — so it is identical across
-    /// scheduler modes and worker counts, and carries through
-    /// checkpoints: the fault-key salt derives from it.
+    /// schedules and worker counts, and carries through checkpoints:
+    /// the fault-key salt derives from it.
     pub(crate) llm_seq: u64,
     /// Terminal dispatch failures of the *current* request (reset on
     /// success); compared against [`ServeOptions::llm_retry_budget`].
@@ -270,7 +262,7 @@ impl JobSlot {
 /// A mid-solve job lifted out of an engine: the state machine, its
 /// pending input *or* parked request, and the backend state the service
 /// held for it. A plain value — hold it, ship it,
-/// [`ServeEngine::restore`] it later (into either scheduler mode).
+/// [`ServeEngine::restore`] it later, into this engine or another.
 pub struct JobCheckpoint {
     /// The job's spec (re-used on restore).
     pub spec: JobSpec,
@@ -317,8 +309,7 @@ struct IntakeShared {
 
 /// A clonable, thread-safe submission handle for streaming admission:
 /// jobs submitted here — from any thread, while the engine is mid-run —
-/// are admitted at the engine's next wave (or round) boundary, in
-/// submission order.
+/// are admitted at the engine's next wave boundary, in submission order.
 ///
 /// Once an engine has handed out an intake, [`ServeEngine::run`] serves
 /// until the intake is [`close`](JobIntake::close)d and drained: when no
@@ -395,7 +386,7 @@ impl JobIntake {
 }
 
 /// The concurrent solve engine. See the crate docs for the wave
-/// protocol, the BSP oracle, and the determinism argument.
+/// protocol and the determinism argument.
 pub struct ServeEngine<S: LlmService> {
     pub(crate) opts: ServeOptions,
     pub(crate) service: S,
@@ -408,8 +399,8 @@ pub struct ServeEngine<S: LlmService> {
     pub(crate) live: Vec<JobId>,
     /// Count of slots currently in `JobPhase::Running`.
     pub(crate) running: usize,
-    /// Restored checkpoints whose parked request still needs
-    /// (re-)enqueueing, swept at the next step in either mode.
+    /// Restored checkpoints and re-parked failures whose request still
+    /// needs (re-)enqueueing, swept at the next wave boundary.
     pub(crate) restored: Vec<JobId>,
     pub(crate) wave: WaveState,
     intake: Option<JobIntake>,
@@ -458,11 +449,11 @@ impl<S: LlmService> ServeEngine<S> {
         }
     }
 
-    /// Queue a job; it is admitted in push order as slots free up. With
-    /// the global round barrier gone this is valid at any time — before
-    /// the first step, or between steps mid-run (the job is admitted at
-    /// the next wave boundary). For cross-thread submission while `run`
-    /// is blocking, use [`ServeEngine::intake`].
+    /// Queue a job; it is admitted in push order as slots free up. This
+    /// is valid at any time — before the first step, or between steps
+    /// mid-run (the job is admitted at the next wave boundary). For
+    /// cross-thread submission while `run` is blocking, use
+    /// [`ServeEngine::intake`].
     pub fn push_job(&mut self, spec: JobSpec) -> JobId {
         let id = self.jobs.len();
         self.jobs.push(JobSlot {
@@ -504,8 +495,7 @@ impl<S: LlmService> ServeEngine<S> {
     }
 
     /// Requests currently parked in the `(LLM, sim)` wave queues —
-    /// observability for drivers and tests (always `(0, 0)` in BSP
-    /// mode, which resolves every request inside its round).
+    /// observability for callers and tests.
     pub fn queued_wave_work(&self) -> (usize, usize) {
         (self.wave.llm_q.len(), self.wave.sim_q.len())
     }
@@ -609,10 +599,10 @@ impl<S: LlmService> ServeEngine<S> {
     /// the state machine, the pending input *or* parked request, and
     /// the model state the service held for the job.
     ///
-    /// In wave mode an in-flight sim wave is joined first (its results
-    /// route to their jobs as usual) so the checkpointed job cannot
-    /// leave an answer in flight behind it; a request still sitting in
-    /// a wave queue travels inside the checkpoint and is re-enqueued on
+    /// An in-flight sim wave is joined first (its results route to
+    /// their jobs as usual) so the checkpointed job cannot leave an
+    /// answer in flight behind it; a request still sitting in a wave
+    /// queue travels inside the checkpoint and is re-enqueued on
     /// restore.
     pub fn checkpoint(&mut self, id: JobId) -> Option<JobCheckpoint> {
         // Validate before joining: an invalid request must be a true
@@ -649,10 +639,9 @@ impl<S: LlmService> ServeEngine<S> {
         })
     }
 
-    /// Insert a checkpointed job (possibly from another engine, in
-    /// either scheduler mode) as a new job of this one, resuming
-    /// exactly where it left off. The job's latency clock carries over
-    /// from before the checkpoint.
+    /// Insert a checkpointed job (possibly from another engine) as a
+    /// new job of this one, resuming exactly where it left off. The
+    /// job's latency clock carries over from before the checkpoint.
     ///
     /// A restored job takes an in-flight slot immediately — it must
     /// resume with its exact state, so it is never re-queued. This can
@@ -868,8 +857,8 @@ impl<S: LlmService> ServeEngine<S> {
                         ));
                     } else {
                         // Re-park the unanswered request; the restored
-                        // sweep re-enqueues it at the next boundary in
-                        // either scheduler mode.
+                        // sweep re-enqueues it at the next wave
+                        // boundary.
                         slot.pending = Some(PendingWork::Llm(req));
                         self.restored.push(id);
                     }
@@ -936,110 +925,6 @@ impl<S: LlmService> ServeEngine<S> {
             !j.paused && matches!(j.phase, JobPhase::Queued)
         });
         can_admit && self.running < self.admission_cap()
-    }
-
-    /// Execute one scheduler step in the configured mode (a BSP round,
-    /// or one wave iteration). Returns `true` while a further step
-    /// could make progress — `false` means every job is retired, parked
-    /// or paused, and nothing is queued or in flight.
-    pub fn step(&mut self) -> bool {
-        match self.opts.sched {
-            SchedMode::Bsp => self.step_bsp(),
-            SchedMode::Wave => self.step_wave(),
-        }
-    }
-
-    /// Execute one BSP round (admit → advance every job once → dispatch
-    /// the round's LLM batch → run the round's sims). This is the
-    /// retained differential oracle; kept byte-for-byte equivalent to
-    /// the pre-wave `step_round`, plus the sweep that re-enqueues a
-    /// restored checkpoint's parked request.
-    fn step_bsp(&mut self) -> bool {
-        // 0. Streaming intake, then restored-checkpoint requests: a
-        //    checkpoint lifted out of a wave engine may carry a parked
-        //    request; it joins this round's batches directly.
-        self.drain_intake();
-        let mut llm_needs: Vec<(JobId, LlmRequest)> = Vec::new();
-        let mut sim_needs: Vec<(JobId, SimRequest)> = Vec::new();
-        let mut swept = 0usize;
-        for id in std::mem::take(&mut self.restored) {
-            match self.jobs[id].pending.take() {
-                Some(PendingWork::Llm(req)) => llm_needs.push((id, req)),
-                Some(PendingWork::Sim(req)) => sim_needs.push((id, req)),
-                None => continue,
-            }
-            swept += 1;
-        }
-
-        // 1. Admission, in job order over the live set.
-        self.admit();
-
-        // 2. Advance every runnable job once, in job order.
-        let mut advanced = 0usize;
-        let mut retired: Vec<JobId> = Vec::new();
-        for ix in 0..self.live.len() {
-            let id = self.live[ix];
-            let slot = &mut self.jobs[id];
-            if slot.paused {
-                continue;
-            }
-            if !matches!(slot.phase, JobPhase::Running(_)) {
-                continue;
-            }
-            let Some(input) = slot.input.take() else {
-                continue;
-            };
-            // Restored/resumed jobs restart their stopped clock at the
-            // moment they actually make progress again.
-            slot.start_clock();
-            let JobPhase::Running(job) = &mut slot.phase else {
-                unreachable!("checked above");
-            };
-            advanced += 1;
-            match job.advance(input) {
-                SolveStep::NeedLlm(req) => {
-                    slot.llm_seq += 1;
-                    llm_needs.push((id, req));
-                }
-                SolveStep::NeedSim(req) => sim_needs.push((id, req)),
-                SolveStep::Done(trace) => {
-                    self.stats.jobs_done += 1;
-                    self.stats.total_usage += trace.usage;
-                    slot.stop_clock();
-                    slot.latency = Some(slot.accrued);
-                    slot.phase = JobPhase::Done(trace);
-                    retired.push(id);
-                }
-            }
-        }
-        self.retire(retired);
-
-        // 3. LLM dispatch: the whole round's requests as one batch, or
-        //    scalar calls when batching is off.
-        self.dispatch_llm(llm_needs);
-
-        // 4. Simulation on the worker pool, through the shared caches.
-        if !sim_needs.is_empty() {
-            self.stats.sim_requests += sim_needs.len();
-            self.stats.sim_waves += 1;
-            let outcomes = run_sim_batch(
-                self.opts.workers,
-                &self.cache,
-                &self.scores,
-                &self.units,
-                sim_needs,
-            );
-            for (id, outcome) in outcomes {
-                self.jobs[id].input = Some(StepInput::Sim(outcome));
-            }
-        }
-
-        // A round on an idle engine (every job paused or parked) did no
-        // work and is not counted.
-        if advanced > 0 || swept > 0 {
-            self.stats.rounds += 1;
-        }
-        self.progress_possible()
     }
 
     /// Run steps until no further progress is possible (all jobs
@@ -1114,10 +999,10 @@ impl<S: LlmService> Drop for ServeEngine<S> {
 
 /// The fault-key salt of one job request: a mix of the job's model
 /// seed and the request's per-job sequence number. Pure in those two
-/// coordinates — so it is identical across scheduler modes and worker
-/// counts, and survives checkpoints (both inputs are checkpoint
-/// freight) — while decorrelating textually identical prompts emitted
-/// by different jobs or at different points of one solve.
+/// coordinates — so it is identical across schedules and worker counts,
+/// and survives checkpoints (both inputs are checkpoint freight) —
+/// while decorrelating textually identical prompts emitted by different
+/// jobs or at different points of one solve.
 pub(crate) fn fault_salt(seed: u64, seq: u64) -> u64 {
     seed.rotate_left(32) ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5A17_F001
 }

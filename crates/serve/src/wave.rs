@@ -1,7 +1,7 @@
 //! The overlapped wave scheduler: per-need queues and sim waves that
 //! drain on the worker pool *while* the foreground thread dispatches
 //! LLM batches — sim latency hides under LLM latency instead of
-//! alternating with it (the BSP oracle's behaviour).
+//! alternating with it.
 //!
 //! # One wave iteration
 //!
@@ -15,8 +15,9 @@
 //!                 cohort now, merging its requests into this step's
 //!                 batch — racing ahead would cut straggler batches
 //!                 the blocked majority can no longer join (wave
-//!                 dispatch economics must never be worse than the
-//!                 BSP barrier's)
+//!                 dispatch economics must never be worse than a
+//!                 barrier's that dispatches every job's k-th request
+//!                 together)
 //!   4. launch     if the sim pool is idle and `sim_q` is non-empty,
 //!                 the whole queue leaves as one background sim wave
 //!   5. dispatch   if `llm_q` is non-empty, cut it as one LLM batch
@@ -34,8 +35,8 @@
 //! outcomes in input order; and simulation itself is pure. So the
 //! schedule — which requests coalesce into which batch, and in which
 //! order — is identical at any worker count, and with per-job models
-//! every trace is bit-identical to the BSP oracle's (the differential
-//! suite sweeps exactly this).
+//! every trace is bit-identical to the job's solo `Mage::solve` (the
+//! determinism suite sweeps exactly this).
 
 use crate::scheduler::{run_sim_batch, JobId, JobPhase, ServeEngine};
 use crate::service::LlmService;
@@ -43,8 +44,7 @@ use mage_core::solvejob::{PendingWork, SimOutcome, StepInput};
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
 
-/// The wave scheduler's queues and in-flight sim work. Owned by every
-/// engine; inert in BSP mode.
+/// The wave scheduler's queues and in-flight sim work.
 #[derive(Default)]
 pub(crate) struct WaveState {
     /// Jobs whose parked request awaits the next LLM dispatch point
@@ -60,8 +60,11 @@ pub(crate) struct WaveState {
 }
 
 impl<S: LlmService> ServeEngine<S> {
-    /// Execute one wave iteration. See the module docs for the phases.
-    pub(crate) fn step_wave(&mut self) -> bool {
+    /// Execute one wave iteration (see the module docs for the phases).
+    /// Returns `true` while a further step could make progress —
+    /// `false` means every job is retired, parked or paused, and
+    /// nothing is queued or in flight.
+    pub fn step(&mut self) -> bool {
         let mut did_work = false;
 
         // 1. Wave boundary: intake, restored checkpoints, admission.
@@ -85,7 +88,7 @@ impl<S: LlmService> ServeEngine<S> {
         // 3. Coalescing join: when the in-flight wave blocks more jobs
         //    than the LLM queue holds, racing ahead would cut a small
         //    straggler batch that the blocked majority's next requests
-        //    can no longer join — worse dispatch economics than the BSP
+        //    can no longer join — worse dispatch economics than a
         //    barrier for no hiding gain (the wave already overlapped
         //    earlier dispatches). Join it now and advance the returning
         //    cohort immediately, so its requests merge into *this*
@@ -174,8 +177,8 @@ impl<S: LlmService> ServeEngine<S> {
                     match &work {
                         PendingWork::Llm(_) => {
                             // Emit-time sequence bump (the fault-key
-                            // salt's coordinate) — matches step_bsp; a
-                            // re-park or restored sweep never bumps.
+                            // salt's coordinate); a re-park or restored
+                            // sweep never bumps.
                             slot.llm_seq += 1;
                             self.wave.llm_q.push_back(id);
                         }

@@ -1,17 +1,17 @@
 //! Chaos suite: seeded fault plans driven through the full serve engine.
 //! Faults are deterministic in `(plan seed, request key, attempt)`, so
-//! every scenario must produce bit-identical traces across scheduler
-//! modes and worker counts — and every *absorbable* plan must produce
-//! traces identical to the fault-free run, because faulted attempts are
-//! dropped before the model ever sees them. Total outage must drain
-//! gracefully: every job retires with a structured failure, `run`
-//! returns, nothing hangs.
+//! every scenario must produce bit-identical traces across schedules
+//! (batched or scalar dispatch) and worker counts — and every
+//! *absorbable* plan must produce each job's solo `Mage::solve` trace,
+//! because faulted attempts are dropped before the model ever sees
+//! them. Total outage must drain gracefully: every job retires with a
+//! structured failure, `run` returns, nothing hangs.
 
-use mage_core::{MageConfig, SolveTrace};
-use mage_llm::{DispatchPolicy, FaultPlan, FaultSpec};
+use mage_core::{Mage, MageConfig, SolveTrace, Task};
+use mage_llm::{DispatchPolicy, FaultPlan, FaultSpec, SyntheticModel, SyntheticModelConfig};
 use mage_serve::{
-    synthetic_service_with, JobSpec, LlmService, SchedMode, ServeEngine, ServeOptions, ServeReport,
-    SYNTHETIC_BACKENDS,
+    synthetic_service_with, JobSpec, LlmService, ServeEngine, ServeOptions, ServeReport,
+    ServeStats, SYNTHETIC_BACKENDS,
 };
 
 const PROBLEMS: [&str; 4] = [
@@ -37,14 +37,24 @@ fn specs() -> Vec<JobSpec> {
     out
 }
 
-fn opts(sched: SchedMode, workers: usize) -> ServeOptions {
+/// The two schedules every grid sweeps: one coalesced LLM batch per
+/// dispatch point, and scalar dispatch (one call per request).
+const SCHEDULES: [(&str, bool); 2] = [("batched", true), ("scalar", false)];
+
+fn opts(batch_llm: bool, workers: usize) -> ServeOptions {
     ServeOptions {
         workers,
-        batch_llm: true,
+        batch_llm,
         max_in_flight: 0,
-        sched,
         ..ServeOptions::default()
     }
+}
+
+/// A run really had its schedule: batching coalesced requests into
+/// fewer calls, scalar dispatch made one call per request.
+fn assert_schedule(batch_llm: bool, stats: &ServeStats) {
+    let coalesced = stats.llm_batch_calls < stats.llm_requests;
+    assert_eq!(coalesced, batch_llm, "schedule did not apply: {stats:?}");
 }
 
 /// Run the 8-job stream under `plan` and return traces + report.
@@ -70,12 +80,24 @@ fn run_chaos(
     (traces, engine.report())
 }
 
+/// Each job solved alone by `Mage::solve` — after checking that a
+/// fault-free engine run reproduces it with every resilience counter
+/// at zero.
 fn fault_free_baseline() -> Vec<SolveTrace> {
-    let (traces, report) = run_chaos(
-        FaultPlan::none(),
-        DispatchPolicy::default(),
-        opts(SchedMode::Bsp, 1),
-    );
+    let solo: Vec<SolveTrace> = specs()
+        .iter()
+        .map(|spec| {
+            let p = mage_problems::by_id(&spec.problem_id).expect("corpus problem");
+            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
+            model.register(p.id, p.oracle(spec.seed));
+            Mage::new(&mut model, spec.config.clone()).solve(&Task {
+                id: p.id,
+                spec: p.spec,
+            })
+        })
+        .collect();
+    let (traces, report) = run_chaos(FaultPlan::none(), DispatchPolicy::default(), opts(true, 1));
+    assert_eq!(traces, solo, "the fault-free run diverged from solo");
     assert_eq!(report.failed, 0);
     assert_eq!(
         (
@@ -87,7 +109,7 @@ fn fault_free_baseline() -> Vec<SolveTrace> {
         (0, 0, 0, 0),
         "an empty plan must leave every resilience counter at zero"
     );
-    traces
+    solo
 }
 
 // ---------------------------------------------------------------------
@@ -99,13 +121,14 @@ fn transient_faults_are_absorbed_and_invisible() {
     let base = fault_free_baseline();
     let plan = FaultPlan::new(9, FaultSpec::single_transient());
     let mut counter_sets = Vec::new();
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    for (sched, batch) in SCHEDULES {
         for workers in [1usize, 2, 8] {
             let (traces, report) = run_chaos(
                 plan.clone(),
                 DispatchPolicy::default(),
-                opts(sched, workers),
+                opts(batch, workers),
             );
+            assert_schedule(batch, &report.stats);
             assert_eq!(
                 traces, base,
                 "{sched}/{workers}: absorbed transients must not change traces"
@@ -127,7 +150,8 @@ fn transient_faults_are_absorbed_and_invisible() {
         }
     }
     // The retry schedule is a pure function of (seed, key, attempt), so
-    // the counters are one value across the whole mode × worker grid.
+    // the counters are one value across the whole schedule × worker
+    // grid.
     assert!(
         counter_sets.windows(2).all(|w| w[0] == w[1]),
         "resilience counters diverged across the grid: {counter_sets:?}"
@@ -145,8 +169,9 @@ fn rate_limit_bursts_defer_and_recover() {
         max_attempts: 8,
         ..DispatchPolicy::default()
     };
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
-        let (traces, report) = run_chaos(plan.clone(), policy.clone(), opts(sched, 2));
+    for (sched, batch) in SCHEDULES {
+        let (traces, report) = run_chaos(plan.clone(), policy.clone(), opts(batch, 2));
+        assert_schedule(batch, &report.stats);
         assert_eq!(traces, base, "{sched}: shed calls must not change traces");
         assert!(
             report.stats.rate_limit_defers > 0,
@@ -160,13 +185,14 @@ fn rate_limit_bursts_defer_and_recover() {
 fn dead_backend_is_routed_around() {
     let base = fault_free_baseline();
     let plan = FaultPlan::new(3, FaultSpec::one_backend_dead());
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    for (sched, batch) in SCHEDULES {
         for workers in [1usize, 8] {
             let (traces, report) = run_chaos(
                 plan.clone(),
                 DispatchPolicy::default(),
-                opts(sched, workers),
+                opts(batch, workers),
             );
+            assert_schedule(batch, &report.stats);
             assert_eq!(
                 traces, base,
                 "{sched}/{workers}: failover must not change traces"
@@ -192,7 +218,7 @@ fn canonical_plan_is_absorbed_at_default_policy() {
     let (traces, report) = run_chaos(
         FaultPlan::canonical(),
         DispatchPolicy::default(),
-        opts(SchedMode::Wave, 2),
+        opts(true, 2),
     );
     assert_eq!(traces, base, "canonical plan must be fully absorbed");
     assert_eq!(report.failed, 0);
@@ -208,13 +234,14 @@ fn canonical_plan_is_absorbed_at_default_policy() {
 fn total_outage_drains_gracefully() {
     let plan = FaultPlan::new(7, FaultSpec::all_dead(SYNTHETIC_BACKENDS));
     let mut all_traces: Vec<Vec<SolveTrace>> = Vec::new();
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    for (sched, batch) in SCHEDULES {
         for workers in [1usize, 2, 8] {
             let (traces, report) = run_chaos(
                 plan.clone(),
                 DispatchPolicy::default(),
-                opts(sched, workers),
+                opts(batch, workers),
             );
+            assert_schedule(batch, &report.stats);
             assert_eq!(
                 report.done, report.jobs,
                 "{sched}/{workers}: engine must drain"
@@ -250,16 +277,17 @@ fn deadlines_cancel_stuck_work_deterministically() {
     // function of the plan seed, so the grid agrees bit-for-bit.
     let plan = FaultPlan::new(11, FaultSpec::mid_wave_timeout());
     let mut all_runs: Vec<(Vec<SolveTrace>, usize)> = Vec::new();
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    for (sched, batch) in SCHEDULES {
         for workers in [1usize, 2] {
             let (traces, report) = run_chaos(
                 plan.clone(),
                 DispatchPolicy::default(),
                 ServeOptions {
                     deadline_ms: Some(8_000),
-                    ..opts(sched, workers)
+                    ..opts(batch, workers)
                 },
             );
+            assert_schedule(batch, &report.stats);
             assert_eq!(
                 report.done, report.jobs,
                 "{sched}/{workers}: engine must drain"
@@ -302,18 +330,16 @@ fn deadlines_cancel_stuck_work_deterministically() {
 
 #[test]
 fn checkpoints_carry_retry_state_and_health() {
+    // The canonical plan is absorbable, so the reference is the solo
+    // solves. The cap stays 0: a queued job has no checkpoint.
     let plan = FaultPlan::canonical();
-    let (base, _) = run_chaos(
-        plan.clone(),
-        DispatchPolicy::default(),
-        opts(SchedMode::Bsp, 2),
-    );
+    let base = fault_free_baseline();
 
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    for (sched, batch) in SCHEDULES {
         let specs = specs();
         let n = specs.len();
         let service = synthetic_service_with(&specs, plan.clone(), DispatchPolicy::default());
-        let mut engine = ServeEngine::new(opts(sched, 2), service);
+        let mut engine = ServeEngine::new(opts(batch, 2), service);
         for spec in specs {
             engine.push_job(spec);
         }
@@ -390,5 +416,6 @@ fn checkpoints_carry_retry_state_and_health() {
             got, base,
             "{sched}: checkpoint/restore under faults changed a trace"
         );
+        assert_schedule(batch, engine.stats());
     }
 }

@@ -1,13 +1,13 @@
-//! Scheduler determinism: the same job stream must produce bit-identical
-//! `SolveTrace`s whatever the scheduler mode, worker count, batching
-//! mode, admission cap, cache warmth, or admission timing — and must
-//! match the single-job engine exactly. `SchedMode::Bsp` is the
-//! retained oracle; every wave-mode trace is differenced against it.
+//! Scheduler determinism: serving only interleaves solves, so every
+//! served `SolveTrace` must equal the one `Mage::solve` gives for that
+//! job alone — whatever the schedule (batched or scalar dispatch),
+//! worker count, admission cap, cache warmth, or admission timing.
+//! Every grid also checks that its swept schedules really differ.
 
 use mage_core::{Mage, MageConfig, SolveTrace, Task};
 use mage_llm::{SyntheticModel, SyntheticModelConfig};
 use mage_serve::{
-    synthetic_service, DesignCache, JobSpec, SchedMode, ScoreCache, ServeEngine, ServeOptions,
+    synthetic_service, DesignCache, JobSpec, ScoreCache, ServeEngine, ServeOptions, ServeStats,
     UnitCache,
 };
 use std::sync::Arc;
@@ -35,7 +35,26 @@ fn specs(runs: usize) -> Vec<JobSpec> {
     out
 }
 
-fn run_stream(opts: ServeOptions, cache: Option<Arc<DesignCache>>) -> Vec<SolveTrace> {
+/// The reference: each job solved alone by `Mage::solve`.
+fn solo(specs: &[JobSpec]) -> Vec<SolveTrace> {
+    specs
+        .iter()
+        .map(|spec| {
+            let p = mage_problems::by_id(&spec.problem_id).expect("corpus problem");
+            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
+            model.register(p.id, p.oracle(spec.seed));
+            Mage::new(&mut model, spec.config.clone()).solve(&Task {
+                id: p.id,
+                spec: p.spec,
+            })
+        })
+        .collect()
+}
+
+fn run_stream(
+    opts: ServeOptions,
+    cache: Option<Arc<DesignCache>>,
+) -> (Vec<SolveTrace>, ServeStats) {
     let specs = specs(2);
     let service = synthetic_service(&specs);
     let mut engine = match cache {
@@ -58,60 +77,78 @@ fn run_stream(opts: ServeOptions, cache: Option<Arc<DesignCache>>) -> Vec<SolveT
         .map(|(_, t)| t.clone())
         .collect();
     assert_eq!(traces.len(), 8, "all jobs retire");
-    traces
+    (traces, engine.stats().clone())
 }
 
-fn opts(sched: SchedMode, workers: usize) -> ServeOptions {
+/// The two schedules every grid sweeps: one coalesced LLM batch per
+/// dispatch point, and scalar dispatch (one call per request).
+const SCHEDULES: [(&str, bool); 2] = [("batched", true), ("scalar", false)];
+
+fn opts(batch_llm: bool, workers: usize) -> ServeOptions {
     ServeOptions {
         workers,
-        batch_llm: true,
+        batch_llm,
         max_in_flight: 0,
-        sched,
         ..ServeOptions::default()
     }
 }
 
+/// A run really had its schedule: batching coalesced requests into
+/// fewer calls, scalar dispatch made one call per request.
+fn assert_schedule(batch_llm: bool, stats: &ServeStats) {
+    let coalesced = stats.llm_batch_calls < stats.llm_requests;
+    assert_eq!(coalesced, batch_llm, "schedule did not apply: {stats:?}");
+}
+
 #[test]
 fn mode_and_worker_count_do_not_change_results() {
-    // The oracle at one worker…
-    let base = run_stream(opts(SchedMode::Bsp, 1), None);
-    // …must be matched by every (mode, workers) combination.
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    let base = solo(&specs(2));
+    for (sched, batch) in SCHEDULES {
         for workers in [1usize, 2, 8] {
-            let got = run_stream(opts(sched, workers), None);
+            let (got, stats) = run_stream(opts(batch, workers), None);
             assert_eq!(got, base, "traces diverged at {sched}/{workers} workers");
+            assert_schedule(batch, &stats);
         }
     }
 }
 
 #[test]
 fn batching_mode_does_not_change_results() {
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
-        let batched = run_stream(opts(sched, 4), None);
-        let scalar = run_stream(
-            ServeOptions {
-                batch_llm: false,
-                ..opts(sched, 4)
-            },
-            None,
-        );
-        assert_eq!(batched, scalar, "{sched}");
+    // Uncapped, and capped at three jobs in flight: two schedules.
+    let reference = solo(&specs(2));
+    let mut rounds = Vec::new();
+    for cap in [0usize, 3] {
+        for (sched, batch) in SCHEDULES {
+            let o = ServeOptions {
+                max_in_flight: cap,
+                ..opts(batch, 4)
+            };
+            let (got, stats) = run_stream(o, None);
+            assert_eq!(got, reference, "{sched} at cap {cap}");
+            assert_schedule(batch, &stats);
+            rounds.push(stats.rounds);
+        }
     }
+    assert_ne!(rounds[0], rounds[2], "the cap did not change the schedule");
 }
 
 #[test]
 fn admission_cap_does_not_change_results() {
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
-        let unlimited = run_stream(opts(sched, 2), None);
+    let reference = solo(&specs(2));
+    for (sched, batch) in SCHEDULES {
+        let (unlimited, u) = run_stream(opts(batch, 2), None);
+        assert_eq!(unlimited, reference, "{sched}: uncapped");
+        assert_schedule(batch, &u);
         for cap in [1usize, 3] {
-            let capped = run_stream(
+            let (capped, c) = run_stream(
                 ServeOptions {
                     max_in_flight: cap,
-                    ..opts(sched, 2)
+                    ..opts(batch, 2)
                 },
                 None,
             );
-            assert_eq!(capped, unlimited, "{sched}: cap {cap} changed traces");
+            assert_eq!(capped, reference, "{sched}: cap {cap} changed traces");
+            assert!(c.rounds > u.rounds, "{sched}: cap {cap} added no steps");
         }
     }
 }
@@ -119,13 +156,16 @@ fn admission_cap_does_not_change_results() {
 #[test]
 fn warm_design_cache_does_not_leak_across_streams() {
     // Warm a cache with one full stream, then replay the stream through
-    // it — in the other scheduler mode: every compile hits, nothing
-    // changes. (Cross-mode warmth is the strongest version: hit/miss
+    // it under the other schedule: every compile hits, nothing changes.
+    // (Cross-schedule warmth is the strongest version: hit/miss
     // patterns differ between schedules, results must not.)
     let cache = Arc::new(DesignCache::new());
-    let cold = run_stream(opts(SchedMode::Bsp, 2), Some(Arc::clone(&cache)));
+    let (cold, c) = run_stream(opts(true, 2), Some(Arc::clone(&cache)));
     let misses_after_first = cache.misses();
-    let warm = run_stream(opts(SchedMode::Wave, 2), Some(Arc::clone(&cache)));
+    let (warm, w) = run_stream(opts(false, 2), Some(Arc::clone(&cache)));
+    assert_schedule(true, &c);
+    assert_schedule(false, &w);
+    assert_eq!(cold, solo(&specs(2)), "the cold stream diverged from solo");
     assert_eq!(warm, cold, "a warm cache must be invisible to results");
     assert_eq!(
         cache.misses(),
@@ -137,20 +177,15 @@ fn warm_design_cache_does_not_leak_across_streams() {
 
 #[test]
 fn engine_matches_single_job_solve() {
-    // Each scheduler must be a pure interleaving: each job's trace
+    // Each schedule must be a pure interleaving: each job's trace
     // equals the one `Mage::solve` produces alone with the same seed.
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
-        let all = run_stream(opts(sched, 4), None);
-        for (spec, served) in specs(2).into_iter().zip(all) {
-            let p = mage_problems::by_id(&spec.problem_id).unwrap();
-            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
-            model.register(p.id, p.oracle(spec.seed));
-            let solo = Mage::new(&mut model, spec.config.clone()).solve(&Task {
-                id: p.id,
-                spec: p.spec,
-            });
+    let reference = solo(&specs(2));
+    for (sched, batch) in SCHEDULES {
+        let (all, stats) = run_stream(opts(batch, 4), None);
+        assert_schedule(batch, &stats);
+        for ((spec, served), solo) in specs(2).into_iter().zip(all).zip(&reference) {
             assert_eq!(
-                served, solo,
+                &served, solo,
                 "{}: {} diverged from solo solve",
                 sched, spec.problem_id
             );
@@ -159,7 +194,7 @@ fn engine_matches_single_job_solve() {
 }
 
 // ---------------------------------------------------------------------
-// Full-registry differential: wave vs the BSP oracle over every
+// Full-registry differential: served traces vs solo solves of every
 // registered problem, including pause/resume and checkpoint/restore.
 // ---------------------------------------------------------------------
 
@@ -196,8 +231,9 @@ fn run_registry(opts: ServeOptions) -> Vec<SolveTrace> {
 
 /// The same registry stream, interrupted mid-run: a few jobs paused and
 /// resumed, a few lifted out as checkpoints and restored after the rest
-/// drained. Returns traces re-indexed to original job order.
-fn run_registry_interrupted(opts: ServeOptions) -> Vec<SolveTrace> {
+/// drained. Returns traces re-indexed to original job order, and the
+/// engine's counters.
+fn run_registry_interrupted(opts: ServeOptions) -> (Vec<SolveTrace>, ServeStats) {
     let specs = registry_specs();
     let n = specs.len();
     let service = synthetic_service(&specs);
@@ -254,33 +290,31 @@ fn run_registry_interrupted(opts: ServeOptions) -> Vec<SolveTrace> {
         })
         .collect();
     assert_eq!(traces.len(), n);
-    traces
+    (traces, engine.stats().clone())
 }
 
 #[test]
-fn full_registry_wave_matches_bsp_oracle_at_every_worker_count() {
-    let oracle = run_registry(opts(SchedMode::Bsp, 1));
+fn full_registry_matches_solo_solves_at_every_worker_count() {
+    let reference = solo(&registry_specs());
     for workers in [1usize, 2, 8] {
-        let wave = run_registry(opts(SchedMode::Wave, workers));
+        let served = run_registry(opts(true, workers));
         assert_eq!(
-            wave, oracle,
-            "wave traces diverged from the BSP oracle at {workers} workers"
+            served, reference,
+            "served traces diverged from the solo solves at {workers} workers"
         );
-    }
-    // And the oracle itself is worker-count-invariant.
-    for workers in [2usize, 8] {
-        let bsp = run_registry(opts(SchedMode::Bsp, workers));
-        assert_eq!(bsp, oracle, "BSP diverged from itself at {workers} workers");
     }
 }
 
 #[test]
 fn full_registry_interruptions_are_invisible_in_both_modes() {
-    let oracle = run_registry(opts(SchedMode::Bsp, 1));
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
-        let got = run_registry_interrupted(opts(sched, 2));
+    // Both schedules sweep batching, never the cap: a capped stream
+    // leaves jobs queued, and a queued job has no checkpoint.
+    let reference = solo(&registry_specs());
+    for (sched, batch) in SCHEDULES {
+        let (got, stats) = run_registry_interrupted(opts(batch, 2));
+        assert_schedule(batch, &stats);
         assert_eq!(
-            got, oracle,
+            got, reference,
             "{sched}: pause/resume + checkpoint/restore changed a trace"
         );
     }
@@ -292,15 +326,14 @@ fn full_registry_interruptions_are_invisible_in_both_modes() {
 
 #[test]
 fn jobs_pushed_mid_run_match_the_all_up_front_stream() {
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
-        let base = run_stream(opts(sched, 2), None);
-
+    let base = solo(&specs(2));
+    for (sched, batch) in SCHEDULES {
         // Same stream, but only the first job is pushed up front; the
         // rest trickle in one per step, mid-flight, with no barrier in
         // between. Admission order (= push order) is all that matters.
         let specs = specs(2);
         let service = synthetic_service(&specs);
-        let mut engine = ServeEngine::new(opts(sched, 2), service);
+        let mut engine = ServeEngine::new(opts(batch, 2), service);
         let mut pending = specs.into_iter();
         engine.push_job(pending.next().expect("non-empty stream"));
         loop {
@@ -320,17 +353,21 @@ fn jobs_pushed_mid_run_match_the_all_up_front_stream() {
             .map(|(_, t)| t.clone())
             .collect();
         assert_eq!(got, base, "{sched}: streamed admission changed traces");
+        assert_schedule(batch, engine.stats());
     }
 }
 
 #[test]
 fn threaded_intake_submissions_match_the_all_up_front_stream() {
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
-        let base = run_stream(opts(sched, 2), None);
+    let base = solo(&specs(2));
+    for (sched, batch) in SCHEDULES {
+        // Arrival timing moves the threaded run's batches, so the
+        // schedule is checked on the all-up-front stream.
+        assert_schedule(batch, &run_stream(opts(batch, 2), None).1);
 
         let specs = specs(2);
         let service = synthetic_service(&specs);
-        let mut engine = ServeEngine::new(opts(sched, 2), service);
+        let mut engine = ServeEngine::new(opts(batch, 2), service);
         let intake = engine.intake();
         let producer = std::thread::spawn(move || {
             for (ix, spec) in specs.into_iter().enumerate() {

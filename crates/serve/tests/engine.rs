@@ -7,9 +7,7 @@ use mage_llm::{
     DebugRequest, JudgeTbRequest, LlmRequest, LlmResponse, ModelOutput, RtlGenRequest,
     RtlLanguageModel, SyntaxFixRequest, SyntheticModel, SyntheticModelConfig, TbGenRequest,
 };
-use mage_serve::{
-    synthetic_service, JobSpec, LlmService, SchedMode, ServeEngine, ServeOptions, SharedModel,
-};
+use mage_serve::{synthetic_service, JobSpec, LlmService, ServeEngine, ServeOptions, SharedModel};
 use mage_tb::Testbench;
 
 const PROBLEMS: [&str; 3] = ["prob012_mux4_case", "prob029_alu4", "prob010_mux2"];
@@ -44,12 +42,13 @@ fn engine_with(opts: ServeOptions) -> ServeEngine<impl LlmService> {
 
 #[test]
 fn batching_strictly_beats_scalar_dispatch_counts() {
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    // Uncapped, and capped at two jobs in flight: two schedules.
+    let mut rounds = Vec::new();
+    for cap in [0usize, 2] {
         let mut batched = engine_with(ServeOptions {
             workers: 2,
             batch_llm: true,
-            max_in_flight: 0,
-            sched,
+            max_in_flight: cap,
             ..ServeOptions::default()
         });
         batched.run();
@@ -58,27 +57,28 @@ fn batching_strictly_beats_scalar_dispatch_counts() {
         let mut scalar = engine_with(ServeOptions {
             workers: 2,
             batch_llm: false,
-            max_in_flight: 0,
-            sched,
+            max_in_flight: cap,
             ..ServeOptions::default()
         });
         scalar.run();
         let s = scalar.stats().clone();
 
         // Same work either way…
-        assert_eq!(b.llm_requests, s.llm_requests, "{sched}");
-        assert_eq!(b.jobs_done, 6, "{sched}");
+        assert_eq!(b.llm_requests, s.llm_requests, "cap {cap}");
+        assert_eq!(b.jobs_done, 6, "cap {cap}");
         // …but the batched engine coalesces: strictly fewer dispatch
         // calls than requests (the acceptance criterion), while scalar
         // is 1:1.
         assert!(
             b.llm_batch_calls < b.llm_requests,
-            "{sched} batched: {} calls for {} requests",
+            "cap {cap} batched: {} calls for {} requests",
             b.llm_batch_calls,
             b.llm_requests
         );
-        assert_eq!(s.llm_batch_calls, s.llm_requests, "{sched}");
+        assert_eq!(s.llm_batch_calls, s.llm_requests, "cap {cap}");
+        rounds.push(b.rounds);
     }
+    assert_ne!(rounds[0], rounds[1], "the cap did not change the schedule");
 }
 
 #[test]
@@ -87,7 +87,6 @@ fn wave_mode_overlaps_sim_under_llm_dispatch() {
         workers: 2,
         batch_llm: true,
         max_in_flight: 0,
-        sched: SchedMode::Wave,
         ..ServeOptions::default()
     });
     wave.run();
@@ -97,20 +96,19 @@ fn wave_mode_overlaps_sim_under_llm_dispatch() {
         "the wave scheduler never overlapped a sim wave with an LLM dispatch"
     );
 
-    let mut bsp = engine_with(ServeOptions {
+    let mut scalar = engine_with(ServeOptions {
         workers: 2,
-        batch_llm: true,
+        batch_llm: false,
         max_in_flight: 0,
-        sched: SchedMode::Bsp,
         ..ServeOptions::default()
     });
-    bsp.run();
-    let b = bsp.stats().clone();
-    assert_eq!(b.overlap_steps, 0, "BSP rounds alternate; nothing overlaps");
+    scalar.run();
+    let s = scalar.stats().clone();
+    assert!(s.llm_batch_calls > w.llm_batch_calls, "schedules coincide");
     // Identical per-job work regardless of schedule.
-    assert_eq!(w.llm_requests, b.llm_requests);
-    assert_eq!(w.sim_requests, b.sim_requests);
-    assert_eq!(w.jobs_done, b.jobs_done);
+    assert_eq!(w.llm_requests, s.llm_requests);
+    assert_eq!(w.sim_requests, s.sim_requests);
+    assert_eq!(w.jobs_done, s.jobs_done);
 }
 
 #[test]
@@ -226,8 +224,9 @@ impl RtlLanguageModel for CountingBatchModel {
 fn shared_model_routes_dispatch_points_through_generate_batch() {
     // One backend knowing every problem serves the whole stream; each
     // dispatch point's coalesced batch is exactly one generate_batch
-    // call, in either scheduler mode.
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    // call, uncapped or capped at three jobs in flight.
+    let mut rounds = Vec::new();
+    for cap in [0usize, 3] {
         let mut inner = SyntheticModel::new(SyntheticModelConfig::default(), 42);
         for id in PROBLEMS {
             let p = mage_problems::by_id(id).unwrap();
@@ -242,8 +241,7 @@ fn shared_model_routes_dispatch_points_through_generate_batch() {
             ServeOptions {
                 workers: 2,
                 batch_llm: true,
-                max_in_flight: 0,
-                sched,
+                max_in_flight: cap,
                 ..ServeOptions::default()
             },
             service,
@@ -254,28 +252,29 @@ fn shared_model_routes_dispatch_points_through_generate_batch() {
         engine.run();
         let stats = engine.stats().clone();
         let model = &engine.service().0;
-        assert_eq!(stats.jobs_done, 6, "{sched}");
+        assert_eq!(stats.jobs_done, 6, "cap {cap}");
         assert_eq!(
             model.batch_calls, stats.llm_batch_calls,
-            "{sched}: every dispatch call must be one generate_batch invocation"
+            "cap {cap}: every dispatch call must be one generate_batch invocation"
         );
-        assert_eq!(model.batched_requests, stats.llm_requests, "{sched}");
-        assert!(model.batch_calls < model.batched_requests, "{sched}");
+        assert_eq!(model.batched_requests, stats.llm_requests, "cap {cap}");
+        assert!(model.batch_calls < model.batched_requests, "cap {cap}");
+        rounds.push(stats.rounds);
     }
+    assert_ne!(rounds[0], rounds[1], "the cap did not change the schedule");
 }
 
 #[test]
 fn idle_steps_are_not_counted_as_rounds() {
     // An engine whose every job is paused can be stepped, but no
-    // productive round happened — `rounds` (and dispatch counters)
-    // must not move. Regression: the BSP engine used to count a round
-    // even when `step_round` made no progress.
-    for sched in [SchedMode::Bsp, SchedMode::Wave] {
+    // productive step happened — `rounds` (and dispatch counters)
+    // must not move, batched or scalar. Regression: the engine used to
+    // count a round even when a step made no progress.
+    for (sched, batch_llm) in [("batched", true), ("scalar", false)] {
         let mut engine = engine_with(ServeOptions {
             workers: 1,
-            batch_llm: true,
+            batch_llm,
             max_in_flight: 0,
-            sched,
             ..ServeOptions::default()
         });
         for id in 0..specs().len() {
@@ -298,6 +297,9 @@ fn idle_steps_are_not_counted_as_rounds() {
         engine.run();
         assert_eq!(engine.stats().jobs_done, 6, "{sched}");
         assert!(engine.stats().rounds > 0, "{sched}");
+        // The two schedules really differ: only batching coalesces.
+        let s = engine.stats();
+        assert_eq!(s.llm_batch_calls < s.llm_requests, batch_llm, "{sched}");
     }
 }
 
