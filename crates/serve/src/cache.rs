@@ -25,7 +25,7 @@ use mage_sim::Design;
 use mage_tb::Testbench;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default entry bound: comfortably above any one round's working set,
 /// small enough that a day-long stream cannot grow without limit.
@@ -61,9 +61,17 @@ type DesignTier = CacheTier<u64, str, Result<Arc<Design>, String>>;
 /// syntax loop re-probes the same broken source often. LRU eviction
 /// keeps the hot grading benches and re-probed syntax-repair sources
 /// resident through a stream of unique high-temperature candidates.
+///
+/// A compile holds its key's turn lock while it looks up and, on a
+/// miss, compiles. Twin compiles in one sim wave (jobs running in
+/// lockstep) therefore compile once: the second copy waits for the
+/// first to publish and hits, at any worker count. A scoring miss
+/// compiles inside its [`ScoreCache`] turn, so the lock order is always
+/// score, then design.
 pub struct DesignCache {
     tier: Arc<DesignTier>,
     hasher: SourceHasher,
+    turns: Turns,
 }
 
 impl Default for DesignCache {
@@ -98,6 +106,7 @@ impl DesignCache {
         DesignCache {
             tier: Arc::new(CacheTier::with_capacity(capacity)),
             hasher,
+            turns: Turns::new(),
         }
     }
 
@@ -108,6 +117,7 @@ impl DesignCache {
         DesignCache {
             tier: Arc::new(CacheTier::tiered(capacity, Arc::clone(&parent.tier))),
             hasher: parent.hasher,
+            turns: Turns::new(),
         }
     }
 
@@ -123,10 +133,33 @@ impl DesignCache {
         parent: Option<&Arc<Design>>,
         units: &UnitCache,
     ) -> Result<Arc<Design>, String> {
-        self.tier
-            .get_or_insert_with((self.hasher)(source), source, || {
-                compile_pooled(source, parent, units).map(|(design, _)| design)
-            })
+        let key = (self.hasher)(source);
+        let _turn = self.turns.take(key);
+        self.tier.get_or_insert_with(key, source, || {
+            compile_pooled(source, parent, units).map(|(design, _)| design)
+        })
+    }
+}
+
+/// Turn locks by key stripe, one set per cache. A request holds its
+/// key's stripe across the lookup and the work a miss triggers, so a
+/// racing twin waits and hits. Unrelated keys that share a stripe only
+/// take turns.
+struct Turns(Box<[Mutex<()>]>);
+
+impl Turns {
+    /// How many stripes the keys spread over.
+    const STRIPES: usize = 64;
+
+    fn new() -> Self {
+        Turns((0..Self::STRIPES).map(|_| Mutex::new(())).collect())
+    }
+
+    /// Wait for `key`'s turn.
+    fn take(&self, key: u64) -> MutexGuard<'_, ()> {
+        self.0[(key % Self::STRIPES as u64) as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -232,16 +265,7 @@ fn bench_fingerprint(bench: &Testbench) -> u64 {
 pub struct ScoreCache {
     tier: Arc<ScoreTier>,
     hasher: SourceHasher,
-    /// Turn locks by key stripe. Unrelated keys that share a stripe
-    /// only take turns.
-    turns: Box<[Mutex<()>]>,
-}
-
-/// How many turn locks a [`ScoreCache`] spreads its keys over.
-const SCORE_TURNS: usize = 64;
-
-fn score_turns() -> Box<[Mutex<()>]> {
-    (0..SCORE_TURNS).map(|_| Mutex::new(())).collect()
+    turns: Turns,
 }
 
 impl Default for ScoreCache {
@@ -276,7 +300,7 @@ impl ScoreCache {
         ScoreCache {
             tier: Arc::new(CacheTier::with_capacity(capacity)),
             hasher,
-            turns: score_turns(),
+            turns: Turns::new(),
         }
     }
 
@@ -287,7 +311,7 @@ impl ScoreCache {
         ScoreCache {
             tier: Arc::new(CacheTier::tiered(capacity, Arc::clone(&parent.tier))),
             hasher: parent.hasher,
-            turns: score_turns(),
+            turns: Turns::new(),
         }
     }
 
@@ -314,9 +338,7 @@ impl ScoreCache {
             source: req.source.clone(),
             bench: Arc::clone(bench),
         };
-        let _turn = self.turns[(key % SCORE_TURNS as u64) as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _turn = self.turns.take(key);
         self.tier.get_or_insert_with(key, &witness, || execute(req))
     }
 }
@@ -520,6 +542,37 @@ mod tests {
         });
         assert_eq!(scores, [0.75, 0.75]);
         assert_eq!(runs.load(Ordering::Relaxed), 1, "twins must score once");
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn racing_twin_compiles_compile_once() {
+        // Two workers compile one source at the same moment, as twin
+        // jobs in one sim wave do: the second waits for the first copy's
+        // design and hits instead of compiling again. A long chain of
+        // assigns keeps the first compile busy while the second arrives.
+        let mut slow = String::from("module top_module(input [7:0] a, output [7:0] y);\n");
+        for i in 0..2000 {
+            let prev = if i == 0 {
+                "a".to_string()
+            } else {
+                format!("w{}", i - 1)
+            };
+            slow.push_str(&format!("wire [7:0] w{i}; assign w{i} = {prev} + 8'd1;\n"));
+        }
+        slow.push_str("assign y = w1999;\nendmodule\n");
+        let cache = DesignCache::new();
+        let start = std::sync::Barrier::new(2);
+        let twin = || {
+            start.wait();
+            compile_in(&cache, &slow).expect("elaborates")
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(twin);
+            let b = s.spawn(twin);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b), "twins must share one design");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 

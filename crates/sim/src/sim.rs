@@ -28,6 +28,16 @@
 //! changed, so toggling one clock of a multi-clock design never touches
 //! the other domain.
 //!
+//! The wheel steps on borrowed state. Each wheel entry point (a poke,
+//! a batched poke, a drain) builds one private view in place: shared
+//! borrows of the [`Design`] and its [`CompiledDesign`], exclusive
+//! borrows of the register files, store, wheel, counters and coverage
+//! map. Both regions and the compiled body dispatch run through it. The
+//! rule: the wheel path takes no `Arc` clone and moves no `Wheel`. A
+//! bench run pokes, drains and peeks a few times per step, so a
+//! refcount pair or a struct move there is paid on every step of every
+//! bench.
+//!
 //! # Lazy combinational evaluation
 //!
 //! Pokes are *lazy*: a drive whose transition fires no edge-triggered
@@ -211,12 +221,11 @@ impl EvalCounts {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator {
+    /// The design; compiled mode runs its bytecode
+    /// ([`Design::compiled`], built once per design and shared by every
+    /// simulator over it). Legacy mode never asks for the bytecode, so
+    /// the oracle does not pay for (or depend on) the lowering.
     design: Arc<Design>,
-    /// Per-process bytecode, compiled once per [`Design`] and shared by
-    /// every simulator over it (see [`Design::compiled`]). `None` in
-    /// legacy mode — the tree-walker never executes bytecode, so the
-    /// oracle does not pay for (or depend on) the lowering.
-    compiled: Option<Arc<CompiledDesign>>,
     /// Per-process register files, reused across executions.
     regs: Vec<interp::RegFile>,
     store: Store,
@@ -443,21 +452,17 @@ impl Simulator {
             .map(|s| LogicVec::all_x(s.width))
             .collect();
         let nproc = design.processes.len();
-        let (compiled, regs, legacy) = match mode {
+        let (regs, legacy) = match mode {
             ExecMode::Compiled => {
-                let compiled = Arc::clone(design.compiled());
-                let regs = compiled
+                let regs = design
+                    .compiled()
                     .procs
                     .iter()
                     .map(interp::RegFile::for_process)
                     .collect();
-                (Some(compiled), regs, None)
+                (regs, None)
             }
-            ExecMode::Legacy => (
-                None,
-                Vec::new(),
-                Some(Box::new(LegacySched::build(&design))),
-            ),
+            ExecMode::Legacy => (Vec::new(), Some(Box::new(LegacySched::build(&design)))),
         };
         let mut wheel = Wheel::default();
         if mode == ExecMode::Compiled {
@@ -474,15 +479,14 @@ impl Simulator {
             }
         }
         let mut counts = EvalCounts::default();
-        if let Some(compiled) = &compiled {
+        if mode == ExecMode::Compiled {
             // Surface the design's delta-rebuild plan drops: 0 for
             // scratch compiles, the cascade-invalidation count for
             // delta-assembled designs.
-            counts.plan_invalidations = compiled.invalidated_plans as u64;
+            counts.plan_invalidations = design.compiled().invalidated_plans as u64;
         }
         Simulator {
             design,
-            compiled,
             regs,
             store,
             mode,
@@ -556,61 +560,20 @@ impl Simulator {
         self.counts
     }
 
-    /// The compiled design (wheel mode only).
-    fn compiled(&self) -> Arc<CompiledDesign> {
-        Arc::clone(
-            self.compiled
-                .as_ref()
-                .expect("bytecode is compiled in wheel mode"),
-        )
-    }
-
     /// Zero the scheduler work counters.
     pub fn reset_eval_counts(&mut self) {
         self.counts = EvalCounts::default();
     }
 
-    /// Run process `pi`'s body with the configured executor.
+    /// Run process `pi`'s body on the tree-walker (the legacy executor;
+    /// the wheel runs bytecode through its own view's dispatch).
     fn run_body(&mut self, pi: usize, nba: &mut Vec<PendingWrite>, changed: &mut Vec<SignalId>) {
-        match self.mode {
-            ExecMode::Compiled => {
-                let compiled = self.compiled.as_ref().expect("wheel mode has bytecode");
-                let outcome = interp::execute(
-                    &compiled.procs[pi],
-                    &mut self.regs[pi],
-                    &mut self.store,
-                    nba,
-                    changed,
-                    self.two_state,
-                    self.fuse,
-                );
-                match outcome {
-                    interp::ExecOutcome::TwoState => self.counts.two_state_evals += 1,
-                    interp::ExecOutcome::Fused { ops, src } => {
-                        self.counts.two_state_evals += 1;
-                        self.counts.fused_evals += 1;
-                        self.counts.plan_steps += ops as u64;
-                        self.counts.plan_unfused_steps += src as u64;
-                    }
-                    interp::ExecOutcome::Fallback { .. } => self.counts.two_state_fallbacks += 1,
-                    interp::ExecOutcome::FourState => {}
-                }
-                if self.coverage.is_some() {
-                    let comb = matches!(self.design.processes[pi], Process::Comb { .. });
-                    if let Some(cov) = self.coverage.as_deref_mut() {
-                        cov.record(crate::coverage::outcome_feature(outcome, comb));
-                    }
-                }
-            }
-            ExecMode::Legacy => {
-                let design = self.design.clone();
-                let body = match &design.processes[pi] {
-                    Process::Comb { body, .. } => body,
-                    Process::Seq { body, .. } => body,
-                };
-                exec(&design, &mut self.store, body, nba, changed);
-            }
-        }
+        let design = self.design.clone();
+        let body = match &design.processes[pi] {
+            Process::Comb { body, .. } => body,
+            Process::Seq { body, .. } => body,
+        };
+        exec(&design, &mut self.store, body, nba, changed);
     }
 
     /// Read the current value of a signal, flushing any deferred
@@ -671,7 +634,6 @@ impl Simulator {
         let id = self
             .design
             .signal(name)
-            .filter(|id| self.design.inputs.contains(id))
             .ok_or_else(|| SimError::UnknownInput(name.to_string()))?;
         self.poke_id(id, value)
     }
@@ -682,13 +644,12 @@ impl Simulator {
     /// # Errors
     ///
     /// [`SimError::UnknownInput`] if any name is not a top-level input
-    /// (the batch then applies nothing); propagation errors as in
-    /// [`Simulator::settle`].
+    /// (the batch then changes nothing, not even a latched fault);
+    /// propagation errors as in [`Simulator::settle`].
     pub fn poke_many<'d>(
         &mut self,
         drives: impl IntoIterator<Item = (&'d str, LogicVec)>,
     ) -> Result<(), SimError> {
-        self.fault = None;
         let resolved = Self::resolve_drives(&self.design, drives)?;
         self.poke_many_ids(&resolved)
     }
@@ -707,38 +668,49 @@ impl Simulator {
     /// # Errors
     ///
     /// [`SimError::UnknownInput`] if any id is not a top-level input —
-    /// the ids are validated up front, so a failed batch applies
-    /// nothing (both schedulers agree on this, which the lockstep
-    /// suites depend on); propagation errors as in
-    /// [`Simulator::settle`].
+    /// the ids are validated up front, so a failed batch changes
+    /// nothing, not even a latched fault (both schedulers agree on
+    /// this, which the lockstep suites depend on); propagation errors
+    /// as in [`Simulator::settle`].
     pub fn poke_many_ids(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
-        self.fault = None;
-        if let Some((id, _)) = drives
-            .iter()
-            .find(|(id, _)| !self.design.inputs.contains(id))
-        {
-            let name = self.design.signals.get(id.index()).map(|d| d.name.clone());
-            return Err(SimError::UnknownInput(
-                name.unwrap_or_else(|| format!("#{}", id.index())),
-            ));
+        for (id, _) in drives {
+            self.check_input(*id)?;
         }
+        self.fault = None;
         match self.mode {
             ExecMode::Compiled => self.poke_many_wheel(drives),
             ExecMode::Legacy => self.poke_many_legacy(drives),
         }
     }
 
-    /// Drive a signal by id (testbenches use this for clocks and data).
+    /// Drive a top-level input by id (testbenches use this for clocks).
     ///
     /// # Errors
     ///
-    /// Propagation errors as in [`Simulator::settle`].
+    /// [`SimError::UnknownInput`] if `id` is not a top-level input of
+    /// this design (an output, an internal signal, or an index past its
+    /// signals) — checked first, so a rejected poke changes nothing,
+    /// not even a latched fault; propagation errors as in
+    /// [`Simulator::settle`].
     pub fn poke_id(&mut self, id: SignalId, value: LogicVec) -> Result<(), SimError> {
+        self.check_input(id)?;
         self.fault = None;
         match self.mode {
             ExecMode::Compiled => self.poke_id_wheel(id, value),
             ExecMode::Legacy => self.poke_id_legacy(id, value),
         }
+    }
+
+    /// [`SimError::UnknownInput`] unless `id` is a top-level input, named
+    /// after the signal (or `#index` for an index past the signals).
+    fn check_input(&self, id: SignalId) -> Result<(), SimError> {
+        if self.design.inputs.contains(&id) {
+            return Ok(());
+        }
+        let name = self.design.signals.get(id.index()).map(|d| d.name.clone());
+        Err(SimError::UnknownInput(
+            name.unwrap_or_else(|| format!("#{}", id.index())),
+        ))
     }
 
     /// Propagate pending events to a fixpoint.
@@ -779,50 +751,109 @@ impl Simulator {
     // Event-wheel scheduler (ExecMode::Compiled)
     // ------------------------------------------------------------------
 
-    /// Does a `old_bit → new_bit` transition on `id` fire at least one
-    /// edge-triggered process? This is the lazy-poke deferral rule —
-    /// both schedulers use it, so they always agree on what defers.
-    fn transition_fires(
-        design: &Design,
-        id: SignalId,
-        old_bit: LogicBit,
-        new_bit: LogicBit,
-    ) -> bool {
-        edge_kind(old_bit, new_bit).is_some_and(|e| !design.triggers(e, id).is_empty())
+    /// Borrow the wheel scheduler's view of this simulator (compiled
+    /// mode only): field borrows, built in place per entry point.
+    fn wheel_view(&mut self) -> WheelView<'_> {
+        WheelView {
+            design: &self.design,
+            compiled: self.design.compiled(),
+            regs: &mut self.regs,
+            store: &mut self.store,
+            wheel: &mut self.wheel,
+            counts: &mut self.counts,
+            coverage: self.coverage.as_deref_mut(),
+            two_state: self.two_state,
+            fuse: self.fuse,
+        }
     }
 
     fn poke_id_wheel(&mut self, id: SignalId, value: LogicVec) -> Result<(), SimError> {
-        let width = self.design.width(id);
-        let value = value.resized(width);
+        let r = self.wheel_view().poke(id, value);
+        self.latch(r)
+    }
+
+    fn poke_many_wheel(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
+        let r = self.wheel_view().poke_many(drives);
+        self.latch(r)
+    }
+
+    /// Resolve a drive batch by name up front, so an unknown name fails
+    /// the whole batch before any store is touched.
+    fn resolve_drives<'d>(
+        design: &Design,
+        drives: impl IntoIterator<Item = (&'d str, LogicVec)>,
+    ) -> Result<Vec<(SignalId, LogicVec)>, SimError> {
+        drives
+            .into_iter()
+            .map(|(name, value)| {
+                design
+                    .signal(name)
+                    .filter(|id| design.inputs.contains(id))
+                    .map(|id| (id, value))
+                    .ok_or_else(|| SimError::UnknownInput(name.to_string()))
+            })
+            .collect()
+    }
+
+    /// Drain both wheel regions (see [`WheelView::drain`]).
+    fn drain(&mut self) -> Result<(), SimError> {
+        self.wheel_view().drain()
+    }
+}
+
+/// The wheel scheduler's view of one [`Simulator`]: shared borrows of
+/// the design and its bytecode, exclusive borrows of the state the
+/// regions mutate. `poke_id_wheel`, `poke_many_wheel` and `drain` build
+/// it in place from disjoint field borrows, and both regions and the
+/// compiled body dispatch run through it — so the wheel path takes no
+/// `Arc` clone and never moves the `Wheel` out of its simulator.
+struct WheelView<'s> {
+    design: &'s Design,
+    compiled: &'s CompiledDesign,
+    regs: &'s mut [interp::RegFile],
+    store: &'s mut Store,
+    wheel: &'s mut Wheel,
+    counts: &'s mut EvalCounts,
+    coverage: Option<&'s mut crate::FuzzCoverage>,
+    two_state: bool,
+    fuse: bool,
+}
+
+impl WheelView<'_> {
+    /// Does a `old_bit → new_bit` transition on `id` fire at least one
+    /// edge-triggered process? This is the lazy-poke deferral rule —
+    /// the legacy scheduler defers on the same condition, so the two
+    /// always agree on what defers.
+    fn transition_fires(&self, id: SignalId, old_bit: LogicBit, new_bit: LogicBit) -> bool {
+        edge_kind(old_bit, new_bit).is_some_and(|e| !self.design.triggers(e, id).is_empty())
+    }
+
+    /// Drive one signal: store it, enqueue its comb fanout and edge
+    /// triggers, and drain only if an edge fired.
+    fn poke(&mut self, id: SignalId, value: LogicVec) -> Result<(), SimError> {
+        let value = value.resized(self.design.width(id));
         let old = &self.store[id.index()];
         if old.case_eq(&value) {
             return Ok(());
         }
         let old_bit = old.get(0).unwrap_or(LogicBit::X);
         let new_bit = value.get(0).unwrap_or(LogicBit::X);
-        let fires = Self::transition_fires(&self.design, id, old_bit, new_bit);
+        let fires = self.transition_fires(id, old_bit, new_bit);
         if fires {
             // Flops must sample the settled pre-edge state: flush the
             // deferred combinational work before the edge dispatches.
-            let r = self.drain();
-            if r.is_err() {
-                return self.latch(r);
-            }
+            self.drain()?;
         }
         self.store[id.index()] = value;
-        let design = Arc::clone(&self.design);
-        let compiled = self.compiled();
-        let mut wheel = std::mem::take(&mut self.wheel);
-        wheel.comb_fanout(&compiled, id);
-        wheel.edge_triggers(&design, &mut self.counts, id, old_bit, new_bit);
-        self.wheel = wheel;
+        self.wheel.comb_fanout(self.compiled, id);
+        self.wheel
+            .edge_triggers(self.design, self.counts, id, old_bit, new_bit);
         if !fires {
             // No edge fired: leave the comb fanout pending for the next
             // observation point (peek / settle / real edge).
             return Ok(());
         }
-        let r = self.drain();
-        self.latch(r)
+        self.drain()
     }
 
     /// Would applying `drives` in order fire any edge-triggered
@@ -847,26 +878,21 @@ impl Simulator {
             }
             let old_bit = old.get(0).unwrap_or(LogicBit::X);
             let new_bit = value.get(0).unwrap_or(LogicBit::X);
-            Self::transition_fires(&self.design, *id, old_bit, new_bit)
+            self.transition_fires(*id, old_bit, new_bit)
         })
     }
 
-    fn poke_many_wheel(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
-        let design = Arc::clone(&self.design);
-        let compiled = self.compiled();
+    /// Drive a batch (see [`Simulator::poke_many_ids`]): every store and
+    /// enqueue, then one drain if any drive fired an edge.
+    fn poke_many(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
         let fires = self.batch_fires(drives);
         if fires {
-            // Pre-edge flush, as in `poke_id_wheel`.
-            let r = self.drain();
-            if r.is_err() {
-                return self.latch(r);
-            }
+            // Pre-edge flush, as in `poke`.
+            self.drain()?;
         }
-        let mut wheel = std::mem::take(&mut self.wheel);
         let mut any_changed = false;
         for &(id, ref value) in drives {
-            let width = design.width(id);
-            let value = value.resized(width);
+            let value = value.resized(self.design.width(id));
             let old = &self.store[id.index()];
             if old.case_eq(&value) {
                 continue;
@@ -874,36 +900,46 @@ impl Simulator {
             let old_bit = old.get(0).unwrap_or(LogicBit::X);
             let new_bit = value.get(0).unwrap_or(LogicBit::X);
             self.store[id.index()] = value;
-            wheel.comb_fanout(&compiled, id);
-            wheel.edge_triggers(&design, &mut self.counts, id, old_bit, new_bit);
+            self.wheel.comb_fanout(self.compiled, id);
+            self.wheel
+                .edge_triggers(self.design, self.counts, id, old_bit, new_bit);
             any_changed = true;
         }
-        self.wheel = wheel;
         if !any_changed || !fires {
             // A no-op batch does not propagate; an edge-free one defers
             // its comb fanout to the next observation point.
             return Ok(());
         }
-        let r = self.drain();
-        self.latch(r)
+        self.drain()
     }
 
-    /// Resolve a drive batch by name up front, so an unknown name fails
-    /// the whole batch before any store is touched.
-    fn resolve_drives<'d>(
-        design: &Design,
-        drives: impl IntoIterator<Item = (&'d str, LogicVec)>,
-    ) -> Result<Vec<(SignalId, LogicVec)>, SimError> {
-        drives
-            .into_iter()
-            .map(|(name, value)| {
-                design
-                    .signal(name)
-                    .filter(|id| design.inputs.contains(id))
-                    .map(|id| (id, value))
-                    .ok_or_else(|| SimError::UnknownInput(name.to_string()))
-            })
-            .collect()
+    /// Run process `pi`'s bytecode (two-state, fused or four-state, as
+    /// the gates allow) and account for the outcome.
+    fn run_body(&mut self, pi: usize, nba: &mut Vec<PendingWrite>, changed: &mut Vec<SignalId>) {
+        let outcome = interp::execute(
+            &self.compiled.procs[pi],
+            &mut self.regs[pi],
+            self.store,
+            nba,
+            changed,
+            self.two_state,
+            self.fuse,
+        );
+        match outcome {
+            interp::ExecOutcome::TwoState => self.counts.two_state_evals += 1,
+            interp::ExecOutcome::Fused { ops, src } => {
+                self.counts.two_state_evals += 1;
+                self.counts.fused_evals += 1;
+                self.counts.plan_steps += ops as u64;
+                self.counts.plan_unfused_steps += src as u64;
+            }
+            interp::ExecOutcome::Fallback { .. } => self.counts.two_state_fallbacks += 1,
+            interp::ExecOutcome::FourState => {}
+        }
+        if let Some(cov) = self.coverage.as_deref_mut() {
+            let comb = matches!(self.design.processes[pi], Process::Comb { .. });
+            cov.record(crate::coverage::outcome_feature(outcome, comb));
+        }
     }
 
     /// Drain both wheel regions: the NBA region first (edge cascades,
@@ -916,12 +952,8 @@ impl Simulator {
     /// outside the differential contract, and the pipeline abandons
     /// faulted candidates at the first error).
     fn drain(&mut self) -> Result<(), SimError> {
-        let mut wheel = std::mem::take(&mut self.wheel);
-        let result = self
-            .nba_region(&mut wheel)
-            .and_then(|()| self.active_region(&mut wheel));
-        self.wheel = wheel;
-        result
+        self.nba_region()?;
+        self.active_region()
     }
 
     /// Run the NBA region: execute triggered sequential processes,
@@ -929,27 +961,25 @@ impl Simulator {
     /// those commits produce (clock dividers), up to [`CASCADE_LIMIT`]
     /// waves. Blocking writes and commits enqueue comb fanout on the
     /// active region as they land.
-    fn nba_region(&mut self, wheel: &mut Wheel) -> Result<(), SimError> {
-        if wheel.triggered.is_empty() {
+    fn nba_region(&mut self) -> Result<(), SimError> {
+        if self.wheel.triggered.is_empty() {
             return Ok(());
         }
-        let design = Arc::clone(&self.design);
-        let compiled = self.compiled();
         // Trigger dedup flags re-arm per wave (a divider's process may
         // legitimately run once per wave).
-        for &pi in &wheel.triggered {
-            wheel.in_triggered[pi] = false;
+        for &pi in &self.wheel.triggered {
+            self.wheel.in_triggered[pi] = false;
         }
-        let mut triggered = std::mem::take(&mut wheel.triggered);
+        let mut triggered = std::mem::take(&mut self.wheel.triggered);
         let mut rounds = 0usize;
         while !triggered.is_empty() {
             rounds += 1;
             if rounds > CASCADE_LIMIT {
-                wheel.triggered = triggered;
+                self.wheel.triggered = triggered;
                 return Err(SimError::EdgeCascade { rounds });
             }
-            let mut nba = std::mem::take(&mut wheel.nba);
-            let mut changed = std::mem::take(&mut wheel.changed);
+            let mut nba = std::mem::take(&mut self.wheel.nba);
+            let mut changed = std::mem::take(&mut self.wheel.changed);
             for pi in triggered.drain(..) {
                 self.counts.seq_evals += 1;
                 changed.clear();
@@ -958,12 +988,13 @@ impl Simulator {
                 // active events immediately.
                 self.run_body(pi, &mut nba, &mut changed);
                 for &sig in &changed {
-                    wheel.comb_fanout(&compiled, sig);
+                    self.wheel.comb_fanout(self.compiled, sig);
                 }
             }
             // Commit the wave, detecting new edges against pre-commit
             // LSB snapshots.
             changed.clear();
+            let wheel = &mut *self.wheel;
             for w in &nba {
                 let slot = &mut wheel.olds[w.signal.index()];
                 if slot.is_none() {
@@ -971,22 +1002,15 @@ impl Simulator {
                 }
             }
             for w in &nba {
-                apply_write(
-                    &mut self.store,
-                    w.signal,
-                    w.lsb,
-                    w.width,
-                    &w.value,
-                    &mut changed,
-                );
+                apply_write(self.store, w.signal, w.lsb, w.width, &w.value, &mut changed);
             }
             for &sig in &changed {
                 let old_bit = wheel.olds[sig.index()].unwrap_or(LogicBit::X);
                 let new_bit = self.store[sig.index()].get(0).unwrap_or(LogicBit::X);
-                wheel.comb_fanout(&compiled, sig);
+                wheel.comb_fanout(self.compiled, sig);
                 classify_edge_triggers(
-                    &design,
-                    &mut self.counts,
+                    self.design,
+                    self.counts,
                     &mut wheel.in_triggered,
                     &mut triggered,
                     sig,
@@ -1007,28 +1031,28 @@ impl Simulator {
         }
         // Hand the (drained) trigger list back to the pool so the next
         // edge reuses its capacity.
-        wheel.triggered = triggered;
+        self.wheel.triggered = triggered;
         Ok(())
     }
 
     /// Drain the active region: evaluate pending combinational processes
     /// to a fixpoint, enqueueing the fanout of *net* output changes.
-    fn active_region(&mut self, wheel: &mut Wheel) -> Result<(), SimError> {
-        if wheel.active.is_empty() {
+    fn active_region(&mut self) -> Result<(), SimError> {
+        if self.wheel.active.is_empty() {
             return Ok(());
         }
-        let compiled = self.compiled();
+        let compiled = self.compiled;
         let limit = SETTLE_LIMIT_FACTOR * self.design.processes.len().max(4) + 64;
         let mut iterations = 0usize;
-        while let Some(pi) = wheel.active.pop_front() {
-            wheel.in_active[pi] = false;
+        while let Some(pi) = self.wheel.active.pop_front() {
+            self.wheel.in_active[pi] = false;
             iterations += 1;
             if iterations > limit {
                 // Keep the unevaluated event pending: a standing fault
                 // must re-report on the next drain, not vanish with the
                 // popped entry.
-                wheel.in_active[pi] = true;
-                wheel.active.push_front(pi);
+                self.wheel.in_active[pi] = true;
+                self.wheel.active.push_front(pi);
                 return Err(SimError::CombinationalLoop { iterations });
             }
             // Cascade fusion: when this event's process roots a fused
@@ -1053,8 +1077,7 @@ impl Simulator {
                         .iter()
                         .all(|s| self.store[s.index()].is_fully_defined())
                     {
-                        let mut nba = std::mem::take(&mut wheel.nba);
-                        let mut scratch = std::mem::take(&mut wheel.scratch);
+                        let (nba, scratch) = (&mut self.wheel.nba, &mut self.wheel.scratch);
                         nba.clear();
                         for &m in &cascade.procs {
                             let m = m as usize;
@@ -1069,9 +1092,9 @@ impl Simulator {
                             let (ops, src) = crate::plan::execute_plan(
                                 plan,
                                 &mut self.regs[m].aregs,
-                                &mut self.store,
-                                &mut nba,
-                                &mut scratch,
+                                self.store,
+                                nba,
+                                scratch,
                             );
                             self.counts.plan_steps += ops as u64;
                             self.counts.plan_unfused_steps += src as u64;
@@ -1081,8 +1104,6 @@ impl Simulator {
                             debug_assert!(nba.is_empty());
                         }
                         scratch.clear();
-                        wheel.nba = nba;
-                        wheel.scratch = scratch;
                         if let Some(cov) = self.coverage.as_deref_mut() {
                             cov.record(crate::coverage::cascade_fire_feature(cascade.procs.len()));
                         }
@@ -1095,46 +1116,41 @@ impl Simulator {
             // Snapshot the write set so a process that reads what it
             // writes (an accumulation chain) only reports *net* changes;
             // intermediate blocking-write glitches must not re-trigger it.
-            wheel.before.clear();
-            wheel
+            self.wheel.before.clear();
+            self.wheel
                 .before
                 .extend(writes.iter().map(|id| self.store[id.index()].clone()));
-            let mut nba = std::mem::take(&mut wheel.nba);
-            let mut scratch = std::mem::take(&mut wheel.scratch);
+            let mut nba = std::mem::take(&mut self.wheel.nba);
+            let mut scratch = std::mem::take(&mut self.wheel.scratch);
             nba.clear();
             scratch.clear();
             self.run_body(pi, &mut nba, &mut scratch);
             // NBAs inside comb always blocks commit immediately at the
             // end of the process (simplified @* semantics).
             for w in &nba {
-                apply_write(
-                    &mut self.store,
-                    w.signal,
-                    w.lsb,
-                    w.width,
-                    &w.value,
-                    &mut scratch,
-                );
+                apply_write(self.store, w.signal, w.lsb, w.width, &w.value, &mut scratch);
             }
             nba.clear();
             scratch.clear();
-            wheel.nba = nba;
-            wheel.scratch = scratch;
+            self.wheel.nba = nba;
+            self.wheel.scratch = scratch;
             // Sequential processes must not be edge-triggered by
             // combinational glitches in this model; only real pokes and
             // NBA commits produce edges. (Clock gating through logic is
             // outside the benchmark subset.)
             for (k, id) in writes.iter().enumerate() {
-                if self.store[id.index()].case_eq(&wheel.before[k]) {
+                if self.store[id.index()].case_eq(&self.wheel.before[k]) {
                     continue;
                 }
-                wheel.comb_fanout(&compiled, *id);
+                self.wheel.comb_fanout(compiled, *id);
             }
-            wheel.before.clear();
+            self.wheel.before.clear();
         }
         Ok(())
     }
+}
 
+impl Simulator {
     // ------------------------------------------------------------------
     // Legacy scheduler (ExecMode::Legacy, the differential oracle)
     // ------------------------------------------------------------------
@@ -1837,6 +1853,81 @@ mod tests {
             s.poke("zz", v(1, 0)),
             Err(SimError::UnknownInput(_))
         ));
+    }
+
+    #[test]
+    fn poke_id_rejects_non_inputs() {
+        let parse =
+            |src: &str| Arc::new(elaborate(&mage_verilog::parse(src).unwrap(), "top").unwrap());
+        let small = "module top(input a, output y); assign y = ~a; endmodule";
+        let large = parse(
+            "module top(input a, input b, input c, output y, output z);
+               assign y = a & b; assign z = b | c;
+             endmodule",
+        );
+        let foreign = large.signal("z").unwrap();
+        for mode in [ExecMode::Compiled, ExecMode::Legacy] {
+            let mut s = Simulator::with_mode(parse(small), mode);
+            s.settle().unwrap();
+            s.poke("a", v(1, 0)).unwrap();
+            let y = s.design().signal("y").unwrap();
+            assert_eq!(s.peek(y).to_u64(), Some(1), "{mode:?}");
+            let before = s.store.clone();
+            // An output: rejected by name, and its logic still drives it.
+            let r = s.poke_id(y, v(1, 0));
+            assert!(
+                matches!(&r, Err(SimError::UnknownInput(n)) if n == "y"),
+                "{mode:?}: {r:?}"
+            );
+            assert_eq!(s.store, before, "{mode:?}: a rejected poke writes nothing");
+            // An id from a larger design, out of this one's range.
+            assert!(foreign.index() >= s.design().signals.len());
+            let r = s.poke_id(foreign, v(1, 1));
+            assert!(
+                matches!(&r, Err(SimError::UnknownInput(_))),
+                "{mode:?}: {r:?}"
+            );
+            assert_eq!(s.store, before, "{mode:?}");
+            assert_eq!(s.peek(y).to_u64(), Some(1), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn rejected_pokes_keep_a_latched_fault() {
+        let src = "module top(input a, output y, output z);
+                     assign y = a ? ~y : 1'b0; // rings when a = 1
+                     assign z = ~a;
+                   endmodule";
+        for mode in [ExecMode::Compiled, ExecMode::Legacy] {
+            let design = Arc::new(elaborate(&mage_verilog::parse(src).unwrap(), "top").unwrap());
+            let z = design.signal("z").unwrap();
+            let mut s = Simulator::with_mode(design, mode);
+            s.poke("a", v(1, 0)).unwrap();
+            s.settle().unwrap();
+            let r = s.poke("a", v(1, 1)).and_then(|()| s.settle());
+            assert!(matches!(r, Err(SimError::CombinationalLoop { .. })));
+            let before = s.store.clone();
+            // Every entry point rejects an output before touching the
+            // latch, so the frozen store stays frozen.
+            let rejected = [
+                s.poke("z", v(1, 0)),
+                s.poke_id(z, v(1, 0)),
+                s.poke_many([("a", v(1, 0)), ("z", v(1, 0))]),
+                s.poke_many_ids(&[(z, v(1, 0))]),
+            ];
+            for r in rejected {
+                assert!(
+                    matches!(&r, Err(SimError::UnknownInput(n)) if n == "z"),
+                    "{mode:?}: {r:?}"
+                );
+            }
+            assert!(s.fault.is_some(), "{mode:?}: the fault stays latched");
+            assert_eq!(s.store, before, "{mode:?}");
+            assert!(matches!(
+                s.settle(),
+                Err(SimError::CombinationalLoop { .. })
+            ));
+        }
     }
 
     #[test]
