@@ -455,10 +455,12 @@ fn main() {
          interleaved best-of-{samples} minima on {cpus} CPUs (the serve modes run one sim \
          worker per CPU) and are telemetry; the scheduler section's deterministic counts \
          (dispatch calls, sim waves, overlap steps) are the architecture signal. \
-         ci/bench-engine.expected pins scheduler.wave, scheduler.barrier, llm_dispatch, \
-         resilience and score_cache. design_cache and scheduler.delta stay out: the design \
-         cache has no turn lock, so twin compiles in one wave can both miss and move those \
-         counts by a few; fleet is telemetry. \
+         ci/bench-engine.expected pins scheduler.wave, scheduler.barrier, llm_dispatch \
+         (all but avg_wave_batch_size, which is requests / wave_calls), resilience, \
+         score_cache and design_cache (twin compiles in one wave take turns on their key's \
+         lock, as twin scoring requests do). scheduler.delta stays out: two different \
+         candidates in one wave that share a process unit can both miss the unit tier. \
+         fleet is telemetry. \
          Regenerate with: cargo run --release -p mage-bench --bin bench_engine\"\n}}\n",
         jobs as f64 / wave_s,
         jobs as f64 / scalar_s,

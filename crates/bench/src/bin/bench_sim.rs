@@ -21,22 +21,21 @@
 //! executors via the `MAGE_SIM_EXEC` environment hook.
 //!
 //! Besides wall time, the harness records **scheduler work counts**
-//! (process evaluations, edge probes, and two-state fast-path
-//! hits/fallbacks per step/edge, from `Simulator::eval_counts`) into a
+//! (process evaluations, edge probes, plan hits/fallbacks and plan
+//! opcode counts per step/edge, from `Simulator::eval_counts`) into a
 //! `scheduler` section, and asserts the acceptance invariants
-//! in-process: zero evaluations to re-settle a settled design, no more
-//! process evaluations than the legacy scheduler on the demand-driven
-//! (unfused) wheel, strictly fewer edge probes on mixed-edge clocks,
-//! two-state evaluations > 0 on every defined (driven) kernel with
-//! zero fallbacks in the fully-defined steady state, and zero
-//! two-state counters on the legacy executor. Each driven kernel also
-//! runs a third leg with `Simulator::set_fuse(false)` and asserts the
-//! fused-plan dispatch economics: fused evaluations > 0 with strictly
-//! fewer plan opcodes retired than the unfused interpreter dispatches
-//! on the same paths, an identical sequential/edge schedule either
-//! way, zero fused counters on the off leg, and zero on the legacy
-//! executor. Deterministic counts — unlike wall time on this noisy
-//! single-CPU box, a scheduling regression here is unambiguous.
+//! in-process: zero evaluations to re-settle a settled design, strictly
+//! fewer edge probes than the legacy scheduler on mixed-edge clocks,
+//! plan (two-state) evaluations > 0 on every defined (driven) kernel
+//! with zero fallbacks in the fully-defined steady state and strictly
+//! fewer plan opcodes retired than the source instructions they cover,
+//! and zero two-state counters on the legacy executor. Each kernel
+//! also runs a `four_state` leg with `Simulator::set_two_state(false)`:
+//! that demand-driven wheel (no cascades) must evaluate no more
+//! processes than the legacy scheduler nor than the default leg's
+//! cascades, and must keep the default leg's sequential/edge schedule.
+//! Deterministic counts — unlike wall time on this noisy shared box, a
+//! scheduling regression here is unambiguous.
 //!
 //! Usage:
 //! `cargo run --release -p mage-bench --bin bench_sim [--smoke] [out.json]`
@@ -173,12 +172,11 @@ struct WorkCounts {
 fn json_counts(w: &WorkCounts) -> String {
     let per = w.per.max(1) as f64;
     format!(
-        "{{ \"evals\": {}, \"edge_probes\": {}, \"two_state_evals\": {}, \"two_state_fallbacks\": {}, \"fused_evals\": {}, \"plan_steps\": {}, \"plan_unfused_steps\": {}, \"evals_per_step\": {:.4}, \"probes_per_step\": {:.4} }}",
+        "{{ \"evals\": {}, \"edge_probes\": {}, \"two_state_evals\": {}, \"two_state_fallbacks\": {}, \"plan_steps\": {}, \"plan_unfused_steps\": {}, \"evals_per_step\": {:.4}, \"probes_per_step\": {:.4} }}",
         w.counts.total_evals(),
         w.counts.edge_probes,
         w.counts.two_state_evals,
         w.counts.two_state_fallbacks,
-        w.counts.fused_evals,
         w.counts.plan_steps,
         w.counts.plan_unfused_steps,
         w.counts.total_evals() as f64 / per,
@@ -344,10 +342,10 @@ fn main() {
 
     // --- Scheduler work counts (deterministic; the perf trajectory's
     //     scheduling signal, immune to wall-clock noise). ---
-    let count_of = |mode: ExecMode, fuse: bool, kernel: &str| -> WorkCounts {
+    let count_of = |mode: ExecMode, two_state: bool, kernel: &str| -> WorkCounts {
         let sim_of = |design: &Arc<Design>| {
             let mut sim = Simulator::with_mode(Arc::clone(design), mode);
-            sim.set_fuse(fuse);
+            sim.set_two_state(two_state);
             sim
         };
         match kernel {
@@ -421,20 +419,19 @@ fn main() {
     for kernel in counted.iter() {
         let wheel = count_of(ExecMode::Compiled, true, kernel);
         let legacy = count_of(ExecMode::Legacy, false, kernel);
-        // Third leg: the same compiled kernel with fused-plan dispatch
-        // disabled before boot (the per-instruction oracle the plans
-        // are store-exact against).
-        let unfused = count_of(ExecMode::Compiled, false, kernel);
-        // Acceptance invariants: the demand-driven wheel (the unfused
-        // leg — fused cascades deliberately straight-line every member,
-        // trading a few redundant evals for eliminating per-instruction
-        // dispatch, so the eval bound belongs to the unfused leg) never
-        // evaluates more than the legacy scheduler, probes no more
-        // processes, and re-settles a settled design for free.
+        // Third leg: the same compiled kernel on the four-state loop
+        // (two-state dispatch switched off before boot).
+        let four_state = count_of(ExecMode::Compiled, false, kernel);
+        // Acceptance invariants: the demand-driven wheel (the four-state
+        // leg — cascades deliberately straight-line every member,
+        // trading a few redundant evals for fewer dispatches, so the
+        // eval bound belongs to the leg without them) never evaluates
+        // more than the legacy scheduler, probes no more processes, and
+        // re-settles a settled design for free.
         assert!(
-            unfused.counts.total_evals() <= legacy.counts.total_evals(),
+            four_state.counts.total_evals() <= legacy.counts.total_evals(),
             "{kernel}: wheel evals {} > legacy {}",
-            unfused.counts.total_evals(),
+            four_state.counts.total_evals(),
             legacy.counts.total_evals()
         );
         assert!(
@@ -443,13 +440,20 @@ fn main() {
             wheel.counts.edge_probes,
             legacy.counts.edge_probes
         );
-        // Fusion only changes combinational dispatch: the sequential
-        // schedule and per-edge trigger economics are identical across
-        // the fused and unfused legs.
+        // Plans and cascades only change combinational dispatch: the
+        // sequential schedule and per-edge trigger economics are
+        // identical on both compiled legs.
         assert_eq!(
             (wheel.counts.seq_evals, wheel.counts.edge_probes),
-            (unfused.counts.seq_evals, unfused.counts.edge_probes),
-            "{kernel}: fusion disturbed the sequential/edge schedule"
+            (four_state.counts.seq_evals, four_state.counts.edge_probes),
+            "{kernel}: plans disturbed the sequential/edge schedule"
+        );
+        // Straight-line cascades may add member evals the demand queue
+        // would have skipped (pure re-evaluation, never less work than
+        // the fixpoint needs) — but never the other way around.
+        assert!(
+            wheel.counts.total_evals() >= four_state.counts.total_evals(),
+            "{kernel}: the cascades skipped work the demand queue ran"
         );
         if matches!(*kernel, "sim_dualclk_sweep" | "sim_handshake_sweep") {
             // Clocked kernels: per-edge lists must probe *strictly*
@@ -474,62 +478,31 @@ fn main() {
             );
         } else {
             // Every driven kernel counts from a fully-defined booted
-            // state: all its evaluations must take the two-state fast
-            // path, with zero fallbacks.
+            // state: its evaluations must run plans, with zero
+            // fallbacks, and the plan opcodes retired must be
+            // *strictly* fewer than the bytecode instructions they
+            // cover — the fusion win, independent of wall clock.
             assert!(
                 wheel.counts.two_state_evals > 0,
-                "{kernel}: defined kernel never hit the two-state path"
+                "{kernel}: defined kernel never ran a plan"
             );
             assert_eq!(
                 wheel.counts.two_state_fallbacks, 0,
                 "{kernel}: fully-defined steady state must not fall back"
             );
-        }
-        // The legacy tree-walker has no two-state path at all.
-        assert_eq!(legacy.counts.two_state_evals, 0);
-        assert_eq!(legacy.counts.two_state_fallbacks, 0);
-        // Fused-plan dispatch economics. Every driven kernel boots
-        // fully defined, so its hazard-free processes must be serviced
-        // by fused evaluation plans, and the plan opcodes retired must
-        // be *strictly* fewer than the bytecode instructions the
-        // unfused interpreter would have dispatched on the same paths —
-        // the fusion win, independent of wall clock. (A settled wheel
-        // executes nothing, so sim_settle has nothing to fuse.)
-        if *kernel != "sim_settle" {
-            assert!(
-                wheel.counts.fused_evals > 0,
-                "{kernel}: hazard-free processes never took the fused plan path"
-            );
             assert!(
                 wheel.counts.plan_steps < wheel.counts.plan_unfused_steps,
-                "{kernel}: fusion retired no fewer dispatches ({} plan steps vs {} unfused)",
+                "{kernel}: fusion retired no fewer dispatches ({} plan steps vs {} source)",
                 wheel.counts.plan_steps,
                 wheel.counts.plan_unfused_steps
             );
         }
-        // The off leg runs the identical kernel with identical work —
-        // only the dispatch tier differs — and must never touch a plan.
-        assert_eq!(
-            unfused.counts.fused_evals, 0,
-            "{kernel}: set_fuse(false) must disable fused dispatch"
-        );
-        assert_eq!(
-            (unfused.counts.plan_steps, unfused.counts.plan_unfused_steps),
-            (0, 0),
-            "{kernel}: the off leg must retire zero plan opcodes"
-        );
-        // Straight-line cascades may add member evals the demand queue
-        // would have skipped (pure re-evaluation, never less work than
-        // the fixpoint needs) — but never the other way around.
-        assert!(
-            wheel.counts.total_evals() >= unfused.counts.total_evals(),
-            "{kernel}: the fused leg skipped work the demand queue ran"
-        );
-        // The legacy tree-walker predates plans entirely.
-        assert_eq!(legacy.counts.fused_evals, 0);
+        // The legacy tree-walker has no plans at all.
+        assert_eq!(legacy.counts.two_state_evals, 0);
+        assert_eq!(legacy.counts.two_state_fallbacks, 0);
         assert_eq!(legacy.counts.plan_steps, 0);
         println!(
-            "{:24} wheel {:>7.3} evals/step {:>7.3} probes/step   legacy {:>7.3} evals/step {:>7.3} probes/step   fused {:>6}/{:<6} plan/unfused steps",
+            "{:24} wheel {:>7.3} evals/step {:>7.3} probes/step   legacy {:>7.3} evals/step {:>7.3} probes/step   plans {:>6}/{:<6} plan/source steps",
             kernel,
             wheel.counts.total_evals() as f64 / wheel.per.max(1) as f64,
             wheel.counts.edge_probes as f64 / wheel.per.max(1) as f64,
@@ -540,12 +513,12 @@ fn main() {
         );
         // Always a trailing comma: the "delta" subsection follows.
         sched_json.push_str(&format!(
-            "    \"{}\": {{ \"steps\": {}, \"wheel\": {}, \"legacy\": {}, \"unfused\": {} }},\n",
+            "    \"{}\": {{ \"steps\": {}, \"wheel\": {}, \"legacy\": {}, \"four_state\": {} }},\n",
             kernel,
             wheel.per,
             json_counts(&wheel),
             json_counts(&legacy),
-            json_counts(&unfused),
+            json_counts(&four_state),
         ));
     }
     // --- Delta-compilation counters: per-kernel unit-cache reuse. A
@@ -657,26 +630,22 @@ fn main() {
          section records deterministic work counts per step (settle call, poke vector \
          or driven edge): evals = process body executions, edge_probes = processes \
          examined for edge sensitivity, two_state_evals / two_state_fallbacks = \
-         executions serviced by the aval-plane-only fast path vs four-state runs of \
-         eligible processes (X in the read set, or a mid-run bailout), fused_evals = \
-         executions serviced by a fused evaluation plan (superinstruction dispatch, a \
-         subset of two_state_evals), plan_steps / plan_unfused_steps = fused plan \
-         opcodes retired vs the bytecode instructions the unfused interpreter would \
-         have dispatched on the same control paths. Each driven kernel also records \
-         an `unfused` leg (the identical kernel with fused dispatch switched off by \
-         Simulator::set_fuse(false) before boot). The harness \
-         asserts unfused-wheel <= legacy on evals and wheel <= legacy on probes \
-         (fused cascades straight-line every member in static topo order, trading a \
-         few redundant member evals — never fewer than the demand queue — for \
-         eliminating per-instruction dispatch, so the eval bound belongs to the \
-         demand-driven unfused leg), exactly zero evals to re-settle a settled \
+         executions completed on a process's evaluation plan (the two-state executor: \
+         fused opcodes over aval words) vs four-state runs of processes with a plan \
+         (X in the read set, or a mid-run bail), plan_steps / plan_unfused_steps = plan \
+         opcodes retired vs the bytecode instructions they cover. Each kernel also \
+         records a `four_state` leg (the identical kernel with two-state dispatch \
+         switched off by Simulator::set_two_state(false) before boot). The harness \
+         asserts four_state-wheel <= legacy on evals and wheel <= legacy on probes \
+         (cascades straight-line every member in static topo order, trading a few \
+         redundant member evals for fewer dispatches, so the eval bound belongs to \
+         the demand-driven four_state leg), exactly zero evals to re-settle a settled \
          design, two_state_evals > 0 with zero fallbacks on every driven kernel \
-         (booted fully defined), zero two-state counters under the legacy executor, \
-         which has no fast path, and the fusion economics: fused_evals > 0 with \
-         plan_steps strictly below plan_unfused_steps on every driven kernel, an \
-         identical sequential/edge schedule on the fused and unfused legs, zero \
-         fused counters on the unfused leg, and zero under the legacy executor, \
-         which predates plans. The scheduler.delta subsection records \
+         (booted fully defined), zero plan counters under the legacy executor, which \
+         has no plans, plan_steps strictly below plan_unfused_steps on every driven \
+         kernel, wheel >= four_state on evals (cascades never skip demand-queue work), \
+         and an identical sequential/edge schedule on the wheel and four_state legs. \
+         The scheduler.delta subsection records \
          per-kernel unit-cache counters for delta re-elaboration against an unchanged \
          parent design: units = process count, reused/rebuilt = units served from the \
          parent vs recompiled after a single-process edit (asserted to be exactly \

@@ -6,7 +6,7 @@
 //! stress-tests that trust: a seeded grammar-directed generator
 //! ([`gen`]) grows random-but-valid Verilog inside the supported
 //! subset, and every case must survive three oracles ([`oracle`]) —
-//! parse→print→reparse roundtrips, four-executor lockstep simulation
+//! parse→print→reparse roundtrips, three-executor lockstep simulation
 //! with store-exact comparison after every poke, and delta-vs-scratch
 //! rebuilds of single-edit mutants.
 //!

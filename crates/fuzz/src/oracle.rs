@@ -7,17 +7,17 @@
 //!    fixpoint (identical AST, identical source, identical per-item
 //!    fingerprints). This is the contract the delta-compilation cache
 //!    keys on.
-//! 2. **Lockstep** — the four executors (legacy tree-walker, compiled
-//!    four-state, compiled two-state unfused, compiled two-state fused)
-//!    run the same drive plan and are compared store-exactly,
-//!    signal-by-signal via `===`, after *every* poke.
+//! 2. **Lockstep** — the three executors (legacy tree-walker, compiled
+//!    four-state, compiled with plans) run the same drive plan and are
+//!    compared store-exactly, signal-by-signal via `===`, after *every*
+//!    poke.
 //! 3. **Delta** — single-edit mutants of the design are built from
 //!    scratch and by delta elaboration against the unedited parent;
 //!    both builds must agree structurally (signals, processes,
 //!    bytecode) or fail with the identical error.
 //!
 //! All executors are constructed via [`Simulator::with_mode`] with the
-//! two-state and fusion switches set explicitly, so the verdict is
+//! two-state switch set explicitly, so the verdict is
 //! independent of the `MAGE_SIM_EXEC` environment switch, which only
 //! [`Simulator::new`] reads.
 
@@ -71,16 +71,15 @@ pub struct CaseOutcome {
     pub pokes: usize,
 }
 
-/// The executor stack under test: `(mode, two_state, fuse, label)`.
+/// The executor stack under test: `(mode, two_state, label)`.
 /// Index 0 (the legacy tree-walker) is the comparison reference.
-pub const EXECUTORS: [(ExecMode, bool, bool, &str); 4] = [
-    (ExecMode::Legacy, false, false, "legacy"),
-    (ExecMode::Compiled, false, false, "compiled-4s"),
-    (ExecMode::Compiled, true, false, "compiled-2s"),
-    (ExecMode::Compiled, true, true, "fused"),
+pub const EXECUTORS: [(ExecMode, bool, &str); 3] = [
+    (ExecMode::Legacy, false, "legacy"),
+    (ExecMode::Compiled, false, "compiled-4s"),
+    (ExecMode::Compiled, true, "compiled-2s"),
 ];
 
-/// Run every oracle on one case: roundtrip, four-executor lockstep on
+/// Run every oracle on one case: roundtrip, three-executor lockstep on
 /// the seed-derived drive plan, then delta-vs-scratch on mutants.
 pub fn run_case(case: &GenCase, steps: usize) -> Result<CaseOutcome, Failure> {
     run_source(&case.source, case.seed, steps)
@@ -146,7 +145,7 @@ pub fn check_roundtrip(source: &str) -> Result<SourceFile, Failure> {
     Ok(f1)
 }
 
-/// Oracle 2: all four executors run `drives` in lockstep; the full
+/// Oracle 2: all three executors run `drives` in lockstep; the full
 /// store is compared via `===` after every poke and every settle. Poke
 /// and settle *results* must also agree — a fault on one executor only
 /// is a divergence. Returns the merged runtime coverage of the
@@ -157,11 +156,10 @@ pub fn lockstep(
 ) -> Result<(FuzzCoverage, usize), Failure> {
     let mut sims: Vec<(Simulator, &str)> = EXECUTORS
         .iter()
-        .map(|(mode, two_state, fuse, label)| {
+        .map(|(mode, two_state, label)| {
             let mut sim = Simulator::with_mode(Arc::clone(design), *mode);
             if *mode == ExecMode::Compiled {
                 sim.set_two_state(*two_state);
-                sim.set_fuse(*fuse);
                 sim.enable_coverage();
             }
             (sim, *label)

@@ -31,8 +31,7 @@ pub enum LogicBit {
 }
 
 impl LogicBit {
-    /// Encode as the `(aval, bval)` bit pair used by [`crate::LogicVec`]
-    /// (and by `mage-sim`'s two-state registers).
+    /// Encode as the `(aval, bval)` bit pair used by [`crate::LogicVec`].
     #[inline]
     pub fn to_planes(self) -> (bool, bool) {
         match self {

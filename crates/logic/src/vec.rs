@@ -161,7 +161,7 @@ impl LogicVec {
 
     /// Build an inline (≤ 64-bit) vector directly from its aval/bval
     /// plane words (bits above `width` are masked off). This is the
-    /// bridge out of `mage-sim`'s two-state registers.
+    /// bridge out of `mage-sim`'s two-state plan registers.
     ///
     /// # Panics
     ///
@@ -298,32 +298,14 @@ impl LogicVec {
     /// `true` when no bit is `X` or `Z`.
     ///
     /// Plane-level: a single word compare for inline vectors, a word
-    /// scan for heap ones — this is the per-signal gate the simulator's
-    /// two-state fast path checks before every dispatch, so it never
-    /// walks bits.
+    /// scan for heap ones — this is the per-signal gate the simulator
+    /// checks before every two-state plan dispatch, so it never walks
+    /// bits.
     #[inline]
     pub fn is_fully_defined(&self) -> bool {
         match &self.repr {
             Repr::Small { bval, .. } => *bval == 0,
             Repr::Heap { bval, .. } => bval.iter().all(|&w| w == 0),
-        }
-    }
-
-    /// The unknown-ness (`bval`) plane of a narrow vector as a single
-    /// word: bit `i` is set iff bit `i` of the value is `X` or `Z`.
-    ///
-    /// Plane-level definedness query for the two-state interpreter —
-    /// reading one plane skips the aval fetch that [`LogicVec::planes_u64`]
-    /// pays for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector is wider than 64 bits.
-    #[inline]
-    pub fn undef_mask_u64(&self) -> u64 {
-        match &self.repr {
-            Repr::Small { bval, .. } => *bval,
-            Repr::Heap { .. } => panic!("undef_mask_u64 on a wide vector"),
         }
     }
 

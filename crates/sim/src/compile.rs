@@ -338,53 +338,30 @@ pub struct CompiledProcess {
     /// *net* output changes.
     pub writes: Vec<SignalId>,
     /// `true` when every slot and every touched signal fits in 64 bits:
-    /// the precondition of the two-state interpreter and the fused
-    /// plans, which run over raw plane words instead of `LogicVec`s.
-    /// Four-state runs use `LogicVec` slots at every width.
+    /// the precondition of a [`plan`](CompiledProcess::plan), whose
+    /// registers are bare `u64` words. The four-state loop uses
+    /// `LogicVec` slots at every width.
     pub narrow: bool,
-    /// `true` when the (narrow) stream is **two-state eligible**: given
-    /// fully defined inputs, the interpreter may execute it over the
-    /// aval plane alone, skipping every bval-plane masking/merging
-    /// formula (the Verilator execution model). Decided once at compile
-    /// time by `two_state_eligible`; at dispatch the `reads` set is
-    /// the definedness summary the scheduler scans (all inputs defined
-    /// → two-state, any `X`/`Z` → the four-state path), and the
-    /// X-producing operations left in the stream (division by zero,
-    /// out-of-range reads) bail out to four-state at runtime.
-    pub two_state: bool,
-    /// `true` when a dispatched two-state run of this (`two_state`)
-    /// stream can **never** bail out: no division/modulo, no dynamic
-    /// bit selects, every constant part select statically in bounds,
-    /// and no undefined constants anywhere (so the process cannot
-    /// store an `X` for its own loads to re-read). Such a stream gets
-    /// a fused [`plan`](CompiledProcess::plan), whose dispatch skips
-    /// the pre-run write-set snapshot — the rewind can never be
-    /// needed — which matters because the snapshot is per evaluation
-    /// and bailouts are rare.
-    pub hazard_free: bool,
-    /// Per-slot valid-bit masks (`narrow` streams only; read by the
-    /// two-state interpreter and plan building).
-    pub slot_masks: Vec<u64>,
-    /// Constant pool as plane-word pairs (`narrow` streams only; read
-    /// by the two-state interpreter and plan building).
-    pub narrow_consts: Vec<(u64, u64)>,
-    /// The fused straight-line evaluation plan (non-empty
-    /// `hazard_free` streams only, else `None`). Built unconditionally
-    /// at compile time — dispatch, not construction, is gated per
-    /// simulator by [`crate::Simulator::set_fuse`], so fused and
-    /// unfused runs execute structurally identical designs and
+    /// The process's evaluation plan ([`build_plan`]): built for every
+    /// narrow stream whose undefined constants appear only as case
+    /// labels and whose part selects are statically in bounds, else
+    /// `None`. A process with a plan runs it whenever its read set is
+    /// fully defined and the four-state loop otherwise; a process
+    /// without one always runs the four-state loop. Built
+    /// unconditionally at compile time — dispatch, not construction, is
+    /// gated per simulator by [`crate::Simulator::set_two_state`], so
     /// delta-reused units carry their plans verbatim.
     pub plan: Option<EvalPlan>,
 }
 
 impl CompiledProcess {
     /// `true` when every signal in `reads` is fully defined in `store`
-    /// — the dispatch gate of the two-state path. The read set is
-    /// derived from the executable artifact (every `Load`, `BitSelSig`
-    /// and `ReadSlice` source), so it can never under-approximate the
-    /// definedness a two-state run depends on at entry; values this
-    /// process *writes* mid-run are re-checked per read by the
-    /// interpreter.
+    /// — the dispatch gate of a plan. The read set is derived from the
+    /// executable artifact (every `Load`, `BitSelSig` and `ReadSlice`
+    /// source), so it can never under-approximate the definedness a
+    /// plan run depends on at entry; values this process *writes*
+    /// mid-run stay defined, because a plan stores only the defined
+    /// words it computes.
     #[inline]
     pub fn reads_fully_defined(&self, store: &[LogicVec]) -> bool {
         self.reads
@@ -405,7 +382,8 @@ pub struct CompiledDesign {
     /// region.
     pub comb_readers: Vec<Vec<u32>>,
     /// Fused combinational cascades ([`crate::plan::build_cascades`]):
-    /// one per eligible hazard-free comb root, in topological order.
+    /// one per eligible comb root (every member's plan bail-free and
+    /// NBA-free), in topological order.
     pub cascades: Vec<CascadePlan>,
     /// Per-process cascade root index into `cascades` (`None` for
     /// processes without a fused cascade). The wheel's active region
@@ -532,37 +510,7 @@ pub fn compile_process(design: &Design, body: &CStmt) -> CompiledProcess {
             | Instr::StoreBitDyn { sig, .. } => sig_width(sig) <= 64,
             _ => true,
         });
-    let slot_masks = if narrow {
-        c.slot_widths
-            .iter()
-            .map(|&w| if w == 64 { u64::MAX } else { (1u64 << w) - 1 })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let narrow_consts = if narrow {
-        c.consts.iter().map(|v| v.planes_u64()).collect()
-    } else {
-        Vec::new()
-    };
     let (reads, writes) = touch_sets(&c.code, design.signals.len());
-    let two_state = narrow && two_state_eligible(&c.code, &c.consts, c.slot_widths.len());
-    let hazard_free = two_state
-        && c.consts.iter().all(|k| k.is_fully_defined())
-        && c.code.iter().all(|i| match i {
-            Instr::Bin {
-                op: BinOp::Div | BinOp::Mod,
-                ..
-            }
-            | Instr::BitSelSig { .. } => false,
-            // A statically in-bounds part select of an entry-defined
-            // signal cannot read X (and with no undefined constants the
-            // process cannot make its own reads undefined mid-run).
-            Instr::ReadSlice { dst, sig, lsb } => {
-                *lsb >= 0 && (*lsb as usize) + c.slot_widths[*dst as usize] <= design.width(*sig)
-            }
-            _ => true,
-        });
     let mut cp = CompiledProcess {
         code: c.code,
         slot_widths: c.slot_widths,
@@ -570,104 +518,10 @@ pub fn compile_process(design: &Design, body: &CStmt) -> CompiledProcess {
         reads,
         writes,
         narrow,
-        two_state,
-        hazard_free,
-        slot_masks,
-        narrow_consts,
         plan: None,
     };
     cp.plan = build_plan(design, &cp);
     cp
-}
-
-/// Decide two-state eligibility of a narrow instruction stream.
-///
-/// The two-state interpreter evaluates the pure-value instructions
-/// (arithmetic, bitwise, comparisons, reductions, shifts, logical
-/// connectives) over the aval plane only, which is exact **iff** their
-/// operands are fully defined. Definedness is enforced three ways:
-///
-/// * at dispatch, the scheduler scans the process read set
-///   ([`CompiledProcess::reads_fully_defined`]) and every in-run store
-///   read re-checks its bval plane, bailing out when an `X`/`Z`
-///   appears;
-/// * the X-*producing* operations that remain reachable from defined
-///   inputs — division/modulo by zero and out-of-range reads — bail
-///   out at runtime before any wrong value is computed;
-/// * undefined **constants** (casez wildcard labels, explicit
-///   `4'bxxxx` literals) are the one X source decidable at compile
-///   time, and that is what this analysis tracks: slots that can carry
-///   an undefined constant (directly or through the plane-exact
-///   propagators `Copy`/`Slice`/`Select`/`Concat`/`Repl`) may only be
-///   consumed by instructions the two-state interpreter executes
-///   plane-exactly — case dispatch, case equality, jumps, selects,
-///   copies/concats and stores. Any tainted flow into a pure-aval
-///   instruction disqualifies the whole process, which then always
-///   runs four-state.
-///
-/// Slots are SSA (one writing instruction each), so a single forward
-/// pass computes the taint fixpoint regardless of jumps.
-fn two_state_eligible(code: &[Instr], consts: &[LogicVec], nslots: usize) -> bool {
-    let undef_const: Vec<bool> = consts.iter().map(|c| !c.is_fully_defined()).collect();
-    let mut tainted = vec![false; nslots];
-    let t = |tainted: &[bool], s: &Slot| tainted[*s as usize];
-    for i in code {
-        match i {
-            Instr::Const { dst, k } => {
-                if undef_const[*k as usize] {
-                    tainted[*dst as usize] = true;
-                }
-            }
-            // Plane-exact propagators: taint flows through.
-            Instr::Copy { dst, src } | Instr::Slice { dst, src, .. } => {
-                tainted[*dst as usize] |= t(&tainted, src);
-            }
-            Instr::Select { dst, c, t: ts, f } => {
-                tainted[*dst as usize] |= t(&tainted, c) || t(&tainted, ts) || t(&tainted, f);
-            }
-            Instr::Concat { dst, parts } => {
-                tainted[*dst as usize] |= parts.iter().any(|(s, _)| t(&tainted, s));
-            }
-            Instr::Repl { dst, src, .. } => {
-                tainted[*dst as usize] |= t(&tainted, src);
-            }
-            // Plane-exact consumers (and defined-or-bail producers).
-            Instr::Load { .. }
-            | Instr::ReadSlice { .. }
-            | Instr::BitSelSig { .. }
-            | Instr::Jump { .. }
-            | Instr::JumpIfNotTrue { .. }
-            | Instr::JumpIfMatch { .. }
-            | Instr::Store { .. }
-            | Instr::StoreBitDyn { .. } => {}
-            Instr::Cmp {
-                op: CmpOp::CaseEq | CmpOp::CaseNeq,
-                ..
-            } => {}
-            // Pure-aval instructions: a tainted operand disqualifies.
-            Instr::Not { a, .. } => {
-                if t(&tainted, a) {
-                    return false;
-                }
-            }
-            Instr::Bin { a, b, .. } | Instr::LogicBin { a, b, .. } | Instr::Cmp { a, b, .. } => {
-                if t(&tainted, a) || t(&tainted, b) {
-                    return false;
-                }
-            }
-            Instr::Shift { a, amt, .. } => {
-                if t(&tainted, a) || t(&tainted, amt) {
-                    return false;
-                }
-            }
-            Instr::Reduce { a, .. } => {
-                if t(&tainted, a) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 /// Extract the deduped (read, written) signal sets of an instruction

@@ -7,7 +7,7 @@
 //! bytecode opcode pairs, superinstruction kinds, cascade lengths,
 //! process shapes) and dynamic features recorded by the [`crate::Simulator`]
 //! while the lockstep oracles run (execution outcomes including
-//! two-state bail reasons, cascade dispatches). An input that hits a
+//! plan bail reasons, cascade dispatches). An input that hits a
 //! feature no earlier input hit is *novel* and becomes a corpus entry.
 //!
 //! The map is deliberately tiny and allocation-light: a sorted set of
@@ -186,6 +186,9 @@ pub fn plan_op_tag(op: &PlanOp) -> u64 {
         PlanOp::Store { .. } => 0x196,
         PlanOp::StoreWhole { .. } => 0x197,
         PlanOp::StoreBitDyn { .. } => 0x198,
+        PlanOp::DivMod { modulo, .. } => 0x199 + *modulo as u64,
+        PlanOp::BitSel { .. } => 0x19b,
+        PlanOp::BranchIfMasked { .. } => 0x19c,
     }
 }
 
@@ -224,14 +227,13 @@ pub fn cascade_fire_feature(len: usize) -> u64 {
 }
 
 /// Feature id of one process-body execution outcome. `comb` is the
-/// scheduling region; the outcome distinguishes two-state completion,
-/// fused dispatch, four-state by construction, and the two bail
-/// flavors ([`BailReason`]) — the two-state path's failure modes are
-/// exactly what differential fuzzing wants to keep exercising.
+/// scheduling region; the outcome distinguishes a completed plan run,
+/// four-state by construction, and the two bail flavors
+/// ([`BailReason`]) — the plan path's failure modes are exactly what
+/// differential fuzzing wants to keep exercising.
 pub fn outcome_feature(outcome: ExecOutcome, comb: bool) -> u64 {
     let code: u64 = match outcome {
-        ExecOutcome::TwoState => 0,
-        ExecOutcome::Fused { .. } => 1,
+        ExecOutcome::Plan { .. } => 1,
         ExecOutcome::FourState => 2,
         ExecOutcome::Fallback {
             reason: BailReason::DispatchUndef,
@@ -243,15 +245,12 @@ pub fn outcome_feature(outcome: ExecOutcome, comb: bool) -> u64 {
     feat(D_OUTCOME, (code << 1) | comb as u64)
 }
 
-/// Feature id of one compiled process's shape (narrow/hazard-free/
-/// two-state-eligible/has-plan flags).
-pub fn shape_feature(narrow: bool, hazard_free: bool, two_state: bool, has_plan: bool) -> u64 {
+/// Feature id of one compiled process's shape (narrow/has-plan/
+/// plan-can-bail flags).
+pub fn shape_feature(narrow: bool, has_plan: bool, can_bail: bool) -> u64 {
     feat(
         D_SHAPE,
-        narrow as u64
-            | (hazard_free as u64) << 1
-            | (two_state as u64) << 2
-            | (has_plan as u64) << 3,
+        narrow as u64 | (has_plan as u64) << 1 | (can_bail as u64) << 2,
     )
 }
 
@@ -264,9 +263,8 @@ pub fn design_features(compiled: &CompiledDesign, cov: &mut FuzzCoverage) {
     for proc in &compiled.procs {
         cov.record(shape_feature(
             proc.narrow,
-            proc.hazard_free,
-            proc.two_state,
             proc.plan.is_some(),
+            proc.plan.as_ref().is_some_and(|p| p.can_bail),
         ));
         let mut prev = u64::MAX >> 16; // start-of-stream sentinel
         for i in &proc.code {
@@ -326,7 +324,7 @@ mod tests {
             plan_op_feature(0x110),
             cascade_len_feature(3),
             cascade_fire_feature(3),
-            shape_feature(true, false, true, false),
+            shape_feature(true, false, true),
         ];
         let set: BTreeSet<u64> = ids.iter().copied().collect();
         assert_eq!(set.len(), ids.len());

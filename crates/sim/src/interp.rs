@@ -14,40 +14,32 @@
 //!   identical (the tree-walker stays alive as the differential-testing
 //!   oracle — see `tests/compiled_vs_interp.rs`).
 //!
-//! # The interpreter stack
+//! # One interpreter loop plus plans
 //!
-//! Two loops share the instruction set, selected per process and per
-//! evaluation:
+//! `execute_wide` is the one interpreter loop: four-state, `LogicVec`
+//! slots, any width. Every evaluation that can see an `X`/`Z` runs
+//! here. Every other evaluation runs the process's
+//! [`crate::plan::EvalPlan`], the two-state executor: fused opcodes
+//! over bare `u64` aval registers (the steady-state hot path of
+//! defined kernels).
 //!
-//! * `execute_wide` — the four-state loop: `LogicVec` slots, any
-//!   width. Every evaluation that can see an `X`/`Z` runs here;
-//! * `execute_two_state` — **two-state**, for narrow (≤ 64-bit)
-//!   eligible streams: pure-value instructions run over the aval
-//!   plane of `(aval, bval)` word pairs with bval known zero, bailing
-//!   out (and rewinding) to `execute_wide` when an `X`/`Z` or an
-//!   X-producing hazard appears mid-run.
-//!
-//! [`CompiledProcess::hazard_free`] streams cannot bail, so they
-//! dispatch their fused [`crate::plan::EvalPlan`] over bare `u64`
-//! aval registers instead (the steady-state hot path of defined
-//! kernels); with fusion switched off on the simulator they run
-//! `execute_two_state`, the unfused reference the plans are
-//! store-exact against.
-//!
-//! Dispatch between four-state and two-state happens in [`execute`]:
-//! an eligible process takes the two-state path whenever its read set
-//! is fully defined ([`CompiledProcess::reads_fully_defined`]), so the
-//! all-`X` boot state runs four-state until the first defined values
-//! arrive, and any poked `X`/`Z` demotes exactly the processes that
-//! read it until it clears.
+//! Dispatch happens in [`execute`]: a process with a plan runs it
+//! whenever its read set is fully defined
+//! ([`CompiledProcess::reads_fully_defined`]), so the all-`X` boot
+//! state runs four-state until the first defined values arrive, and
+//! any poked `X`/`Z` demotes exactly the processes that read it until
+//! it clears. A plan that can bail (an out-of-range dynamic bit
+//! select, a zero divisor) runs behind a write-set snapshot; a bail
+//! rewinds the partial run and re-runs `execute_wide`. A process with
+//! no plan runs `execute_wide` every time.
 //!
 //! The register file for each process is owned by the [`crate::Simulator`]
 //! and reused across executions, so steady-state simulation performs no
 //! per-activation setup beyond the `pc` loop itself.
 //!
 //! Change reporting is what feeds the event wheel: blocking stores go
-//! through `apply_write` (or the two-state whole-signal fast path below),
-//! which records a signal in `changed` only when the stored value
+//! through `apply_write` (or a plan's whole-signal fast path), which
+//! records a signal in `changed` only when the stored value
 //! actually moved — the scheduler turns exactly those entries into
 //! fanout events, so a store of an unchanged value schedules nothing.
 
@@ -81,15 +73,11 @@ fn set_bit_result(dst: &mut LogicVec, bit: LogicBit) {
 pub struct RegFile {
     /// `LogicVec` per slot: the four-state loop's file (every process).
     regs: Vec<LogicVec>,
-    /// `(aval, bval)` per slot (two-state-eligible processes only, else
-    /// empty).
-    pairs: Vec<(u64, u64)>,
-    /// aval word per slot (processes with a fused
-    /// [`CompiledProcess::plan`] only, else empty): plan runs touch no
-    /// bval storage at all.
+    /// aval word per slot (processes with a [`CompiledProcess::plan`]
+    /// only, else empty): plan runs touch no bval storage at all.
     pub(crate) aregs: Vec<u64>,
-    /// Plane pairs of `proc.writes`, captured before a bail-able
-    /// two-state attempt (empty between runs).
+    /// Plane pairs of `proc.writes`, captured before a run of a plan
+    /// that can bail.
     snap: Vec<(u64, u64)>,
 }
 
@@ -99,11 +87,6 @@ impl RegFile {
         let slots = proc.slot_widths.len();
         RegFile {
             regs: proc.slot_widths.iter().map(|&w| LogicVec::new(w)).collect(),
-            pairs: if proc.two_state {
-                vec![(0, 0); slots]
-            } else {
-                Vec::new()
-            },
             aregs: if proc.plan.is_some() {
                 vec![0; slots]
             } else {
@@ -118,45 +101,41 @@ impl RegFile {
 /// scheduler's `two_state_evals`/`two_state_fallbacks` counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecOutcome {
-    /// The two-state (aval-plane-only) interpreter ran to completion.
-    TwoState,
-    /// A fused [`crate::plan::EvalPlan`] serviced the evaluation (a
-    /// two-state run with superinstruction dispatch): `ops` plan
-    /// opcodes retired, covering `src` source instructions — what the
-    /// unfused interpreter would have dispatched on the same control
-    /// path. Feeds `fused_evals`/`plan_steps`/`plan_unfused_steps`.
-    Fused {
+    /// The process's [`crate::plan::EvalPlan`] ran to completion: `ops`
+    /// plan opcodes retired, covering `src` source instructions. Feeds
+    /// `two_state_evals`/`plan_steps`/`plan_unfused_steps`.
+    Plan {
         /// Plan opcodes retired.
         ops: u32,
         /// Source instructions those opcodes covered.
         src: u32,
     },
-    /// The process is two-state eligible but ran four-state this time:
-    /// an `X`/`Z` in its read set at dispatch, or a mid-run bailout
-    /// (division by zero, out-of-range read, an unknown appearing on a
-    /// re-read of the process's own store writes). `reason` says which
-    /// flavor — the fuzz coverage map treats the two as distinct
-    /// behaviors to keep exercising.
+    /// The process has a plan but ran four-state this time: an `X`/`Z`
+    /// in its read set at dispatch, or a mid-run bail (an out-of-range
+    /// dynamic bit select, a zero divisor). `reason` says which flavor
+    /// — the fuzz coverage map treats the two as distinct behaviors to
+    /// keep exercising.
     Fallback {
-        /// Why the two-state attempt did not complete.
+        /// Why the plan run did not complete.
         reason: BailReason,
     },
-    /// The four-state path by construction (wide process, two-state
-    /// disabled, or compile-time ineligible).
+    /// The four-state loop by construction: the process has no plan
+    /// (wider than 64 bits, an undefined constant outside a case label,
+    /// a statically out-of-range part select), or the simulator's
+    /// two-state dispatch is off.
     FourState,
 }
 
-/// Why a two-state-eligible process ran four-state
+/// Why a process with a plan ran four-state
 /// ([`ExecOutcome::Fallback`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BailReason {
     /// An `X`/`Z` in the read set at dispatch (including the all-`X`
-    /// boot state): the two-state run was never attempted.
+    /// boot state): the plan was never started.
     DispatchUndef,
-    /// The run started two-state and bailed mid-stream (division by
-    /// zero, out-of-range dynamic read, an unknown re-read of the
-    /// process's own store writes); every observable effect was
-    /// rewound before the four-state re-run.
+    /// The plan started and bailed mid-run (an out-of-range dynamic bit
+    /// select, a zero divisor); every observable effect was rewound
+    /// before the four-state re-run.
     MidRun,
 }
 
@@ -166,17 +145,16 @@ pub enum BailReason {
 /// in `changed`); non-blocking stores queue on `nba` exactly like the
 /// tree-walking executor.
 ///
-/// When `two_state` is set and the process is eligible
-/// ([`CompiledProcess::two_state`]), execution first tries the
-/// aval-plane-only interpreter: the read set is scanned for definedness
-/// ([`CompiledProcess::reads_fully_defined`] — the all-`X` boot state
-/// fails this until the first defined store, so X-boot always runs
-/// four-state), the write set is snapshotted, and a mid-run bailout
-/// rewinds every observable effect (stores, queued NBAs, change
-/// records) before re-running the four-state `LogicVec` loop — a
-/// completed two-state run is therefore store-exact by construction,
-/// which the corpus lockstep suites and `tests/two_state.rs` verify
-/// against both retained oracles.
+/// When `two_state` is set and the process has a plan
+/// ([`CompiledProcess::plan`]), the plan runs if the read set is fully
+/// defined ([`CompiledProcess::reads_fully_defined`] — the all-`X` boot
+/// state fails this until the first defined store, so X-boot always
+/// runs four-state). A plan that can bail runs behind a snapshot of the
+/// write set, and a bail rewinds every observable effect (stores,
+/// queued NBAs, change records) before re-running the four-state
+/// `LogicVec` loop — a completed plan run is therefore store-exact by
+/// construction, which the corpus lockstep suites and
+/// `tests/two_state.rs` verify against both retained references.
 pub fn execute(
     proc: &CompiledProcess,
     regfile: &mut RegFile,
@@ -184,44 +162,40 @@ pub fn execute(
     nba: &mut Vec<PendingWrite>,
     changed: &mut Vec<SignalId>,
     two_state: bool,
-    fuse: bool,
 ) -> ExecOutcome {
-    if !(two_state && proc.two_state) {
-        execute_wide(proc, &mut regfile.regs, store, nba, changed);
-        return ExecOutcome::FourState;
-    }
+    let plan = match &proc.plan {
+        Some(plan) if two_state => plan,
+        _ => {
+            execute_wide(proc, &mut regfile.regs, store, nba, changed);
+            return ExecOutcome::FourState;
+        }
+    };
     if !proc.reads_fully_defined(store) {
         execute_wide(proc, &mut regfile.regs, store, nba, changed);
         return ExecOutcome::Fallback {
             reason: BailReason::DispatchUndef,
         };
     }
-    // A hazard-free stream has no bail site: with fusion enabled,
-    // dispatch its superinstruction plan — no snapshot, no bval
-    // storage, no rewind path.
-    if fuse {
-        if let Some(plan) = &proc.plan {
-            let (ops, src) =
-                crate::plan::execute_plan(plan, &mut regfile.aregs, store, nba, changed);
-            return ExecOutcome::Fused { ops, src };
-        }
-    }
-    // Snapshot the write set so a mid-run bailout can rewind.
+    // Snapshot the write set so a mid-run bail can rewind; a plan with
+    // no bail site skips it.
     let snap = &mut regfile.snap;
-    snap.clear();
-    snap.extend(
-        proc.writes
-            .iter()
-            .map(|sig| store[sig.index()].planes_u64()),
-    );
+    if plan.can_bail {
+        snap.clear();
+        snap.extend(
+            proc.writes
+                .iter()
+                .map(|sig| store[sig.index()].planes_u64()),
+        );
+    }
     let nba_len = nba.len();
     let changed_len = changed.len();
-    if execute_two_state(proc, &mut regfile.pairs, store, nba, changed) {
-        snap.clear();
-        return ExecOutcome::TwoState;
+    if let Some((ops, src)) =
+        crate::plan::execute_plan(plan, &mut regfile.aregs, store, nba, changed)
+    {
+        return ExecOutcome::Plan { ops, src };
     }
-    // Bailout: rewind the partial run so the four-state re-execution
-    // sees exactly the dispatch-time state.
+    // Bail: rewind the partial run so the four-state re-execution sees
+    // exactly the dispatch-time state.
     nba.truncate(nba_len);
     changed.truncate(changed_len);
     for (sig, &(a, b)) in proc.writes.iter().zip(snap.iter()) {
@@ -231,7 +205,6 @@ pub fn execute(
             *cur = LogicVec::from_planes_u64(width, a, b);
         }
     }
-    snap.clear();
     execute_wide(proc, &mut regfile.regs, store, nba, changed);
     ExecOutcome::Fallback {
         reason: BailReason::MidRun,
@@ -239,9 +212,9 @@ pub fn execute(
 }
 
 /// The four-state interpreter: `LogicVec` slots, any width. Runs every
-/// evaluation that can see an `X`/`Z` — processes that are not
-/// two-state eligible, eligible ones with an unknown in their read set
-/// at dispatch, and the re-run after a mid-run two-state bailout.
+/// evaluation that can see an `X`/`Z` — processes with no plan,
+/// planned ones with an unknown in their read set at dispatch, and the
+/// re-run after a mid-run bail.
 fn execute_wide(
     proc: &CompiledProcess,
     regs: &mut [LogicVec],
@@ -465,326 +438,4 @@ fn execute_wide(
         }
         pc += 1;
     }
-}
-
-// ----------------------------------------------------------------------
-// Two-state path: fully defined inputs → aval-plane-only execution
-// ----------------------------------------------------------------------
-
-/// The two-state interpreter (Verilator's execution model): pure-value
-/// instructions run over the aval plane alone with the bval plane known
-/// zero, skipping the four-state rules of [`execute_wide`]. Its
-/// registers are `(aval, bval)` word pairs, so it serves narrow
-/// (≤ 64-bit) streams only.
-///
-/// Exactness is maintained by a three-part contract with
-/// [`crate::compile::two_state_eligible`]:
-///
-/// * **untainted slots hold `bval == 0`** — every pure-aval writer
-///   stores a zero bval, defined constants are pre-masked, and store
-///   reads bail on any unknown, so the induction never breaks;
-/// * **tainted slots (undefined constants and their plane-exact
-///   closure) hold exact four-state pairs** — `Const`, `Copy`,
-///   `Slice`, `Select`, `Concat` and `Repl` copy both planes, and the
-///   eligibility analysis guarantees tainted values only ever reach
-///   plane-exact consumers (case dispatch, case equality, stores);
-/// * **X-producing operations bail out** (`return false`) before
-///   computing a wrong value: division/modulo by zero, out-of-range or
-///   unknown-index reads, and any store read whose bval plane is
-///   non-zero (the process re-reading an `X` it just stored).
-///
-/// `false` means the caller must rewind (writes snapshot, `nba`,
-/// `changed`) and re-run [`execute_wide`]; `true` means the stores
-/// performed are bit-identical to what the four-state loop would have
-/// produced.
-fn execute_two_state(
-    proc: &CompiledProcess,
-    regs: &mut [(u64, u64)],
-    store: &mut Store,
-    nba: &mut Vec<PendingWrite>,
-    changed: &mut Vec<SignalId>,
-) -> bool {
-    debug_assert_eq!(regs.len(), proc.slot_widths.len());
-    let masks = &proc.slot_masks;
-    let mut pc = 0usize;
-    while pc < proc.code.len() {
-        match &proc.code[pc] {
-            Instr::Const { dst, k } => {
-                // Full pair: undefined constants (casez labels) keep
-                // their planes for the plane-exact consumers.
-                regs[*dst as usize] = proc.narrow_consts[*k as usize];
-            }
-            Instr::Load { dst, sig } => {
-                let v = &store[sig.index()];
-                if v.undef_mask_u64() != 0 {
-                    return false;
-                }
-                let (a, _) = v.planes_u64();
-                regs[*dst as usize] = (a & masks[*dst as usize], 0);
-            }
-            Instr::Copy { dst, src } => {
-                let (a, b) = regs[*src as usize];
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = (a & m, b & m);
-            }
-            Instr::Slice { dst, src, lsb } => {
-                let (a, b) = regs[*src as usize];
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = ((a >> lsb) & m, (b >> lsb) & m);
-            }
-            Instr::Not { dst, a } => {
-                let v = regs[*a as usize].0;
-                regs[*dst as usize] = (!v & masks[*dst as usize], 0);
-            }
-            Instr::Bin { op, dst, a, b } => {
-                let x = regs[*a as usize].0;
-                let y = regs[*b as usize].0;
-                let m = masks[*dst as usize];
-                let r = match op {
-                    BinOp::And => x & y,
-                    BinOp::Or => x | y,
-                    BinOp::Xor => x ^ y,
-                    BinOp::Xnor => !(x ^ y) & m,
-                    BinOp::Add => x.wrapping_add(y) & m,
-                    BinOp::Sub => x.wrapping_sub(y) & m,
-                    BinOp::Mul => x.wrapping_mul(y) & m,
-                    BinOp::Div => {
-                        if y == 0 {
-                            return false;
-                        }
-                        (x / y) & m
-                    }
-                    BinOp::Mod => {
-                        if y == 0 {
-                            return false;
-                        }
-                        (x % y) & m
-                    }
-                };
-                regs[*dst as usize] = (r, 0);
-            }
-            Instr::Shift { left, dst, a, amt } => {
-                let v = regs[*a as usize].0;
-                let n = regs[*amt as usize].0;
-                let w = proc.slot_widths[*dst as usize] as u64;
-                let r = if n >= w {
-                    0
-                } else if *left {
-                    (v << n) & masks[*dst as usize]
-                } else {
-                    v >> n
-                };
-                regs[*dst as usize] = (r, 0);
-            }
-            Instr::LogicBin { and, dst, a, b } => {
-                let ta = regs[*a as usize].0 != 0;
-                let tb = regs[*b as usize].0 != 0;
-                let r = if *and { ta && tb } else { ta || tb };
-                regs[*dst as usize] = (r as u64, 0);
-            }
-            Instr::Reduce { op, dst, a } => {
-                let v = regs[*a as usize].0;
-                let am = masks[*a as usize];
-                let bit = match op {
-                    ReduceOp::And => v == am,
-                    ReduceOp::Nand => v != am,
-                    ReduceOp::Or => v != 0,
-                    ReduceOp::Nor => v == 0,
-                    ReduceOp::Xor => v.count_ones() & 1 == 1,
-                    ReduceOp::Xnor => v.count_ones() & 1 == 0,
-                    ReduceOp::LogicNot => v == 0,
-                };
-                regs[*dst as usize] = (bit as u64, 0);
-            }
-            Instr::Cmp { op, dst, a, b } => {
-                let (aa, ax) = regs[*a as usize];
-                let (ba, bx) = regs[*b as usize];
-                let bit = match op {
-                    // Defined operands (compile-enforced): aval compares
-                    // are exact.
-                    CmpOp::Eq => aa == ba,
-                    CmpOp::Neq => aa != ba,
-                    // Plane-exact (tainted operands allowed).
-                    CmpOp::CaseEq => aa == ba && ax == bx,
-                    CmpOp::CaseNeq => !(aa == ba && ax == bx),
-                    CmpOp::Lt => aa < ba,
-                    CmpOp::Le => aa <= ba,
-                    CmpOp::Gt => aa > ba,
-                    CmpOp::Ge => aa >= ba,
-                };
-                regs[*dst as usize] = (bit as u64, 0);
-            }
-            Instr::Select { dst, c, t, f } => {
-                // Plane-exact: an undefined-constant condition merges
-                // exactly as the four-state path would.
-                let (ca, cx) = regs[*c as usize];
-                let (ta, tx) = regs[*t as usize];
-                let (fa, fx) = regs[*f as usize];
-                let m = masks[*dst as usize];
-                regs[*dst as usize] = if ca & !cx != 0 {
-                    (ta & m, tx & m)
-                } else if cx == 0 {
-                    (fa & m, fx & m)
-                } else {
-                    let (nt, nf) = (ta | tx, fa | fx);
-                    let eq = !((nt ^ nf) | (tx ^ fx));
-                    (((nt & eq) | !eq) & m, ((tx & eq) | !eq) & m)
-                };
-            }
-            Instr::Concat { dst, parts } => {
-                let mut acc = (0u64, 0u64);
-                for (slot, offset) in parts {
-                    let (pa, pb) = regs[*slot as usize];
-                    acc.0 |= pa << offset;
-                    acc.1 |= pb << offset;
-                }
-                regs[*dst as usize] = acc;
-            }
-            Instr::Repl { dst, src, n } => {
-                let (pa, pb) = regs[*src as usize];
-                let w = proc.slot_widths[*src as usize];
-                let mut acc = (0u64, 0u64);
-                for k in 0..*n {
-                    acc.0 |= pa << (k * w);
-                    acc.1 |= pb << (k * w);
-                }
-                regs[*dst as usize] = acc;
-            }
-            Instr::BitSelSig {
-                dst,
-                sig,
-                idx,
-                lsb_index,
-            } => {
-                let (ia, ix) = regs[*idx as usize];
-                if ix != 0 {
-                    // Unknown index (an undefined-constant expression):
-                    // the result would be X.
-                    return false;
-                }
-                let value = &store[sig.index()];
-                let phys = ia as i64 - lsb_index;
-                if phys < 0 || phys as usize >= value.width() {
-                    // Out-of-range reads X.
-                    return false;
-                }
-                let (sa, sb) = value.planes_u64();
-                if (sb >> phys) & 1 != 0 {
-                    return false;
-                }
-                regs[*dst as usize] = ((sa >> phys) & 1, 0);
-            }
-            Instr::ReadSlice { dst, sig, lsb } => {
-                let value = &store[sig.index()];
-                let w = proc.slot_widths[*dst as usize];
-                let m = masks[*dst as usize];
-                let sw = value.width() as i64;
-                if *lsb < 0 || lsb + (w as i64) > sw {
-                    // Out-of-range positions read X.
-                    return false;
-                }
-                let (sa, sb) = value.planes_u64();
-                if (sb >> lsb) & m != 0 {
-                    return false;
-                }
-                regs[*dst as usize] = ((sa >> lsb) & m, 0);
-            }
-            Instr::Jump { target } => {
-                pc = *target;
-                continue;
-            }
-            Instr::JumpIfNotTrue { cond, target } => {
-                // Plane-exact truth: definitely-true iff a defined 1
-                // bit exists (ca & !cx != 0) — same cost as the pure
-                // two-state test, correct for tainted conditions too.
-                let (ca, cx) = regs[*cond as usize];
-                if ca & !cx == 0 {
-                    pc = *target;
-                    continue;
-                }
-            }
-            Instr::JumpIfMatch {
-                sel,
-                label,
-                kind,
-                target,
-            } => {
-                let (sa, sx) = regs[*sel as usize];
-                let (la, lx) = regs[*label as usize];
-                let hit = match kind {
-                    CaseKind::Case => sa == la && sx == lx,
-                    CaseKind::Casez => {
-                        let wild = lx & !la;
-                        ((sa ^ la) | (sx ^ lx)) & !wild == 0
-                    }
-                };
-                if hit {
-                    pc = *target;
-                    continue;
-                }
-            }
-            Instr::Store {
-                sig,
-                src,
-                lsb,
-                width,
-                nonblocking,
-            } => {
-                // Plane-exact (a stored undefined constant must land as
-                // X/Z in the store, poisoning downstream read gates).
-                let (va, vb) = regs[*src as usize];
-                if *nonblocking {
-                    nba.push(PendingWrite {
-                        signal: *sig,
-                        lsb: *lsb,
-                        width: *width,
-                        value: LogicVec::from_planes_u64(*width, va, vb),
-                    });
-                } else {
-                    let cur = &mut store[sig.index()];
-                    if *lsb == 0 && *width == cur.width() {
-                        if cur.planes_u64() != (va, vb) {
-                            *cur = LogicVec::from_planes_u64(*width, va, vb);
-                            changed.push(*sig);
-                        }
-                    } else {
-                        let value = LogicVec::from_planes_u64(*width, va, vb);
-                        apply_write(store, *sig, *lsb, *width, &value, changed);
-                    }
-                }
-            }
-            Instr::StoreBitDyn {
-                sig,
-                idx,
-                lsb_index,
-                src,
-                nonblocking,
-            } => {
-                let (ia, ix) = regs[*idx as usize];
-                let width = store[sig.index()].width();
-                let valid_phys = if ix != 0 {
-                    None
-                } else {
-                    let phys = ia as i64 - lsb_index;
-                    (phys >= 0 && (phys as usize) < width).then_some(phys)
-                };
-                if let Some(phys) = valid_phys {
-                    let (va, vb) = regs[*src as usize];
-                    let value = LogicVec::from_planes_u64(1, va, vb);
-                    if *nonblocking {
-                        nba.push(PendingWrite {
-                            signal: *sig,
-                            lsb: phys,
-                            width: 1,
-                            value,
-                        });
-                    } else {
-                        apply_write(store, *sig, phys, 1, &value, changed);
-                    }
-                }
-            }
-        }
-        pc += 1;
-    }
-    true
 }

@@ -31,12 +31,12 @@
 //! stream — once per [`Design`], shared by every simulator over it —
 //! that the interpreter ([`interp`]) runs over pre-sized register
 //! files: a four-state loop over `LogicVec` slots at every width, and
-//! a **two-state fast path** for streams whose values fit in 64 bits:
-//! when an eligible process's inputs are fully defined, its bytecode
-//! executes over the aval plane only (Verilator-style), falling back
-//! to four-state on demand — an `X`/`Z` appearing on any read, or an
-//! X-producing hazard mid-run, rewinds and re-runs the four-state
-//! loop. Scheduling is event-driven: a two-region event wheel (active
+//! a **two-state evaluation plan** ([`plan`]) for streams whose values
+//! fit in 64 bits: when a planned process's inputs are fully defined,
+//! its plan runs over the aval plane only (Verilator-style), falling
+//! back to four-state on demand — an `X`/`Z` on any read runs the
+//! four-state loop, and an X-producing hazard mid-run rewinds and
+//! re-runs it. Scheduling is event-driven: a two-region event wheel (active
 //! combinational events + an NBA commit region) fans each signal
 //! change out to exactly the processes whose bytecode reads it, and
 //! dispatches clock edges through per-edge trigger lists computed at
@@ -45,9 +45,8 @@
 //! ([`eval`]/[`exec`]) with its scan-based worklist scheduler remains
 //! available as the differential-testing oracle via
 //! [`ExecMode::Legacy`] (or the `MAGE_SIM_EXEC=legacy` environment
-//! hook); [`Simulator::set_two_state`] and [`Simulator::set_fuse`]
-//! reach the pure four-state and unfused two-state references of the
-//! compiled executor.
+//! hook); [`Simulator::set_two_state`] reaches the pure four-state
+//! reference of the compiled executor.
 //!
 //! # Example
 //!

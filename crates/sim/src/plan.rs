@@ -1,37 +1,49 @@
-//! Whole-design evaluation plans: superinstruction fusion and
-//! straight-line comb-cascade execution for hazard-free streams.
+//! Evaluation plans: the two-state executor. Every defined evaluation
+//! of a narrow process runs its plan.
 //!
-//! The two-state interpreter ([`crate::interp`]) pays one dispatch per
-//! bytecode instruction. This module closes that gap for
-//! [`CompiledProcess::hazard_free`] streams in three layers:
+//! [`build_plan`] takes every narrow (≤ 64-bit) instruction stream
+//! whose undefined constants appear only as case labels, in three
+//! layers:
 //!
-//! 1. **Superinstruction fusion** — [`build_plan`] peephole-fuses the
-//!    common instruction sequences of the corpus (load-op-store,
-//!    compare-branch, mask-shift-merge, wire moves) into single
-//!    [`PlanOp`] opcodes executed without intermediate dispatch, and
-//!    pre-resolves every constant-pool and width indirection into the
-//!    opcode itself.
+//! 1. **Superinstruction fusion** — the common instruction sequences of
+//!    the corpus (load-op-store, compare-branch, mask-shift-merge, wire
+//!    moves) fuse into single [`PlanOp`] opcodes executed without
+//!    intermediate dispatch, and every constant-pool and width
+//!    indirection is pre-resolved into the opcode itself.
 //! 2. **Process coalescing** — the resulting [`EvalPlan`] is one
 //!    straight-line program over registers pre-bound to bare `u64`
 //!    aval slots: no per-instruction width checks, no four-state plane
 //!    bookkeeping, no SSA file indirection beyond the slot array the
-//!    simulator already owns for hazard-free processes.
+//!    simulator owns for each planned process.
 //! 3. **Cascade fusion** — [`build_cascades`] uses the per-process
 //!    read/write sets to compute a static topological order over each
-//!    hazard-free combinational closure, so one signal change runs one
+//!    bail-free combinational closure, so one signal change runs one
 //!    [`CascadePlan`] straight through instead of N event-wheel
 //!    enqueues with per-process write-set snapshots.
+//!
+//! Every value a plan holds is defined: the dispatch gate admits a run
+//! only when the process's read set is fully defined, a plan stores
+//! only the defined words it computes, and a case label with `?`/`z`
+//! (or `x`) bits is resolved at build time into a masked compare, or
+//! into no branch at all when it can never match a defined selector.
+//! Three operations can still yield an `X` from defined operands: a
+//! dynamic bit select with an out-of-range index, and a division or
+//! modulo by zero. Their opcodes *bail*: the run stops, and
+//! [`crate::interp::execute`] rewinds every store to the write-set
+//! snapshot it took at dispatch and re-runs the four-state loop. A plan
+//! that can bail ([`EvalPlan::can_bail`]) never joins a cascade. A
+//! stream no plan can take — wider than 64 bits, an undefined constant
+//! used outside a case label, a statically out-of-range part select —
+//! runs the four-state loop every time.
 //!
 //! Plans are built unconditionally at compile time (they are cheap and
 //! deterministic, so delta-built designs stay structurally exact
 //! against scratch builds); only *dispatch* is gated, per simulator, by
-//! [`crate::Simulator::set_fuse`] — on by default, off in the
-//! differential suites that keep the unfused two-state interpreter
-//! live as the oracle. A fused run is store-exact against the unfused
-//! path by construction: every opcode reproduces the corresponding
-//! [`Instr`] semantics of [`crate::interp`]'s two-state loop on a
-//! hazard-free stream, which `tests/fused_vs_unfused_corpus.rs`
-//! verifies over the whole corpus.
+//! [`crate::Simulator::set_two_state`], whose off position runs every
+//! evaluation on the four-state loop. A completed plan run is
+//! store-exact against both references, the four-state loop and the
+//! tree-walker, which the lockstep suites,
+//! `tests/fused_vs_unfused_corpus.rs` and the fuzz oracle verify.
 //!
 //! Under delta rebuilds, plans invalidate structurally: per-process
 //! plans travel inside their content-addressed unit, and cascade plans
@@ -45,16 +57,17 @@ use crate::compile::{BinOp, CmpOp, CompiledProcess, Instr, ReduceOp, Slot};
 use crate::design::{Design, Process, SignalId};
 use crate::eval::{apply_write, PendingWrite, Store};
 use mage_logic::LogicVec;
+use mage_verilog::ast::CaseKind;
 
 /// One fused-plan opcode.
 ///
-/// Semantically each variant is one or more
-/// [`Instr`]s of a hazard-free stream with
-/// every indirection resolved at build time: constants are inline
-/// words, widths are inline masks, and the fused variants
+/// Semantically each variant is one or more [`Instr`]s of a narrow
+/// stream with every indirection resolved at build time: constants are
+/// inline words, widths are inline masks, and the fused variants
 /// (`LoadBinStore`, `CmpBranch`, `MaskMove` chains, …) retire a whole
 /// source sequence in a single dispatch. All value slots are bare
-/// `u64` aval words — hazard-free streams never touch the bval plane.
+/// `u64` aval words holding defined values — a plan never touches the
+/// bval plane.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanOp {
     /// `dst = val` (constant pre-resolved from the pool).
@@ -99,7 +112,7 @@ pub enum PlanOp {
         /// Destination width mask.
         mask: u64,
     },
-    /// `dst = a <op> b` (two-state; no div/mod in hazard-free code).
+    /// `dst = a <op> b` (no div/mod: those are [`PlanOp::DivMod`]).
     Bin {
         /// Operator.
         op: BinOp,
@@ -251,6 +264,31 @@ pub enum PlanOp {
         /// Destination width mask.
         mask: u64,
     },
+    /// `dst = a / b` or `a % b`; bails on a zero divisor.
+    DivMod {
+        /// `true` = `%`.
+        modulo: bool,
+        /// Destination slot.
+        dst: Slot,
+        /// Dividend slot.
+        a: Slot,
+        /// Divisor slot.
+        b: Slot,
+        /// Shared operand/result width mask.
+        mask: u64,
+    },
+    /// Dynamic bit select from the store: `dst = store[sig][idx]`;
+    /// bails on an out-of-range index.
+    BitSel {
+        /// Destination slot.
+        dst: Slot,
+        /// Source signal.
+        sig: SignalId,
+        /// Index slot.
+        idx: Slot,
+        /// Declared LSB rebase of the signal.
+        lsb_index: i64,
+    },
     /// Concatenation of `(slot, lsb offset)` parts into `dst`.
     Concat {
         /// Destination slot.
@@ -282,14 +320,26 @@ pub enum PlanOp {
         /// Target plan op index.
         target: u32,
     },
-    /// Branch to `target` when `a == b` (two-state case dispatch: with
-    /// no undefined constants both case flavors reduce to word
-    /// equality).
+    /// Branch to `target` when `a == b` (case dispatch on a defined
+    /// label: both case flavors reduce to word equality).
     BranchIfEq {
         /// Selector slot.
         a: Slot,
         /// Label slot.
         b: Slot,
+        /// Target plan op index.
+        target: u32,
+    },
+    /// Fused `Const; JumpIfMatch` on a label with `?`/`z` bits: branch
+    /// to `target` when `a & mask == val` (the wildcard bits are
+    /// outside `mask`).
+    BranchIfMasked {
+        /// Selector slot.
+        a: Slot,
+        /// The label's defined bits.
+        val: u64,
+        /// The label's defined positions.
+        mask: u64,
         /// Target plan op index.
         target: u32,
     },
@@ -330,39 +380,43 @@ pub enum PlanOp {
     },
 }
 
-/// One hazard-free process coalesced into a straight-line fused
-/// program. Built once per [`CompiledProcess`] by [`build_plan`];
-/// executed by [`execute_plan`] over the simulator's bare `u64` slot
-/// file.
+/// One narrow process coalesced into a straight-line fused program.
+/// Built once per [`CompiledProcess`] by [`build_plan`]; executed by
+/// [`execute_plan`] over the simulator's bare `u64` slot file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalPlan {
     /// The fused opcode stream.
     pub ops: Vec<PlanOp>,
-    /// Per-op count of source instructions it covers (`> 1` for fused
-    /// opcodes) — what the unfused interpreter would have dispatched
-    /// on the same control path.
+    /// Per-op count of the source instructions it covers (`> 1` for
+    /// fused opcodes). A case label resolved away at build time has no
+    /// op and counts nothing.
     pub src_counts: Vec<u32>,
     /// Length of the source instruction stream.
     pub source_len: usize,
     /// `true` when any store is non-blocking (such processes are
     /// excluded from comb cascades, whose members commit nothing).
     pub has_nba: bool,
+    /// `true` when an op can bail ([`PlanOp::BitSel`],
+    /// [`PlanOp::DivMod`]): the plan is dispatched after a write-set
+    /// snapshot and never joins a cascade.
+    pub can_bail: bool,
 }
 
-/// A fused combinational cascade: the transitive hazard-free closure
-/// of one root process, in static topological order. When the root's
-/// input changes and [`reads`](CascadePlan::reads) are fully defined,
-/// the scheduler runs every member's [`EvalPlan`] straight through —
-/// one plan run instead of N wheel enqueues, with no per-process
-/// write-set snapshots (the closure covers all combinational fanout by
-/// construction, and comb writes never edge-trigger in this model).
+/// A fused combinational cascade: the transitive closure of one root
+/// process over processes with bail-free plans, in static topological
+/// order. When the root's input changes and
+/// [`reads`](CascadePlan::reads) are fully defined, the scheduler runs
+/// every member's [`EvalPlan`] straight through — one plan run instead
+/// of N wheel enqueues, with no per-process write-set snapshots (the
+/// closure covers all combinational fanout by construction, and comb
+/// writes never edge-trigger in this model).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadePlan {
     /// Member process indices in dependency (topological) order.
     pub procs: Vec<u32>,
     /// Deduped union of every member's read set — the whole-cascade
-    /// two-state dispatch gate: all defined at entry implies all
-    /// defined throughout (members store only defined values, and
+    /// plan dispatch gate: all defined at entry implies all defined
+    /// throughout (members store only defined values, and
     /// partially-written signals appear here too).
     pub reads: Vec<SignalId>,
 }
@@ -371,16 +425,24 @@ pub struct CascadePlan {
 /// on pathological fan-out designs).
 const CASCADE_MEMBER_LIMIT: usize = 64;
 
-/// Build the straight-line [`EvalPlan`] of a hazard-free process, or
-/// `None` when the stream is empty or not hazard-free. Fusion windows
-/// never span a jump target, so control flow is preserved exactly.
+/// Build the straight-line [`EvalPlan`] of a narrow process (an empty
+/// body gets an empty plan), or `None` when the stream is wider than
+/// 64 bits, uses an undefined constant other than as a case label, or
+/// has a statically out-of-range part select. Fusion windows never
+/// span a jump target, so control flow is preserved exactly.
 pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
-    if !proc.hazard_free || proc.code.is_empty() {
+    if !proc.narrow {
         return None;
     }
     let code = &proc.code;
     let n = code.len();
-    let masks = &proc.slot_masks;
+    let masks: Vec<u64> = proc
+        .slot_widths
+        .iter()
+        .map(|&w| if w == 64 { u64::MAX } else { (1u64 << w) - 1 })
+        .collect();
+    let consts: Vec<(u64, u64)> = proc.consts.iter().map(LogicVec::planes_u64).collect();
+    let undef = |k: &u16| consts[*k as usize].1 != 0;
     // Slot use counts (slots are SSA: one writer each; fusion consumes
     // an intermediate only when this is its sole use) and jump-target
     // map (fused windows must not contain an interior target).
@@ -426,6 +488,26 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
             }
         }
     }
+    // Plan registers hold defined words only: an undefined constant is
+    // admitted solely as a case label (`Const` feeding the adjacent
+    // `JumpIfMatch` and nothing else, fused below), and a part select
+    // must stay inside its signal.
+    for (i, instr) in code.iter().enumerate() {
+        let ok = match instr {
+            Instr::Const { dst, k } if undef(k) => {
+                matches!(code.get(i + 1), Some(Instr::JumpIfMatch { label, .. }) if label == dst)
+                    && uses[*dst as usize] == 1
+                    && !is_target[i + 1]
+            }
+            Instr::ReadSlice { dst, sig, lsb } => {
+                *lsb >= 0 && (*lsb as usize) + proc.slot_widths[*dst as usize] <= design.width(*sig)
+            }
+            _ => true,
+        };
+        if !ok {
+            return None;
+        }
+    }
     // A whole-signal blocking store of `src` (the fusable store shape).
     let whole_store = |i: &Instr, src_slot: Slot| -> Option<(SignalId, u32)> {
         match i {
@@ -449,6 +531,10 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
     while i < n {
         let g = &mut group[i];
         match &code[i..] {
+            // undefined case label: Const; JumpIfMatch (checked above) --
+            [Instr::Const { k, .. }, ..] if undef(k) => {
+                *g = 2;
+            }
             // load-op-store: Load; Load; Bin; Store ---------------------
             [Instr::Load { dst: ra, .. }, Instr::Load { dst: rb, .. }, Instr::Bin { op, dst: rd, a, b }, st, ..]
                 if clear(i, 4)
@@ -533,6 +619,7 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
     let mut ops: Vec<PlanOp> = Vec::new();
     let mut src_counts: Vec<u32> = Vec::new();
     let mut has_nba = false;
+    let mut can_bail = false;
     let mut i = 0usize;
     while i < n {
         let g = group[i];
@@ -541,6 +628,31 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
             *ni = ops.len() as u32;
         }
         let op = match (g, &code[i..]) {
+            (
+                2,
+                [Instr::Const { k, .. }, Instr::JumpIfMatch {
+                    sel, kind, target, ..
+                }, ..],
+            ) if undef(k) => {
+                let (la, lb) = consts[*k as usize];
+                // `?`/`z` label bits are casez wildcards; any other
+                // undefined bit never equals a defined selector bit.
+                let wild = if *kind == CaseKind::Casez {
+                    lb & !la
+                } else {
+                    0
+                };
+                if lb & !wild != 0 {
+                    i += g;
+                    continue;
+                }
+                PlanOp::BranchIfMasked {
+                    a: *sel,
+                    val: la,
+                    mask: masks[*sel as usize] & !wild,
+                    target: *target as u32,
+                }
+            }
             (
                 4,
                 [Instr::Load { sig: sa, .. }, Instr::Load { sig: sb, .. }, Instr::Bin { op, dst: rd, .. }, st, ..],
@@ -609,7 +721,7 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
             (2, [Instr::Const { dst: ra, k }, st, ..]) => {
                 let (sig, width) = whole_store(st, *ra).expect("pattern checked");
                 PlanOp::ConstStore {
-                    val: proc.narrow_consts[*k as usize].0,
+                    val: consts[*k as usize].0,
                     sig,
                     width,
                 }
@@ -617,7 +729,7 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
             (1, [instr, ..]) => match instr {
                 Instr::Const { dst, k } => PlanOp::Const {
                     dst: *dst,
-                    val: proc.narrow_consts[*k as usize].0,
+                    val: consts[*k as usize].0,
                 },
                 Instr::Load { dst, sig } => PlanOp::Load {
                     dst: *dst,
@@ -628,7 +740,7 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
                 Instr::ReadSlice { dst, sig, lsb } => PlanOp::Load {
                     dst: *dst,
                     sig: *sig,
-                    // Statically in bounds by the hazard analysis.
+                    // Statically in bounds (checked above).
                     shift: *lsb as u32,
                     mask: masks[*dst as usize],
                 },
@@ -649,18 +761,28 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
                     a: *a,
                     mask: masks[*dst as usize],
                 },
-                Instr::Bin { op, dst, a, b } => {
-                    if matches!(op, BinOp::Div | BinOp::Mod) {
-                        return None; // defensive: not hazard-free
-                    }
-                    PlanOp::Bin {
-                        op: *op,
+                Instr::Bin {
+                    op: op @ (BinOp::Div | BinOp::Mod),
+                    dst,
+                    a,
+                    b,
+                } => {
+                    can_bail = true;
+                    PlanOp::DivMod {
+                        modulo: *op == BinOp::Mod,
                         dst: *dst,
                         a: *a,
                         b: *b,
                         mask: masks[*dst as usize],
                     }
                 }
+                Instr::Bin { op, dst, a, b } => PlanOp::Bin {
+                    op: *op,
+                    dst: *dst,
+                    a: *a,
+                    b: *b,
+                    mask: masks[*dst as usize],
+                },
                 Instr::Shift { left, dst, a, amt } => PlanOp::Shift {
                     left: *left,
                     dst: *dst,
@@ -704,7 +826,20 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
                     n: *n as u32,
                     w: proc.slot_widths[*src as usize] as u32,
                 },
-                Instr::BitSelSig { .. } => return None, // not hazard-free
+                Instr::BitSelSig {
+                    dst,
+                    sig,
+                    idx,
+                    lsb_index,
+                } => {
+                    can_bail = true;
+                    PlanOp::BitSel {
+                        dst: *dst,
+                        sig: *sig,
+                        idx: *idx,
+                        lsb_index: *lsb_index,
+                    }
+                }
                 Instr::Jump { target } => PlanOp::Jump {
                     target: *target as u32,
                 },
@@ -773,6 +908,7 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
             PlanOp::Jump { target }
             | PlanOp::BranchIfZero { target, .. }
             | PlanOp::BranchIfEq { target, .. }
+            | PlanOp::BranchIfMasked { target, .. }
             | PlanOp::CmpBranch { target, .. } => *target = new_index[*target as usize],
             _ => {}
         }
@@ -782,6 +918,7 @@ pub fn build_plan(design: &Design, proc: &CompiledProcess) -> Option<EvalPlan> {
         src_counts,
         source_len: n,
         has_nba,
+        can_bail,
     })
 }
 
@@ -796,8 +933,8 @@ fn move_parts(i: &Instr) -> (Slot, usize, Slot) {
 
 /// Build the per-root cascade plans of a design: for every eligible
 /// combinational process, the transitive closure of comb readers of
-/// its writes, when that closure is entirely hazard-free, NBA-free,
-/// acyclic, and within `CASCADE_MEMBER_LIMIT`. Returns the plans and
+/// its writes, when every member's plan is bail-free and NBA-free, and
+/// the closure is acyclic and within `CASCADE_MEMBER_LIMIT`. Returns the plans and
 /// the per-process root index (`cascade_of[p]` names the plan the
 /// scheduler runs when `p` pops off the active region).
 pub fn build_cascades(
@@ -811,8 +948,10 @@ pub fn build_cascades(
     let eligible: Vec<bool> = (0..n)
         .map(|i| {
             matches!(design.processes[i], Process::Comb { .. })
-                && procs[i].hazard_free
-                && procs[i].plan.as_ref().is_some_and(|p| !p.has_nba)
+                && procs[i]
+                    .plan
+                    .as_ref()
+                    .is_some_and(|p| !p.has_nba && !p.can_bail)
         })
         .collect();
     let mut in_members = vec![false; n];
@@ -922,19 +1061,21 @@ fn topo_order(procs: &[CompiledProcess], members: &[u32]) -> Option<Vec<u32>> {
     Some(order)
 }
 
-/// Execute one [`EvalPlan`] over bare `u64` aval slots. Semantically
-/// identical to the two-state interpreter ([`crate::interp`]) on the
-/// same hazard-free stream — the caller must have
-/// verified the read set is fully defined. Returns the retired
+/// Execute one [`EvalPlan`] over bare `u64` aval slots. The caller
+/// must have verified the read set is fully defined; a completed run
+/// stores exactly what the four-state loop would. Returns the retired
 /// `(plan ops, source instructions covered)` pair feeding
-/// `EvalCounts::plan_steps` / `plan_unfused_steps`.
+/// `EvalCounts::plan_steps` / `plan_unfused_steps`, or `None` when an
+/// op bailed (only when [`EvalPlan::can_bail`]): the stores made so far
+/// are partial, and the caller must rewind them and re-run the
+/// four-state loop.
 pub fn execute_plan(
     plan: &EvalPlan,
     regs: &mut [u64],
     store: &mut Store,
     nba: &mut Vec<PendingWrite>,
     changed: &mut Vec<SignalId>,
-) -> (u32, u32) {
+) -> Option<(u32, u32)> {
     let mut pc = 0usize;
     let (mut retired, mut src_retired) = (0u32, 0u32);
     while pc < plan.ops.len() {
@@ -1070,6 +1211,32 @@ pub fn execute_plan(
                 };
                 regs[*dst as usize] = r & mask;
             }
+            PlanOp::DivMod {
+                modulo,
+                dst,
+                a,
+                b,
+                mask,
+            } => {
+                let (x, y) = (regs[*a as usize], regs[*b as usize]);
+                if y == 0 {
+                    return None; // division by zero yields X
+                }
+                regs[*dst as usize] = (if *modulo { x % y } else { x / y }) & mask;
+            }
+            PlanOp::BitSel {
+                dst,
+                sig,
+                idx,
+                lsb_index,
+            } => {
+                let value = &store[sig.index()];
+                let phys = regs[*idx as usize] as i64 - lsb_index;
+                if phys < 0 || phys as usize >= value.width() {
+                    return None; // an out-of-range read yields X
+                }
+                regs[*dst as usize] = (value.planes_u64().0 >> phys) & 1;
+            }
             PlanOp::Concat { dst, parts } => {
                 let mut acc = 0u64;
                 for (slot, offset) in parts {
@@ -1097,6 +1264,17 @@ pub fn execute_plan(
             }
             PlanOp::BranchIfEq { a, b, target } => {
                 if regs[*a as usize] == regs[*b as usize] {
+                    pc = *target as usize;
+                    continue;
+                }
+            }
+            PlanOp::BranchIfMasked {
+                a,
+                val,
+                mask,
+                target,
+            } => {
+                if regs[*a as usize] & mask == *val {
                     pc = *target as usize;
                     continue;
                 }
@@ -1160,10 +1338,10 @@ pub fn execute_plan(
         }
         pc += 1;
     }
-    (retired, src_retired)
+    Some((retired, src_retired))
 }
 
-/// Two-state binary operator on defined words (no div/mod in plans).
+/// Two-state binary operator on defined words.
 #[inline]
 fn bin_val(op: BinOp, x: u64, y: u64, mask: u64) -> u64 {
     match op {
@@ -1174,7 +1352,7 @@ fn bin_val(op: BinOp, x: u64, y: u64, mask: u64) -> u64 {
         BinOp::Add => x.wrapping_add(y) & mask,
         BinOp::Sub => x.wrapping_sub(y) & mask,
         BinOp::Mul => x.wrapping_mul(y) & mask,
-        BinOp::Div | BinOp::Mod => unreachable!("plans carry no div/mod"),
+        BinOp::Div | BinOp::Mod => unreachable!("div/mod run as PlanOp::DivMod"),
     }
 }
 
@@ -1229,8 +1407,8 @@ mod tests {
         let p = cd
             .procs
             .iter()
-            .find(|p| p.hazard_free)
-            .expect("hazard-free assign");
+            .find(|p| p.plan.is_some())
+            .expect("planned assign");
         let plan = p.plan.as_ref().expect("plan built");
         // Load; Load; Bin; Store → one LoadBinStore.
         assert_eq!(plan.source_len, 4);
@@ -1289,6 +1467,46 @@ mod tests {
     }
 
     #[test]
+    fn bail_able_member_joins_no_cascade() {
+        // `y = x[i]` can bail (an out-of-range index reads X), so its
+        // plan runs alone behind a write-set snapshot: it is in no
+        // cascade, and neither is the root whose closure contains it.
+        let d = design_of(
+            "module top(input [3:0] a, input [2:0] i, output w);
+               wire [3:0] x;
+               wire y;
+               assign x = a ^ 4'd5;
+               assign y = x[i];
+               assign w = ~y;
+             endmodule",
+        );
+        let cd = d.compiled();
+        let writer = |name: &str| {
+            let sig = d.signal(name).unwrap();
+            cd.procs
+                .iter()
+                .position(|p| p.writes.contains(&sig))
+                .unwrap()
+        };
+        let (root, middle, tail) = (writer("x"), writer("y"), writer("w"));
+        let plan = cd.procs[middle].plan.as_ref().expect("planned");
+        assert!(plan.can_bail);
+        assert!(cd
+            .cascades
+            .iter()
+            .all(|c| !c.procs.contains(&(middle as u32))));
+        assert_eq!(cd.cascade_of[middle], None);
+        assert_eq!(
+            cd.cascade_of[root], None,
+            "its closure holds the bail-able member"
+        );
+        assert!(
+            cd.cascade_of[tail].is_some(),
+            "the bail-free tail still cascades"
+        );
+    }
+
+    #[test]
     fn branch_targets_survive_fusion() {
         // An if/else over defined constants: compare-branch fusion must
         // remap the jump targets onto the fused op stream.
@@ -1298,7 +1516,7 @@ mod tests {
              endmodule",
         );
         let cd = d.compiled();
-        let p = cd.procs.iter().find(|p| p.hazard_free).expect("eligible");
+        let p = cd.procs.iter().find(|p| p.plan.is_some()).expect("planned");
         let plan = p.plan.as_ref().expect("plan built");
         assert!(plan.ops.len() < plan.source_len, "fusion fired");
         // Every branch target must land inside (or exactly at the end

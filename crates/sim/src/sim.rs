@@ -70,30 +70,28 @@
 //!    evaluator: the differential oracle, kept verbatim.
 //! 2. **Four-state compiled** — the bytecode interpreter's `LogicVec`
 //!    loop on the event wheel, full `X`/`Z` propagation at any width.
-//!    Every compiled evaluation that can see an `X`/`Z` runs here.
-//! 3. **Two-state compiled** (the default dispatch inside
-//!    [`ExecMode::Compiled`]) — when an eligible (≤ 64-bit) process's
-//!    read set is fully defined, its bytecode executes over the aval
-//!    plane only, skipping all bval-plane masking/merging (the
-//!    Verilator model).
-//!    The gate is per evaluation: the all-`X` boot state runs
-//!    four-state until the first defined store, an `X`/`Z` poked into
-//!    a read demotes exactly the processes that read it, and mid-run
-//!    hazards (division by zero, out-of-range reads, a re-read of a
-//!    just-stored `X`) bail out, rewind, and re-run four-state —
-//!    completed two-state runs are store-exact by construction.
-//!    Hazard-free processes run their fused evaluation plan
-//!    ([`crate::plan`]) instead of the per-instruction interpreter.
-//!    Both are on for every compiled simulator;
-//!    [`Simulator::set_two_state`] and [`Simulator::set_fuse`] turn
+//!    Every compiled evaluation that can see an `X`/`Z` runs here, and
+//!    so does every evaluation of a process with no plan.
+//! 3. **Plans** (the default dispatch inside [`ExecMode::Compiled`]) —
+//!    when a process with an evaluation plan ([`crate::plan`]) has a
+//!    fully defined read set, its plan runs over bare aval words,
+//!    skipping all bval-plane masking/merging (the Verilator
+//!    two-state model). The gate is per evaluation: the all-`X` boot
+//!    state runs four-state until the first defined store, an `X`/`Z`
+//!    poked into a read demotes exactly the processes that read it, and
+//!    the two mid-run hazards (an out-of-range dynamic bit select, a
+//!    zero divisor) bail, rewind, and re-run four-state — completed
+//!    plan runs are store-exact by construction. Plans are on for
+//!    every compiled simulator; [`Simulator::set_two_state`] turns
 //!    them off per simulator, which is how tests reach the four-state
-//!    and unfused references. `EvalCounts::two_state_evals` /
-//!    `two_state_fallbacks` account for every eligible evaluation.
+//!    reference. `EvalCounts::two_state_evals` /
+//!    `two_state_fallbacks` account for every evaluation of a process
+//!    with a plan.
 //!
 //! The corpus lockstep suites (`tests/compiled_vs_interp_corpus.rs`,
 //! `crates/sim/tests/{event_wheel,two_state}.rs`) hold the default
-//! compiled simulator, its four-state and unfused references and the
-//! legacy executor store-exact after every poke.
+//! compiled simulator, its four-state reference and the legacy
+//! executor store-exact after every poke.
 
 use crate::compile::CompiledDesign;
 use crate::design::{Design, Process, SignalId};
@@ -153,30 +151,22 @@ pub struct EvalCounts {
     /// either direction; the wheel indexes the matching per-edge trigger
     /// list, so every probe it pays for is an actual trigger.
     pub edge_probes: u64,
-    /// Process body executions serviced by the two-state
-    /// (aval-plane-only) interpreter — a subset of
-    /// `comb_evals + seq_evals`. Zero in legacy mode and after
-    /// [`Simulator::set_two_state`]`(false)`.
+    /// Process body executions completed on a plan (two-state, over
+    /// bare aval words) — a subset of `comb_evals + seq_evals`. Zero in
+    /// legacy mode and after [`Simulator::set_two_state`]`(false)`.
     pub two_state_evals: u64,
-    /// Executions of two-state-*eligible* processes that ran four-state
-    /// anyway: an `X`/`Z` in the read set at dispatch (including the
-    /// all-`X` boot state) or a mid-run bailout (division by zero,
-    /// out-of-range read). `two_state_evals` growing while this stays
-    /// flat is the defined-steady-state signature; the proptest suite
-    /// uses the pair to assert fallback *and* recovery.
+    /// Executions of processes with a plan that ran four-state anyway:
+    /// an `X`/`Z` in the read set at dispatch (including the all-`X`
+    /// boot state) or a mid-run bail (an out-of-range dynamic bit
+    /// select, a zero divisor). `two_state_evals` growing while this
+    /// stays flat is the defined-steady-state signature; the proptest
+    /// suite uses the pair to assert fallback *and* recovery.
     pub two_state_fallbacks: u64,
-    /// Process body executions serviced by a fused
-    /// [`crate::plan::EvalPlan`] (superinstruction dispatch) — a subset
-    /// of `two_state_evals`. Zero in legacy mode and after
-    /// [`Simulator::set_two_state`]`(false)` or
-    /// [`Simulator::set_fuse`]`(false)`.
-    pub fused_evals: u64,
-    /// Fused plan opcodes retired across all `fused_evals`.
+    /// Plan opcodes retired across all `two_state_evals`.
     pub plan_steps: u64,
-    /// Source bytecode instructions those plan opcodes covered — what
-    /// the unfused interpreter would have dispatched on the same
-    /// control paths. `plan_steps < plan_unfused_steps` is the fusion
-    /// win in dispatch economics, independent of wall clock.
+    /// Source bytecode instructions those plan opcodes covered.
+    /// `plan_steps < plan_unfused_steps` is the fusion win in dispatch
+    /// economics, independent of wall clock.
     pub plan_unfused_steps: u64,
     /// Cascade plans this simulator's design dropped in its delta
     /// rebuild ([`crate::CompiledDesign::invalidated_plans`], seeded at
@@ -230,16 +220,11 @@ pub struct Simulator {
     regs: Vec<interp::RegFile>,
     store: Store,
     mode: ExecMode,
-    /// Two-state fast-path dispatch enable (compiled mode; on by
-    /// default, off after [`Simulator::set_two_state`]`(false)` — the
-    /// hook the differential suites use to hold the pure four-state
-    /// path against the fast path).
+    /// Plan dispatch enable (compiled mode; on by default, off after
+    /// [`Simulator::set_two_state`]`(false)` — the hook the
+    /// differential suites use to hold the plans against the
+    /// four-state reference).
     two_state: bool,
-    /// Fused-plan dispatch enable (compiled mode; on by default, off
-    /// after [`Simulator::set_fuse`]`(false)` — the hook the
-    /// differential suites use to hold the unfused two-state
-    /// interpreter against the plans).
-    fuse: bool,
     /// Wheel scheduler state (the default path).
     wheel: Wheel,
     /// Oracle scheduler state (`ExecMode::Legacy` only).
@@ -491,7 +476,6 @@ impl Simulator {
             store,
             mode,
             two_state: mode == ExecMode::Compiled,
-            fuse: mode == ExecMode::Compiled,
             wheel,
             legacy,
             fault: None,
@@ -519,34 +503,19 @@ impl Simulator {
         self.coverage.take().map(|b| *b)
     }
 
-    /// Whether two-state fast-path dispatch is enabled.
+    /// Whether plan (two-state) dispatch is enabled.
     pub fn two_state(&self) -> bool {
         self.two_state
     }
 
-    /// Enable or disable the two-state fast path (compiled mode only;
+    /// Enable or disable plan (two-state) dispatch (compiled mode only;
     /// a no-op on the legacy executor). Turning it off forces every
     /// process through the four-state interpreter — the differential
-    /// suites use this to lockstep the fast path against pure
-    /// four-state execution on the same executor.
+    /// suites use this to lockstep the plans against pure four-state
+    /// execution on the same executor. Call it before booting the
+    /// simulator when counts must match a fresh run.
     pub fn set_two_state(&mut self, on: bool) {
         self.two_state = on && self.mode == ExecMode::Compiled;
-    }
-
-    /// Enable or disable fused-plan dispatch (compiled mode only;
-    /// legacy never fuses). Turning it off runs every hazard-free
-    /// process on the per-instruction two-state interpreter — the
-    /// differential suites use this to lockstep fused execution
-    /// against the unfused path on the same executor.
-    pub fn set_fuse(&mut self, on: bool) {
-        self.fuse = on && self.mode == ExecMode::Compiled;
-    }
-
-    /// Whether fused-plan dispatch is active: on by default in compiled
-    /// mode unless [`Simulator::set_fuse`] turned it off, never in
-    /// legacy mode.
-    pub fn fuse_active(&self) -> bool {
-        self.fuse
     }
 
     /// The design being simulated.
@@ -763,7 +732,6 @@ impl Simulator {
             counts: &mut self.counts,
             coverage: self.coverage.as_deref_mut(),
             two_state: self.two_state,
-            fuse: self.fuse,
         }
     }
 
@@ -816,7 +784,6 @@ struct WheelView<'s> {
     counts: &'s mut EvalCounts,
     coverage: Option<&'s mut crate::FuzzCoverage>,
     two_state: bool,
-    fuse: bool,
 }
 
 impl WheelView<'_> {
@@ -913,7 +880,7 @@ impl WheelView<'_> {
         self.drain()
     }
 
-    /// Run process `pi`'s bytecode (two-state, fused or four-state, as
+    /// Run process `pi`'s bytecode (its plan or the four-state loop, as
     /// the gates allow) and account for the outcome.
     fn run_body(&mut self, pi: usize, nba: &mut Vec<PendingWrite>, changed: &mut Vec<SignalId>) {
         let outcome = interp::execute(
@@ -923,13 +890,10 @@ impl WheelView<'_> {
             nba,
             changed,
             self.two_state,
-            self.fuse,
         );
         match outcome {
-            interp::ExecOutcome::TwoState => self.counts.two_state_evals += 1,
-            interp::ExecOutcome::Fused { ops, src } => {
+            interp::ExecOutcome::Plan { ops, src } => {
                 self.counts.two_state_evals += 1;
-                self.counts.fused_evals += 1;
                 self.counts.plan_steps += ops as u64;
                 self.counts.plan_unfused_steps += src as u64;
             }
@@ -1069,7 +1033,7 @@ impl WheelView<'_> {
             // anywhere in the read closure) falls through to the
             // ordinary per-process path, which dispatches four-state —
             // and the cascade resumes as soon as the unknown clears.
-            if self.fuse && self.two_state {
+            if self.two_state {
                 if let Some(ci) = compiled.cascade_of[pi] {
                     let cascade = &compiled.cascades[ci as usize];
                     if cascade
@@ -1083,7 +1047,6 @@ impl WheelView<'_> {
                             let m = m as usize;
                             self.counts.comb_evals += 1;
                             self.counts.two_state_evals += 1;
-                            self.counts.fused_evals += 1;
                             let plan = compiled.procs[m]
                                 .plan
                                 .as_ref()
@@ -1095,12 +1058,13 @@ impl WheelView<'_> {
                                 self.store,
                                 nba,
                                 scratch,
-                            );
+                            )
+                            .expect("cascade members cannot bail");
                             self.counts.plan_steps += ops as u64;
                             self.counts.plan_unfused_steps += src as u64;
-                            // Cascade members are NBA-free by
-                            // construction (`EvalPlan::has_nba` gates
-                            // membership).
+                            // Cascade members are NBA- and bail-free by
+                            // construction (`EvalPlan::has_nba` and
+                            // `can_bail` gate membership).
                             debug_assert!(nba.is_empty());
                         }
                         scratch.clear();

@@ -2,7 +2,7 @@
 //! tree-walking oracle.
 //!
 //! Each design is driven through lock-stepped simulators — the legacy
-//! oracle and the default, four-state and unfused configurations of the
+//! oracle and the default and four-state configurations of the
 //! compiled executor — comparing the **entire value store** (every
 //! signal, four-state exact) after boot and after every stimulus step.
 //! Faults (combinational loops, edge cascades) must also agree.
@@ -19,20 +19,14 @@ use mage_sim::{elaborate, Design, ExecMode, SimError, Simulator};
 use std::sync::Arc;
 
 /// Drive the legacy oracle and the compiled executor's default
-/// (two-state, fused), pure four-state and unfused two-state
-/// configurations in lockstep and compare the full store after every
-/// poke. Returns the error all agreed on, if any.
+/// (plans) and pure four-state configurations in lockstep and compare
+/// the full store after every poke. Returns the error all agreed on,
+/// if any.
 fn lockstep(design: &Arc<Design>, schedule: &[(&str, u64)]) -> Option<SimError> {
     let compiled = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
     let mut four = compiled();
     four.set_two_state(false);
-    let mut unfused = compiled();
-    unfused.set_fuse(false);
-    let mut fasts = [
-        (compiled(), "compiled"),
-        (four, "four-state"),
-        (unfused, "unfused"),
-    ];
+    let mut fasts = [(compiled(), "compiled"), (four, "four-state")];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
     let rs = slow.settle();
     for (fast, label) in &mut fasts {

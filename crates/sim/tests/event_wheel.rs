@@ -1,6 +1,6 @@
 //! Event-wheel differential suite: multi-clock designs driven through
-//! the wheel scheduler (`ExecMode::Compiled`, in its default, four-state
-//! and unfused configurations) and the legacy worklist oracle
+//! the wheel scheduler (`ExecMode::Compiled`, in its default and
+//! four-state configurations) and the legacy worklist oracle
 //! (`ExecMode::Legacy`) in lockstep, asserting bit-identical
 //! stores after every operation — including interleaved `settle()`
 //! calls, which the wheel services by draining pending events while the
@@ -44,21 +44,15 @@ fn compare_stores(design: &Design, fast: &mut Simulator, slow: &mut Simulator, a
     }
 }
 
-/// Run `ops` on the legacy scheduler and on the wheel's default,
-/// four-state and unfused configurations, comparing every signal after
-/// each op. Returns the legacy simulator, which every configuration
-/// matched at the end.
+/// Run `ops` on the legacy scheduler and on the wheel's default and
+/// four-state configurations, comparing every signal after each op.
+/// Returns the legacy simulator, which every configuration matched at
+/// the end.
 fn lockstep(design: &Arc<Design>, ops: Vec<Op<'_>>) -> Simulator {
     let wheel = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
     let mut four = wheel();
     four.set_two_state(false);
-    let mut unfused = wheel();
-    unfused.set_fuse(false);
-    let mut fasts = [
-        (wheel(), "wheel"),
-        (four, "four-state"),
-        (unfused, "unfused"),
-    ];
+    let mut fasts = [(wheel(), "wheel"), (four, "four-state")];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
     let rs = slow.settle();
     for (fast, label) in &mut fasts {

@@ -1,27 +1,24 @@
-//! Two-state fast-path differential suite.
+//! Two-state (plan) differential suite.
 //!
-//! The compiled executor dispatches eligible processes to an
-//! aval-plane-only interpreter whenever their read set is fully
-//! defined, falling back to the four-state path when an `X`/`Z`
-//! appears (or a runtime hazard — division by zero, out-of-range read
-//! — bails out mid-run). These tests hold that machinery to the
-//! store-exactness contract against **every** retained reference:
+//! The compiled executor runs a process's evaluation plan whenever its
+//! read set is fully defined, falling back to the four-state path when
+//! an `X`/`Z` appears (or a runtime hazard — division by zero, an
+//! out-of-range dynamic bit select — bails out mid-run). These tests
+//! hold that machinery to the store-exactness contract against
+//! **both** retained references:
 //!
 //! * the four-state compiled path ([`Simulator::set_two_state`]`(false)`
-//!   — same bytecode, same wheel, no fast path),
-//! * the unfused two-state path ([`Simulator::set_fuse`]`(false)` —
-//!   hazard-free processes on the per-instruction interpreter instead
-//!   of their fused plans), and
+//!   — same bytecode, same wheel, no plans), and
 //! * the legacy tree-walker with the scan worklist
 //!   ([`ExecMode::Legacy`]);
 //!
 //! and pin the `EvalCounts` hit/fallback accounting: X-boot runs
-//! four-state, defined steady state runs two-state, an injected `X`
-//! falls back, and a re-driven defined value recovers.
+//! four-state, defined steady state runs plans, an injected `X` falls
+//! back, and a re-driven defined value recovers.
 //!
 //! The proptest at the bottom is the corpus version: a single `X`/`Z`
 //! bit injected at a random input/step of an otherwise-defined corpus
-//! run, all four executors in lockstep, every signal compared
+//! run, all three executors in lockstep, every signal compared
 //! four-state exact after every poke.
 
 use mage_logic::{LogicBit, LogicVec};
@@ -39,41 +36,28 @@ fn v(w: usize, x: u64) -> LogicVec {
     LogicVec::from_u64(w, x)
 }
 
-/// Four executors over one design: the default compiled simulator
-/// (two-state and fused), pure four-state compiled, unfused two-state
-/// compiled, and the legacy tree-walker.
-struct Quad {
+/// Three executors over one design: the default compiled simulator
+/// (plans), pure four-state compiled, and the legacy tree-walker.
+struct Trio {
     fast: Simulator,
     four: Simulator,
-    unfused: Simulator,
     legacy: Simulator,
 }
 
-impl Quad {
-    fn new(design: &Arc<Design>) -> Quad {
+impl Trio {
+    fn new(design: &Arc<Design>) -> Trio {
         let fast = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-        assert!(fast.two_state() && fast.fuse_active(), "compiled defaults");
+        assert!(fast.two_state(), "compiled default");
         let mut four = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
         four.set_two_state(false);
-        let mut unfused = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-        unfused.set_fuse(false);
         let legacy = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-        assert!(!legacy.two_state() && !legacy.fuse_active());
-        Quad {
-            fast,
-            four,
-            unfused,
-            legacy,
-        }
+        assert!(!legacy.two_state());
+        Trio { fast, four, legacy }
     }
 
-    /// The three reference simulators the default one is held against.
-    fn refs(&mut self) -> [(&mut Simulator, &'static str); 3] {
-        [
-            (&mut self.four, "four-state"),
-            (&mut self.unfused, "unfused"),
-            (&mut self.legacy, "legacy"),
-        ]
+    /// The two reference simulators the default one is held against.
+    fn refs(&mut self) -> [(&mut Simulator, &'static str); 2] {
+        [(&mut self.four, "four-state"), (&mut self.legacy, "legacy")]
     }
 
     fn settle(&mut self) -> Result<(), SimError> {
@@ -109,7 +93,7 @@ impl Quad {
         rf
     }
 
-    /// Every signal, four-state exact, across all four stores.
+    /// Every signal, four-state exact, across all three stores.
     fn compare(&mut self, at: &str) {
         let names: Vec<String> = self
             .fast
@@ -231,83 +215,91 @@ fn two_state_disabled_counts_nothing() {
 #[test]
 fn x_injection_falls_back_and_recovers() {
     let design = design_of("module top(input a, input b, output y); assign y = a & b; endmodule");
-    let mut quad = Quad::new(&design);
-    quad.settle().unwrap();
-    quad.poke("a", v(1, 1), "define a").unwrap();
-    quad.poke("b", v(1, 1), "define b").unwrap();
-    quad.fast.reset_eval_counts();
+    let mut trio = Trio::new(&design);
+    trio.settle().unwrap();
+    trio.poke("a", v(1, 1), "define a").unwrap();
+    trio.poke("b", v(1, 1), "define b").unwrap();
+    trio.fast.reset_eval_counts();
 
     // Inject: X on `a` forces the single AND process four-state.
-    quad.poke("a", LogicVec::all_x(1), "inject X").unwrap();
-    let c = quad.fast.eval_counts();
+    trio.poke("a", LogicVec::all_x(1), "inject X").unwrap();
+    let c = trio.fast.eval_counts();
     assert_eq!(c.two_state_evals, 0);
     assert_eq!(c.two_state_fallbacks, 1, "X read set → fallback");
-    assert!(quad.fast.peek_by_name("y").unwrap().has_unknown());
+    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
 
     // Recover: a defined re-drive goes straight back to two-state.
-    quad.poke("a", v(1, 0), "recover a").unwrap();
-    let c = quad.fast.eval_counts();
+    trio.poke("a", v(1, 0), "recover a").unwrap();
+    let c = trio.fast.eval_counts();
     assert_eq!(c.two_state_evals, 1, "defined re-drive recovers");
     assert_eq!(c.two_state_fallbacks, 1);
-    assert_eq!(quad.fast.peek_by_name("y").unwrap().to_u64(), Some(0));
+    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0));
 }
 
 #[test]
 fn z_injection_is_as_unknown_as_x() {
     let design = design_of("module top(input [3:0] a, output [3:0] y); assign y = ~a; endmodule");
-    let mut quad = Quad::new(&design);
-    quad.settle().unwrap();
-    quad.poke("a", v(4, 5), "define").unwrap();
-    quad.fast.reset_eval_counts();
+    let mut trio = Trio::new(&design);
+    trio.settle().unwrap();
+    trio.poke("a", v(4, 5), "define").unwrap();
+    trio.fast.reset_eval_counts();
     let mut z = v(4, 5);
     z.set_bit(2, LogicBit::Z);
-    quad.poke("a", z, "inject Z").unwrap();
-    let c = quad.fast.eval_counts();
+    trio.poke("a", z, "inject Z").unwrap();
+    let c = trio.fast.eval_counts();
     assert_eq!(c.two_state_evals, 0, "Z gates the fast path like X");
     assert_eq!(c.two_state_fallbacks, 1);
-    quad.poke("a", v(4, 5), "recover").unwrap();
-    assert_eq!(quad.fast.eval_counts().two_state_evals, 1);
+    trio.poke("a", v(4, 5), "recover").unwrap();
+    assert_eq!(trio.fast.eval_counts().two_state_evals, 1);
 }
 
 #[test]
 fn division_by_zero_bails_out_mid_run() {
-    // Defined inputs, X-producing op: the two-state attempt must bail
-    // (counted as a fallback), rewind, and match both oracles' X.
+    // Defined inputs, X-producing op: the plan run must bail (counted
+    // as a fallback), rewind, and match both references' X.
     let design = design_of(
         "module top(input [3:0] a, input [3:0] b, output [3:0] q, output [3:0] m);
            assign q = a / b;
            assign m = a % b;
          endmodule",
     );
-    let mut quad = Quad::new(&design);
-    quad.settle().unwrap();
-    quad.poke("a", v(4, 12), "define a").unwrap();
-    quad.poke("b", v(4, 3), "define b").unwrap();
-    assert_eq!(quad.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
-    let defined_hits = quad.fast.eval_counts().two_state_evals;
-    assert!(defined_hits > 0, "nonzero divisor runs two-state");
+    assert!(
+        design
+            .compiled()
+            .procs
+            .iter()
+            .all(|p| p.plan.as_ref().is_some_and(|plan| plan.can_bail)),
+        "division and modulo run on plans that can bail"
+    );
+    let mut trio = Trio::new(&design);
+    trio.settle().unwrap();
+    trio.poke("a", v(4, 12), "define a").unwrap();
+    trio.poke("b", v(4, 3), "define b").unwrap();
+    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
+    let defined_hits = trio.fast.eval_counts().two_state_evals;
+    assert!(defined_hits > 0, "nonzero divisor runs the plans");
 
-    quad.fast.reset_eval_counts();
-    quad.poke("b", v(4, 0), "zero divisor").unwrap();
-    let c = quad.fast.eval_counts();
+    trio.fast.reset_eval_counts();
+    trio.poke("b", v(4, 0), "zero divisor").unwrap();
+    let c = trio.fast.eval_counts();
     assert!(
         c.two_state_fallbacks > 0,
-        "division by zero must bail out of the two-state run"
+        "division by zero must bail out of the plan run"
     );
     assert_eq!(c.two_state_evals, 0);
-    assert!(quad.fast.peek_by_name("q").unwrap().is_all_x());
-    assert!(quad.fast.peek_by_name("m").unwrap().is_all_x());
+    assert!(trio.fast.peek_by_name("q").unwrap().is_all_x());
+    assert!(trio.fast.peek_by_name("m").unwrap().is_all_x());
 
-    // Recovery: a nonzero divisor re-runs two-state.
-    quad.poke("b", v(4, 5), "recover divisor").unwrap();
-    assert!(quad.fast.eval_counts().two_state_evals > 0);
-    assert_eq!(quad.fast.peek_by_name("q").unwrap().to_u64(), Some(2));
+    // Recovery: a nonzero divisor runs the plans again.
+    trio.poke("b", v(4, 5), "recover divisor").unwrap();
+    assert!(trio.fast.eval_counts().two_state_evals > 0);
+    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(2));
 }
 
 #[test]
 fn casez_wildcard_labels_stay_two_state() {
-    // Wildcard labels are undefined constants; they flow only into the
-    // plane-exact case dispatch, so the process stays eligible.
+    // Wildcard labels are undefined constants used only as case labels:
+    // the plan resolves each into a masked compare at build time.
     let design = design_of(
         "module top(input [3:0] r, output reg [1:0] y);
            always @(*) casez (r)
@@ -318,14 +310,18 @@ fn casez_wildcard_labels_stay_two_state() {
            endcase
          endmodule",
     );
-    let mut quad = Quad::new(&design);
-    quad.settle().unwrap();
-    quad.fast.reset_eval_counts();
+    assert!(
+        design.compiled().procs[0].plan.is_some(),
+        "wildcard labels keep the process on a plan"
+    );
+    let mut trio = Trio::new(&design);
+    trio.settle().unwrap();
+    trio.fast.reset_eval_counts();
     for (r, y) in [(0b1010, 3), (0b0110, 2), (0b0010, 1), (0b0001, 0)] {
-        quad.poke("r", v(4, r), "casez sweep").unwrap();
-        assert_eq!(quad.fast.peek_by_name("y").unwrap().to_u64(), Some(y));
+        trio.poke("r", v(4, r), "casez sweep").unwrap();
+        assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(y));
     }
-    let c = quad.fast.eval_counts();
+    let c = trio.fast.eval_counts();
     assert_eq!(c.two_state_fallbacks, 0);
     assert_eq!(c.two_state_evals, c.total_evals());
     assert!(c.two_state_evals > 0);
@@ -333,40 +329,40 @@ fn casez_wildcard_labels_stay_two_state() {
 
 #[test]
 fn undefined_const_in_arithmetic_is_ineligible() {
-    // `a + 4'bxx00` taints an arithmetic operand: the process must be
-    // compile-time ineligible (never counted as hit *or* fallback) and
-    // still propagate X exactly.
+    // `a + 4'bxx00` uses an undefined constant outside a case label:
+    // the process has no plan (never counted as hit *or* fallback) and
+    // still propagates X exactly.
     let design = design_of(
         "module top(input [3:0] a, output [3:0] y, output [3:0] w);
            assign y = a + 4'bxx00;
            assign w = a & 4'b1100;
          endmodule",
     );
-    let mut quad = Quad::new(&design);
-    quad.settle().unwrap();
-    quad.fast.reset_eval_counts();
-    quad.poke("a", v(4, 7), "define").unwrap();
-    let c = quad.fast.eval_counts();
+    let mut trio = Trio::new(&design);
+    trio.settle().unwrap();
+    trio.fast.reset_eval_counts();
+    trio.poke("a", v(4, 7), "define").unwrap();
+    let c = trio.fast.eval_counts();
     assert!(c.total_evals() > 0);
-    // The tainted-adder process is ineligible; the masking AND beside
-    // it is eligible and hits.
+    // The X-adder process has no plan; the masking AND beside it has
+    // one and hits.
     assert!(c.two_state_evals > 0, "the clean process still hits");
     assert_eq!(c.two_state_fallbacks, 0);
     assert!(
         c.two_state_evals < c.total_evals(),
         "the tainted process must not be counted two-state"
     );
-    assert!(quad.fast.peek_by_name("y").unwrap().has_unknown());
-    assert_eq!(quad.fast.peek_by_name("w").unwrap().to_u64(), Some(4));
+    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
+    assert_eq!(trio.fast.peek_by_name("w").unwrap().to_u64(), Some(4));
 }
 
 #[test]
-fn own_store_x_reread_bails_out_and_rewinds() {
+fn undefined_const_store_runs_four_state_every_time() {
     // A process that conditionally stores an undefined constant and
-    // re-loads it in the same body: dispatch sees a fully defined read
-    // set, the two-state run stores the X (plane-exact), and the
-    // re-read's bval check must bail out — the rewind-and-re-run then
-    // has to land bit-identically on both oracles.
+    // re-loads it in the same body has no plan: a plan holds defined
+    // words only, so `4'b10x0` outside a case label keeps the process
+    // on the four-state loop — never a plan run, never a fallback —
+    // store-exact against both references on either branch.
     let design = design_of(
         "module top(input sel, output reg [3:0] t, output reg [3:0] y);
            always @(*) begin
@@ -375,24 +371,84 @@ fn own_store_x_reread_bails_out_and_rewinds() {
            end
          endmodule",
     );
-    let mut quad = Quad::new(&design);
-    quad.settle().unwrap();
-    quad.poke("sel", v(1, 1), "defined branch").unwrap();
-    assert_eq!(quad.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
-    quad.fast.reset_eval_counts();
+    assert!(design.compiled().procs[0].plan.is_none());
+    let mut trio = Trio::new(&design);
+    trio.settle().unwrap();
+    trio.fast.reset_eval_counts();
+    trio.poke("sel", v(1, 1), "defined branch").unwrap();
+    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
+    trio.poke("sel", v(1, 0), "take the X branch").unwrap();
+    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
+    trio.poke("sel", v(1, 1), "defined again").unwrap();
+    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
+    let c = trio.fast.eval_counts();
+    assert!(c.total_evals() > 0);
+    assert_eq!(
+        (c.two_state_evals, c.two_state_fallbacks),
+        (0, 0),
+        "four-state by construction"
+    );
+}
 
-    // Defined entry state, X stored mid-run: must bail, not complete.
-    quad.poke("sel", v(1, 0), "take the X branch").unwrap();
-    let c = quad.fast.eval_counts();
-    assert_eq!(c.two_state_evals, 0, "the X re-read must bail out");
-    assert!(c.two_state_fallbacks > 0);
-    assert!(quad.fast.peek_by_name("y").unwrap().has_unknown());
+#[test]
+fn out_of_range_bit_select_bails_rewinds_and_recovers() {
+    // `n` is stored before `v[i]` is read: with `i` past `v`'s MSB the
+    // plan bails mid-run, and the rewind must restore `n` before the
+    // four-state re-run increments it again (a missed rewind would
+    // count twice).
+    let design = design_of(
+        "module top(input clk, input rst, input [3:0] v, input [2:0] i,
+                    output reg [3:0] n, output reg y);
+           always @(posedge clk)
+             if (rst) begin n = 4'd0; y = 1'b0; end
+             else begin n = n + 4'd1; y = v[i]; end
+         endmodule",
+    );
+    assert!(
+        design.compiled().procs[0]
+            .plan
+            .as_ref()
+            .is_some_and(|plan| plan.can_bail),
+        "the dynamic bit select runs on a plan that can bail"
+    );
+    let mut trio = Trio::new(&design);
+    trio.settle().unwrap();
+    trio.poke("clk", v(1, 0), "clk low").unwrap();
+    trio.poke("v", v(4, 0b1010), "define v").unwrap();
+    trio.poke("i", v(3, 1), "in range").unwrap();
+    trio.poke("rst", v(1, 1), "reset on").unwrap();
+    trio.poke("clk", v(1, 1), "reset edge").unwrap();
+    trio.poke("clk", v(1, 0), "fall").unwrap();
+    trio.poke("rst", v(1, 0), "reset off").unwrap();
+    trio.poke("clk", v(1, 1), "in-range edge").unwrap();
+    trio.poke("clk", v(1, 0), "fall").unwrap();
+    assert_eq!(trio.fast.peek_by_name("n").unwrap().to_u64(), Some(1));
+    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(1));
+    trio.fast.reset_eval_counts();
 
-    // Recovery: the defined branch re-runs two-state once `t` is
-    // defined again (the four-state run that defines it falls back).
-    quad.poke("sel", v(1, 1), "recover").unwrap();
-    assert!(quad.fast.eval_counts().two_state_evals > 0);
-    assert_eq!(quad.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
+    trio.poke("i", v(3, 5), "out of range").unwrap();
+    trio.poke("clk", v(1, 1), "bailing edge").unwrap();
+    let c = trio.fast.eval_counts();
+    assert_eq!(
+        (c.two_state_evals, c.two_state_fallbacks),
+        (0, 1),
+        "the plan bails once"
+    );
+    assert_eq!(
+        trio.fast.peek_by_name("n").unwrap().to_u64(),
+        Some(2),
+        "the bailed store was rewound before the re-run"
+    );
+    assert!(trio.fast.peek_by_name("y").unwrap().is_all_x());
+
+    // Recovery: an in-range index runs the plan again.
+    trio.poke("clk", v(1, 0), "fall").unwrap();
+    trio.poke("i", v(3, 3), "back in range").unwrap();
+    trio.poke("clk", v(1, 1), "recovered edge").unwrap();
+    let c = trio.fast.eval_counts();
+    assert_eq!((c.two_state_evals, c.two_state_fallbacks), (1, 1));
+    assert_eq!(trio.fast.peek_by_name("n").unwrap().to_u64(), Some(3));
+    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(1));
 }
 
 #[test]
@@ -405,33 +461,33 @@ fn sequential_processes_take_the_fast_path_too() {
            end
          endmodule",
     );
-    let mut quad = Quad::new(&design);
-    quad.settle().unwrap();
-    quad.poke("clk", v(1, 0), "clk low").unwrap();
-    quad.poke("rst", v(1, 1), "reset on").unwrap();
-    quad.poke("clk", v(1, 1), "reset edge").unwrap();
-    quad.poke("clk", v(1, 0), "clk low").unwrap();
-    quad.poke("rst", v(1, 0), "reset off").unwrap();
-    quad.fast.reset_eval_counts();
+    let mut trio = Trio::new(&design);
+    trio.settle().unwrap();
+    trio.poke("clk", v(1, 0), "clk low").unwrap();
+    trio.poke("rst", v(1, 1), "reset on").unwrap();
+    trio.poke("clk", v(1, 1), "reset edge").unwrap();
+    trio.poke("clk", v(1, 0), "clk low").unwrap();
+    trio.poke("rst", v(1, 0), "reset off").unwrap();
+    trio.fast.reset_eval_counts();
     for _ in 0..4 {
-        quad.poke("clk", v(1, 1), "rise").unwrap();
-        quad.poke("clk", v(1, 0), "fall").unwrap();
+        trio.poke("clk", v(1, 1), "rise").unwrap();
+        trio.poke("clk", v(1, 0), "fall").unwrap();
     }
-    let c = quad.fast.eval_counts();
+    let c = trio.fast.eval_counts();
     assert_eq!(c.seq_evals, 4);
     assert_eq!(c.two_state_evals, 4, "all four flop evals are two-state");
     assert_eq!(c.two_state_fallbacks, 0);
-    assert_eq!(quad.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
+    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
 }
 
 // ----------------------------------------------------------------------
-// Corpus proptest: single X/Z injection, four executors in lockstep
+// Corpus proptest: single X/Z injection, three executors in lockstep
 // ----------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Pick a corpus problem, run its stimulus on all four executors,
+    /// Pick a corpus problem, run its stimulus on all three executors,
     /// inject one `X`/`Z` bit into a random input at a random step,
     /// re-drive the defined value two steps later, and hold every
     /// signal store-exact after every poke — fallback and recovery
@@ -449,8 +505,8 @@ proptest! {
         let oracle = p.oracle(0x75A7E);
         let design = &oracle.golden_design;
         let stim = &oracle.stimulus;
-        let mut quad = Quad::new(design);
-        if quad.settle().is_err() {
+        let mut trio = Trio::new(design);
+        if trio.settle().is_err() {
             return Ok(()); // boot fault: equality already asserted
         }
         // Cap the walked steps so a 1500-step clocked stimulus doesn't
@@ -465,23 +521,23 @@ proptest! {
         let mut saved: Option<LogicVec> = None;
 
         if let Some(clk) = &stim.clock {
-            if quad.poke(clk, LogicVec::from_bool(false), "clk boot").is_err() {
+            if trio.poke(clk, LogicVec::from_bool(false), "clk boot").is_err() {
                 return Ok(());
             }
         }
         'outer: for (i, step) in steps.iter().enumerate() {
             for (name, value) in step.iter() {
-                if quad.poke(name, value.clone(), &format!("step {i}")).is_err() {
+                if trio.poke(name, value.clone(), &format!("step {i}")).is_err() {
                     break 'outer;
                 }
             }
             if i == inject_at {
                 // Flip one bit of the chosen input to X or Z.
-                let mut poisoned = quad.fast.peek(inject_id).clone();
+                let mut poisoned = trio.fast.peek(inject_id).clone();
                 let bit = bit_pick % poisoned.width();
                 saved = Some(poisoned.clone());
                 poisoned.set_bit(bit, if use_z { LogicBit::Z } else { LogicBit::X });
-                if quad.poke_id(inject_id, poisoned, &format!("inject @{i}")).is_err() {
+                if trio.poke_id(inject_id, poisoned, &format!("inject @{i}")).is_err() {
                     break 'outer;
                 }
             }
@@ -491,25 +547,23 @@ proptest! {
                     // (later stimulus steps may re-drive it anyway; this
                     // guarantees the X window closes even when they
                     // don't).
-                    if quad.poke_id(inject_id, v, &format!("recover @{i}")).is_err() {
+                    if trio.poke_id(inject_id, v, &format!("recover @{i}")).is_err() {
                         break 'outer;
                     }
                 }
             }
             if let Some(clk) = &stim.clock {
-                if quad.poke(clk, LogicVec::from_bool(true), &format!("step {i} rise")).is_err()
-                    || quad.poke(clk, LogicVec::from_bool(false), &format!("step {i} fall")).is_err()
+                if trio.poke(clk, LogicVec::from_bool(true), &format!("step {i} rise")).is_err()
+                    || trio.poke(clk, LogicVec::from_bool(false), &format!("step {i} fall")).is_err()
                 {
                     break 'outer;
                 }
             }
         }
-        // Two-state never runs with the fast path disabled or on the
-        // tree-walker, and plans never run with fusion disabled,
-        // whatever the schedule did.
-        prop_assert_eq!(quad.four.eval_counts().two_state_evals, 0);
-        prop_assert_eq!(quad.four.eval_counts().two_state_fallbacks, 0);
-        prop_assert_eq!(quad.unfused.eval_counts().fused_evals, 0);
-        prop_assert_eq!(quad.legacy.eval_counts().two_state_evals, 0);
+        // Plans never run with two-state dispatch off or on the
+        // tree-walker, whatever the schedule did.
+        prop_assert_eq!(trio.four.eval_counts().two_state_evals, 0);
+        prop_assert_eq!(trio.four.eval_counts().two_state_fallbacks, 0);
+        prop_assert_eq!(trio.legacy.eval_counts().two_state_evals, 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Corpus-wide differential test: every benchmark problem — and mutated
 //! candidates of each — runs through the bytecode interpreter (in its
-//! default, four-state and unfused configurations) and the legacy
+//! default and four-state configurations) and the legacy
 //! tree-walking oracle in lockstep, asserting bit-identical stores
 //! (every signal, four-state exact) after every poke.
 //!
@@ -17,23 +17,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Drive the legacy oracle and the compiled executor's default,
-/// four-state and unfused configurations through `stim` in testbench
-/// order (drives, then a full clock cycle for clocked designs),
-/// comparing the full store after every poke. Stops (without failing)
-/// at the first simulation fault, after asserting every executor
-/// reports the same fault.
+/// Drive the legacy oracle and the compiled executor's default and
+/// four-state configurations through `stim` in testbench order
+/// (drives, then a full clock cycle for clocked designs), comparing
+/// the full store after every poke. Stops (without failing) at the
+/// first simulation fault, after asserting every executor reports the
+/// same fault.
 fn lockstep(design: &Arc<Design>, stim: &Stimulus, label: &str) {
     let compiled = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
     let mut four = compiled();
     four.set_two_state(false);
-    let mut unfused = compiled();
-    unfused.set_fuse(false);
-    let mut fasts = [
-        (compiled(), "compiled"),
-        (four, "four-state"),
-        (unfused, "unfused"),
-    ];
+    let mut fasts = [(compiled(), "compiled"), (four, "four-state")];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
     // Apply one operation everywhere, comparing every store; `true`
     // while the simulators are fault-free.

@@ -1,19 +1,17 @@
-//! Corpus-wide fused-execution differential test: every benchmark
-//! problem's golden design — and single-edit mutants of each — is driven
-//! through its own stimulus on two simulators over the *same* design,
-//! one with fused-plan dispatch on (the default, the
-//! superinstruction/cascade path) and one with it switched off by
-//! [`Simulator::set_fuse`] (the unfused two-state interpreter), and
-//! the two runs are asserted *store-exact* after every poke — on the
-//! two-state path, and again with two-state disabled (where fusion must
-//! be inert: zero fused evals).
+//! Corpus-wide plan differential test: every benchmark problem's golden
+//! design — and single-edit mutants of each — is driven through its own
+//! stimulus on two simulators over the *same* design, one with plan
+//! dispatch on (the default, the superinstruction/cascade path) and one
+//! with it switched off by [`Simulator::set_two_state`] (the four-state
+//! interpreter), and the two runs are asserted *store-exact* after
+//! every poke.
 //!
 //! Plan-invalidation and eligibility-loss cases ride along: a delta
 //! rebuild must drop every cascade plan whose closure contains the
 //! rebuilt unit (and report it through `DeltaStats`/`EvalCounts`), and
-//! a process whose inputs go to `X` mid-run must fall off the fused
-//! path (bail to four-state, store-exact) and climb back on when the
-//! unknown clears.
+//! a process whose inputs go to `X` mid-run must fall off its plan
+//! (run four-state, store-exact) and climb back on when the unknown
+//! clears.
 
 use mage::llm::mutate::{apply_mutation, sample_mutations};
 use mage::logic::LogicVec;
@@ -24,28 +22,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// The two differential legs: `(two_state, label)`. Fused-on is held
-/// against fused-off under both dispatch regimes; with two-state off the
-/// fused path must never fire at all.
-const LEGS: [(bool, &str); 2] = [(true, "2s"), (false, "4s")];
-
-/// Drive one design through `stim` on a fused and an unfused simulator
-/// in lockstep, comparing the full store after every poke. Returns the
-/// fused simulator's final counters. Stops (without failing) at the
-/// first simulation fault, after asserting both runs report it
-/// identically.
-fn lockstep_fused(
-    design: &Arc<Design>,
-    stim: &Stimulus,
-    two_state: bool,
-    label: &str,
-) -> mage::sim::EvalCounts {
+/// Drive one design through `stim` on a simulator with plans and a
+/// four-state one in lockstep, comparing the full store after every
+/// poke. Returns the planned simulator's final counters. Stops
+/// (without failing) at the first simulation fault, after asserting
+/// both runs report it identically.
+fn lockstep_fused(design: &Arc<Design>, stim: &Stimulus, label: &str) -> mage::sim::EvalCounts {
     let mut fused = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
     let mut plain = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-    fused.set_two_state(two_state);
-    plain.set_two_state(two_state);
-    fused.set_fuse(true);
-    plain.set_fuse(false);
+    plain.set_two_state(false);
     let ra = fused.settle();
     let rb = plain.settle();
     assert_eq!(ra, rb, "{label}: settle diverged");
@@ -118,15 +103,9 @@ fn lockstep_fused(
     let counts = fused.eval_counts();
     let plain_counts = plain.eval_counts();
     assert_eq!(
-        plain_counts.fused_evals, 0,
-        "{label}: the unfused oracle leg must never dispatch a plan"
+        plain_counts.two_state_evals, 0,
+        "{label}: the four-state reference must never dispatch a plan"
     );
-    if !two_state {
-        assert_eq!(
-            counts.fused_evals, 0,
-            "{label}: fusion is a two-state path; four-state runs must not fuse"
-        );
-    }
     assert!(
         counts.plan_steps <= counts.plan_unfused_steps,
         "{label}: a fused op can never cover less than one instruction"
@@ -140,7 +119,7 @@ fn compare_stores(design: &Design, a: &mut Simulator, b: &mut Simulator, label: 
         let (va, vb) = (a.peek(id).clone(), b.peek(id));
         assert!(
             va.case_eq(vb),
-            "{label} at {at}: signal `{}` diverged\n  fused:   {}\n  unfused: {}",
+            "{label} at {at}: signal `{}` diverged\n  plans:      {}\n  four-state: {}",
             decl.name,
             va.to_binary_string(),
             vb.to_binary_string(),
@@ -150,22 +129,17 @@ fn compare_stores(design: &Design, a: &mut Simulator, b: &mut Simulator, label: 
 
 #[test]
 fn full_corpus_fused_is_store_exact_against_unfused() {
-    let mut corpus_fused_evals = 0u64;
+    let mut corpus_plan_evals = 0u64;
     for p in all_problems() {
         let oracle = p.oracle(0xF05E);
-        for (two_state, leg) in LEGS {
-            let label = format!("{} [{leg}]", p.id);
-            let counts = lockstep_fused(&oracle.golden_design, &oracle.stimulus, two_state, &label);
-            if two_state {
-                corpus_fused_evals += counts.fused_evals;
-            }
-        }
+        let counts = lockstep_fused(&oracle.golden_design, &oracle.stimulus, p.id);
+        corpus_plan_evals += counts.two_state_evals;
     }
-    // The corpus is dominated by hazard-free kernels: the fused path
-    // must actually carry the two-state legs, not vacuously match.
+    // The corpus is dominated by narrow kernels: plans must actually
+    // carry the runs, not vacuously match.
     assert!(
-        corpus_fused_evals > 0,
-        "no fused dispatch anywhere in the corpus"
+        corpus_plan_evals > 0,
+        "no plan dispatch anywhere in the corpus"
     );
 }
 
@@ -190,10 +164,7 @@ fn full_corpus_single_edit_mutants_fused_exact() {
             continue;
         };
         let scratch = Arc::new(scratch);
-        for (two_state, leg) in LEGS {
-            let label = format!("{} (mutant) [{leg}]", p.id);
-            lockstep_fused(&scratch, &oracle.stimulus, two_state, &label);
-        }
+        lockstep_fused(&scratch, &oracle.stimulus, &format!("{} (mutant)", p.id));
         // The delta-built twin carries the parent's reused plans
         // verbatim plus freshly built ones — it must behave identically
         // to its scratch build under fused dispatch (the
@@ -217,8 +188,8 @@ fn full_corpus_single_edit_mutants_fused_exact() {
                 p.id
             );
         }
-        let label = format!("{} (mutant, delta) [2s]", p.id);
-        lockstep_fused(&delta, &oracle.stimulus, true, &label);
+        let label = format!("{} (mutant, delta)", p.id);
+        lockstep_fused(&delta, &oracle.stimulus, &label);
     }
 }
 
@@ -281,18 +252,16 @@ fn rebuilt_unit_drops_every_cascade_plan_containing_it() {
             })
             .collect(),
     );
-    for (two_state, leg) in LEGS {
-        lockstep_fused(&delta, &stim, two_state, &format!("invalidation [{leg}]"));
-    }
+    lockstep_fused(&delta, &stim, "invalidation");
 }
 
 #[test]
 fn mid_run_eligibility_loss_bails_and_recovers_exactly() {
     // An `X` poked into a cascade's read set must knock every affected
-    // process off the fused path (the whole-cascade definedness gate
-    // fails, the per-process dispatch gate fails, four-state values
-    // propagate the unknown), with the store still exact against the
-    // unfused oracle — and fused dispatch must resume once the unknown
+    // process off its plan (the whole-cascade definedness gate fails,
+    // the per-process dispatch gate fails, four-state values propagate
+    // the unknown), with the store still exact against the four-state
+    // reference — and plan dispatch must resume once the unknown
     // clears.
     const SRC: &str = "module top(input a, input b, output w, output v);\n\
          wire x;\n\
@@ -304,8 +273,7 @@ fn mid_run_eligibility_loss_bails_and_recovers_exactly() {
     let design = Arc::new(elaborate(&file, "top").expect("elaborates"));
     let mut fused = Simulator::with_mode(Arc::clone(&design), ExecMode::Compiled);
     let mut plain = Simulator::with_mode(Arc::clone(&design), ExecMode::Compiled);
-    fused.set_fuse(true);
-    plain.set_fuse(false);
+    plain.set_two_state(false);
     let design_ref = Arc::clone(&design);
     let poke_both =
         move |name: &str, v: LogicVec, a: &mut Simulator, b: &mut Simulator, at: &str| {
@@ -315,32 +283,33 @@ fn mid_run_eligibility_loss_bails_and_recovers_exactly() {
         };
     fused.settle().expect("settle");
     plain.settle().expect("settle");
-    // Defined phase: the cascade runs fused.
+    // Defined phase: the cascade runs its plans.
     poke_both("a", LogicVec::from_bool(true), &mut fused, &mut plain, "a1");
     poke_both("b", LogicVec::from_bool(true), &mut fused, &mut plain, "b1");
     let defined = fused.eval_counts();
     assert!(
-        defined.fused_evals > 0,
-        "defined inputs must dispatch fused plans"
+        defined.two_state_evals > 0,
+        "defined inputs must dispatch plans"
     );
     // X phase: with `a` unknown and `b` held at 1, the unknown reaches
     // every read set (`x = a&1 = X`, so `w` and `v` read `X` too) — the
     // cascade gate and every per-process dispatch gate fail, everything
     // runs four-state, and the store stays exact. (Recovery is
-    // per-process: a member whose own reads clear re-fuses on its own,
-    // which is why `b` must stay high here — `b=0` would force `x` to a
-    // defined 0 and legitimately put `v` back on the fused path.)
+    // per-process: a member whose own reads clear runs its plan again
+    // on its own, which is why `b` must stay high here — `b=0` would
+    // force `x` to a defined 0 and legitimately put `v` back on its
+    // plan.)
     poke_both("a", LogicVec::all_x(1), &mut fused, &mut plain, "aX");
     let during_x = fused.eval_counts();
     assert_eq!(
-        during_x.fused_evals, defined.fused_evals,
-        "an undefined read set must not dispatch fused plans"
+        during_x.two_state_evals, defined.two_state_evals,
+        "an undefined read set must not dispatch plans"
     );
     assert!(
         during_x.comb_evals > defined.comb_evals,
         "the X pokes must have evaluated something (four-state)"
     );
-    // Recovery: defined inputs again, fused dispatch resumes.
+    // Recovery: defined inputs again, plan dispatch resumes.
     poke_both(
         "a",
         LogicVec::from_bool(false),
@@ -351,7 +320,7 @@ fn mid_run_eligibility_loss_bails_and_recovers_exactly() {
     poke_both("b", LogicVec::from_bool(true), &mut fused, &mut plain, "b1");
     let recovered = fused.eval_counts();
     assert!(
-        recovered.fused_evals > during_x.fused_evals,
-        "fused dispatch must resume once the unknown clears"
+        recovered.two_state_evals > during_x.two_state_evals,
+        "plan dispatch must resume once the unknown clears"
     );
 }
