@@ -675,9 +675,9 @@ pub(crate) fn bench_digest(tb: &Testbench) -> String {
     format!(
         "optimized testbench `{}`: {} steps, {} state checkpoints{}",
         tb.name,
-        tb.steps.len(),
+        tb.len(),
         tb.total_checks(),
-        match &tb.clock {
+        match tb.clock() {
             None => ", combinational".to_string(),
             Some(c) => format!(", clocked by `{c}`"),
         }

@@ -105,11 +105,10 @@ pub struct SuiteEval {
 /// Build a problem's grading bench (benchmark-side, fixed seed, and
 /// substantially more thorough than anything the agents see).
 pub fn grading_bench(problem: &Problem) -> Testbench {
-    let oracle = problem.oracle(GRADE_STIM_SEED);
     let stim = problem.grading_stimulus(GRADE_STIM_SEED);
     synthesize_testbench(
         format!("{}-golden", problem.id),
-        &oracle.golden_design,
+        &problem.golden_design(),
         &stim,
         CheckDensity::EveryStep,
     )

@@ -835,7 +835,7 @@ mod tests {
     use super::*;
     use crate::engine::compile;
     use mage_llm::{ProblemOracle, RtlLanguageModel, SyntheticModel, SyntheticModelConfig};
-    use mage_tb::Stimulus;
+    use mage_tb::{StepTable, Stimulus};
     use mage_verilog::parse;
 
     fn fixture_model(difficulty: f64, seed: u64) -> SyntheticModel {
@@ -994,11 +994,11 @@ mod tests {
     #[test]
     fn score_cache_hit_must_match_the_source() {
         let mut job = SolveJob::new("and4", "4-bit AND", MageConfig::high_temperature());
-        job.tb = Some(Arc::new(Testbench {
-            name: "tb".into(),
-            clock: None,
-            steps: Vec::new(),
-        }));
+        job.tb = Some(Arc::new(Testbench::new(
+            "tb",
+            Stimulus::default(),
+            StepTable::default(),
+        )));
         let probed = "module top_module(input a, output y); assign y = a; endmodule";
         // A different candidate parked under the probed source's key, as
         // a constructed FNV-1a collision would leave it.

@@ -371,7 +371,7 @@ impl JudgeTbRequest<'_> {
             self.spec_text,
             self.testbench.name,
             self.testbench.total_checks(),
-            self.testbench.steps.len(),
+            self.testbench.len(),
             self.evidence
         )
     }

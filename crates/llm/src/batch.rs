@@ -324,6 +324,7 @@ impl LlmResponse {
 mod tests {
     use super::*;
     use crate::api::{RtlLanguageModel, SamplingParams};
+    use mage_tb::{StepTable, Stimulus};
 
     /// A deterministic toy backend that records how often each dispatch
     /// surface is hit, to prove the default implementations wire through.
@@ -348,11 +349,7 @@ mod tests {
         fn generate_testbench(&mut self, req: &TbGenRequest<'_>) -> ModelOutput<Testbench> {
             self.scalar_calls += 1;
             ModelOutput {
-                value: Testbench {
-                    name: req.problem_id.to_string(),
-                    clock: None,
-                    steps: vec![],
-                },
+                value: Testbench::new(req.problem_id, Stimulus::default(), StepTable::default()),
                 usage: TokenUsage::default(),
             }
         }

@@ -28,7 +28,7 @@ use crate::api::*;
 use crate::mutate::{apply_mutation, enumerate_mutations, sample_mutations, Mutation};
 use mage_logic::fnv1a;
 use mage_sim::{elaborate, Design};
-use mage_tb::{run_testbench, synthesize_testbench, Check, CheckDensity, Stimulus, Testbench};
+use mage_tb::{run_testbench, synthesize_testbench, CheckDensity, StepTable, Stimulus, Testbench};
 use mage_verilog::ast::{Item, LValue, Module, SourceFile, Stmt};
 use mage_verilog::visit::AssignRef;
 use mage_verilog::{analysis, parse, print_file};
@@ -115,8 +115,9 @@ impl Default for SyntheticModelConfig {
 /// Everything the synthetic model "knows" about one benchmark problem.
 #[derive(Debug, Clone)]
 pub struct ProblemOracle {
-    /// The golden source (top module last, submodules before it).
-    pub golden: SourceFile,
+    /// The golden source (top module last, submodules before it),
+    /// shared by every oracle of the problem.
+    pub golden: Arc<SourceFile>,
     /// Top module name.
     pub top: String,
     /// Elaborated golden design.
@@ -138,7 +139,7 @@ impl ProblemOracle {
         let golden_design =
             Arc::new(elaborate(&golden, top).expect("golden design must elaborate"));
         ProblemOracle {
-            golden,
+            golden: Arc::new(golden),
             top: top.to_string(),
             golden_design,
             stimulus,
@@ -416,7 +417,7 @@ impl RtlLanguageModel for SyntheticModel {
         let lambda = rate * (sigma * Self::std_normal(&mut rng) - sigma * sigma / 2.0).exp();
         let k = Self::poisson(lambda, &mut rng);
 
-        let mut file = oracle.golden.clone();
+        let mut file = SourceFile::clone(&oracle.golden);
         let top_ix = file
             .modules
             .iter()
@@ -438,11 +439,11 @@ impl RtlLanguageModel for SyntheticModel {
     fn generate_testbench(&mut self, req: &TbGenRequest<'_>) -> ModelOutput<Testbench> {
         let prompt = req.render_prompt();
         let Some(oracle) = self.oracles.get(req.problem_id).cloned() else {
-            let tb = Testbench {
-                name: format!("{}-unknown", req.problem_id),
-                clock: None,
-                steps: vec![],
-            };
+            let tb = Testbench::new(
+                format!("{}-unknown", req.problem_id),
+                Stimulus::default(),
+                StepTable::default(),
+            );
             return ModelOutput {
                 usage: Self::usage_for(&prompt, "endtb"),
                 value: tb,
@@ -739,22 +740,10 @@ fn corrupt_testbench<R: Rng>(tb: &mut Testbench, rng: &mut R) {
         }
     }
     for target in targets {
-        let mut seen = 0usize;
-        'outer: for step in &mut tb.steps {
-            for check in &mut step.checks {
-                if seen == target {
-                    flip_check(check);
-                    break 'outer;
-                }
-                seen += 1;
-            }
-        }
+        let expected = tb.expected_mut(target);
+        let bit = expected.bit(0);
+        expected.set_bit(0, bit.not());
     }
-}
-
-fn flip_check(check: &mut Check) {
-    let bit = check.expected.bit(0);
-    check.expected.set_bit(0, bit.not());
 }
 
 /// Expose for tests: corrupt a bench deterministically.
@@ -800,7 +789,7 @@ mod tests {
                 conversation: &conv,
             });
             let file = parse(&out.value).expect("clean syntax");
-            assert_eq!(file, m.oracle("p1").unwrap().golden);
+            assert_eq!(file, *m.oracle("p1").unwrap().golden);
         }
     }
 

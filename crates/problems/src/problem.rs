@@ -3,7 +3,7 @@
 use mage_llm::ProblemOracle;
 use mage_logic::{fnv1a, LogicVec};
 use mage_sim::{elaborate, Design};
-use mage_tb::Stimulus;
+use mage_tb::{StepTable, Stimulus};
 use mage_verilog::ast::Direction;
 use mage_verilog::{parse, SourceFile};
 use rand::rngs::StdRng;
@@ -88,7 +88,7 @@ pub struct Problem {
 /// the seed, so it is built once per problem per process.
 #[derive(Debug)]
 struct Golden {
-    file: SourceFile,
+    file: Arc<SourceFile>,
     inputs: Vec<(String, usize)>,
     design: Arc<Design>,
 }
@@ -113,7 +113,7 @@ impl Problem {
         let design = elaborate(&file, self.top)
             .unwrap_or_else(|e| panic!("golden of {} does not elaborate: {e}", self.id));
         let golden = Arc::new(Golden {
-            file,
+            file: Arc::new(file),
             inputs,
             design: Arc::new(design),
         });
@@ -128,7 +128,18 @@ impl Problem {
     /// Panics when the embedded golden source is invalid — that is a
     /// library bug caught by the self-consistency tests.
     pub fn golden_file(&self) -> SourceFile {
-        self.golden().file.clone()
+        SourceFile::clone(&self.golden().file)
+    }
+
+    /// The elaborated golden design, from the process-wide cache: every
+    /// caller shares one design (and its compiled bytecode).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the embedded golden source is invalid, as
+    /// [`Problem::golden_file`] does.
+    pub fn golden_design(&self) -> Arc<Design> {
+        Arc::clone(&self.golden().design)
     }
 
     /// `(name, width)` of the top module's data inputs — everything
@@ -187,23 +198,19 @@ impl Problem {
                 reset_cycles,
             } => {
                 let phase = reset_cycles + cycles * cycle_factor;
-                let steps = (0..reset_phases * phase)
-                    .map(|i| {
-                        let mut drives = Vec::with_capacity(inputs.len() + 1);
-                        if let Some(rst) = reset {
-                            let active = i % phase < reset_cycles;
-                            drives.push((
-                                rst.to_string(),
-                                LogicVec::from_bool(active == reset_active_high),
-                            ));
-                        }
-                        for (name, w) in inputs {
-                            drives.push((name.clone(), random_vec(*w, &mut rng)));
-                        }
-                        drives
-                    })
-                    .collect();
-                Stimulus::clocked("clk", steps)
+                let asserted = |i: usize| (i % phase < reset_cycles) == reset_active_high;
+                // Every step drives the reset (port 0), then each input.
+                let first_input = usize::from(reset.is_some());
+                let ports = reset
+                    .into_iter()
+                    .chain(inputs.iter().map(|(n, _)| n.as_str()));
+                let drives = StepTable::dense(ports, reset_phases * phase, |i, port| {
+                    match port.checked_sub(first_input) {
+                        None => LogicVec::from_bool(asserted(i)),
+                        Some(k) => random_vec(inputs[k].1, &mut rng),
+                    }
+                });
+                Stimulus::new(Some("clk".to_string()), drives)
             }
         }
     }
@@ -215,7 +222,7 @@ impl Problem {
     pub fn oracle(&self, seed: u64) -> ProblemOracle {
         let golden = self.golden();
         ProblemOracle {
-            golden: golden.file.clone(),
+            golden: Arc::clone(&golden.file),
             top: self.top.to_string(),
             golden_design: Arc::clone(&golden.design),
             stimulus: self.stimulus(seed),
@@ -279,15 +286,9 @@ fn random_vec<R: Rng>(width: usize, rng: &mut R) -> LogicVec {
 }
 
 fn random_comb<R: Rng>(inputs: &[(String, usize)], vectors: usize, rng: &mut R) -> Stimulus {
-    let steps = (0..vectors)
-        .map(|_| {
-            inputs
-                .iter()
-                .map(|(n, w)| (n.clone(), random_vec(*w, rng)))
-                .collect()
-        })
-        .collect();
-    Stimulus::combinational(steps)
+    let names = inputs.iter().map(|(n, _)| n);
+    let drives = StepTable::dense(names, vectors, |_, port| random_vec(inputs[port].1, rng));
+    Stimulus::new(None, drives)
 }
 
 #[cfg(test)]

@@ -190,10 +190,10 @@ impl PartialEq for ScoreWitness {
 }
 
 /// A word-at-a-time [`Hasher`] for bench fingerprints: folds input
-/// eight bytes at a time, `h = (h.rotl(5) ^ word) * K`. Benches run to
-/// tens of kilobytes of drives and expected values, which a byte-wise
-/// hash walks far more slowly. Not collision-resistant; it need not be,
-/// because every hit is verified against the witness.
+/// eight bytes at a time, `h = (h.rotl(5) ^ word) * K`. A bench's flat
+/// drive and check arrays run to thousands of `(port, value)` entries,
+/// which a byte-wise hash walks far more slowly. Not collision-resistant;
+/// it need not be, because every hit is verified against the witness.
 #[derive(Default)]
 struct WordHasher(u64);
 
@@ -230,8 +230,9 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The bench's structural fingerprint: its derived [`Hash`] through a
-/// [`WordHasher`]. Structurally equal benches share it.
+/// The bench's structural fingerprint: its derived [`Hash`] — the port
+/// tables and the flat entry arrays — through a [`WordHasher`].
+/// Structurally equal benches share it.
 fn bench_fingerprint(bench: &Testbench) -> u64 {
     let mut hasher = WordHasher::default();
     bench.hash(&mut hasher);
@@ -249,11 +250,12 @@ fn bench_fingerprint(bench: &Testbench) -> u64 {
 /// for the same candidate source must observe the same report and
 /// score. This cache shares exactly those: the key mixes the source
 /// hasher over the source with the source hasher over the bench's
-/// structural fingerprint (its derived `Hash` folded a word at a time),
-/// and the witness holds the source and the request's `Arc<Testbench>`,
-/// so a colliding lookup falls through to a real simulation. Nothing
-/// renders the bench, and a hit costs refcount bumps: a report shares
-/// its bench and its observations.
+/// structural fingerprint (its derived `Hash` over the port tables and
+/// flat entry arrays, folded a word at a time), and the witness holds
+/// the source and the request's `Arc<Testbench>`, so a colliding lookup
+/// falls through to a real simulation. Nothing renders the bench, and a
+/// hit costs refcount bumps: a report shares its bench and its
+/// observations.
 ///
 /// Compile-only probes (no bench) are never cached here — the design
 /// cache already covers them.
@@ -348,7 +350,6 @@ mod tests {
     use super::*;
     use mage_core::compile;
     use mage_logic::LogicVec;
-    use mage_tb::{Check, TbStep};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const GOOD: &str = "module top_module(input a, output y); assign y = a; endmodule";
@@ -478,11 +479,12 @@ mod tests {
     }
 
     fn bench(name: &str, steps: usize) -> Arc<Testbench> {
-        Arc::new(Testbench {
-            name: name.to_string(),
-            clock: None,
-            steps: (0..steps).map(|_| Default::default()).collect(),
-        })
+        let empty = || Vec::<(&str, LogicVec)>::new();
+        Arc::new(Testbench::from_steps(
+            name,
+            None,
+            (0..steps).map(|_| (empty(), empty())),
+        ))
     }
 
     fn score_req(source: &str, bench: Option<Arc<Testbench>>) -> SimRequest {
@@ -629,20 +631,11 @@ mod tests {
     /// A bench with one step per `expected` value: drive `a` with it and
     /// check `y` against it.
     fn checked_bench(expected: &[u64]) -> Testbench {
-        Testbench {
-            name: "tb".into(),
-            clock: None,
-            steps: expected
-                .iter()
-                .map(|&value| TbStep {
-                    drives: vec![("a".into(), LogicVec::from_u64(1, value))],
-                    checks: vec![Check {
-                        signal: "y".into(),
-                        expected: LogicVec::from_u64(1, value),
-                    }],
-                })
-                .collect(),
-        }
+        let steps = expected.iter().map(|&value| {
+            let value = LogicVec::from_u64(1, value);
+            ([("a", value.clone())], [("y", value)])
+        });
+        Testbench::from_steps("tb", None, steps)
     }
 
     #[test]
@@ -675,7 +668,7 @@ mod tests {
         };
         let a = checked_bench(&[0, 1, 1]);
         let mut b = a.clone();
-        b.steps[2].checks[0].expected = LogicVec::from_u64(1, 0);
+        *b.expected_mut(2) = LogicVec::from_u64(1, 0);
         cache.get_or_run(&score_req(GOOD, Some(Arc::new(a))), run);
         cache.get_or_run(&score_req(GOOD, Some(Arc::new(b))), run);
         assert_eq!(runs.load(Ordering::Relaxed), 2);

@@ -511,7 +511,7 @@ proptest! {
         }
         // Cap the walked steps so a 1500-step clocked stimulus doesn't
         // dominate the suite; injection lands inside the walked prefix.
-        let steps: Vec<_> = stim.steps.iter().take(48).collect();
+        let steps: Vec<_> = stim.steps().take(48).collect();
         if steps.is_empty() {
             return Ok(());
         }
@@ -520,13 +520,13 @@ proptest! {
         let inject_id = inputs[input_pick % inputs.len()];
         let mut saved: Option<LogicVec> = None;
 
-        if let Some(clk) = &stim.clock {
+        if let Some(clk) = stim.clock() {
             if trio.poke(clk, LogicVec::from_bool(false), "clk boot").is_err() {
                 return Ok(());
             }
         }
         'outer: for (i, step) in steps.iter().enumerate() {
-            for (name, value) in step.iter() {
+            for (name, value) in step.clone() {
                 if trio.poke(name, value.clone(), &format!("step {i}")).is_err() {
                     break 'outer;
                 }
@@ -552,7 +552,7 @@ proptest! {
                     }
                 }
             }
-            if let Some(clk) = &stim.clock {
+            if let Some(clk) = stim.clock() {
                 if trio.poke(clk, LogicVec::from_bool(true), &format!("step {i} rise")).is_err()
                     || trio.poke(clk, LogicVec::from_bool(false), &format!("step {i} fall")).is_err()
                 {

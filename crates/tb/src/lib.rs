@@ -15,17 +15,27 @@
 //! the clock low; per step drive the inputs, then raise the clock (or
 //! settle, for a combinational bench), sample the outputs, and lower the
 //! clock; the first simulation fault latches. A run first lowers its
-//! bench against the design — every name resolved to a signal id once,
+//! bench against the design — every port resolved to a signal id once,
 //! which is also the interface check — and then drives and samples by
 //! id. [`run_testbench`] compares the checks, and
 //! [`synthesize_testbench`] samples a reference design's outputs into
 //! expectations on the same loop, so a synthesized bench checks exactly
 //! the points a run of it compares.
 //!
+//! Stimuli and benches share one port-indexed layout, the
+//! [`StepTable`]: each port is named once, in a table kept in first-use
+//! order, and every step's drives (or checks) are `(port index, value)`
+//! entries in one flat array with per-step bounds. A [`Stimulus`] holds
+//! its drive table behind an `Arc`, and a [`Testbench`] is that stimulus
+//! plus a table of checks — so synthesizing a bench shares the
+//! stimulus's drives and builds only the checks, and lowering a bench
+//! against a design resolves each port once, not once per step.
+//!
 //! Reports are compact: a report holds its bench by `Arc` and keeps
 //! only the observations that differ from the bench's expectations, so
 //! scoring, summaries and clones never touch per-check records. The
-//! records of a window or a full log are rebuilt on demand.
+//! records of a window or a full log — names and input snapshots
+//! included — are rebuilt from the port tables on demand.
 //!
 //! # Example
 //!
@@ -49,12 +59,14 @@
 #![warn(missing_docs)]
 
 mod report;
+mod steps;
 mod stimulus;
 mod synth;
 mod tb;
 pub mod textlog;
 
 pub use report::{CheckRecord, TbReport};
+pub use steps::StepTable;
 pub use stimulus::{Drive, Stimulus};
 pub use synth::{synthesize_testbench, CheckDensity};
-pub use tb::{run_testbench, Check, TbError, TbStep, Testbench, TIME_PER_STEP};
+pub use tb::{run_testbench, TbError, Testbench, TIME_PER_STEP};

@@ -2,7 +2,7 @@
 //! checkpoint window extraction (Eq. 6).
 
 use crate::stimulus::Drive;
-use crate::tb::{time_of, Check, Testbench};
+use crate::tb::{time_of, Testbench};
 use mage_logic::LogicVec;
 use std::ops::Range;
 use std::sync::Arc;
@@ -56,12 +56,13 @@ pub(crate) struct Observed {
 }
 
 impl Observed {
-    /// Record `check`, the `k`-th of step `step`, observed as `got`.
-    pub(crate) fn sample(&mut self, step: usize, k: usize, check: &Check, got: &LogicVec) {
-        if *got == check.expected {
+    /// Record the `k`-th check of step `step`, expecting `expected`,
+    /// observed as `got`.
+    pub(crate) fn sample(&mut self, step: usize, k: usize, expected: &LogicVec, got: &LogicVec) {
+        if got == expected {
             return;
         }
-        let pass = got.case_eq(&check.expected);
+        let pass = got.case_eq(expected);
         self.mismatches += usize::from(!pass);
         self.deviations.push(Deviation {
             step,
@@ -108,7 +109,7 @@ impl TbReport {
         sim_fault: Option<String>,
     ) -> Self {
         TbReport {
-            unsampled: observed.unsampled.unwrap_or(bench.steps.len()),
+            unsampled: observed.unsampled.unwrap_or(bench.len()),
             bench,
             mismatches: observed.mismatches,
             sim_fault,
@@ -123,7 +124,7 @@ impl TbReport {
 
     /// All check records in time order, rebuilt from the report.
     pub fn records(&self) -> Vec<CheckRecord> {
-        self.records_in(0..self.bench.steps.len())
+        self.records_in(0..self.bench.len())
     }
 
     /// The simulation fault message, if the run aborted (combinational
@@ -181,26 +182,28 @@ impl TbReport {
     /// Mismatch count for one output signal (used in summary logs).
     pub fn mismatches_for(&self, signal: &str) -> usize {
         self.failing_checks()
-            .filter(|(_, check)| check.signal == signal)
+            .filter(|&(_, name)| name == signal)
             .count()
     }
 
     /// Signals that have at least one mismatch, in first-failure order.
     pub fn failing_signals(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        for (_, check) in self.failing_checks() {
-            if !out.contains(&check.signal) {
-                out.push(check.signal.clone());
+        for (_, name) in self.failing_checks() {
+            if !out.iter().any(|signal| signal == name) {
+                out.push(name.to_string());
             }
         }
         out
     }
 
-    /// Every failing check as `(step, check)` in time order.
-    pub(crate) fn failing_checks(&self) -> impl Iterator<Item = (usize, &Check)> {
-        let steps = &self.bench.steps;
-        self.failures()
-            .map(move |(step, check)| (step, &steps[step].checks[check]))
+    /// Every failing check as `(step, checked signal)` in time order.
+    pub(crate) fn failing_checks(&self) -> impl Iterator<Item = (usize, &str)> {
+        let checks = self.bench.checks();
+        self.failures().map(move |(step, k)| {
+            let port = checks.entries(step)[k].0;
+            (step, checks.ports()[port].as_str())
+        })
     }
 
     /// Every failing check as `(step, check index within the step)` in
@@ -212,43 +215,45 @@ impl TbReport {
             .iter()
             .filter(|d| !d.pass)
             .map(|d| (d.step, d.check));
-        let unsampled = (self.unsampled..self.bench.steps.len())
-            .flat_map(move |step| (0..self.bench.steps[step].checks.len()).map(move |k| (step, k)));
+        let checks = self.bench.checks();
+        let unsampled = (self.unsampled..checks.len())
+            .flat_map(move |step| (0..checks.entries(step).len()).map(move |k| (step, k)));
         sampled.chain(unsampled)
     }
 
     /// Rebuild the records of `steps`, replaying the bench's drives for
     /// the input snapshots.
     fn records_in(&self, steps: Range<usize>) -> Vec<CheckRecord> {
-        let bench = &self.bench.steps;
-        let mut inputs: Vec<Drive> = Vec::new();
-        for step in &bench[..steps.start.min(self.unsampled)] {
-            accumulate(&mut inputs, &step.drives);
+        let drives = self.bench.stimulus().drives();
+        let checks = self.bench.checks();
+        let mut inputs = Inputs::new(drives.ports());
+        for i in 0..steps.start.min(self.unsampled) {
+            inputs.apply(drives.entries(i));
         }
-        let mut snapshot = Arc::new(inputs.clone());
+        let mut snapshot = Arc::new(inputs.snapshot());
         let first = self.deviations.partition_point(|d| d.step < steps.start);
         let mut deviations = self.deviations[first..].iter().peekable();
         let mut out = Vec::new();
         for i in steps {
-            let step = &bench[i];
-            if i < self.unsampled && !step.drives.is_empty() {
-                accumulate(&mut inputs, &step.drives);
-                snapshot = Arc::new(inputs.clone());
+            let step_drives = drives.entries(i);
+            if i < self.unsampled && !step_drives.is_empty() {
+                inputs.apply(step_drives);
+                snapshot = Arc::new(inputs.snapshot());
             }
-            for (k, check) in step.checks.iter().enumerate() {
+            for (k, (port, expected)) in checks.entries(i).iter().enumerate() {
                 let (pass, got) = if i >= self.unsampled {
-                    (false, LogicVec::all_x(check.expected.width()))
+                    (false, LogicVec::all_x(expected.width()))
                 } else if let Some(d) = deviations.next_if(|d| (d.step, d.check) == (i, k)) {
                     (d.pass, d.got.clone())
                 } else {
-                    (true, check.expected.clone())
+                    (true, expected.clone())
                 };
                 out.push(CheckRecord {
                     time: time_of(i),
                     step: i,
-                    signal: check.signal.clone(),
+                    signal: checks.ports()[*port].clone(),
                     got,
-                    expected: check.expected.clone(),
+                    expected: expected.clone(),
                     pass,
                     inputs: Arc::clone(&snapshot),
                 });
@@ -258,20 +263,41 @@ impl TbReport {
     }
 }
 
-/// Apply a step's drives to the running input picture: a driven name
-/// keeps its first-drive position and takes the new value.
-fn accumulate(inputs: &mut Vec<Drive>, drives: &[Drive]) {
-    for (name, value) in drives {
-        match inputs.iter_mut().find(|(n, _)| n == name) {
-            Some(slot) => slot.1 = value.clone(),
-            None => inputs.push((name.clone(), value.clone())),
+/// The running input picture while records are rebuilt: each drive
+/// port's latest value, `None` until it is first driven. The port table
+/// is in first-use order, so table order is the first-drive order a
+/// snapshot lists its inputs in.
+struct Inputs<'b> {
+    ports: &'b [String],
+    latest: Vec<Option<&'b LogicVec>>,
+}
+
+impl<'b> Inputs<'b> {
+    fn new(ports: &'b [String]) -> Self {
+        Inputs {
+            ports,
+            latest: vec![None; ports.len()],
         }
+    }
+
+    /// Apply a step's drives.
+    fn apply(&mut self, drives: &'b [(usize, LogicVec)]) {
+        for (port, value) in drives {
+            self.latest[*port] = Some(value);
+        }
+    }
+
+    fn snapshot(&self) -> Vec<Drive> {
+        let driven = self.ports.iter().zip(&self.latest);
+        driven
+            .filter_map(|(name, value)| value.map(|value| (name.clone(), value.clone())))
+            .collect()
     }
 }
 
 #[cfg(test)]
 pub(crate) mod testing {
-    use crate::tb::{run_testbench, Check, TbStep, Testbench};
+    use crate::tb::{run_testbench, Testbench};
     use crate::TbReport;
     use mage_logic::LogicVec;
     use std::sync::Arc;
@@ -290,28 +316,15 @@ pub(crate) mod testing {
         )
         .unwrap();
         let design = Arc::new(mage_sim::elaborate(&file, "top").unwrap());
-        let steps = steps
-            .iter()
-            .enumerate()
-            .map(|(i, checks)| {
-                let d = i as u64 % 16;
-                TbStep {
-                    drives: vec![("d".into(), LogicVec::from_u64(4, d))],
-                    checks: checks
-                        .iter()
-                        .map(|&(signal, pass)| Check {
-                            signal: signal.into(),
-                            expected: LogicVec::from_u64(4, if pass { d } else { d ^ 1 }),
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let tb = Arc::new(Testbench {
-            name: "t".into(),
-            clock: None,
-            steps,
+        let steps = steps.iter().enumerate().map(|(i, checks)| {
+            let d = i as u64 % 16;
+            let checks = checks.iter().map(move |&(signal, pass)| {
+                let expected = if pass { d } else { d ^ 1 };
+                (signal, LogicVec::from_u64(4, expected))
+            });
+            ([("d", LogicVec::from_u64(4, d))], checks)
         });
+        let tb = Arc::new(Testbench::from_steps("t", None, steps));
         run_testbench(&tb, &design).unwrap()
     }
 }
@@ -320,7 +333,7 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::report_of;
     use super::*;
-    use crate::tb::{run_testbench, TbStep};
+    use crate::tb::run_testbench;
 
     /// One check of `signal` per step, passing per `passes`.
     fn one_signal(signal: &str, passes: &[bool]) -> TbReport {
@@ -411,27 +424,23 @@ mod tests {
         )
         .unwrap();
         let design = Arc::new(mage_sim::elaborate(&file, "top").unwrap());
-        let step = |a: u64, b: u64| TbStep {
-            drives: vec![
-                ("a".into(), LogicVec::from_u64(1, a)),
-                ("b".into(), LogicVec::from_u64(1, b)),
-            ],
-            checks: vec![
-                Check {
-                    signal: "y".into(),
-                    expected: LogicVec::from_u64(1, 0),
-                },
-                Check {
-                    signal: "w".into(),
-                    expected: LogicVec::from_u64(3, 7 * b),
-                },
-            ],
+        let step = |a: u64, b: u64| {
+            (
+                [
+                    ("a", LogicVec::from_u64(1, a)),
+                    ("b", LogicVec::from_u64(1, b)),
+                ],
+                [
+                    ("y", LogicVec::from_u64(1, 0)),
+                    ("w", LogicVec::from_u64(3, 7 * b)),
+                ],
+            )
         };
-        let tb = Arc::new(Testbench {
-            name: "osc".into(),
-            clock: None,
-            steps: vec![step(0, 1), step(1, 0), step(0, 0)],
-        });
+        let tb = Arc::new(Testbench::from_steps(
+            "osc",
+            None,
+            [step(0, 1), step(1, 0), step(0, 0)],
+        ));
         let report = run_testbench(&tb, &design).unwrap();
         assert!(report.sim_fault().is_some());
         assert_eq!(report.mismatches(), 4);

@@ -1,6 +1,8 @@
 //! Stimulus: the input schedule a testbench drives into a DUT.
 
+use crate::steps::StepTable;
 use mage_logic::LogicVec;
+use std::sync::Arc;
 
 /// A named input assignment.
 pub type Drive = (String, LogicVec);
@@ -13,38 +15,78 @@ pub type Drive = (String, LogicVec);
 /// clock falls); for combinational designs a step is apply-settle-check.
 /// [`crate::synthesize_testbench`] turns a stimulus into a bench on the
 /// same schedule [`crate::run_testbench`] runs. Each step spans
-/// [`crate::TIME_PER_STEP`] time units in the textual logs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`crate::TIME_PER_STEP`] time units in the textual logs. Inputs a
+/// step does not drive hold their previous value (the first step should
+/// drive everything).
+///
+/// The drives live in one port-indexed [`StepTable`] behind an `Arc`:
+/// cloning a stimulus, or synthesizing a bench from it, shares the
+/// table instead of copying it.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Stimulus {
     /// Clock input name for sequential DUTs (`None` = combinational).
-    pub clock: Option<String>,
-    /// Input drives per step. Inputs not mentioned hold their previous
-    /// value (first step should drive everything).
-    pub steps: Vec<Vec<Drive>>,
+    clock: Option<String>,
+    drives: Arc<StepTable>,
 }
 
 impl Stimulus {
-    /// A combinational stimulus from explicit per-step drives.
-    pub fn combinational(steps: Vec<Vec<Drive>>) -> Self {
-        Stimulus { clock: None, steps }
+    /// A stimulus driving `drives`, clocked by `clock` when it is a
+    /// sequential one.
+    pub fn new(clock: Option<String>, drives: StepTable) -> Self {
+        debug_assert!(drives.in_first_use_order(), "ports out of first-use order");
+        Stimulus {
+            clock,
+            drives: Arc::new(drives),
+        }
+    }
+
+    /// A combinational stimulus from per-step `(name, value)` drives.
+    pub fn combinational<S: AsRef<str>>(
+        steps: impl IntoIterator<Item = impl IntoIterator<Item = (S, LogicVec)>>,
+    ) -> Self {
+        Stimulus::new(None, StepTable::from_named(steps))
     }
 
     /// A clocked stimulus: `clock` rises and falls once per step.
-    pub fn clocked(clock: impl Into<String>, steps: Vec<Vec<Drive>>) -> Self {
-        Stimulus {
-            clock: Some(clock.into()),
-            steps,
-        }
+    pub fn clocked<S: AsRef<str>>(
+        clock: impl Into<String>,
+        steps: impl IntoIterator<Item = impl IntoIterator<Item = (S, LogicVec)>>,
+    ) -> Self {
+        Stimulus::new(Some(clock.into()), StepTable::from_named(steps))
+    }
+
+    /// The clock input, for a sequential stimulus.
+    pub fn clock(&self) -> Option<&str> {
+        self.clock.as_deref()
+    }
+
+    /// The drives.
+    pub(crate) fn drives(&self) -> &StepTable {
+        &self.drives
+    }
+
+    /// The shared drive table.
+    #[cfg(test)]
+    pub(crate) fn shared_drives(&self) -> &Arc<StepTable> {
+        &self.drives
+    }
+
+    /// Every step's drives by name, in step order.
+    pub fn steps(
+        &self,
+    ) -> impl ExactSizeIterator<Item = impl ExactSizeIterator<Item = (&str, &LogicVec)> + Clone>
+    {
+        self.drives.iter()
     }
 
     /// Number of steps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.drives.len()
     }
 
     /// `true` when there are no steps.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.drives.is_empty()
     }
 
     /// Exhaustive combinational sweep over the given inputs (total width
@@ -56,18 +98,15 @@ impl Stimulus {
     pub fn exhaustive(inputs: &[(String, usize)]) -> Self {
         let total: usize = inputs.iter().map(|(_, w)| w).sum();
         assert!(total <= 16, "exhaustive sweep too wide ({total} bits)");
-        let mut steps = Vec::with_capacity(1 << total);
-        for pattern in 0u64..(1 << total) {
-            let mut drives = Vec::with_capacity(inputs.len());
-            let mut shift = 0usize;
-            for (name, w) in inputs {
-                let val = (pattern >> shift) & ((1u64 << w) - 1).max(1);
-                drives.push((name.clone(), LogicVec::from_u64(*w, val)));
-                shift += w;
-            }
-            steps.push(drives);
-        }
-        Stimulus::combinational(steps)
+        let names = inputs.iter().map(|(name, _)| name);
+        let drives = StepTable::dense(names, 1 << total, |pattern, port| {
+            // Each input takes the pattern bits above the inputs before it.
+            let shift: usize = inputs[..port].iter().map(|(_, w)| w).sum();
+            let w = inputs[port].1;
+            let val = (pattern as u64 >> shift) & ((1u64 << w) - 1).max(1);
+            LogicVec::from_u64(w, val)
+        });
+        Stimulus::new(None, drives)
     }
 }
 
@@ -81,11 +120,24 @@ mod tests {
         assert_eq!(s.len(), 8);
         // Every (a, b) combination appears exactly once.
         let mut seen = std::collections::HashSet::new();
-        for step in &s.steps {
-            let a = step[0].1.to_u64().unwrap();
-            let b = step[1].1.to_u64().unwrap();
-            assert!(seen.insert((a, b)));
+        for step in s.steps() {
+            let [(_, a), (_, b)] = step.collect::<Vec<_>>()[..] else {
+                panic!("two drives per step");
+            };
+            assert!(seen.insert((a.to_u64().unwrap(), b.to_u64().unwrap())));
         }
+        assert_eq!(s.drives().ports(), ["a", "b"]);
+    }
+
+    #[test]
+    fn exhaustive_matches_its_named_form() {
+        let inputs = [("a".to_string(), 2), ("b".to_string(), 1)];
+        let s = Stimulus::exhaustive(&inputs);
+        let named: Vec<Vec<(String, LogicVec)>> = s
+            .steps()
+            .map(|step| step.map(|(n, v)| (n.to_string(), v.clone())).collect())
+            .collect();
+        assert_eq!(Stimulus::combinational(named), s);
     }
 
     #[test]
@@ -96,8 +148,9 @@ mod tests {
 
     #[test]
     fn constructors() {
-        let c = Stimulus::clocked("clk", vec![vec![]]);
-        assert_eq!(c.clock.as_deref(), Some("clk"));
+        let c = Stimulus::clocked("clk", [Vec::<Drive>::new()]);
+        assert_eq!(c.clock(), Some("clk"));
         assert!(!c.is_empty());
+        assert!(Stimulus::default().is_empty());
     }
 }

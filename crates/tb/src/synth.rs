@@ -9,8 +9,9 @@
 //! error model — see `mage-llm`). The same function also builds each
 //! problem's benchmark ("golden") testbench.
 
+use crate::steps::StepTable;
 use crate::stimulus::Stimulus;
-use crate::tb::{lower, run_schedule, Check, TbStep, Testbench};
+use crate::tb::{lower, run_schedule, Testbench};
 use mage_sim::{Design, SignalId};
 use std::sync::Arc;
 
@@ -38,48 +39,38 @@ pub enum CheckDensity {
 /// mid-stimulus keeps its steps but gets no checks from the fault on;
 /// so does a stimulus that names something the reference does not take
 /// as an input, from the first step that names it.
+///
+/// The bench shares `stim`'s drive table; synthesis builds only the
+/// checks.
 pub fn synthesize_testbench(
     name: impl Into<String>,
     reference: &Arc<Design>,
     stim: &Stimulus,
     density: CheckDensity,
 ) -> Testbench {
-    let outputs: Vec<(&str, SignalId)> = reference
-        .outputs
-        .iter()
-        .map(|&id| (reference.decl(id).name.as_str(), id))
-        .collect();
-    let mut steps: Vec<TbStep> = Vec::with_capacity(stim.steps.len());
-    let no_checks: &[Check] = &[];
-    let stim_steps = stim.steps.iter().map(|drives| (&drives[..], no_checks));
-    let (schedule, _, _) = lower(reference, stim.clock.as_deref(), stim_steps);
-    run_schedule(reference, &schedule, stim.steps.len(), |i, sim| {
+    // Each reference output, with its check port once it has one: an
+    // output becomes a port the first time it is checked.
+    let mut outputs: Vec<(SignalId, Option<usize>)> =
+        reference.outputs.iter().map(|&id| (id, None)).collect();
+    let mut checks = StepTable::with_capacity(stim.len(), stim.len() * outputs.len());
+    let lowered = lower(reference, stim, None);
+    run_schedule(reference, &lowered.schedule, |i, sim| {
         let keep = match density {
             CheckDensity::EveryStep => true,
             CheckDensity::EveryN(n) => n != 0 && (i + 1) % n == 0,
         };
-        let mut checks = Vec::new();
         if let Some(sim) = sim.filter(|_| keep) {
-            for &(name, id) in &outputs {
-                let got = sim.peek(id);
+            for (id, port) in &mut outputs {
+                let got = sim.peek(*id);
                 if got.is_fully_defined() {
-                    checks.push(Check {
-                        signal: name.to_string(),
-                        expected: got.clone(),
-                    });
+                    let port = *port.get_or_insert_with(|| checks.port(&reference.decl(*id).name));
+                    checks.push(port, got.clone());
                 }
             }
         }
-        steps.push(TbStep {
-            drives: stim.steps[i].clone(),
-            checks,
-        });
+        checks.end_step();
     });
-    Testbench {
-        name: name.into(),
-        clock: stim.clock.clone(),
-        steps,
-    }
+    Testbench::new(name, stim.clone(), checks)
 }
 
 #[cfg(test)]
@@ -148,12 +139,12 @@ mod tests {
         // at the first edge.
         let stim = Stimulus::clocked(
             "clk",
-            vec![
-                vec![("rst".into(), LogicVec::from_u64(1, 0))],
-                vec![("rst".into(), LogicVec::from_u64(1, 1))],
+            [
+                vec![("rst", LogicVec::from_u64(1, 0))],
+                vec![("rst", LogicVec::from_u64(1, 1))],
                 vec![
-                    ("rst".into(), LogicVec::from_u64(1, 0)),
-                    ("d".into(), LogicVec::from_u64(1, 1)),
+                    ("rst", LogicVec::from_u64(1, 0)),
+                    ("d", LogicVec::from_u64(1, 1)),
                 ],
             ],
         );
@@ -163,8 +154,12 @@ mod tests {
             &stim,
             CheckDensity::EveryStep,
         ));
-        assert_eq!(tb.steps[0].checks.len(), 0, "X output must not be checked");
-        assert_eq!(tb.steps[1].checks.len(), 1);
+        assert_eq!(
+            tb.checks().entries(0).len(),
+            0,
+            "X output must not be checked"
+        );
+        assert_eq!(tb.checks().entries(1).len(), 1);
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed());
     }
@@ -177,20 +172,16 @@ mod tests {
             "module top(input a, output y); assign y = a ? ~y : 1'b0; endmodule",
             "top",
         );
-        let stim = Stimulus::combinational(
-            [0, 1, 0]
-                .map(|a| vec![("a".into(), LogicVec::from_u64(1, a))])
-                .into(),
-        );
+        let stim = Stimulus::combinational([0, 1, 0].map(|a| [("a", LogicVec::from_u64(1, a))]));
         let tb = Arc::new(synthesize_testbench(
             "osc",
             &d,
             &stim,
             CheckDensity::EveryStep,
         ));
-        let checks: Vec<usize> = tb.steps.iter().map(|s| s.checks.len()).collect();
+        let checks: Vec<usize> = tb.steps().map(|(_, checks)| checks.len()).collect();
         assert_eq!(checks, [1, 0, 0], "every step keeps its drives");
-        assert_eq!(tb.steps[0].checks[0].expected, LogicVec::from_u64(1, 0));
+        assert_eq!(tb.checks().entries(0)[0].1, LogicVec::from_u64(1, 0));
     }
 
     #[test]
@@ -202,13 +193,12 @@ mod tests {
             "module top(input a, output y); assign y = a; endmodule",
             "top",
         );
-        let drive = |name: &str, v| vec![(name.to_string(), LogicVec::from_u64(1, v))];
-        let stim = Stimulus::combinational(vec![drive("a", 0), drive("phantom", 1), drive("a", 0)]);
+        let drive = |name, v| [(name, LogicVec::from_u64(1, v))];
+        let stim = Stimulus::combinational([drive("a", 0), drive("phantom", 1), drive("a", 0)]);
         let tb = synthesize_testbench("phantom", &d, &stim, CheckDensity::EveryStep);
-        let checks: Vec<usize> = tb.steps.iter().map(|s| s.checks.len()).collect();
+        let checks: Vec<usize> = tb.steps().map(|(_, checks)| checks.len()).collect();
         assert_eq!(checks, [1, 0, 0]);
-        let drives: Vec<_> = tb.steps.iter().map(|s| s.drives.clone()).collect();
-        assert_eq!(drives, stim.steps);
+        assert_eq!(tb.stimulus(), &stim);
     }
 
     #[test]
@@ -222,5 +212,44 @@ mod tests {
         let sparse = synthesize_testbench("t", &d, &stim, CheckDensity::EveryN(2));
         assert_eq!(every.total_checks(), 4);
         assert_eq!(sparse.total_checks(), 2);
+    }
+
+    #[test]
+    fn a_synthesized_bench_shares_its_stimulus_drives() {
+        let d = design(
+            "module top(input [1:0] a, output [1:0] y); assign y = ~a; endmodule",
+            "top",
+        );
+        let stim = Stimulus::exhaustive(&[("a".into(), 2)]);
+        let tb = synthesize_testbench("t", &d, &stim, CheckDensity::EveryStep);
+        assert!(Arc::ptr_eq(
+            tb.stimulus().shared_drives(),
+            stim.shared_drives()
+        ));
+        assert_eq!(tb.checks().ports(), ["y"]);
+    }
+
+    #[test]
+    fn outputs_become_check_ports_in_first_use_order() {
+        // `q` is X until the first edge after reset; `n` is defined from
+        // the start, so it is the first port checked.
+        let d = design(
+            "module top(input clk, input rst, output reg q, output n);
+               assign n = ~rst;
+               always @(posedge clk) if (rst) q <= 1'b1;
+             endmodule",
+            "top",
+        );
+        let stim = Stimulus::clocked(
+            "clk",
+            [0, 1, 0].map(|r| [("rst", LogicVec::from_u64(1, r))]),
+        );
+        let tb = synthesize_testbench("t", &d, &stim, CheckDensity::EveryStep);
+        assert_eq!(tb.checks().ports(), ["n", "q"]);
+        let named: Vec<Vec<&str>> = tb
+            .steps()
+            .map(|(_, checks)| checks.map(|(name, _)| name).collect())
+            .collect();
+        assert_eq!(named, [vec!["n"], vec!["q", "n"], vec!["q", "n"]]);
     }
 }

@@ -1,7 +1,8 @@
 //! The structured testbench and the one schedule every bench runs on.
 
 use crate::report::{Observed, TbReport};
-use crate::stimulus::Drive;
+use crate::steps::StepTable;
+use crate::stimulus::Stimulus;
 use mage_logic::LogicVec;
 use mage_sim::{Design, SignalId, SimError, Simulator};
 use std::fmt;
@@ -16,25 +17,6 @@ pub(crate) fn time_of(step: usize) -> u64 {
     (step as u64 + 1) * TIME_PER_STEP
 }
 
-/// An output check within a step.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Check {
-    /// Output signal name.
-    pub signal: String,
-    /// Expected value (compared with case equality at the DUT width).
-    pub expected: LogicVec,
-}
-
-/// One testbench step: drives, then (for clocked benches) a rising edge
-/// of [`Testbench::clock`], then checks against the settled outputs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct TbStep {
-    /// Inputs applied at the start of the step.
-    pub drives: Vec<Drive>,
-    /// Checks evaluated at the end of the step.
-    pub checks: Vec<Check>,
-}
-
 /// A structured testbench: the essential content of the paper's
 /// "optimized testbench with textual waveform output".
 ///
@@ -44,20 +26,115 @@ pub struct TbStep {
 /// textual log from the run records (see [`crate::textlog`]). The
 /// substitution preserves behaviour: a run samples the same checkpoints
 /// a printing bench would, and the log lines are rendered from them.
+///
+/// A bench is its [`Stimulus`] plus a port-indexed [`StepTable`] of
+/// checks, one step of checks per step of drives: each check is an
+/// output port and its expected value (compared with case equality at
+/// the DUT width). The stimulus's drive table is shared, not copied: a
+/// bench synthesized from a stimulus holds the same `Arc`, so building
+/// one allocates only its checks.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Testbench {
     /// Descriptive name (usually the problem id).
     pub name: String,
-    /// Clock input cycled once per step (`None` = combinational bench).
-    pub clock: Option<String>,
-    /// Steps in order.
-    pub steps: Vec<TbStep>,
+    stimulus: Stimulus,
+    checks: StepTable,
 }
 
 impl Testbench {
+    /// A bench that drives `stimulus` and, at each step, checks that
+    /// step's entries of `checks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checks` and `stimulus` differ in step count.
+    pub fn new(name: impl Into<String>, stimulus: Stimulus, checks: StepTable) -> Self {
+        assert_eq!(
+            checks.len(),
+            stimulus.len(),
+            "one step of checks per step of drives"
+        );
+        debug_assert!(checks.in_first_use_order(), "ports out of first-use order");
+        Testbench {
+            name: name.into(),
+            stimulus,
+            checks,
+        }
+    }
+
+    /// A bench from per-step `(drives, checks)` lists of `(name, value)`
+    /// pairs, clocked by `clock` when it is a sequential one. Each name
+    /// becomes a port the first time a step uses it.
+    pub fn from_steps<D, C, S, T>(
+        name: impl Into<String>,
+        clock: Option<&str>,
+        steps: impl IntoIterator<Item = (D, C)>,
+    ) -> Self
+    where
+        D: IntoIterator<Item = (S, LogicVec)>,
+        C: IntoIterator<Item = (T, LogicVec)>,
+        S: AsRef<str>,
+        T: AsRef<str>,
+    {
+        let (mut drives, mut checks) = (StepTable::default(), StepTable::default());
+        for (step_drives, step_checks) in steps {
+            drives.push_step(step_drives);
+            checks.push_step(step_checks);
+        }
+        let stimulus = Stimulus::new(clock.map(str::to_string), drives);
+        Testbench::new(name, stimulus, checks)
+    }
+
+    /// Clock input cycled once per step (`None` = combinational bench).
+    pub fn clock(&self) -> Option<&str> {
+        self.stimulus.clock()
+    }
+
+    /// The drives.
+    pub(crate) fn stimulus(&self) -> &Stimulus {
+        &self.stimulus
+    }
+
+    /// The checks: step `i`'s entries are checked at the end of step `i`.
+    pub(crate) fn checks(&self) -> &StepTable {
+        &self.checks
+    }
+
+    /// Every step's `(drives, checks)` by name, in step order.
+    pub fn steps(
+        &self,
+    ) -> impl ExactSizeIterator<
+        Item = (
+            impl ExactSizeIterator<Item = (&str, &LogicVec)> + Clone,
+            impl ExactSizeIterator<Item = (&str, &LogicVec)> + Clone,
+        ),
+    > {
+        self.stimulus.steps().zip(self.checks.iter())
+    }
+
+    /// Number of steps.
+    pub fn len(&self) -> usize {
+        self.checks.len()
+    }
+
+    /// `true` when the bench has no steps.
+    pub fn is_empty(&self) -> bool {
+        self.checks.is_empty()
+    }
+
     /// Total number of checks across all steps.
     pub fn total_checks(&self) -> usize {
-        self.steps.iter().map(|s| s.checks.len()).sum()
+        self.checks.total()
+    }
+
+    /// The expected value of check `check`, counting the checks of every
+    /// step in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `check` is not below [`Testbench::total_checks`].
+    pub fn expected_mut(&mut self, check: usize) -> &mut LogicVec {
+        self.checks.value_mut(check)
     }
 }
 
@@ -86,9 +163,9 @@ impl std::error::Error for TbError {}
 /// Run `tb` against `design` and produce its compact report.
 ///
 /// The bench is first lowered against the design in one pass that is
-/// also the interface check: the clock and every driven input resolve
-/// to input ids and every checked output to an output id, through the
-/// design's name index. The lowered bench then runs on the one step
+/// also the interface check: the clock and every driven port resolve
+/// to input ids and every checked port to an output id, one
+/// design lookup per port. The lowered bench then runs on the one step
 /// schedule that also synthesizes benches
 /// ([`crate::synthesize_testbench`]): each step batches its drives
 /// through [`Simulator::poke_many_ids`] while the clock is low, raises
@@ -114,21 +191,21 @@ impl std::error::Error for TbError {}
 /// input or a checked output — the candidate declared a wrong port list.
 /// Each missing name is reported once, in first-use order.
 pub fn run_testbench(tb: &Arc<Testbench>, design: &Arc<Design>) -> Result<TbReport, TbError> {
-    let steps = tb.steps.iter().map(|s| (&s.drives[..], &s.checks[..]));
-    let (schedule, outputs, missing) = lower(design, tb.clock.as_deref(), steps);
-    if !missing.is_empty() {
-        return Err(TbError::InterfaceMismatch { missing });
+    let lowered = lower(design, &tb.stimulus, Some(&tb.checks));
+    if !lowered.missing.is_empty() {
+        return Err(TbError::InterfaceMismatch {
+            missing: lowered.missing,
+        });
     }
+    let outputs = &lowered.outputs;
     let mut observed = Observed::default();
-    let mut next = 0;
-    let fault = run_schedule(design, &schedule, tb.steps.len(), |i, sim| {
-        let checks = &tb.steps[i].checks;
-        let ids = &outputs[next..next + checks.len()];
-        next += checks.len();
+    let fault = run_schedule(design, &lowered.schedule, |i, sim| {
+        let checks = tb.checks.entries(i);
         match sim {
             Some(sim) => {
-                for (k, (check, &id)) in checks.iter().zip(ids).enumerate() {
-                    observed.sample(i, k, check, sim.peek(id));
+                for (k, (port, expected)) in checks.iter().enumerate() {
+                    let id = outputs[*port].expect("every checked port resolved");
+                    observed.sample(i, k, expected, sim.peek(id));
                 }
             }
             None => observed.unsampled(i, checks.len()),
@@ -141,93 +218,123 @@ pub fn run_testbench(tb: &Arc<Testbench>, design: &Arc<Design>) -> Result<TbRepo
     ))
 }
 
-/// A schedule lowered against one design: the clock and every step's
-/// drives resolved to signal ids.
-pub(crate) struct Schedule {
+/// A stimulus lowered against one design: the clock and every drive
+/// port resolved to signal ids.
+pub(crate) struct Schedule<'s> {
     clock: Option<SignalId>,
-    /// Every step's drives in order: step `i` drives
-    /// `drives[bounds[i]..bounds[i + 1]]`.
-    drives: Vec<(SignalId, LogicVec)>,
-    bounds: Vec<usize>,
-    /// Why lowering stopped before the last step: the step after the
-    /// lowered ones (or the boot, for the clock) names an input the
-    /// design lacks, and faults with this error instead of running.
-    unresolved: Option<SimError>,
+    drives: &'s StepTable,
+    /// Each drive port's input id, by port index (`None` for a port the
+    /// design lacks as an input).
+    inputs: Vec<Option<SignalId>>,
+    /// The first step that cannot run, because it drives a port the
+    /// design lacks (step 0, for a missing clock), and the fault it and
+    /// every later step report instead of running.
+    stop: Option<(usize, SimError)>,
 }
 
-impl Schedule {
-    /// Step `i`'s drives, or the fault that stops the run there: every
-    /// step past the lowered ones runs into `unresolved`.
-    fn step(&self, i: usize) -> Result<&[(SignalId, LogicVec)], SimError> {
-        match (self.bounds.get(i), self.bounds.get(i + 1)) {
-            (Some(&lo), Some(&hi)) => Ok(&self.drives[lo..hi]),
-            _ => self.unresolved.clone().map_or(Ok(&[]), Err),
+impl Schedule<'_> {
+    /// Fill `batch` with step `i`'s drives by id, or return the fault
+    /// that stops the run there.
+    fn fill(&self, i: usize, batch: &mut Vec<(SignalId, LogicVec)>) -> Result<(), SimError> {
+        if let Some((stop, fault)) = &self.stop {
+            if i >= *stop {
+                return Err(fault.clone());
+            }
         }
+        batch.clear();
+        batch.extend(self.drives.entries(i).iter().map(|(port, value)| {
+            let id = self.inputs[*port].expect("steps before the stop drive resolved ports");
+            (id, value.clone())
+        }));
+        Ok(())
     }
 }
 
-/// Lower a bench's clock and `(drives, checks)` steps against `design`
-/// in one pass: the clock and driven names resolve among its inputs,
-/// checked names among its outputs. Returns the schedule, every check's
-/// output id in check order, and each name the design lacks once, in
-/// first-use order — the interface check.
+/// A bench (or a bare stimulus) lowered against one design.
+pub(crate) struct Lowered<'s> {
+    pub(crate) schedule: Schedule<'s>,
+    /// Each check port's output id, by port index (`None` for a port the
+    /// design lacks as an output).
+    outputs: Vec<Option<SignalId>>,
+    /// Each name the design lacks, once, in first-use order — the
+    /// interface check.
+    missing: Vec<String>,
+}
+
+/// Lower `stimulus` and `checks` against `design`: the clock and each
+/// drive port resolve among its inputs, each check port among its
+/// outputs — one name lookup per port, not per step.
 ///
-/// The schedule stops at the first step that drives a missing name (at
-/// the first step, for a missing clock): that step and every later one
-/// fault with [`SimError::UnknownInput`] instead of running, as a
-/// by-name batch would have.
-pub(crate) fn lower<'b>(
+/// When a name is missing, one walk over the steps orders the misses by
+/// first use (the clock first, then each step's drives before its
+/// checks) and finds where the schedule stops: at the first step that
+/// drives a missing name (at the first step, for a missing clock). That
+/// step and every later one fault with [`SimError::UnknownInput`]
+/// instead of running, as a by-name batch would have.
+pub(crate) fn lower<'s>(
     design: &Design,
-    clock: Option<&str>,
-    steps: impl ExactSizeIterator<Item = (&'b [Drive], &'b [Check])>,
-) -> (Schedule, Vec<SignalId>, Vec<String>) {
+    stimulus: &'s Stimulus,
+    checks: Option<&StepTable>,
+) -> Lowered<'s> {
     let port = |name: &str, ports: &[SignalId]| design.signal(name).filter(|id| ports.contains(id));
-    let mut missing: Vec<String> = Vec::new();
+    let drives = stimulus.drives();
+    let inputs: Vec<_> = drives
+        .ports()
+        .iter()
+        .map(|n| port(n, &design.inputs))
+        .collect();
+    let check_ports = checks.map_or(&[][..], StepTable::ports);
+    let outputs: Vec<_> = check_ports
+        .iter()
+        .map(|n| port(n, &design.outputs))
+        .collect();
+    let clock = stimulus.clock().map(|clk| (clk, port(clk, &design.inputs)));
+    let mut lowered = Lowered {
+        schedule: Schedule {
+            clock: clock.and_then(|(_, id)| id),
+            drives,
+            inputs,
+            stop: None,
+        },
+        outputs,
+        missing: Vec::new(),
+    };
+    let resolved = clock.is_none_or(|(_, id)| id.is_some())
+        && lowered.schedule.inputs.iter().all(Option::is_some)
+        && lowered.outputs.iter().all(Option::is_some);
+    if resolved {
+        return lowered;
+    }
+    let Lowered {
+        schedule,
+        outputs,
+        missing,
+    } = &mut lowered;
     let mut miss = |name: &str| {
         if !missing.iter().any(|m| m == name) {
             missing.push(name.to_string());
         }
     };
-    let mut bounds = Vec::with_capacity(steps.len() + 1);
-    bounds.push(0);
-    let mut schedule = Schedule {
-        clock: clock.and_then(|clk| port(clk, &design.inputs)),
-        drives: Vec::new(),
-        bounds,
-        unresolved: None,
-    };
-    if let (Some(clk), None) = (clock, schedule.clock) {
+    if let Some((clk, None)) = clock {
         miss(clk);
-        schedule.unresolved = Some(SimError::UnknownInput(clk.to_string()));
+        schedule.stop = Some((0, SimError::UnknownInput(clk.to_string())));
     }
-    let mut outputs = Vec::new();
-    for (drives, checks) in steps {
-        for (name, value) in drives {
-            match port(name, &design.inputs) {
-                Some(id) if schedule.unresolved.is_none() => {
-                    schedule.drives.push((id, value.clone()));
-                }
-                Some(_) => {}
-                None => {
-                    miss(name);
-                    let stop = || SimError::UnknownInput(name.clone());
-                    schedule.unresolved.get_or_insert_with(stop);
-                }
+    for i in 0..drives.len() {
+        for &(p, _) in drives.entries(i) {
+            if schedule.inputs[p].is_none() {
+                let name = &drives.ports()[p];
+                miss(name);
+                let stop = || (i, SimError::UnknownInput(name.clone()));
+                schedule.stop.get_or_insert_with(stop);
             }
         }
-        // A step that names a missing input stays open: its partial
-        // drives never run.
-        if schedule.unresolved.is_none() {
-            schedule.bounds.push(schedule.drives.len());
-        }
-        for check in checks {
-            match port(&check.signal, &design.outputs) {
-                Some(id) => outputs.push(id),
-                None => miss(&check.signal),
+        for &(p, _) in checks.map_or(&[][..], |checks| checks.entries(i)) {
+            if outputs[p].is_none() {
+                miss(&check_ports[p]);
             }
         }
     }
-    (schedule, outputs, missing)
+    lowered
 }
 
 /// The bench schedule: grading ([`run_testbench`]), bench synthesis
@@ -235,7 +342,7 @@ pub(crate) fn lower<'b>(
 /// through this one loop, each with its own sampler.
 ///
 /// Boot settles the design and drives the clock low, so its first rise
-/// is a real posedge. Each of the `steps` steps then drives its inputs,
+/// is a real posedge. Each step of the schedule then drives its inputs,
 /// raises the clock (a combinational bench settles instead), calls
 /// `sample(step, Some(sim))` on the settled outputs, and lowers the
 /// clock. The first fault latches: from then on `sample` gets `None`
@@ -243,17 +350,17 @@ pub(crate) fn lower<'b>(
 /// on the last falling half-cycle.
 pub(crate) fn run_schedule(
     design: &Arc<Design>,
-    schedule: &Schedule,
-    steps: usize,
+    schedule: &Schedule<'_>,
     mut sample: impl FnMut(usize, Option<&mut Simulator>),
 ) -> Option<SimError> {
     let mut sim = Simulator::new(Arc::clone(design));
     let mut fault = boot(&mut sim, schedule.clock).err();
-    for i in 0..steps {
+    let mut batch = Vec::new();
+    for i in 0..schedule.drives.len() {
         if fault.is_none() {
             fault = schedule
-                .step(i)
-                .and_then(|drives| rise(&mut sim, schedule.clock, drives))
+                .fill(i, &mut batch)
+                .and_then(|()| rise(&mut sim, schedule.clock, &batch))
                 .err();
         }
         sample(i, fault.is_none().then_some(&mut sim));
@@ -303,25 +410,27 @@ mod tests {
         LogicVec::from_u64(w, x)
     }
 
+    /// No entries, for a step that drives or checks nothing.
+    fn none() -> Vec<(&'static str, LogicVec)> {
+        Vec::new()
+    }
+
     #[test]
     fn passing_combinational_bench() {
         let d = design(
             "module top(input a, input b, output y); assign y = a ^ b; endmodule",
             "top",
         );
-        let tb = Arc::new(Testbench {
-            name: "xor".into(),
-            clock: None,
-            steps: (0..4u64)
-                .map(|p| TbStep {
-                    drives: vec![("a".into(), v(1, p & 1)), ("b".into(), v(1, p >> 1))],
-                    checks: vec![Check {
-                        signal: "y".into(),
-                        expected: v(1, (p & 1) ^ (p >> 1)),
-                    }],
-                })
-                .collect(),
-        });
+        let tb = Arc::new(Testbench::from_steps(
+            "xor",
+            None,
+            (0..4u64).map(|p| {
+                (
+                    [("a", v(1, p & 1)), ("b", v(1, p >> 1))],
+                    [("y", v(1, (p & 1) ^ (p >> 1)))],
+                )
+            }),
+        ));
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed());
         assert_eq!(report.total_checks(), 4);
@@ -336,19 +445,16 @@ mod tests {
             "module top(input a, input b, output y); assign y = a & b; endmodule",
             "top",
         );
-        let tb = Arc::new(Testbench {
-            name: "or".into(),
-            clock: None,
-            steps: (0..4u64)
-                .map(|p| TbStep {
-                    drives: vec![("a".into(), v(1, p & 1)), ("b".into(), v(1, p >> 1))],
-                    checks: vec![Check {
-                        signal: "y".into(),
-                        expected: v(1, (p & 1) | (p >> 1)),
-                    }],
-                })
-                .collect(),
-        });
+        let tb = Arc::new(Testbench::from_steps(
+            "or",
+            None,
+            (0..4u64).map(|p| {
+                (
+                    [("a", v(1, p & 1)), ("b", v(1, p >> 1))],
+                    [("y", v(1, (p & 1) | (p >> 1)))],
+                )
+            }),
+        ));
         let report = run_testbench(&tb, &d).unwrap();
         assert!(!report.passed());
         assert_eq!(report.mismatches(), 2); // patterns 01 and 10
@@ -366,27 +472,11 @@ mod tests {
              endmodule",
             "top",
         );
-        let mut steps = vec![TbStep {
-            drives: vec![("rst".into(), v(1, 1))],
-            checks: vec![Check {
-                signal: "q".into(),
-                expected: v(4, 0),
-            }],
-        }];
-        for i in 1..=5u64 {
-            steps.push(TbStep {
-                drives: vec![("rst".into(), v(1, 0))],
-                checks: vec![Check {
-                    signal: "q".into(),
-                    expected: v(4, i),
-                }],
-            });
-        }
-        let tb = Arc::new(Testbench {
-            name: "counter".into(),
-            clock: Some("clk".into()),
-            steps,
-        });
+        let tb = Arc::new(Testbench::from_steps(
+            "counter",
+            Some("clk"),
+            (0..=5u64).map(|i| ([("rst", v(1, u64::from(i == 0)))], [("q", v(4, i))])),
+        ));
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed(), "{:?}", report.first_mismatch());
     }
@@ -397,14 +487,11 @@ mod tests {
             "module top(input a, output y); assign y = a; endmodule",
             "top",
         );
-        let tb = Arc::new(Testbench {
-            name: "bad".into(),
-            clock: None,
-            steps: vec![TbStep {
-                drives: vec![("nonexistent".into(), v(1, 0))],
-                checks: vec![],
-            }],
-        });
+        let tb = Arc::new(Testbench::from_steps(
+            "bad",
+            None,
+            [([("nonexistent", v(1, 0))], none())],
+        ));
         let err = run_testbench(&tb, &d).unwrap_err();
         assert!(matches!(err, TbError::InterfaceMismatch { .. }));
     }
@@ -418,28 +505,21 @@ mod tests {
             "module top(input clk, input a, output y); assign y = a; endmodule",
             "top",
         );
-        let check = |signal: &str| Check {
-            signal: signal.into(),
-            expected: v(1, 0),
-        };
-        let tb = Arc::new(Testbench {
-            name: "ports".into(),
-            clock: Some("ck".into()),
-            steps: vec![
-                TbStep {
-                    drives: vec![
-                        ("a".into(), v(1, 0)),
-                        ("ck".into(), v(1, 0)),
-                        ("b".into(), v(1, 0)),
-                    ],
-                    checks: vec![check("a"), check("ck"), check("y")],
-                },
-                TbStep {
-                    drives: vec![("b".into(), v(1, 1)), ("clk".into(), v(1, 0))],
-                    checks: vec![check("y"), check("b")],
-                },
+        let check = |signal: &'static str| (signal, v(1, 0));
+        let tb = Arc::new(Testbench::from_steps(
+            "ports",
+            Some("ck"),
+            [
+                (
+                    vec![("a", v(1, 0)), ("ck", v(1, 0)), ("b", v(1, 0))],
+                    vec![check("a"), check("ck"), check("y")],
+                ),
+                (
+                    vec![("b", v(1, 1)), ("clk", v(1, 0))],
+                    vec![check("y"), check("b")],
+                ),
             ],
-        });
+        ));
         let err = run_testbench(&tb, &d).unwrap_err();
         assert_eq!(
             err,
@@ -456,26 +536,11 @@ mod tests {
             "module top(input a, output y); assign y = a ? ~y : 1'b0; endmodule",
             "top",
         );
-        let tb = Arc::new(Testbench {
-            name: "osc".into(),
-            clock: None,
-            steps: vec![
-                TbStep {
-                    drives: vec![("a".into(), v(1, 0))],
-                    checks: vec![Check {
-                        signal: "y".into(),
-                        expected: v(1, 0),
-                    }],
-                },
-                TbStep {
-                    drives: vec![("a".into(), v(1, 1))],
-                    checks: vec![Check {
-                        signal: "y".into(),
-                        expected: v(1, 0),
-                    }],
-                },
-            ],
-        });
+        let tb = Arc::new(Testbench::from_steps(
+            "osc",
+            None,
+            [0, 1].map(|a| ([("a", v(1, a))], [("y", v(1, 0))])),
+        ));
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.sim_fault().is_some());
         assert_eq!(report.mismatches(), 1);
@@ -489,11 +554,11 @@ mod tests {
             "module top(input clk, output reg q); always @(posedge clk) q <= ~q; endmodule",
             "top",
         );
-        let tb = Arc::new(Testbench {
-            name: "badclk".into(),
-            clock: Some("clk_phantom".into()),
-            steps: vec![TbStep::default()],
-        });
+        let tb = Arc::new(Testbench::from_steps(
+            "badclk",
+            Some("clk_phantom"),
+            [(none(), none())],
+        ));
         let err = run_testbench(&tb, &d).unwrap_err();
         match err {
             TbError::InterfaceMismatch { missing } => {
@@ -508,30 +573,71 @@ mod tests {
             "module top(input a, input b, output y); assign y = a & b; endmodule",
             "top",
         );
-        let tb = Arc::new(Testbench {
-            name: "snap".into(),
-            clock: None,
-            steps: vec![
-                TbStep {
-                    drives: vec![("a".into(), v(1, 1)), ("b".into(), v(1, 0))],
-                    checks: vec![Check {
-                        signal: "y".into(),
-                        expected: v(1, 0),
-                    }],
-                },
-                TbStep {
-                    // only b changes; a must persist in the snapshot
-                    drives: vec![("b".into(), v(1, 1))],
-                    checks: vec![Check {
-                        signal: "y".into(),
-                        expected: v(1, 1),
-                    }],
-                },
+        let tb = Arc::new(Testbench::from_steps(
+            "snap",
+            None,
+            [
+                (vec![("a", v(1, 1)), ("b", v(1, 0))], [("y", v(1, 0))]),
+                // only b changes; a must persist in the snapshot
+                (vec![("b", v(1, 1))], [("y", v(1, 1))]),
             ],
-        });
+        ));
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed());
         let rec = &report.records()[1];
         assert_eq!(rec.inputs.len(), 2);
+    }
+
+    #[test]
+    fn a_bench_names_each_port_once_and_returns_its_steps() {
+        let steps = vec![
+            (vec![("a", v(1, 1)), ("b", v(2, 0))], vec![("y", v(1, 0))]),
+            (vec![("b", v(2, 3))], vec![("y", v(1, 1)), ("z", v(3, 5))]),
+            (vec![], vec![]),
+        ];
+        let tb = Testbench::from_steps("named", Some("clk"), steps.clone());
+        assert_eq!(tb.stimulus().drives().ports(), ["a", "b"]);
+        assert_eq!(tb.checks().ports(), ["y", "z"]);
+        assert_eq!(
+            (tb.len(), tb.total_checks(), tb.clock()),
+            (3, 3, Some("clk"))
+        );
+        fn owned<'a>(
+            step: impl Iterator<Item = (&'a str, &'a LogicVec)>,
+        ) -> Vec<(&'a str, LogicVec)> {
+            step.map(|(name, value)| (name, value.clone())).collect()
+        }
+        let back: Vec<_> = tb
+            .steps()
+            .map(|(drives, checks)| (owned(drives), owned(checks)))
+            .collect();
+        assert_eq!(back, steps);
+    }
+
+    #[test]
+    fn benches_from_equal_steps_are_equal_until_one_bit_flips() {
+        use std::hash::{BuildHasher, RandomState};
+        let steps = |y: u64| {
+            (0..4u64).map(move |p| ([("a", v(2, p))], [("y", v(2, p ^ y)), ("z", v(1, 1))]))
+        };
+        let (a, mut b) = (
+            Testbench::from_steps("t", None, steps(0)),
+            Testbench::from_steps("t", None, steps(0)),
+        );
+        let hasher = RandomState::new();
+        assert_eq!(a, b);
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        let bit = b.expected_mut(4).bit(1);
+        b.expected_mut(4).set_bit(1, bit.not());
+        assert_ne!(a, b);
+        assert_ne!(hasher.hash_one(&a), hasher.hash_one(&b));
+        assert_eq!(b.checks().step(2).next(), Some(("y", &v(2, 0))));
+    }
+
+    #[test]
+    #[should_panic(expected = "one step of checks per step of drives")]
+    fn checks_must_match_the_stimulus_step_for_step() {
+        let stimulus = Stimulus::combinational([[("a", v(1, 0))]]);
+        let _ = Testbench::new("short", stimulus, StepTable::default());
     }
 }

@@ -35,7 +35,7 @@ pub fn render_summary(report: &TbReport) -> String {
     for signal in report.failing_signals() {
         let (step, _) = report
             .failing_checks()
-            .find(|(_, check)| check.signal == signal)
+            .find(|&(_, name)| name == signal)
             .expect("failing signal has a mismatch");
         let _ = writeln!(
             out,
@@ -139,7 +139,7 @@ pub fn render_full_log(report: &TbReport) -> String {
 mod tests {
     use super::*;
     use crate::report::testing::report_of;
-    use crate::{run_testbench, Check, TbStep, Testbench};
+    use crate::{run_testbench, Testbench};
     use mage_logic::LogicVec;
     use std::sync::Arc;
 
@@ -157,25 +157,19 @@ mod tests {
              endmodule",
         );
         let steps = [(3, 3), (4, 4), (8, 9), (8, 9)]
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(step, &(got, exp))| TbStep {
-                drives: vec![
-                    ("c".into(), LogicVec::from_u64(1, 1)),
-                    ("d".into(), LogicVec::from_u64(1, (step % 2) as u64)),
-                    ("g".into(), LogicVec::from_u64(4, got)),
-                ],
-                checks: vec![Check {
-                    signal: "q".into(),
-                    expected: LogicVec::from_u64(4, exp),
-                }],
-            })
-            .collect();
-        let tb = Arc::new(Testbench {
-            name: "prob".into(),
-            clock: None,
-            steps,
-        });
+            .map(|(step, (got, exp))| {
+                (
+                    [
+                        ("c", LogicVec::from_u64(1, 1)),
+                        ("d", LogicVec::from_u64(1, (step % 2) as u64)),
+                        ("g", LogicVec::from_u64(4, got)),
+                    ],
+                    [("q", LogicVec::from_u64(4, exp))],
+                )
+            });
+        let tb = Arc::new(Testbench::from_steps("prob", None, steps));
         run_testbench(&tb, &d).unwrap()
     }
 
@@ -219,17 +213,14 @@ mod tests {
         // against the 8-bit output; the log shows what the DUT drove.
         let d =
             design("module top(input [3:0] a, output [7:0] y); assign y = {4'b0000, a}; endmodule");
-        let tb = Arc::new(Testbench {
-            name: "wide".into(),
-            clock: None,
-            steps: vec![TbStep {
-                drives: vec![("a".into(), LogicVec::from_u64(4, 5))],
-                checks: vec![Check {
-                    signal: "y".into(),
-                    expected: LogicVec::from_u64(4, 5),
-                }],
-            }],
-        });
+        let tb = Arc::new(Testbench::from_steps(
+            "wide",
+            None,
+            [(
+                [("a", LogicVec::from_u64(4, 5))],
+                [("y", LogicVec::from_u64(4, 5))],
+            )],
+        ));
         let report = run_testbench(&tb, &d).unwrap();
         assert!(report.passed());
         assert!(render_full_log(&report)

@@ -2,7 +2,7 @@
 //! bench runs with a chosen pass pattern.
 
 use mage_logic::LogicVec;
-use mage_tb::{run_testbench, Check, TbReport, TbStep, Testbench};
+use mage_tb::{run_testbench, TbReport, Testbench};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -22,25 +22,16 @@ fn identity() -> &'static Arc<mage_sim::Design> {
 /// One check of `q` per step: the DUT drives 5 on a passing step and 6
 /// on a failing one, against an expected 5.
 fn report_from(passes: &[bool]) -> TbReport {
-    let steps = passes
-        .iter()
-        .enumerate()
-        .map(|(step, &pass)| TbStep {
-            drives: vec![
-                ("a".into(), LogicVec::from_u64(2, step as u64 & 3)),
-                ("g".into(), LogicVec::from_u64(4, if pass { 5 } else { 6 })),
+    let steps = passes.iter().enumerate().map(|(step, &pass)| {
+        (
+            [
+                ("a", LogicVec::from_u64(2, step as u64 & 3)),
+                ("g", LogicVec::from_u64(4, if pass { 5 } else { 6 })),
             ],
-            checks: vec![Check {
-                signal: "q".into(),
-                expected: LogicVec::from_u64(4, 5),
-            }],
-        })
-        .collect();
-    let tb = Arc::new(Testbench {
-        name: "prop".into(),
-        clock: None,
-        steps,
+            [("q", LogicVec::from_u64(4, 5))],
+        )
     });
+    let tb = Arc::new(Testbench::from_steps("prop", None, steps));
     run_testbench(&tb, identity()).unwrap()
 }
 

@@ -51,7 +51,7 @@ fn main() {
     ));
     println!(
         "\n--- synthesized checkpoint testbench: {} steps, {} checkpoints ---",
-        tb.steps.len(),
+        tb.len(),
         tb.total_checks()
     );
 

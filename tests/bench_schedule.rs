@@ -15,15 +15,15 @@ use mage::problems::{all_problems, Problem};
 use mage::tb::{synthesize_testbench, CheckDensity, Stimulus, Testbench};
 
 fn render(tb: &Testbench, out: &mut String) {
-    writeln!(out, "clock={}", tb.clock.as_deref().unwrap_or("-")).unwrap();
-    for step in &tb.steps {
+    writeln!(out, "clock={}", tb.clock().unwrap_or("-")).unwrap();
+    for (drives, checks) in tb.steps() {
         out.push_str("drive");
-        for (name, value) in &step.drives {
+        for (name, value) in drives {
             write!(out, " {name}={value:b}").unwrap();
         }
         out.push_str(" check");
-        for check in &step.checks {
-            write!(out, " {}={:b}", check.signal, check.expected).unwrap();
+        for (name, expected) in checks {
+            write!(out, " {name}={expected:b}").unwrap();
         }
         out.push('\n');
     }
@@ -34,7 +34,7 @@ fn render(tb: &Testbench, out: &mut String) {
 fn registry_hash(stimulus: impl Fn(&Problem) -> Stimulus, density: CheckDensity) -> u64 {
     let mut text = String::new();
     for problem in all_problems() {
-        let golden = problem.oracle(GRADE_STIM_SEED).golden_design;
+        let golden = problem.golden_design();
         let tb = synthesize_testbench(problem.id, &golden, &stimulus(problem), density);
         render(&tb, &mut text);
     }

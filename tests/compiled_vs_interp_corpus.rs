@@ -42,20 +42,20 @@ fn lockstep(design: &Arc<Design>, stim: &Stimulus, label: &str) {
     if !step("boot settle", &|s| s.settle()) {
         return;
     }
-    let clk = stim.clock.as_deref().unwrap_or_default();
+    let clk = stim.clock().unwrap_or_default();
     let low = |s: &mut Simulator| s.poke(clk, LogicVec::from_bool(false));
     let high = |s: &mut Simulator| s.poke(clk, LogicVec::from_bool(true));
-    if stim.clock.is_some() && !step("clk boot", &low) {
+    if stim.clock().is_some() && !step("clk boot", &low) {
         return;
     }
-    for (i, drives) in stim.steps.iter().enumerate() {
+    for (i, drives) in stim.steps().enumerate() {
         for (name, v) in drives {
             let poke = |s: &mut Simulator| s.poke(name, v.clone());
             if !step(&format!("poke {name} at step {i}"), &poke) {
                 return;
             }
         }
-        if stim.clock.is_some()
+        if stim.clock().is_some()
             && !(step(&format!("step {i} rise"), &high) && step(&format!("step {i} fall"), &low))
         {
             return;
@@ -103,7 +103,7 @@ fn full_corpus_mutated_candidates_match() {
         let oracle = p.oracle(0xD1FF);
         for k in 1..=2usize {
             let mut rng = StdRng::seed_from_u64(0x0BAD_C0DE ^ (pi as u64) << 8 ^ k as u64);
-            let mut file = oracle.golden.clone();
+            let mut file = (*oracle.golden).clone();
             let top_ix = file
                 .modules
                 .iter()

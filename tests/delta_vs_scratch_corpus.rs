@@ -84,10 +84,10 @@ fn lockstep_one(scratch: &Arc<Design>, delta: &Arc<Design>, stim: &Stimulus, lab
                 compare_stores(scratch, a, b, &label, at);
                 ra.is_ok()
             };
-        if let Some(clk) = &stim.clock {
+        if let Some(clk) = stim.clock() {
             ok = poke_both(clk, LogicVec::from_bool(false), &mut a, &mut b, "clk boot");
         }
-        for (i, step) in stim.steps.iter().enumerate() {
+        for (i, step) in stim.steps().enumerate() {
             if !ok {
                 break;
             }
@@ -97,7 +97,7 @@ fn lockstep_one(scratch: &Arc<Design>, delta: &Arc<Design>, stim: &Stimulus, lab
                     break;
                 }
             }
-            if let Some(clk) = &stim.clock {
+            if let Some(clk) = stim.clock() {
                 if ok {
                     ok = poke_both(
                         clk,
@@ -172,7 +172,7 @@ fn full_corpus_single_edit_mutants_are_store_exact() {
     for (pi, p) in all_problems().iter().enumerate() {
         let oracle = p.oracle(0xD1FF);
         let mut rng = StdRng::seed_from_u64(0xDE17A ^ ((pi as u64) << 8));
-        let mut file = oracle.golden.clone();
+        let mut file = (*oracle.golden).clone();
         let top_ix = file
             .modules
             .iter()
@@ -228,7 +228,7 @@ fn fingerprint_collisions_never_serve_the_wrong_unit() {
         // A *different* source (the first other problem) probed against
         // this parent: every key collides, nothing may be served.
         let mut rng = StdRng::seed_from_u64(0xC0111DE ^ p.id.len() as u64);
-        let mut file = oracle.golden.clone();
+        let mut file = (*oracle.golden).clone();
         let top_ix = file
             .modules
             .iter()
@@ -282,14 +282,12 @@ fn binding_change_rebuilds_and_stays_exact() {
     assert_structurally_exact(&scratch, &delta, "binding change");
     let stim = Stimulus::clocked(
         "clk",
-        (0..4u64)
-            .map(|i| {
-                vec![
-                    ("a".to_string(), LogicVec::from_bool(i & 1 != 0)),
-                    ("b".to_string(), LogicVec::from_bool(i & 2 != 0)),
-                ]
-            })
-            .collect(),
+        (0..4u64).map(|i| {
+            [
+                ("a", LogicVec::from_bool(i & 1 != 0)),
+                ("b", LogicVec::from_bool(i & 2 != 0)),
+            ]
+        }),
     );
     lockstep_one(&scratch, &delta, &stim, "binding change");
 }

@@ -38,7 +38,7 @@ fn probe() -> (u64, usize, usize) {
                 density,
             ));
             for k in 0..MUTANTS {
-                let mut file = oracle.golden.clone();
+                let mut file = (*oracle.golden).clone();
                 let top = file
                     .modules
                     .iter()

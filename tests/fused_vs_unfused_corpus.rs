@@ -45,7 +45,7 @@ fn lockstep_fused(design: &Arc<Design>, stim: &Stimulus, label: &str) -> mage::s
                 compare_stores(design, a, b, label, at);
                 ra.is_ok()
             };
-        if let Some(clk) = &stim.clock {
+        if let Some(clk) = stim.clock() {
             ok = poke_both(
                 clk,
                 LogicVec::from_bool(false),
@@ -54,7 +54,7 @@ fn lockstep_fused(design: &Arc<Design>, stim: &Stimulus, label: &str) -> mage::s
                 "clk boot",
             );
         }
-        for (i, step) in stim.steps.iter().enumerate() {
+        for (i, step) in stim.steps().enumerate() {
             if !ok {
                 break;
             }
@@ -70,7 +70,7 @@ fn lockstep_fused(design: &Arc<Design>, stim: &Stimulus, label: &str) -> mage::s
                     break;
                 }
             }
-            if let Some(clk) = &stim.clock {
+            if let Some(clk) = stim.clock() {
                 if ok {
                     ok = poke_both(
                         clk,
@@ -148,7 +148,7 @@ fn full_corpus_single_edit_mutants_fused_exact() {
     for (pi, p) in all_problems().iter().enumerate() {
         let oracle = p.oracle(0xF05E);
         let mut rng = StdRng::seed_from_u64(0xF15ED ^ ((pi as u64) << 8));
-        let mut file = oracle.golden.clone();
+        let mut file = (*oracle.golden).clone();
         let top_ix = file
             .modules
             .iter()
@@ -243,14 +243,12 @@ fn rebuilt_unit_drops_every_cascade_plan_containing_it() {
     );
     let stim = Stimulus::clocked(
         "clk",
-        (0..4u64)
-            .map(|i| {
-                vec![
-                    ("a".to_string(), LogicVec::from_bool(i & 1 != 0)),
-                    ("b".to_string(), LogicVec::from_bool(i & 2 != 0)),
-                ]
-            })
-            .collect(),
+        (0..4u64).map(|i| {
+            [
+                ("a", LogicVec::from_bool(i & 1 != 0)),
+                ("b", LogicVec::from_bool(i & 2 != 0)),
+            ]
+        }),
     );
     lockstep_fused(&delta, &stim, "invalidation");
 }
