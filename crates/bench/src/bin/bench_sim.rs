@@ -30,7 +30,7 @@
 //! with zero fallbacks in the fully-defined steady state and strictly
 //! fewer plan opcodes retired than the source instructions they cover,
 //! and zero two-state counters on the legacy executor. Each kernel
-//! also runs a `four_state` leg with `Simulator::set_two_state(false)`:
+//! also runs a `four_state` leg on `ExecMode::FourState`:
 //! that demand-driven wheel (no cascades) must evaluate no more
 //! processes than the legacy scheduler nor than the default leg's
 //! cascades, and must keep the default leg's sequential/edge schedule.
@@ -342,12 +342,8 @@ fn main() {
 
     // --- Scheduler work counts (deterministic; the perf trajectory's
     //     scheduling signal, immune to wall-clock noise). ---
-    let count_of = |mode: ExecMode, two_state: bool, kernel: &str| -> WorkCounts {
-        let sim_of = |design: &Arc<Design>| {
-            let mut sim = Simulator::with_mode(Arc::clone(design), mode);
-            sim.set_two_state(two_state);
-            sim
-        };
+    let count_of = |mode: ExecMode, kernel: &str| -> WorkCounts {
+        let sim_of = |design: &Arc<Design>| Simulator::with_mode(Arc::clone(design), mode);
         match kernel {
             "sim_poke_sweep" => {
                 let mut sim = sim_of(&alu);
@@ -417,11 +413,11 @@ fn main() {
     ];
     let mut sched_json = String::from("  \"scheduler\": {\n");
     for kernel in counted.iter() {
-        let wheel = count_of(ExecMode::Compiled, true, kernel);
-        let legacy = count_of(ExecMode::Legacy, false, kernel);
+        let wheel = count_of(ExecMode::Compiled, kernel);
+        let legacy = count_of(ExecMode::Legacy, kernel);
         // Third leg: the same compiled kernel on the four-state loop
-        // (two-state dispatch switched off before boot).
-        let four_state = count_of(ExecMode::Compiled, false, kernel);
+        // (plan dispatch off).
+        let four_state = count_of(ExecMode::FourState, kernel);
         // Acceptance invariants: the demand-driven wheel (the four-state
         // leg — cascades deliberately straight-line every member,
         // trading a few redundant evals for fewer dispatches, so the
@@ -523,9 +519,8 @@ fn main() {
     }
     // --- Delta-compilation counters: per-kernel unit-cache reuse. A
     //     re-elaboration against the unchanged parent must reuse every
-    //     unit; a single-process edit must rebuild exactly that unit
-    //     (plus the fanout/trigger index rows that reference it) — all
-    //     deterministic, asserted in-process on every run. ---
+    //     unit; a single-process edit must rebuild exactly that unit —
+    //     both deterministic, asserted in-process on every run. ---
     let delta_kernels: [(&str, &str, &str, &str); 3] = [
         (
             "alu_kernel",
@@ -577,18 +572,20 @@ fn main() {
             "{name}: delta build diverged from scratch"
         );
         println!(
-            "{:24} delta: {} units, single edit reused {} rebuilt {} (fanout rows {}, trigger rows {})",
-            name, units, edit.reused, edit.rebuilt, edit.fanout_rows, edit.trigger_rows
+            "{:24} delta: {} units, single edit reused {} rebuilt {}",
+            name, units, edit.reused, edit.rebuilt
         );
         sched_json.push_str(&format!(
-            "      \"{}\": {{ \"units\": {}, \"reused\": {}, \"rebuilt\": {}, \"fanout_rows\": {}, \"trigger_rows\": {} }}{}\n",
+            "      \"{}\": {{ \"units\": {}, \"reused\": {}, \"rebuilt\": {} }}{}\n",
             name,
             units,
             edit.reused,
             edit.rebuilt,
-            edit.fanout_rows,
-            edit.trigger_rows,
-            if i + 1 == delta_kernels.len() { "" } else { "," }
+            if i + 1 == delta_kernels.len() {
+                ""
+            } else {
+                ","
+            }
         ));
     }
     sched_json.push_str("    }\n");
@@ -634,8 +631,8 @@ fn main() {
          fused opcodes over aval words) vs four-state runs of processes with a plan \
          (X in the read set, or a mid-run bail), plan_steps / plan_unfused_steps = plan \
          opcodes retired vs the bytecode instructions they cover. Each kernel also \
-         records a `four_state` leg (the identical kernel with two-state dispatch \
-         switched off by Simulator::set_two_state(false) before boot). The harness \
+         records a `four_state` leg (the identical kernel on ExecMode::FourState, \
+         the same bytecode and wheel with plan dispatch off). The harness \
          asserts four_state-wheel <= legacy on evals and wheel <= legacy on probes \
          (cascades straight-line every member in static topo order, trading a few \
          redundant member evals for fewer dispatches, so the eval bound belongs to \
@@ -649,8 +646,7 @@ fn main() {
          per-kernel unit-cache counters for delta re-elaboration against an unchanged \
          parent design: units = process count, reused/rebuilt = units served from the \
          parent vs recompiled after a single-process edit (asserted to be exactly \
-         units-1 / 1), fanout_rows / trigger_rows = comb-fanout and per-edge trigger \
-         index rows rebuilt because they reference the edited process. Regenerate with: \
+         units-1 / 1). Regenerate with: \
          cargo run --release -p mage-bench --bin bench_sim (add --smoke to cap \
          sampling for CI)\"\n}\n",
     );

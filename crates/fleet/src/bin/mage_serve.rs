@@ -8,7 +8,11 @@
 //! as before; `--shards N` (N ≥ 2) routes it through a
 //! [`FleetEngine`] and adds per-shard, migration and cache-fabric
 //! report lines. `--placement-trace` closes the determinism loop from
-//! the shell: run once to record, run again to replay pinned.
+//! the shell: run once to record, run again to replay pinned. A replay
+//! compares the placement trace it re-records with the pinned file's
+//! text: it prints `placement: replay matched`, or names the first
+//! differing line and exits with status 1. A trace file that exists but
+//! does not parse is a usage error.
 
 use mage_core::experiments::unit_seed;
 use mage_core::{MageConfig, SolveTrace, SystemKind};
@@ -30,8 +34,9 @@ Usage: mage-serve [options]
   --budget T            per-agent context token budget [4000]
   --shards N            fleet shards (1 = single engine) [1]
   --migrate-after-steps K  rebalance cadence in fleet rounds (0 = off) [0]
-  --placement-trace F   pin placement from F if it exists, else
-                        record this run's placement into F
+  --placement-trace F   pin placement from F if it exists (the run
+                        must re-record it exactly), else record this
+                        run's placement into F
   --fault-plan P        fault plan: name or seed:name  [$MAGE_FAULT_PLAN]
                         (none|canonical|single-transient|burst-rate-limit|
                          one-backend-dead|all-dead|mid-wave-timeout)
@@ -179,6 +184,10 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(code) => return code,
     };
+    let pinned = match pinned_trace(&args) {
+        Ok(pinned) => pinned,
+        Err(code) => return code,
+    };
     let problems = &args.problems;
 
     let mut config = if args.low {
@@ -263,11 +272,43 @@ fn main() -> ExitCode {
     }
 
     if args.shards > 1 {
-        run_fleet(&args, specs, opts, policy);
+        run_fleet(&args, pinned, specs, opts, policy)
     } else {
         run_single(&args, specs, opts, policy);
+        ExitCode::SUCCESS
     }
-    ExitCode::SUCCESS
+}
+
+/// The pinned placement trace of a sharded run: `Ok(None)` without
+/// `--placement-trace` or when its file does not exist yet (this run
+/// records into it); a file that cannot be read or parsed is a usage
+/// error.
+fn pinned_trace(args: &Args) -> Result<Option<(PlacementTrace, String)>, ExitCode> {
+    let Some(path) = args.placement_trace.as_ref().filter(|_| args.shards > 1) else {
+        return Ok(None);
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(usage(&format!("--placement-trace {path}: {e}"))),
+    };
+    match PlacementTrace::parse(&text) {
+        Ok(trace) => Ok(Some((trace, text))),
+        Err(e) => Err(usage(&format!("--placement-trace {path}: {e}"))),
+    }
+}
+
+/// The first line where a replay's re-recorded trace leaves the pinned
+/// text, as `(line number, pinned line, replayed line)`; `None` when
+/// the two are identical.
+fn first_divergence<'a>(pinned: &'a str, replayed: &'a str) -> Option<(usize, &'a str, &'a str)> {
+    if pinned == replayed {
+        return None;
+    }
+    let (a, b): (Vec<&str>, Vec<&str>) = (pinned.lines().collect(), replayed.lines().collect());
+    let k = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    let line = |v: &[&'a str]| v.get(k).copied().unwrap_or("<end>");
+    Some((k + 1, line(&a), line(&b)))
 }
 
 /// The classic single-engine path (`--shards 1`), byte-identical in
@@ -341,24 +382,25 @@ fn run_single(args: &Args, specs: Vec<JobSpec>, opts: ServeOptions, policy: Disp
     }
 }
 
-/// The sharded path (`--shards N`, N ≥ 2).
-fn run_fleet(args: &Args, specs: Vec<JobSpec>, opts: ServeOptions, policy: DispatchPolicy) {
-    let pinned = args.placement_trace.as_ref().and_then(|path| {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let trace = PlacementTrace::parse(&text)
-                    .unwrap_or_else(|e| panic!("--placement-trace {path}: {e}"));
-                println!(
-                    "placement: pinned from {path} ({} placements, {} migrations)",
-                    trace.placements.len(),
-                    trace.migrations.len()
-                );
-                Some(trace)
-            }
-            Err(_) => None, // absent: record this run into it below
-        }
-    });
-    let recording = pinned.is_none();
+/// The sharded path (`--shards N`, N ≥ 2): records the placement
+/// into `--placement-trace`, or replays `pinned` and checks that the
+/// run re-records it exactly (exit status 1 when it does not).
+fn run_fleet(
+    args: &Args,
+    pinned: Option<(PlacementTrace, String)>,
+    specs: Vec<JobSpec>,
+    opts: ServeOptions,
+    policy: DispatchPolicy,
+) -> ExitCode {
+    let path = args.placement_trace.as_deref().unwrap_or_default();
+    let (pinned, pinned_text) = pinned.unzip();
+    if let Some(trace) = &pinned {
+        println!(
+            "placement: pinned from {path} ({} placements, {} migrations)",
+            trace.placements.len(),
+            trace.migrations.len()
+        );
+    }
 
     let fleet_opts = FleetOptions {
         shards: args.shards,
@@ -373,16 +415,29 @@ fn run_fleet(args: &Args, specs: Vec<JobSpec>, opts: ServeOptions, policy: Dispa
     }
     let report = fleet.run();
 
-    if recording {
-        if let Some(path) = &args.placement_trace {
-            std::fs::write(path, report.trace.render())
-                .unwrap_or_else(|e| panic!("--placement-trace {path}: write failed: {e}"));
-            println!(
-                "placement: recorded {} placements, {} migrations into {path}",
-                report.trace.placements.len(),
-                report.trace.migrations.len()
-            );
+    let mut status = ExitCode::SUCCESS;
+    let rendered = report.trace.render();
+    if let Some(text) = &pinned_text {
+        match first_divergence(text, &rendered) {
+            None => println!("placement: replay matched"),
+            Some((line, want, got)) => {
+                eprintln!(
+                    "mage-serve: placement replay diverged from {path} at line {line}: \
+                     pinned `{want}`, replayed `{got}`"
+                );
+                status = ExitCode::FAILURE;
+            }
         }
+    } else if args.placement_trace.is_some() {
+        if let Err(e) = std::fs::write(path, &rendered) {
+            eprintln!("mage-serve: --placement-trace {path}: write failed: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "placement: recorded {} placements, {} migrations into {path}",
+            report.trace.placements.len(),
+            report.trace.migrations.len()
+        );
     }
 
     println!();
@@ -467,4 +522,5 @@ fn run_fleet(args: &Args, specs: Vec<JobSpec>, opts: ServeOptions, policy: Dispa
             );
         }
     }
+    status
 }

@@ -22,8 +22,8 @@
 //!    set). The pulses refresh the router's load signal.
 //! 4. **Rebalance** (recording mode, every
 //!    [`FleetOptions::migrate_after_steps`] rounds): if the hottest
-//!    shard leads the coldest by ≥ 2 live jobs, up to
-//!    [`FleetOptions::migrate_batch`] running jobs migrate hot → cold.
+//!    shard leads the coldest by ≥ 2 live jobs, up to two running jobs
+//!    (never more than half the gap) migrate hot → cold.
 //!    Victims are the jobs with the fewest advances (ties on the lowest
 //!    fleet id) — the cheapest state to move.
 //!
@@ -99,7 +99,10 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Fleet-level configuration.
+/// Fleet-level configuration: the values a caller sets. The rest is
+/// fixed: a rebalance moves at most two jobs, and each shard's local
+/// cache tiers hold 1,024 designs, 512 scores and 4,096 process units
+/// (delta compilation; see [`mage_serve::UnitCache`]).
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
     /// Number of shards (≥ 1), each a [`ServeEngine`] on its own thread.
@@ -110,18 +113,9 @@ pub struct FleetOptions {
     /// many fleet rounds (each round = one engine step per shard).
     /// `0` disables policy migration.
     pub migrate_after_steps: u64,
-    /// Most jobs moved per rebalance.
-    pub migrate_batch: usize,
     /// Affinity slack: a job spills off its home shard only when the
     /// home's load exceeds the minimum load by more than this.
     pub spread: usize,
-    /// Capacity of each shard's local design-cache tier.
-    pub local_design_capacity: usize,
-    /// Capacity of each shard's local score-cache tier.
-    pub local_score_capacity: usize,
-    /// Capacity of each shard's local process-unit tier (delta
-    /// compilation; see [`mage_serve::UnitCache`]).
-    pub local_unit_capacity: usize,
     /// Replay mode: apply this trace's decisions instead of routing.
     pub pinned: Option<PlacementTrace>,
 }
@@ -132,15 +126,20 @@ impl Default for FleetOptions {
             shards: 2,
             serve: ServeOptions::default(),
             migrate_after_steps: 0,
-            migrate_batch: 2,
             spread: 2,
-            local_design_capacity: 1024,
-            local_score_capacity: 512,
-            local_unit_capacity: 4096,
             pinned: None,
         }
     }
 }
+
+/// Most jobs moved per rebalance.
+const MIGRATE_BATCH: usize = 2;
+/// Capacity of each shard's local design-cache tier.
+const LOCAL_DESIGN_CAPACITY: usize = 1024;
+/// Capacity of each shard's local score-cache tier.
+const LOCAL_SCORE_CAPACITY: usize = 512;
+/// Capacity of each shard's local process-unit tier.
+const LOCAL_UNIT_CAPACITY: usize = 4096;
 
 /// Per-tier cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -303,15 +302,15 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
     fn spawn_shard(&self, ix: usize) -> ShardHandle {
         let roster = JobRoster::new();
         let design = Arc::new(DesignCache::tiered(
-            self.opts.local_design_capacity,
+            LOCAL_DESIGN_CAPACITY,
             &self.global_design,
         ));
         let scores = Arc::new(ScoreCache::tiered(
-            self.opts.local_score_capacity,
+            LOCAL_SCORE_CAPACITY,
             &self.global_scores,
         ));
         let units = Arc::new(UnitCache::tiered(
-            self.opts.local_unit_capacity,
+            LOCAL_UNIT_CAPACITY,
             Arc::clone(&self.global_units),
         ));
         let engine = ServeEngine::with_fabric(
@@ -476,9 +475,7 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
         }
         let mut victims = self.last_running[hot].clone();
         victims.sort_by_key(|r| (r.advances, r.fleet_job));
-        let quota = self
-            .opts
-            .migrate_batch
+        let quota = MIGRATE_BATCH
             .min((hot_load - cold_load) / 2)
             .min(victims.len());
         let mut moved = 0;

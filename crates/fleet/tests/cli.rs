@@ -1,7 +1,10 @@
 //! `mage-serve`'s command line: a bad argument is a usage error (one
 //! line naming it, then the flag table, on stderr; exit status 2),
-//! never a panic, and `--help` prints the table and exits 0.
+//! never a panic, and `--help` prints the table and exits 0. A sharded
+//! run replayed under its own recorded placement trace reports that
+//! the replay matched.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn mage_serve(args: &[&str]) -> Output {
@@ -9,6 +12,13 @@ fn mage_serve(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn mage-serve")
+}
+
+/// A fresh path in the temp dir, private to this process and `name`.
+fn temp_path(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("mage-serve-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
 }
 
 #[test]
@@ -41,4 +51,56 @@ fn help_prints_the_flag_table_and_exits_0() {
     assert_eq!(out.status.code(), Some(0));
     assert!(stdout.starts_with("Usage: mage-serve"), "{stdout}");
     assert!(stdout.contains("--fault-plan P"), "{stdout}");
+}
+
+#[test]
+fn unparsable_placement_trace_is_a_usage_error() {
+    let path = temp_path("bad-trace.txt");
+    std::fs::write(&path, "not a placement trace\n").expect("write trace");
+    let trace = path.to_str().expect("utf-8 temp path");
+    let out = mage_serve(&["--shards", "2", "--placement-trace", trace]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.contains("--placement-trace"), "first line `{first}`");
+    assert!(first.contains("bad header"), "first line `{first}`");
+    assert!(stderr.contains("Usage: mage-serve"), "{stderr}");
+    assert!(out.stdout.is_empty(), "ran instead of stopping");
+}
+
+#[test]
+fn a_replayed_placement_trace_matches_its_recording() {
+    let path = temp_path("replay-trace.txt");
+    let trace = path.to_str().expect("utf-8 temp path");
+    let args = [
+        "--suite",
+        "v1",
+        "--runs",
+        "1",
+        "--shards",
+        "2",
+        "--migrate-after-steps",
+        "8",
+        "--placement-trace",
+        trace,
+    ];
+    let record = mage_serve(&args);
+    let stdout = String::from_utf8_lossy(&record.stdout);
+    assert_eq!(record.status.code(), Some(0), "record: {stdout}");
+    assert!(stdout.contains("placement: recorded"), "record: {stdout}");
+    let replay = mage_serve(&args);
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(0), "replay: {stdout}{stderr}");
+    assert!(
+        stdout.contains("placement: pinned from"),
+        "replay: {stdout}"
+    );
+    assert!(
+        stdout.lines().any(|l| l == "placement: replay matched"),
+        "replay: {stdout}"
+    );
 }

@@ -71,12 +71,12 @@ pub struct CaseOutcome {
     pub pokes: usize,
 }
 
-/// The executor stack under test: `(mode, two_state, label)`.
+/// The executor stack under test: `(mode, label)`.
 /// Index 0 (the legacy tree-walker) is the comparison reference.
-pub const EXECUTORS: [(ExecMode, bool, &str); 3] = [
-    (ExecMode::Legacy, false, "legacy"),
-    (ExecMode::Compiled, false, "compiled-4s"),
-    (ExecMode::Compiled, true, "compiled-2s"),
+pub const EXECUTORS: [(ExecMode, &str); 3] = [
+    (ExecMode::Legacy, "legacy"),
+    (ExecMode::FourState, "compiled-4s"),
+    (ExecMode::Compiled, "compiled-2s"),
 ];
 
 /// Run every oracle on one case: roundtrip, three-executor lockstep on
@@ -156,10 +156,9 @@ pub fn lockstep(
 ) -> Result<(FuzzCoverage, usize), Failure> {
     let mut sims: Vec<(Simulator, &str)> = EXECUTORS
         .iter()
-        .map(|(mode, two_state, label)| {
+        .map(|(mode, label)| {
             let mut sim = Simulator::with_mode(Arc::clone(design), *mode);
-            if *mode == ExecMode::Compiled {
-                sim.set_two_state(*two_state);
+            if *mode != ExecMode::Legacy {
                 sim.enable_coverage();
             }
             (sim, *label)

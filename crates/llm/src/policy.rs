@@ -26,43 +26,38 @@ use crate::LlmRequest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Retry/hedge/deadline knobs of one dispatcher.
+/// Retry and hedge knobs of one dispatcher: the two values callers
+/// set. The backoff schedule is fixed: a failed attempt waits 50
+/// virtual ms, doubled per retry and capped at 2 s, plus a
+/// deterministic jitter draw of up to half that backoff; rate-limit
+/// down-sizing never shrinks a batch below one request. Deadlines
+/// live one layer up, on the serve engine's per-job virtual clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchPolicy {
     /// Attempts per dispatch before giving up (≥ 1).
     pub max_attempts: u32,
-    /// First backoff step, virtual ms (doubles per retry).
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling, virtual ms.
-    pub max_backoff_ms: u64,
-    /// Jitter fraction: each backoff adds a deterministic draw from
-    /// `[0, jitter * backoff]` (decorrelates retry storms).
-    pub jitter: f64,
     /// Hedge a duplicate once a successful reply's latency exceeds
     /// this threshold; the faster of the two clocks wins. `None`
     /// disables hedging.
     pub hedge_after_ms: Option<u64>,
-    /// Per-request virtual deadline: once a request's accumulated
-    /// latency + backoff passes this, further retries are cancelled
-    /// with [`DispatchError::DeadlineExceeded`]. `None` disables.
-    pub deadline_ms: Option<u64>,
-    /// Floor of rate-limit batch down-sizing.
-    pub min_batch: usize,
 }
 
 impl Default for DispatchPolicy {
     fn default() -> Self {
         DispatchPolicy {
             max_attempts: 4,
-            base_backoff_ms: 50,
-            max_backoff_ms: 2_000,
-            jitter: 0.5,
             hedge_after_ms: Some(80),
-            deadline_ms: None,
-            min_batch: 1,
         }
     }
 }
+
+/// First backoff step, virtual ms (doubles per retry).
+const BASE_BACKOFF_MS: u64 = 50;
+/// Backoff ceiling, virtual ms.
+const MAX_BACKOFF_MS: u64 = 2_000;
+/// Jitter fraction: each backoff adds a deterministic draw from
+/// `[0, JITTER * backoff]` (decorrelates retry storms).
+const JITTER: f64 = 0.5;
 
 /// Per-backend health: exponential moving averages of error rate and
 /// latency. Pure reporting/routing state — see the module docs for why
@@ -203,11 +198,6 @@ pub enum DispatchError {
         /// The last transport error observed.
         last: TransportError,
     },
-    /// The per-request virtual deadline passed mid-retry.
-    DeadlineExceeded {
-        /// Virtual ms accumulated when the deadline tripped.
-        elapsed_ms: u64,
-    },
     /// No live backend remains to even attempt the request.
     AllBackendsDown,
 }
@@ -220,9 +210,6 @@ impl std::fmt::Display for DispatchError {
                     f,
                     "llm retry budget exhausted after {attempts} attempts ({last})"
                 )
-            }
-            DispatchError::DeadlineExceeded { elapsed_ms } => {
-                write!(f, "llm deadline exceeded at {elapsed_ms}ms")
             }
             DispatchError::AllBackendsDown => f.write_str("all llm backends down"),
         }
@@ -279,7 +266,6 @@ impl<T: Transport> Dispatcher<T> {
     /// A dispatcher over `transport`.
     pub fn new(transport: T, policy: DispatchPolicy) -> Self {
         assert!(policy.max_attempts >= 1, "at least one attempt");
-        assert!(policy.min_batch >= 1, "batch floor is one request");
         let n = transport.backends();
         Dispatcher {
             transport,
@@ -366,10 +352,10 @@ impl<T: Transport> Dispatcher<T> {
         order
     }
 
-    /// Deterministic jitter draw in `[0, jitter * backoff]`, keyed like
+    /// Deterministic jitter draw in `[0, JITTER * backoff]`, keyed like
     /// every other per-`(key, attempt)` draw.
-    fn jitter_ms(&self, key: u64, attempt: u32, backoff: u64) -> u64 {
-        let span = (self.policy.jitter * backoff as f64) as u64;
+    fn jitter_ms(key: u64, attempt: u32, backoff: u64) -> u64 {
+        let span = (JITTER * backoff as f64) as u64;
         if span == 0 {
             return 0;
         }
@@ -396,11 +382,10 @@ impl<T: Transport> Dispatcher<T> {
             .map(|c| Self::fault_key(c.req, c.salt))
             .collect();
         let mut results: Vec<Option<DispatchResult>> = (0..calls.len()).map(|_| None).collect();
-        let chunk_cap = self.preferred_batch.max(self.policy.min_batch);
         let mut saw_rate_limit = false;
 
         let ixs: Vec<usize> = (0..calls.len()).collect();
-        for chunk in ixs.chunks(chunk_cap.min(calls.len().max(1))) {
+        for chunk in ixs.chunks(self.preferred_batch.min(calls.len().max(1))) {
             self.dispatch_chunk(
                 calls,
                 &keys,
@@ -411,11 +396,12 @@ impl<T: Transport> Dispatcher<T> {
             );
         }
 
-        // Adapt the ceiling: shed events halve it (floored), a fully
-        // clean dispatch doubles it back toward unlimited.
+        // Adapt the ceiling: shed events halve it (floored at one
+        // request), a fully clean dispatch doubles it back toward
+        // unlimited.
         if saw_rate_limit {
             let current = self.preferred_batch.min(calls.len().max(1));
-            self.preferred_batch = (current / 2).max(self.policy.min_batch);
+            self.preferred_batch = (current / 2).max(1);
         } else if self.preferred_batch != usize::MAX {
             self.preferred_batch = self.preferred_batch.saturating_mul(2);
         }
@@ -554,24 +540,9 @@ impl<T: Transport> Dispatcher<T> {
                         }
                         if !matches!(err, TransportError::RateLimited { .. }) {
                             let shift = (p.consumed - 1).min(20);
-                            let backoff = self
-                                .policy
-                                .max_backoff_ms
-                                .min(self.policy.base_backoff_ms.saturating_mul(1 << shift));
-                            p.elapsed_ms += backoff + self.jitter_ms(key, p.attempt, backoff);
-                        }
-                        if let Some(deadline) = self.policy.deadline_ms {
-                            if p.elapsed_ms > deadline {
-                                results[p.ix] = Some(DispatchResult {
-                                    result: Err(DispatchError::DeadlineExceeded {
-                                        elapsed_ms: p.elapsed_ms,
-                                    }),
-                                    attempts: p.consumed,
-                                    latency_ms: p.elapsed_ms,
-                                    backend: serving,
-                                });
-                                continue;
-                            }
+                            let backoff =
+                                MAX_BACKOFF_MS.min(BASE_BACKOFF_MS.saturating_mul(1 << shift));
+                            p.elapsed_ms += backoff + Self::jitter_ms(key, p.attempt, backoff);
                         }
                         p.attempt += 1;
                         still.push(p);
@@ -834,23 +805,6 @@ mod tests {
             .iter()
             .all(|r| r.result == Err(DispatchError::AllBackendsDown)));
         assert!(out.iter().all(|r| r.attempts == 0), "no budget burned");
-    }
-
-    #[test]
-    fn request_deadline_cancels_stuck_work() {
-        let plan = FaultPlan::new(7, FaultSpec::mid_wave_timeout());
-        let policy = DispatchPolicy {
-            deadline_ms: Some(1_000),
-            ..DispatchPolicy::default()
-        };
-        let mut d = dispatcher(plan, policy, 1);
-        let reqs: Vec<LlmRequest> = (0..24).map(|i| req(&format!("p{i}"))).collect();
-        let out = run(&mut d, &reqs);
-        let deadline_hits = out
-            .iter()
-            .filter(|r| matches!(r.result, Err(DispatchError::DeadlineExceeded { .. })))
-            .count();
-        assert!(deadline_hits > 0, "5s timeouts must trip a 1s deadline");
     }
 
     #[test]

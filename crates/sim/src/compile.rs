@@ -46,7 +46,6 @@ use crate::plan::{build_cascades, build_plan, CascadePlan, EvalPlan};
 use mage_logic::LogicVec;
 use mage_verilog::ast::{BinaryOp, CaseKind, UnaryOp};
 use std::collections::HashMap;
-use std::fmt;
 
 /// Register-file slot index.
 pub type Slot = u16;
@@ -349,8 +348,8 @@ pub struct CompiledProcess {
     /// fully defined and the four-state loop otherwise; a process
     /// without one always runs the four-state loop. Built
     /// unconditionally at compile time — dispatch, not construction, is
-    /// gated per simulator by [`crate::Simulator::set_two_state`], so
-    /// delta-reused units carry their plans verbatim.
+    /// chosen per simulator by its [`crate::ExecMode`], so delta-reused
+    /// units carry their plans verbatim.
     pub plan: Option<EvalPlan>,
 }
 
@@ -371,7 +370,7 @@ impl CompiledProcess {
 }
 
 /// Every process of a design, compiled.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CompiledDesign {
     /// Per-process bytecode, indexed like `design.processes`.
     pub procs: Vec<CompiledProcess>,
@@ -390,13 +389,6 @@ pub struct CompiledDesign {
     /// runs `cascades[cascade_of[p]]` straight through instead of
     /// evaluating `p` and enqueueing its fanout.
     pub cascade_of: Vec<Option<u32>>,
-    /// How many cascade plans a delta rebuild dropped: cascades whose
-    /// closure contains at least one rebuilt (non-reused) unit. A
-    /// rebuilt unit invalidates every plan whose cascade contains it —
-    /// cascades are rebuilt wholesale from the fresh unit set, so the
-    /// resulting plans are exactly a from-scratch build's. Always 0 for
-    /// scratch compiles.
-    pub invalidated_plans: u32,
 }
 
 impl CompiledDesign {
@@ -404,22 +396,6 @@ impl CompiledDesign {
     #[inline]
     pub fn comb_readers(&self, sig: SignalId) -> &[u32] {
         &self.comb_readers[sig.index()]
-    }
-}
-
-// Manual impl excluding `invalidated_plans`: the corpus suites assert a
-// delta build *structurally* equal to its scratch twin by comparing
-// `Debug` output, and the invalidation counter is build provenance, not
-// structure (a delta rebuild legitimately reports > 0 where the scratch
-// build reports 0 — the artifacts are still identical).
-impl fmt::Debug for CompiledDesign {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompiledDesign")
-            .field("procs", &self.procs)
-            .field("comb_readers", &self.comb_readers)
-            .field("cascades", &self.cascades)
-            .field("cascade_of", &self.cascade_of)
-            .finish()
     }
 }
 
@@ -438,9 +414,6 @@ pub fn assemble_design(
     design: &Design,
     mut prebuilt: Vec<Option<CompiledProcess>>,
 ) -> CompiledDesign {
-    // Which processes are NOT reused (delta builds only; empty for
-    // scratch compiles) — the cascade-invalidation witness below.
-    let fresh: Vec<bool> = prebuilt.iter().map(Option::is_none).collect();
     let procs: Vec<CompiledProcess> = design
         .processes
         .iter()
@@ -468,25 +441,13 @@ pub fn assemble_design(
     }
     // Cascade plans are always rebuilt wholesale from the assembled
     // process set (like `comb_readers`), so a delta build's cascades are
-    // exactly a scratch build's. The invalidation counter records how
-    // many of them a delta rebuild *dropped*: every cascade whose
-    // closure contains a fresh (rebuilt) unit is a plan the parent's
-    // compile had that this rebuild could not carry over.
+    // exactly a scratch build's.
     let (cascades, cascade_of) = build_cascades(design, &procs, &comb_readers);
-    let invalidated_plans = cascades
-        .iter()
-        .filter(|c| {
-            c.procs
-                .iter()
-                .any(|&p| fresh.get(p as usize).copied().unwrap_or(false))
-        })
-        .count() as u32;
     CompiledDesign {
         procs,
         comb_readers,
         cascades,
         cascade_of,
-        invalidated_plans,
     }
 }
 

@@ -53,10 +53,11 @@ pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
 
 /// Delta elaboration: like [`elaborate`], but probe `provider` for every
 /// process unit and reuse verified hits verbatim (interpreter form and
-/// bytecode), rebuilding only missed units plus the fanout/trigger index
-/// rows that reference them. The compiled bytecode is assembled eagerly
-/// and pre-seeded, and freshly built units are published back to the
-/// provider. Returns the design together with reuse counters.
+/// bytecode), rebuilding only missed units; the fanout and trigger
+/// indexes and the cascades are rebuilt wholesale. The compiled
+/// bytecode is assembled eagerly and pre-seeded, and freshly built units
+/// are published back to the provider. Returns the design together with
+/// reuse counters.
 ///
 /// The result is *store-exact* against [`elaborate`]: a provider hit is
 /// only served after the unit's canonical item text and full binding
@@ -124,27 +125,14 @@ pub fn elaborate_delta(
         // Which processes were rebuilt (provider misses)?
         let fresh: Vec<bool> = prebuilt.iter().map(Option::is_none).collect();
         let compiled = Arc::new(assemble_design(&design, prebuilt));
-        stats.plan_invalidations = compiled.invalidated_plans as usize;
-        // Index-rebuild accounting: fanout rows and per-edge trigger
-        // rows that reference a rebuilt process (the rows a surgical
-        // index patch would have had to touch).
-        stats.fanout_rows = compiled
-            .comb_readers
+        // Cascades are rebuilt wholesale from the assembled units, so
+        // every cascade whose closure holds a rebuilt unit is a plan the
+        // parent had that this rebuild dropped.
+        stats.plan_invalidations = compiled
+            .cascades
             .iter()
-            .filter(|row| row.iter().any(|&i| fresh[i as usize]))
+            .filter(|c| c.procs.iter().any(|&p| fresh[p as usize]))
             .count();
-        for s in 0..design.signals.len() {
-            let sig = SignalId(s as u32);
-            for edge in [Edge::Pos, Edge::Neg] {
-                if design
-                    .triggers(edge, sig)
-                    .iter()
-                    .any(|&i| fresh[i as usize])
-                {
-                    stats.trigger_rows += 1;
-                }
-            }
-        }
         for (i, tag) in design.units().iter().enumerate() {
             if fresh[i] {
                 provider.publish(

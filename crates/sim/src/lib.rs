@@ -40,13 +40,12 @@
 //! combinational events + an NBA commit region) fans each signal
 //! change out to exactly the processes whose bytecode reads it, and
 //! dispatches clock edges through per-edge trigger lists computed at
-//! elaboration — see the [`sim`](Simulator) module docs for the full
-//! three-executor stack. The original tree-walking evaluator
-//! ([`eval`]/[`exec`]) with its scan-based worklist scheduler remains
-//! available as the differential-testing oracle via
-//! [`ExecMode::Legacy`] (or the `MAGE_SIM_EXEC=legacy` environment
-//! hook); [`Simulator::set_two_state`] reaches the pure four-state
-//! reference of the compiled executor.
+//! elaboration — see the [`sim`](Simulator) module docs for the three
+//! executors. The original tree-walking evaluator ([`eval`]/[`exec`])
+//! with its scan-based worklist scheduler remains available as the
+//! differential-testing oracle via [`ExecMode::Legacy`] (or the
+//! `MAGE_SIM_EXEC=legacy` environment hook); [`ExecMode::FourState`]
+//! is the pure four-state reference of the compiled executor.
 //!
 //! # Example
 //!

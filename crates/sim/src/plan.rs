@@ -38,9 +38,9 @@
 //!
 //! Plans are built unconditionally at compile time (they are cheap and
 //! deterministic, so delta-built designs stay structurally exact
-//! against scratch builds); only *dispatch* is gated, per simulator, by
-//! [`crate::Simulator::set_two_state`], whose off position runs every
-//! evaluation on the four-state loop. A completed plan run is
+//! against scratch builds); only *dispatch* is chosen, per simulator,
+//! by its [`crate::ExecMode`]: [`crate::ExecMode::FourState`] runs
+//! every evaluation on the four-state loop. A completed plan run is
 //! store-exact against both references, the four-state loop and the
 //! tree-walker, which the lockstep suites,
 //! `tests/fused_vs_unfused_corpus.rs` and the fuzz oracle verify.
@@ -48,10 +48,9 @@
 //! Under delta rebuilds, plans invalidate structurally: per-process
 //! plans travel inside their content-addressed unit, and cascade plans
 //! are rebuilt wholesale by [`crate::assemble_design`] — a rebuilt
-//! unit therefore drops every cascade plan whose closure contains it,
-//! counted in [`CompiledDesign::invalidated_plans`](crate::CompiledDesign)
-//! and surfaced through `DeltaStats`/`EvalCounts` as
-//! `plan_invalidations`.
+//! unit therefore drops every cascade plan whose closure contains it.
+//! [`crate::elaborate_delta`] counts those drops in
+//! [`DeltaStats::plan_invalidations`](crate::DeltaStats).
 
 use crate::compile::{BinOp, CmpOp, CompiledProcess, Instr, ReduceOp, Slot};
 use crate::design::{Design, Process, SignalId};

@@ -28,8 +28,8 @@
 //! changed, so toggling one clock of a multi-clock design never touches
 //! the other domain.
 //!
-//! The wheel steps on borrowed state. Each wheel entry point (a poke,
-//! a batched poke, a drain) builds one private view in place: shared
+//! The wheel steps on borrowed state. Each wheel entry point (a drive
+//! batch or a drain) builds one private view in place: shared
 //! borrows of the [`Design`] and its [`CompiledDesign`], exclusive
 //! borrows of the register files, store, wheel, counters and coverage
 //! map. Both regions and the compiled body dispatch run through it. The
@@ -49,8 +49,14 @@
 //! the same settled pre-edge state an eager scheduler would have
 //! produced). Poking a step's data drives one by one then reading an
 //! output therefore settles the shared fanout once instead of once per
-//! drive. Both schedulers implement the identical deferral rule, so the
-//! lockstep suites stay store-exact at every observation point.
+//! drive.
+//!
+//! Each scheduler has one drive path: a single poke is a batch of one
+//! ([`Simulator::poke_id`] calls [`Simulator::poke_many_ids`]), and the
+//! batch path applies the deferral rule above to the whole batch. The
+//! two schedulers defer on the same condition (some drive's LSB
+//! transition fires an edge-triggered process), so the lockstep suites
+//! stay store-exact at every observation point.
 //!
 //! A flush that faults (combinational loop, edge cascade) *latches*:
 //! the error is reported by the call that discovered it (or swallowed
@@ -60,38 +66,38 @@
 //! pending work. A standing fault re-reports there; driving the input
 //! that broke the loop recovers, exactly as under eager evaluation.
 //!
-//! # The three-executor stack
+//! # The three executors
 //!
-//! Process bodies execute on one of three executors:
+//! [`ExecMode`] picks one of three executors when the simulator is
+//! built; nothing switches it afterwards:
 //!
 //! 1. **Legacy** ([`ExecMode::Legacy`] / `MAGE_SIM_EXEC=legacy`) — the
 //!    pre-wheel scheduler (full-scan edge dispatch + a per-call
 //!    worklist seeded after the fact) driving the tree-walking
 //!    evaluator: the differential oracle, kept verbatim.
-//! 2. **Four-state compiled** — the bytecode interpreter's `LogicVec`
-//!    loop on the event wheel, full `X`/`Z` propagation at any width.
-//!    Every compiled evaluation that can see an `X`/`Z` runs here, and
-//!    so does every evaluation of a process with no plan.
-//! 3. **Plans** (the default dispatch inside [`ExecMode::Compiled`]) —
-//!    when a process with an evaluation plan ([`crate::plan`]) has a
-//!    fully defined read set, its plan runs over bare aval words,
-//!    skipping all bval-plane masking/merging (the Verilator
-//!    two-state model). The gate is per evaluation: the all-`X` boot
-//!    state runs four-state until the first defined store, an `X`/`Z`
-//!    poked into a read demotes exactly the processes that read it, and
-//!    the two mid-run hazards (an out-of-range dynamic bit select, a
-//!    zero divisor) bail, rewind, and re-run four-state — completed
-//!    plan runs are store-exact by construction. Plans are on for
-//!    every compiled simulator; [`Simulator::set_two_state`] turns
-//!    them off per simulator, which is how tests reach the four-state
-//!    reference. `EvalCounts::two_state_evals` /
+//! 2. **Four-state compiled** ([`ExecMode::FourState`]) — the bytecode
+//!    interpreter's `LogicVec` loop on the event wheel, full `X`/`Z`
+//!    propagation at any width, plans off. It is the reference the
+//!    lockstep suites hold the plans against. Under
+//!    [`ExecMode::Compiled`] every evaluation that can see an `X`/`Z`
+//!    runs this loop too, and so does every evaluation of a process
+//!    with no plan.
+//! 3. **Plans** ([`ExecMode::Compiled`], the default) — when a process
+//!    with an evaluation plan ([`crate::plan`]) has a fully defined
+//!    read set, its plan runs over bare aval words, skipping all
+//!    bval-plane masking/merging (the Verilator two-state model). The
+//!    gate is per evaluation: the all-`X` boot state runs four-state
+//!    until the first defined store, an `X`/`Z` poked into a read
+//!    demotes exactly the processes that read it, and the two mid-run
+//!    hazards (an out-of-range dynamic bit select, a zero divisor)
+//!    bail, rewind, and re-run four-state — completed plan runs are
+//!    store-exact by construction. `EvalCounts::two_state_evals` /
 //!    `two_state_fallbacks` account for every evaluation of a process
 //!    with a plan.
 //!
 //! The corpus lockstep suites (`tests/compiled_vs_interp_corpus.rs`,
-//! `crates/sim/tests/{event_wheel,two_state}.rs`) hold the default
-//! compiled simulator, its four-state reference and the legacy
-//! executor store-exact after every poke.
+//! `crates/sim/tests/{event_wheel,two_state}.rs`) hold all three
+//! executors store-exact after every poke.
 
 use crate::compile::CompiledDesign;
 use crate::design::{Design, Process, SignalId};
@@ -152,8 +158,8 @@ pub struct EvalCounts {
     /// list, so every probe it pays for is an actual trigger.
     pub edge_probes: u64,
     /// Process body executions completed on a plan (two-state, over
-    /// bare aval words) — a subset of `comb_evals + seq_evals`. Zero in
-    /// legacy mode and after [`Simulator::set_two_state`]`(false)`.
+    /// bare aval words) — a subset of `comb_evals + seq_evals`. Zero
+    /// under [`ExecMode::FourState`] and [`ExecMode::Legacy`].
     pub two_state_evals: u64,
     /// Executions of processes with a plan that ran four-state anyway:
     /// an `X`/`Z` in the read set at dispatch (including the all-`X`
@@ -168,12 +174,6 @@ pub struct EvalCounts {
     /// `plan_steps < plan_unfused_steps` is the fusion win in dispatch
     /// economics, independent of wall clock.
     pub plan_unfused_steps: u64,
-    /// Cascade plans this simulator's design dropped in its delta
-    /// rebuild ([`crate::CompiledDesign::invalidated_plans`], seeded at
-    /// construction; 0 for scratch-compiled designs and in legacy
-    /// mode). [`Simulator::reset_eval_counts`] clears the seed along
-    /// with the runtime counters.
-    pub plan_invalidations: u64,
 }
 
 impl EvalCounts {
@@ -220,11 +220,6 @@ pub struct Simulator {
     regs: Vec<interp::RegFile>,
     store: Store,
     mode: ExecMode,
-    /// Plan dispatch enable (compiled mode; on by default, off after
-    /// [`Simulator::set_two_state`]`(false)` — the hook the
-    /// differential suites use to hold the plans against the
-    /// four-state reference).
-    two_state: bool,
     /// Wheel scheduler state (the default path).
     wheel: Wheel,
     /// Oracle scheduler state (`ExecMode::Legacy` only).
@@ -401,13 +396,18 @@ struct Worklist {
     olds: Vec<Option<LogicBit>>,
 }
 
-/// Which executor (and scheduler) runs process bodies.
+/// Which executor (and scheduler) runs process bodies, fixed when the
+/// simulator is built (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Compile-once bytecode interpreter scheduled by the two-region
-    /// event wheel (the default).
+    /// Compile-once bytecode scheduled by the two-region event wheel,
+    /// with plan (two-state) dispatch (the default).
     #[default]
     Compiled,
+    /// The same bytecode on the same wheel with plans off: every
+    /// evaluation runs the four-state loop. The reference the lockstep
+    /// suites hold the plans against.
+    FourState,
     /// Legacy tree-walking interpreter with the scan-based worklist
     /// scheduler, kept as the differential-testing oracle.
     Legacy,
@@ -438,7 +438,7 @@ impl Simulator {
             .collect();
         let nproc = design.processes.len();
         let (regs, legacy) = match mode {
-            ExecMode::Compiled => {
+            ExecMode::Compiled | ExecMode::FourState => {
                 let regs = design
                     .compiled()
                     .procs
@@ -450,7 +450,7 @@ impl Simulator {
             ExecMode::Legacy => (Vec::new(), Some(Box::new(LegacySched::build(&design)))),
         };
         let mut wheel = Wheel::default();
-        if mode == ExecMode::Compiled {
+        if mode != ExecMode::Legacy {
             wheel.in_active = vec![false; nproc];
             wheel.in_triggered = vec![false; nproc];
             wheel.olds = vec![None; design.signals.len()];
@@ -463,23 +463,15 @@ impl Simulator {
                 }
             }
         }
-        let mut counts = EvalCounts::default();
-        if mode == ExecMode::Compiled {
-            // Surface the design's delta-rebuild plan drops: 0 for
-            // scratch compiles, the cascade-invalidation count for
-            // delta-assembled designs.
-            counts.plan_invalidations = design.compiled().invalidated_plans as u64;
-        }
         Simulator {
             design,
             regs,
             store,
             mode,
-            two_state: mode == ExecMode::Compiled,
             wheel,
             legacy,
             fault: None,
-            counts,
+            counts: EvalCounts::default(),
             coverage: None,
         }
     }
@@ -501,21 +493,6 @@ impl Simulator {
     /// Detach and return the recorded coverage map (recording stops).
     pub fn take_coverage(&mut self) -> Option<crate::FuzzCoverage> {
         self.coverage.take().map(|b| *b)
-    }
-
-    /// Whether plan (two-state) dispatch is enabled.
-    pub fn two_state(&self) -> bool {
-        self.two_state
-    }
-
-    /// Enable or disable plan (two-state) dispatch (compiled mode only;
-    /// a no-op on the legacy executor). Turning it off forces every
-    /// process through the four-state interpreter — the differential
-    /// suites use this to lockstep the plans against pure four-state
-    /// execution on the same executor. Call it before booting the
-    /// simulator when counts must match a fresh run.
-    pub fn set_two_state(&mut self, on: bool) {
-        self.two_state = on && self.mode == ExecMode::Compiled;
     }
 
     /// The design being simulated.
@@ -577,15 +554,10 @@ impl Simulator {
     /// Drain whatever the lazy pokes deferred on the current scheduler.
     fn flush_pending(&mut self) -> Result<(), SimError> {
         match self.mode {
-            ExecMode::Compiled => self.drain(),
+            ExecMode::Compiled | ExecMode::FourState => self.drain(),
             ExecMode::Legacy => {
                 let mut sched = self.take_legacy();
-                let pending = std::mem::take(&mut sched.pending);
-                let r = if pending.is_empty() && sched.booted {
-                    Ok(())
-                } else {
-                    self.settle_from(&mut sched, pending)
-                };
+                let r = self.flush_legacy(&mut sched);
                 self.legacy = Some(sched);
                 r
             }
@@ -593,7 +565,8 @@ impl Simulator {
     }
 
     /// Drive a top-level input by name and propagate the change (edges
-    /// first, then combinational settle).
+    /// first, then combinational settle): resolves the name, then runs
+    /// [`Simulator::poke_id`].
     ///
     /// # Errors
     ///
@@ -625,49 +598,43 @@ impl Simulator {
 
     /// Drive several top-level inputs at once, then propagate: all
     /// stores update first, every edge those updates produce triggers
-    /// once, and the combinational fanout settles a single time.
+    /// once, and the combinational fanout settles a single time. This is
+    /// every scheduler's one drive path; [`Simulator::poke_id`] is a
+    /// batch of one.
     ///
-    /// This is the testbench fast path — poking a step's drives one by
-    /// one re-settles the entire fanout per input, multiplying process
-    /// activations by the drive count. Simultaneous edges on several
-    /// clocks trigger both domains in one wave. Drives apply in order:
-    /// a later drive of the same signal transitions from the earlier
-    /// drive's value.
+    /// Testbenches drive each step's inputs as one batch. Simultaneous
+    /// edges on several clocks trigger both domains in one wave. Drives
+    /// apply in order: a later drive of the same signal transitions from
+    /// the earlier drive's value.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownInput`] if any id is not a top-level input —
-    /// the ids are validated up front, so a failed batch changes
-    /// nothing, not even a latched fault (both schedulers agree on
-    /// this, which the lockstep suites depend on); propagation errors
-    /// as in [`Simulator::settle`].
+    /// [`SimError::UnknownInput`] if any id is not a top-level input of
+    /// this design (an output, an internal signal, or an index past its
+    /// signals) — the ids are validated up front, so a failed batch
+    /// changes nothing, not even a latched fault (both schedulers agree
+    /// on this, which the lockstep suites depend on); propagation
+    /// errors as in [`Simulator::settle`].
     pub fn poke_many_ids(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
         for (id, _) in drives {
             self.check_input(*id)?;
         }
         self.fault = None;
-        match self.mode {
-            ExecMode::Compiled => self.poke_many_wheel(drives),
+        let r = match self.mode {
+            ExecMode::Compiled | ExecMode::FourState => self.wheel_view().poke_many(drives),
             ExecMode::Legacy => self.poke_many_legacy(drives),
-        }
+        };
+        self.latch(r)
     }
 
-    /// Drive a top-level input by id (testbenches use this for clocks).
+    /// Drive one top-level input by id (testbenches use this for
+    /// clocks): [`Simulator::poke_many_ids`] with a batch of one.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownInput`] if `id` is not a top-level input of
-    /// this design (an output, an internal signal, or an index past its
-    /// signals) — checked first, so a rejected poke changes nothing,
-    /// not even a latched fault; propagation errors as in
-    /// [`Simulator::settle`].
+    /// As in [`Simulator::poke_many_ids`].
     pub fn poke_id(&mut self, id: SignalId, value: LogicVec) -> Result<(), SimError> {
-        self.check_input(id)?;
-        self.fault = None;
-        match self.mode {
-            ExecMode::Compiled => self.poke_id_wheel(id, value),
-            ExecMode::Legacy => self.poke_id_legacy(id, value),
-        }
+        self.poke_many_ids(&[(id, value)])
     }
 
     /// [`SimError::UnknownInput`] unless `id` is a top-level input, named
@@ -701,7 +668,7 @@ impl Simulator {
     pub fn settle(&mut self) -> Result<(), SimError> {
         self.fault = None;
         let r = match self.mode {
-            ExecMode::Compiled => self.drain(),
+            ExecMode::Compiled | ExecMode::FourState => self.drain(),
             ExecMode::Legacy => self.settle_legacy(),
         };
         self.latch(r)
@@ -717,11 +684,11 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Event-wheel scheduler (ExecMode::Compiled)
+    // Event-wheel scheduler (ExecMode::Compiled and ExecMode::FourState)
     // ------------------------------------------------------------------
 
-    /// Borrow the wheel scheduler's view of this simulator (compiled
-    /// mode only): field borrows, built in place per entry point.
+    /// Borrow the wheel scheduler's view of this simulator (wheel modes
+    /// only): field borrows, built in place per entry point.
     fn wheel_view(&mut self) -> WheelView<'_> {
         WheelView {
             design: &self.design,
@@ -731,18 +698,8 @@ impl Simulator {
             wheel: &mut self.wheel,
             counts: &mut self.counts,
             coverage: self.coverage.as_deref_mut(),
-            two_state: self.two_state,
+            two_state: self.mode == ExecMode::Compiled,
         }
-    }
-
-    fn poke_id_wheel(&mut self, id: SignalId, value: LogicVec) -> Result<(), SimError> {
-        let r = self.wheel_view().poke(id, value);
-        self.latch(r)
-    }
-
-    fn poke_many_wheel(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
-        let r = self.wheel_view().poke_many(drives);
-        self.latch(r)
     }
 
     /// Resolve a drive batch by name up front, so an unknown name fails
@@ -771,10 +728,10 @@ impl Simulator {
 
 /// The wheel scheduler's view of one [`Simulator`]: shared borrows of
 /// the design and its bytecode, exclusive borrows of the state the
-/// regions mutate. `poke_id_wheel`, `poke_many_wheel` and `drain` build
-/// it in place from disjoint field borrows, and both regions and the
-/// compiled body dispatch run through it — so the wheel path takes no
-/// `Arc` clone and never moves the `Wheel` out of its simulator.
+/// regions mutate. `poke_many_ids` and `drain` build it in place from
+/// disjoint field borrows, and both regions and the compiled body
+/// dispatch run through it — so the wheel path takes no `Arc` clone and
+/// never moves the `Wheel` out of its simulator.
 struct WheelView<'s> {
     design: &'s Design,
     compiled: &'s CompiledDesign,
@@ -783,69 +740,29 @@ struct WheelView<'s> {
     wheel: &'s mut Wheel,
     counts: &'s mut EvalCounts,
     coverage: Option<&'s mut crate::FuzzCoverage>,
+    /// Plan dispatch on ([`ExecMode::Compiled`]) or off
+    /// ([`ExecMode::FourState`]).
     two_state: bool,
 }
 
 impl WheelView<'_> {
-    /// Does a `old_bit → new_bit` transition on `id` fire at least one
-    /// edge-triggered process? This is the lazy-poke deferral rule —
-    /// the legacy scheduler defers on the same condition, so the two
-    /// always agree on what defers.
-    fn transition_fires(&self, id: SignalId, old_bit: LogicBit, new_bit: LogicBit) -> bool {
-        edge_kind(old_bit, new_bit).is_some_and(|e| !self.design.triggers(e, id).is_empty())
-    }
-
-    /// Drive one signal: store it, enqueue its comb fanout and edge
-    /// triggers, and drain only if an edge fired.
-    fn poke(&mut self, id: SignalId, value: LogicVec) -> Result<(), SimError> {
-        let value = value.resized(self.design.width(id));
-        let old = &self.store[id.index()];
-        if old.case_eq(&value) {
-            return Ok(());
-        }
-        let old_bit = old.get(0).unwrap_or(LogicBit::X);
-        let new_bit = value.get(0).unwrap_or(LogicBit::X);
-        let fires = self.transition_fires(id, old_bit, new_bit);
-        if fires {
-            // Flops must sample the settled pre-edge state: flush the
-            // deferred combinational work before the edge dispatches.
-            self.drain()?;
-        }
-        self.store[id.index()] = value;
-        self.wheel.comb_fanout(self.compiled, id);
-        self.wheel
-            .edge_triggers(self.design, self.counts, id, old_bit, new_bit);
-        if !fires {
-            // No edge fired: leave the comb fanout pending for the next
-            // observation point (peek / settle / real edge).
-            return Ok(());
-        }
-        self.drain()
-    }
-
     /// Would applying `drives` in order fire any edge-triggered
-    /// process? Sequential-application semantics: a drive transitions
-    /// from the latest earlier drive of the same signal in the batch,
-    /// or from the store when there is none.
+    /// process? This is the lazy-poke deferral rule — the legacy
+    /// scheduler defers on the same condition, so the two always agree
+    /// on what defers. Sequential-application semantics: a drive
+    /// transitions from the latest earlier drive of the same signal in
+    /// the batch, or from the store when there is none. An edge depends
+    /// only on the LSB ([`edge_kind`]), and resizing a value to its
+    /// signal's width keeps bit 0, so only the LSBs are read.
     fn batch_fires(&self, drives: &[(SignalId, LogicVec)]) -> bool {
         drives.iter().enumerate().any(|(k, (id, value))| {
-            let width = self.design.width(*id);
-            let value = value.resized(width);
-            let earlier = drives[..k].iter().rev().find(|(prev, _)| prev == id);
-            let redriven;
-            let old = match earlier {
-                Some((_, prev)) => {
-                    redriven = prev.resized(width);
-                    &redriven
-                }
+            let old = match drives[..k].iter().rev().find(|(prev, _)| prev == id) {
+                Some((_, prev)) => prev,
                 None => &self.store[id.index()],
             };
-            if old.case_eq(&value) {
-                return false;
-            }
             let old_bit = old.get(0).unwrap_or(LogicBit::X);
             let new_bit = value.get(0).unwrap_or(LogicBit::X);
-            self.transition_fires(*id, old_bit, new_bit)
+            edge_kind(old_bit, new_bit).is_some_and(|e| !self.design.triggers(e, *id).is_empty())
         })
     }
 
@@ -854,7 +771,8 @@ impl WheelView<'_> {
     fn poke_many(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
         let fires = self.batch_fires(drives);
         if fires {
-            // Pre-edge flush, as in `poke`.
+            // Flops must sample the settled pre-edge state: flush the
+            // deferred combinational work before the edge dispatches.
             self.drain()?;
         }
         let mut any_changed = false;
@@ -1123,60 +1041,6 @@ impl Simulator {
         self.legacy.take().expect("legacy scheduler present")
     }
 
-    fn poke_id_legacy(&mut self, id: SignalId, value: LogicVec) -> Result<(), SimError> {
-        let width = self.design.width(id);
-        let value = value.resized(width);
-        let old = self.store[id.index()].clone();
-        if old.case_eq(&value) {
-            return Ok(());
-        }
-
-        // 1. Edge-triggered processes sampling the pre-NBA world. The
-        //    scan runs before the store write (and before the deferral
-        //    decision) so probe accounting matches the eager scheduler.
-        let old_bit = old.get(0).unwrap_or(LogicBit::X);
-        let new_bit = value.get(0).unwrap_or(LogicBit::X);
-        let mut sched = self.take_legacy();
-        let mut triggered: Vec<usize> = Vec::new();
-        for &pi in &sched.edge_deps[id.index()] {
-            self.counts.edge_probes += 1;
-            if let Process::Seq { edges, .. } = &self.design.processes[pi] {
-                if edges
-                    .iter()
-                    .any(|&(e, s)| s == id && is_edge(e, old_bit, new_bit))
-                {
-                    triggered.push(pi);
-                }
-            }
-        }
-        if triggered.is_empty() {
-            // Edge-free drive: defer the combinational settle to the
-            // next observation point (the wheel does the same).
-            self.store[id.index()] = value;
-            sched.pending.push(id);
-            self.legacy = Some(sched);
-            return Ok(());
-        }
-        // 2. Flops sample the settled pre-edge state: flush deferred
-        //    work before the clock value lands in the store.
-        let pending = std::mem::take(&mut sched.pending);
-        let mut r = if pending.is_empty() && sched.booted {
-            Ok(())
-        } else {
-            self.settle_from(&mut sched, pending)
-        };
-        if r.is_ok() {
-            self.store[id.index()] = value;
-            let mut changed = vec![id];
-            r = self
-                .run_seq_cascade(&mut sched, triggered, &mut changed)
-                // 3. Combinational settle from everything that moved.
-                .and_then(|()| self.settle_from(&mut sched, changed));
-        }
-        self.legacy = Some(sched);
-        self.latch(r)
-    }
-
     fn poke_many_legacy(&mut self, drives: &[(SignalId, LogicVec)]) -> Result<(), SimError> {
         let mut sched = self.take_legacy();
         // Pass 1 — no store writes yet: collect the change set and the
@@ -1224,14 +1088,10 @@ impl Simulator {
             self.legacy = Some(sched);
             return Ok(());
         }
-        // Edge batch: flush deferred work pre-edge, then apply and
-        // propagate exactly as the eager scheduler did.
-        let pending = std::mem::take(&mut sched.pending);
-        let mut r = if pending.is_empty() && sched.booted {
-            Ok(())
-        } else {
-            self.settle_from(&mut sched, pending)
-        };
+        // Edge batch: flops sample the settled pre-edge state, so flush
+        // deferred work first, then apply and propagate exactly as the
+        // eager scheduler did.
+        let mut r = self.flush_legacy(&mut sched);
         if r.is_ok() {
             for (idx, value) in overlay {
                 self.store[idx] = value;
@@ -1241,7 +1101,19 @@ impl Simulator {
                 .and_then(|()| self.settle_from(&mut sched, changed));
         }
         self.legacy = Some(sched);
-        self.latch(r)
+        r
+    }
+
+    /// Settle what edge-free drives deferred (`sched.pending`) — or, on
+    /// a simulator not yet booted, every comb process (the time-zero
+    /// events). The legacy side of the lazy-poke flush: before a read
+    /// and before an edge.
+    fn flush_legacy(&mut self, sched: &mut LegacySched) -> Result<(), SimError> {
+        let pending = std::mem::take(&mut sched.pending);
+        if pending.is_empty() && sched.booted {
+            return Ok(());
+        }
+        self.settle_from(sched, pending)
     }
 
     /// Run triggered sequential processes, commit their non-blocking

@@ -71,15 +71,10 @@ pub struct DeltaStats {
     pub reused: usize,
     /// Units elaborated and lowered from scratch.
     pub rebuilt: usize,
-    /// `comb_readers` fanout rows that reference a rebuilt process.
-    pub fanout_rows: usize,
-    /// Per-edge trigger rows that reference a rebuilt process.
-    pub trigger_rows: usize,
     /// Fused cascade plans dropped because their closure contains a
-    /// rebuilt unit ([`crate::CompiledDesign::invalidated_plans`]): a
-    /// rebuilt unit invalidates every evaluation plan whose cascade
-    /// contains it, and this delta rebuild rebuilt those plans from the
-    /// fresh unit set.
+    /// rebuilt unit: a rebuilt unit invalidates every evaluation plan
+    /// whose cascade contains it, and this delta rebuild rebuilt those
+    /// plans from the fresh unit set. 0 when no provider was probed.
     pub plan_invalidations: usize,
 }
 
@@ -200,8 +195,6 @@ mod tests {
         let (delta, stats) = elaborate_with(&file, "top", &provider).unwrap();
         assert_eq!(stats.reused, total);
         assert_eq!(stats.rebuilt, 0);
-        assert_eq!(stats.fanout_rows, 0);
-        assert_eq!(stats.trigger_rows, 0);
         assert_eq!(delta.processes, parent.processes);
         assert_eq!(
             format!("{:?}", delta.compiled().procs),
@@ -219,10 +212,6 @@ mod tests {
         let (delta, stats) = elaborate_with(&file, "top", &provider).unwrap();
         assert_eq!(stats.rebuilt, 1);
         assert_eq!(stats.reused, total - 1);
-        // The edited unit is comb: it lands in fanout rows, not trigger
-        // rows.
-        assert!(stats.fanout_rows > 0);
-        assert_eq!(stats.trigger_rows, 0);
         // Store-exact against from-scratch.
         let scratch = elaborate(&file, "top").unwrap();
         assert_eq!(delta.processes, scratch.processes);

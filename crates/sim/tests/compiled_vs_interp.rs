@@ -19,14 +19,14 @@ use mage_sim::{elaborate, Design, ExecMode, SimError, Simulator};
 use std::sync::Arc;
 
 /// Drive the legacy oracle and the compiled executor's default
-/// (plans) and pure four-state configurations in lockstep and compare
-/// the full store after every poke. Returns the error all agreed on,
-/// if any.
+/// (plans) and pure four-state modes in lockstep and compare the full
+/// store after every poke. Returns the error all agreed on, if any.
 fn lockstep(design: &Arc<Design>, schedule: &[(&str, u64)]) -> Option<SimError> {
-    let compiled = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-    let mut four = compiled();
-    four.set_two_state(false);
-    let mut fasts = [(compiled(), "compiled"), (four, "four-state")];
+    let compiled = |mode| Simulator::with_mode(Arc::clone(design), mode);
+    let mut fasts = [
+        (compiled(ExecMode::Compiled), "compiled"),
+        (compiled(ExecMode::FourState), "four-state"),
+    ];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
     let rs = slow.settle();
     for (fast, label) in &mut fasts {

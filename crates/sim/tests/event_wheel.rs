@@ -45,14 +45,14 @@ fn compare_stores(design: &Design, fast: &mut Simulator, slow: &mut Simulator, a
 }
 
 /// Run `ops` on the legacy scheduler and on the wheel's default and
-/// four-state configurations, comparing every signal after each op.
-/// Returns the legacy simulator, which every configuration matched at
-/// the end.
+/// four-state modes, comparing every signal after each op. Returns the
+/// legacy simulator, which every mode matched at the end.
 fn lockstep(design: &Arc<Design>, ops: Vec<Op<'_>>) -> Simulator {
-    let wheel = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-    let mut four = wheel();
-    four.set_two_state(false);
-    let mut fasts = [(wheel(), "wheel"), (four, "four-state")];
+    let wheel = |mode| Simulator::with_mode(Arc::clone(design), mode);
+    let mut fasts = [
+        (wheel(ExecMode::Compiled), "wheel"),
+        (wheel(ExecMode::FourState), "four-state"),
+    ];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
     let rs = slow.settle();
     for (fast, label) in &mut fasts {

@@ -7,8 +7,8 @@
 //! hold that machinery to the store-exactness contract against
 //! **both** retained references:
 //!
-//! * the four-state compiled path ([`Simulator::set_two_state`]`(false)`
-//!   — same bytecode, same wheel, no plans), and
+//! * the four-state compiled path ([`ExecMode::FourState`] — same
+//!   bytecode, same wheel, no plans), and
 //! * the legacy tree-walker with the scan worklist
 //!   ([`ExecMode::Legacy`]);
 //!
@@ -47,11 +47,8 @@ struct Trio {
 impl Trio {
     fn new(design: &Arc<Design>) -> Trio {
         let fast = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-        assert!(fast.two_state(), "compiled default");
-        let mut four = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-        four.set_two_state(false);
+        let four = Simulator::with_mode(Arc::clone(design), ExecMode::FourState);
         let legacy = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-        assert!(!legacy.two_state());
         Trio { fast, four, legacy }
     }
 
@@ -189,8 +186,7 @@ fn x_boot_runs_four_state_then_defined_inputs_go_two_state() {
 #[test]
 fn two_state_disabled_counts_nothing() {
     let design = design_of(ALU_SRC);
-    let mut sim = Simulator::with_mode(Arc::clone(&design), ExecMode::Compiled);
-    sim.set_two_state(false);
+    let mut sim = Simulator::with_mode(Arc::clone(&design), ExecMode::FourState);
     sim.settle().unwrap();
     sim.poke_many([
         ("clk", v(1, 0)),

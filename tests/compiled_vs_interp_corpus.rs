@@ -18,16 +18,16 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Drive the legacy oracle and the compiled executor's default and
-/// four-state configurations through `stim` in testbench order
-/// (drives, then a full clock cycle for clocked designs), comparing
-/// the full store after every poke. Stops (without failing) at the
-/// first simulation fault, after asserting every executor reports the
-/// same fault.
+/// four-state modes through `stim` in testbench order (drives, then a
+/// full clock cycle for clocked designs), comparing the full store
+/// after every poke. Stops (without failing) at the first simulation
+/// fault, after asserting every executor reports the same fault.
 fn lockstep(design: &Arc<Design>, stim: &Stimulus, label: &str) {
-    let compiled = || Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-    let mut four = compiled();
-    four.set_two_state(false);
-    let mut fasts = [(compiled(), "compiled"), (four, "four-state")];
+    let compiled = |mode| Simulator::with_mode(Arc::clone(design), mode);
+    let mut fasts = [
+        (compiled(ExecMode::Compiled), "compiled"),
+        (compiled(ExecMode::FourState), "four-state"),
+    ];
     let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
     // Apply one operation everywhere, comparing every store; `true`
     // while the simulators are fault-free.

@@ -28,11 +28,11 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 /// The three executors every delta build must match its scratch twin
-/// on: `(mode, two_state, label)`.
-const EXECUTORS: [(ExecMode, bool, &str); 3] = [
-    (ExecMode::Compiled, false, "compiled"),
-    (ExecMode::Compiled, true, "compiled+2s"),
-    (ExecMode::Legacy, false, "legacy"),
+/// on: `(mode, label)`.
+const EXECUTORS: [(ExecMode, &str); 3] = [
+    (ExecMode::FourState, "compiled"),
+    (ExecMode::Compiled, "compiled+2s"),
+    (ExecMode::Legacy, "legacy"),
 ];
 
 /// Assert the delta build is structurally identical to the scratch
@@ -61,13 +61,10 @@ fn assert_structurally_exact(scratch: &Design, delta: &Design, label: &str) {
 /// (without failing) at the first simulation fault, after asserting
 /// both builds report the same fault.
 fn lockstep_one(scratch: &Arc<Design>, delta: &Arc<Design>, stim: &Stimulus, label: &str) {
-    for (mode, two_state, exec) in EXECUTORS {
+    for (mode, exec) in EXECUTORS {
         let label = format!("{label} [{exec}]");
         let mut a = Simulator::with_mode(Arc::clone(scratch), mode);
         let mut b = Simulator::with_mode(Arc::clone(delta), mode);
-        for sim in [&mut a, &mut b] {
-            sim.set_two_state(two_state);
-        }
         let ra = a.settle();
         let rb = b.settle();
         assert_eq!(ra, rb, "{label}: settle diverged");
