@@ -4,6 +4,17 @@
 //! flattens the instance hierarchy with dot-separated name prefixes, and
 //! compiles statements into the interpreter form in [`crate::design`].
 //!
+//! A `for` loop unrolls statically: each iteration compiles the body
+//! with the loop variable folded as a constant, under the borrowed
+//! module scope and one constant map per loop, updated in place. A loop
+//! that would run more than 4,096 iterations fails with
+//! [`ElabError::LoopLimit`]. So does a loop whose step gives a value the
+//! variable already held: condition, body and step are pure functions
+//! of that value, so the loop would cycle until the limit and fail there
+//! with the same error. It fails at the first repeat instead, without
+//! unrolling the rest. An error in the body or in folding the step
+//! comes first, as it would have at the limit.
+//!
 //! Every process is produced as a content-addressed *compilation unit*
 //! ([`crate::unit`]): signal declaration always runs in full (global
 //! [`SignalId`] numbering is dense over the whole design), but per-item
@@ -19,7 +30,8 @@ use crate::error::ElabError;
 use crate::unit::{unit_hash, DeltaStats, ProcessUnit, UnitKey, UnitSource, UnitTag};
 use mage_logic::LogicVec;
 use mage_verilog::ast::*;
-use std::collections::HashMap;
+use mage_verilog::print_expr;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Maximum static iterations of a single `for` loop.
@@ -173,11 +185,12 @@ struct Elaborator<'a> {
     stats: DeltaStats,
 }
 
-/// Per-module compile context.
+/// Per-module compile context, borrowed: a `for` unroll compiles its
+/// body under the same scope and its own constant map.
 struct ModuleCtx<'a> {
     module: &'a Module,
-    scope: Scope,
-    consts: Consts,
+    scope: &'a Scope,
+    consts: &'a Consts,
 }
 
 impl<'a> Elaborator<'a> {
@@ -255,8 +268,8 @@ impl<'a> Elaborator<'a> {
 
         let ctx = ModuleCtx {
             module,
-            scope,
-            consts,
+            scope: &scope,
+            consts: &consts,
         };
 
         // Canonical binding environment: everything item compilation can
@@ -373,7 +386,7 @@ impl<'a> Elaborator<'a> {
                 }
             }
         }
-        Ok((ctx.scope, env))
+        Ok((scope, env))
     }
 
     /// Content-address one item under the current binding environment.
@@ -522,7 +535,7 @@ impl<'a> Elaborator<'a> {
                     .collect::<Result<_, _>>()?,
             ),
             Expr::Repl { count, value } => {
-                let n = self.const_i64(count, &ctx.consts)?;
+                let n = self.const_i64(count, ctx.consts)?;
                 if n <= 0 || n > 4096 {
                     return Err(ElabError::BadRange(format!("replication count {n}")));
                 }
@@ -531,7 +544,7 @@ impl<'a> Elaborator<'a> {
             Expr::Bit { base, index } => {
                 // Selecting a bit of a parameter constant.
                 if let Some(v) = ctx.consts.get(base) {
-                    let idx = self.const_i64(index, &ctx.consts)?;
+                    let idx = self.const_i64(index, ctx.consts)?;
                     let bit = if idx >= 0 {
                         v.get(idx as usize).unwrap_or(mage_logic::LogicBit::X)
                     } else {
@@ -545,8 +558,8 @@ impl<'a> Elaborator<'a> {
             Expr::Part { base, msb, lsb } => {
                 let id = self.resolve_signal(ctx, base)?;
                 let decl = &self.signals[id.index()];
-                let msb_v = self.const_i64(msb, &ctx.consts)?;
-                let lsb_v = self.const_i64(lsb, &ctx.consts)?;
+                let msb_v = self.const_i64(msb, ctx.consts)?;
+                let lsb_v = self.const_i64(lsb, ctx.consts)?;
                 if msb_v < lsb_v {
                     return Err(ElabError::BadRange(format!("{base}[{msb_v}:{lsb_v}]")));
                 }
@@ -570,8 +583,8 @@ impl<'a> Elaborator<'a> {
             LValue::Part(n, msb, lsb) => {
                 let id = self.resolve_signal(ctx, n)?;
                 let decl = &self.signals[id.index()];
-                let msb_v = self.const_i64(msb, &ctx.consts)?;
-                let lsb_v = self.const_i64(lsb, &ctx.consts)?;
+                let msb_v = self.const_i64(msb, ctx.consts)?;
+                let lsb_v = self.const_i64(lsb, ctx.consts)?;
                 if msb_v < lsb_v {
                     return Err(ElabError::BadRange(format!("{n}[{msb_v}:{lsb_v}]")));
                 }
@@ -657,46 +670,55 @@ impl<'a> Elaborator<'a> {
                 cond,
                 step,
                 body,
-            } => {
-                // Static unroll with `var` folded as a constant.
-                let mut unrolled = Vec::new();
-                let mut consts = ctx.consts.clone();
-                let mut v = fold_const(init, &consts).map_err(|_| {
-                    ElabError::NotConstant(format!("for-init {}", mage_verilog::print_expr(init)))
-                })?;
-                let mut iters = 0usize;
-                loop {
-                    consts.insert(var.clone(), v.clone());
-                    let c = fold_const(cond, &consts).map_err(|_| {
-                        ElabError::NotConstant(format!(
-                            "for-cond {}",
-                            mage_verilog::print_expr(cond)
-                        ))
-                    })?;
-                    if !c.truth().is_true() {
-                        break;
-                    }
-                    let iter_ctx = ModuleCtx {
-                        module: ctx.module,
-                        scope: ctx.scope.clone(),
-                        consts: consts.clone(),
-                    };
-                    unrolled.push(self.compile_stmt(&iter_ctx, body)?);
-                    v = fold_const(step, &consts).map_err(|_| {
-                        ElabError::NotConstant(format!(
-                            "for-step {}",
-                            mage_verilog::print_expr(step)
-                        ))
-                    })?;
-                    iters += 1;
-                    if iters > LOOP_LIMIT {
-                        return Err(ElabError::LoopLimit(format!("for ({var} = …)")));
-                    }
-                }
-                CStmt::Block(unrolled)
-            }
+            } => self.unroll(ctx, var, init, cond, step, body)?,
             Stmt::Empty => CStmt::Nop,
         })
+    }
+
+    /// Statically unroll `for (var = init; cond; var = step) body`, with
+    /// `var` folded as a constant in each copy of `body`.
+    ///
+    /// The scope is borrowed and the constant map cloned once, then
+    /// updated in place per iteration. Condition, body and step are pure
+    /// functions of `var`'s value, so the first time the step gives a
+    /// value `var` already held, the loop is proven to cycle until it
+    /// reaches [`LOOP_LIMIT`]; it fails there with the error that limit
+    /// gives, without unrolling the rest.
+    fn unroll(
+        &self,
+        ctx: &ModuleCtx<'_>,
+        var: &str,
+        init: &Expr,
+        cond: &Expr,
+        step: &Expr,
+        body: &Stmt,
+    ) -> Result<CStmt, ElabError> {
+        let not_constant =
+            |what: &str, e: &Expr| ElabError::NotConstant(format!("{what} {}", print_expr(e)));
+        let mut consts = ctx.consts.clone();
+        let v = fold_const(init, &consts).map_err(|_| not_constant("for-init", init))?;
+        let mut held = HashSet::new();
+        held.insert(v.clone());
+        consts.insert(var.to_string(), v);
+        let mut unrolled = Vec::new();
+        loop {
+            let c = fold_const(cond, &consts).map_err(|_| not_constant("for-cond", cond))?;
+            if !c.truth().is_true() {
+                break;
+            }
+            let iter_ctx = ModuleCtx {
+                module: ctx.module,
+                scope: ctx.scope,
+                consts: &consts,
+            };
+            unrolled.push(self.compile_stmt(&iter_ctx, body)?);
+            let v = fold_const(step, &consts).map_err(|_| not_constant("for-step", step))?;
+            if unrolled.len() > LOOP_LIMIT || !held.insert(v.clone()) {
+                return Err(ElabError::LoopLimit(format!("for ({var} = …)")));
+            }
+            *consts.get_mut(var).expect("loop variable bound") = v;
+        }
+        Ok(CStmt::Block(unrolled))
     }
 
     // ------------------------------------------------------------------
@@ -728,7 +750,7 @@ impl<'a> Elaborator<'a> {
                     "module `{def_name}` has no parameter `{pname}`"
                 )));
             }
-            let v = fold_const(pexpr, &ctx.consts)
+            let v = fold_const(pexpr, ctx.consts)
                 .map_err(|_| ElabError::NotConstant(format!("override of parameter `{pname}`")))?;
             overrides.insert(pname.clone(), v);
         }
@@ -1065,4 +1087,75 @@ pub(crate) fn fold_const(e: &Expr, consts: &Consts) -> Result<LogicVec, ()> {
             v.slice(l as isize, (m - l + 1) as usize)
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Elaborate one module whose comb block runs `for (i = 0; cond; i =
+    /// step) body` over an 8-bit input `a` and a 16-bit output `y`.
+    fn elaborate_loop(cond: &str, step: &str, body: &str) -> Result<Design, ElabError> {
+        let src = format!(
+            "module top(input [7:0] a, output reg [15:0] y);
+               integer i;
+               always @(*) begin
+                 y = 16'd0;
+                 for (i = 0; {cond}; i = {step}) {body}
+               end
+             endmodule"
+        );
+        elaborate(&mage_verilog::parse(&src).expect("parses"), "top")
+    }
+
+    /// The unrolled copies of the loop body in `design`'s comb process.
+    fn unrolled_len(design: &Design) -> usize {
+        let Process::Comb {
+            body: CStmt::Block(stmts),
+            ..
+        } = &design.processes[0]
+        else {
+            panic!("one comb block")
+        };
+        let CStmt::Block(copies) = &stmts[1] else {
+            panic!("the unrolled loop")
+        };
+        copies.len()
+    }
+
+    const LIMIT_TEXT: &str = "for-loop unroll limit exceeded: for (i = …)";
+
+    #[test]
+    fn a_step_that_repeats_a_value_hits_the_unroll_limit() {
+        // `~0 + 1` is 0 again, `i = i` never moves, and `1 - i` cycles
+        // through 0 and 1: each loop would run forever.
+        for step in ["~i + 1", "i", "1 - i"] {
+            let err = elaborate_loop("i < 8", step, "y = y + a;").unwrap_err();
+            assert_eq!(
+                err,
+                ElabError::LoopLimit("for (i = …)".to_string()),
+                "{step}"
+            );
+            assert_eq!(err.to_string(), LIMIT_TEXT, "{step}");
+        }
+    }
+
+    #[test]
+    fn the_unroll_limit_counts_iterations() {
+        let design = elaborate_loop("i < 4096", "i + 1", "y = y + a;").expect("at the limit");
+        assert_eq!(unrolled_len(&design), LOOP_LIMIT);
+        let err = elaborate_loop("i < 4097", "i + 1", "y = y + a;").unwrap_err();
+        assert_eq!(err.to_string(), LIMIT_TEXT);
+    }
+
+    #[test]
+    fn a_body_error_wins_over_the_unroll_limit() {
+        // `1 - i` cycles through 0 and 1, but `y[17:16]` at `i = 1` is
+        // out of range before the step repeats a value.
+        let err = elaborate_loop("i < 8", "1 - i", "y[i * 16 + 1:i * 16] = a[1:0];").unwrap_err();
+        assert_eq!(err, ElabError::BadSelect("y[17:16]".to_string()));
+        // The same body under a counting loop fails at the same copy.
+        let err = elaborate_loop("i < 8", "i + 1", "y[i * 16 + 1:i * 16] = a[1:0];").unwrap_err();
+        assert_eq!(err, ElabError::BadSelect("y[17:16]".to_string()));
+    }
 }

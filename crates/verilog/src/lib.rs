@@ -19,6 +19,24 @@
 //! `generate`/`function`/`task`/`initial`, no indexed part-selects
 //! (`+:`), `casex` parsed as `casez`.
 //!
+//! # Front end
+//!
+//! [`lex`] turns the source into span tokens ([`token::Token`]): a
+//! `Copy` kind that carries no text, plus the byte range it covers.
+//! Punctuation is recognized by one byte-dispatch `match`. The parser
+//! walks the tokens by index and slices an identifier's or a number's
+//! text out of the source only where the AST keeps it (AST names are
+//! owned `String`s). No line or column is tracked while lexing or
+//! parsing: a [`ParseError`]'s [`token::Pos`] is computed from the
+//! offset of the token at fault when the error is built.
+//!
+//! The parser counts its nesting against one budget, [`MAX_DEPTH`]:
+//! statements, expressions, unary operators, `{…}` lvalues and the left
+//! spine a binary operator chain builds. Deeper input is a positioned
+//! `ParseError`, so neither the parser nor any later recursive walk of
+//! the AST (printing, fingerprinting, constant folding, elaboration,
+//! `Drop`) can exhaust a worker thread's stack.
+//!
 //! # Example
 //!
 //! ```
@@ -52,6 +70,6 @@ pub use ast::*;
 pub use error::ParseError;
 pub use fingerprint::{item_fingerprint, item_print, module_fingerprints, ItemPrint};
 pub use lexer::lex;
-pub use parser::{parse, parse_module};
+pub use parser::{nesting_depth, parse, parse_module, MAX_DEPTH};
 pub use printer::{print_expr, print_file, print_item, print_lvalue, print_module, print_stmt};
 pub use visit::{AssignRef, ExprPath, StmtPath, StmtStep};

@@ -1,10 +1,30 @@
 //! Recursive-descent parser for the MAGE Verilog subset.
+//!
+//! The parser walks the lexer's span tokens by index: peeking and
+//! bumping copy a `Copy` token, and only the identifiers and numbers the
+//! AST keeps are sliced out of the source. Every recursion, and every
+//! node a binary operator chain stacks onto its left operand, counts
+//! against one depth budget, [`MAX_DEPTH`], so no input can nest the
+//! parser, or any later walk of its AST, deeper than that.
 
 use crate::ast::*;
 use crate::error::ParseError;
 use crate::lexer::lex;
-use crate::token::{Keyword, Pos, Token, TokenKind};
+use crate::token::{Keyword, Pos, Punct, Token, TokenKind};
 use mage_logic::parse_literal;
+
+/// The deepest nesting [`parse`] accepts, counted as one level per
+/// statement, per expression (so per parenthesis, concatenation, select
+/// index and ternary branch), per unary operator, per `{…}` lvalue and
+/// per binary operator stacked onto a left operand. Deeper input is a
+/// [`ParseError`] at the token where the count went over.
+///
+/// It is sized for a 2 MiB thread, the stack of serve's sim-wave thread
+/// and of the rayon workers: parsing, elaborating, simulating and
+/// dropping a design nested this deep fits there even unoptimized, where
+/// frames are largest. Unoptimized, the first shapes to overflow such a
+/// stack, nested `begin` and nested `for`, do so at about 230 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parse a complete source file (one or more modules).
 ///
@@ -12,7 +32,7 @@ use mage_logic::parse_literal;
 ///
 /// Returns the first [`ParseError`] encountered. The error message and
 /// position are what the MAGE syntax-repair loop feeds back to the RTL
-/// agent.
+/// agent. Input nested deeper than [`MAX_DEPTH`] is an error too.
 ///
 /// # Example
 ///
@@ -23,8 +43,28 @@ use mage_logic::parse_literal;
 /// # Ok::<(), mage_verilog::ParseError>(())
 /// ```
 pub fn parse(source: &str) -> Result<SourceFile, ParseError> {
+    parse_measured(source).map(|(file, _)| file)
+}
+
+/// How deep `source` nests, counted as [`MAX_DEPTH`] counts: the peak a
+/// successful [`parse`] reached.
+///
+/// # Errors
+///
+/// Fails exactly when [`parse`] fails.
+pub fn nesting_depth(source: &str) -> Result<usize, ParseError> {
+    parse_measured(source).map(|(_, peak)| peak)
+}
+
+fn parse_measured(source: &str) -> Result<(SourceFile, usize), ParseError> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, at: 0 };
+    let mut p = Parser {
+        src: source,
+        tokens,
+        at: 0,
+        depth: 0,
+        peak: 0,
+    };
     let mut modules = Vec::new();
     while !p.at_eof() {
         modules.push(p.module()?);
@@ -32,7 +72,7 @@ pub fn parse(source: &str) -> Result<SourceFile, ParseError> {
     if modules.is_empty() {
         return Err(ParseError::new(Pos { line: 1, col: 1 }, "no module found"));
     }
-    Ok(SourceFile { modules })
+    Ok((SourceFile { modules }, p.peak))
 }
 
 /// Parse a single module from source that contains exactly one.
@@ -51,38 +91,49 @@ pub fn parse_module(source: &str) -> Result<Module, ParseError> {
     Ok(file.modules.into_iter().next().expect("checked length"))
 }
 
-struct Parser {
+struct Parser<'s> {
+    src: &'s str,
     tokens: Vec<Token>,
     at: usize,
+    /// Current nesting, counted against [`MAX_DEPTH`].
+    depth: usize,
+    /// Deepest `depth` reached.
+    peak: usize,
 }
 
-impl Parser {
+impl<'s> Parser<'s> {
     // ------------------------------------------------------------------
     // Token helpers
     // ------------------------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.at].kind
+    fn peek(&self) -> TokenKind {
+        self.tokens[self.at].kind
     }
 
+    fn is_punct(&self, p: Punct) -> bool {
+        self.peek() == TokenKind::Punct(p)
+    }
+
+    /// Where the current token starts. Computed from its offset, so call
+    /// it only to build an error.
     fn pos(&self) -> Pos {
-        self.tokens[self.at].pos
+        self.tokens[self.at].pos(self.src)
     }
 
     fn at_eof(&self) -> bool {
-        matches!(self.peek(), TokenKind::Eof)
+        self.peek() == TokenKind::Eof
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let k = self.tokens[self.at].kind.clone();
+    fn bump(&mut self) -> Token {
+        let t = self.tokens[self.at];
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
-        k
+        t
     }
 
-    fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Punct(q) if *q == p) {
+    fn eat_punct(&mut self, p: Punct) -> bool {
+        if self.is_punct(p) {
             self.bump();
             true
         } else {
@@ -90,7 +141,7 @@ impl Parser {
         }
     }
 
-    fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
+    fn expect_punct(&mut self, p: Punct) -> Result<(), ParseError> {
         if self.eat_punct(p) {
             Ok(())
         } else {
@@ -99,7 +150,7 @@ impl Parser {
     }
 
     fn eat_keyword(&mut self, k: Keyword) -> bool {
-        if matches!(self.peek(), TokenKind::Keyword(q) if *q == k) {
+        if self.peek() == TokenKind::Keyword(k) {
             self.bump();
             true
         } else {
@@ -115,24 +166,37 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
-            TokenKind::Ident(_) => {
-                if let TokenKind::Ident(s) = self.bump() {
-                    Ok(s)
-                } else {
-                    unreachable!()
-                }
-            }
-            _ => Err(self.unexpected("identifier")),
+    /// The current identifier's text, borrowed from the source.
+    fn ident(&mut self) -> Result<&'s str, ParseError> {
+        if self.peek() == TokenKind::Ident {
+            Ok(self.bump().text(self.src))
+        } else {
+            Err(self.unexpected("identifier"))
         }
     }
 
+    fn expect_ident(&mut self) -> Result<String, ParseError> {
+        self.ident().map(str::to_string)
+    }
+
     fn unexpected(&self, wanted: &str) -> ParseError {
-        ParseError::new(
-            self.pos(),
-            format!("expected {wanted}, found {}", self.peek()),
-        )
+        let found = self.tokens[self.at].describe(self.src);
+        ParseError::new(self.pos(), format!("expected {wanted}, found {found}"))
+    }
+
+    /// Enter one level of nesting: an error at the current token if that
+    /// goes over [`MAX_DEPTH`]. The caller steps `depth` back down once
+    /// the level is parsed; an error ends the parse, so it need not.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(ParseError::new(
+                self.pos(),
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.peak = self.peak.max(self.depth);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -143,15 +207,15 @@ impl Parser {
         self.expect_keyword(Keyword::Module)?;
         let name = self.expect_ident()?;
         let mut params = Vec::new();
-        if self.eat_punct("#") {
-            self.expect_punct("(")?;
+        if self.eat_punct(Punct::Hash) {
+            self.expect_punct(Punct::LParen)?;
             self.param_list(&mut params)?;
-            self.expect_punct(")")?;
+            self.expect_punct(Punct::RParen)?;
         }
         let mut ports: Vec<Port> = Vec::new();
         let mut port_order: Vec<String> = Vec::new();
         let mut non_ansi = false;
-        if self.eat_punct("(") && !self.eat_punct(")") {
+        if self.eat_punct(Punct::LParen) && !self.eat_punct(Punct::RParen) {
             // ANSI if a direction keyword appears, else non-ANSI names.
             if matches!(
                 self.peek(),
@@ -164,14 +228,14 @@ impl Parser {
                 non_ansi = true;
                 loop {
                     port_order.push(self.expect_ident()?);
-                    if !self.eat_punct(",") {
+                    if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
             }
-            self.expect_punct(")")?;
+            self.expect_punct(Punct::RParen)?;
         }
-        self.expect_punct(";")?;
+        self.expect_punct(Punct::Semi)?;
 
         let mut items = Vec::new();
         loop {
@@ -211,19 +275,19 @@ impl Parser {
         loop {
             self.expect_keyword(Keyword::Parameter)?;
             // Optional (ignored) range on the parameter.
-            if matches!(self.peek(), TokenKind::Punct("[")) {
+            if self.is_punct(Punct::LBracket) {
                 self.range()?;
             }
             loop {
                 let name = self.expect_ident()?;
-                self.expect_punct("=")?;
+                self.expect_punct(Punct::Eq)?;
                 let default = self.expr()?;
                 params.push(Param {
                     name,
                     default,
                     local: false,
                 });
-                if !self.eat_punct(",") {
+                if !self.eat_punct(Punct::Comma) {
                     return Ok(());
                 }
                 // `parameter A = 1, parameter B = 2` or `, B = 2`.
@@ -269,7 +333,7 @@ impl Parser {
                 name,
                 range: range.clone(),
             });
-            if !self.eat_punct(",") {
+            if !self.eat_punct(Punct::Comma) {
                 return Ok(());
             }
         }
@@ -291,18 +355,18 @@ impl Parser {
                 "`signed` is outside the MAGE subset",
             ));
         }
-        if matches!(self.peek(), TokenKind::Punct("[")) {
+        if self.is_punct(Punct::LBracket) {
             *range = Some(self.range()?);
         }
         Ok(())
     }
 
     fn range(&mut self) -> Result<Range, ParseError> {
-        self.expect_punct("[")?;
+        self.expect_punct(Punct::LBracket)?;
         let msb = self.expr()?;
-        self.expect_punct(":")?;
+        self.expect_punct(Punct::Colon)?;
         let lsb = self.expr()?;
-        self.expect_punct("]")?;
+        self.expect_punct(Punct::RBracket)?;
         Ok(Range { msb, lsb })
     }
 
@@ -316,7 +380,7 @@ impl Parser {
         params: &mut Vec<Param>,
         mut non_ansi_ports: Option<&mut Vec<Port>>,
     ) -> Result<(), ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Keyword(Keyword::Input) | TokenKind::Keyword(Keyword::Output) => {
                 let dir = if self.eat_keyword(Keyword::Input) {
                     Direction::Input
@@ -343,11 +407,11 @@ impl Parser {
                             ))
                         }
                     }
-                    if !self.eat_punct(",") {
+                    if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
-                self.expect_punct(";")?;
+                self.expect_punct(Punct::Semi)?;
             }
             TokenKind::Keyword(Keyword::Wire) | TokenKind::Keyword(Keyword::Reg) => {
                 let kind = if self.eat_keyword(Keyword::Wire) {
@@ -362,7 +426,7 @@ impl Parser {
                         "`signed` is outside the MAGE subset",
                     ));
                 }
-                let range = if matches!(self.peek(), TokenKind::Punct("[")) {
+                let range = if self.is_punct(Punct::LBracket) {
                     Some(self.range()?)
                 } else {
                     None
@@ -372,7 +436,7 @@ impl Parser {
                 loop {
                     let name = self.expect_ident()?;
                     // `wire x = expr;` sugar -> decl + assign.
-                    if self.eat_punct("=") {
+                    if self.eat_punct(Punct::Eq) {
                         let rhs = self.expr()?;
                         if kind != NetKind::Wire {
                             return Err(ParseError::new(
@@ -386,11 +450,11 @@ impl Parser {
                         });
                     }
                     names.push(name);
-                    if !self.eat_punct(",") {
+                    if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
-                self.expect_punct(";")?;
+                self.expect_punct(Punct::Semi)?;
                 items.push(Item::Net { kind, range, names });
                 items.extend(init_assigns);
             }
@@ -399,11 +463,11 @@ impl Parser {
                 let mut names = Vec::new();
                 loop {
                     names.push(self.expect_ident()?);
-                    if !self.eat_punct(",") {
+                    if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
-                self.expect_punct(";")?;
+                self.expect_punct(Punct::Semi)?;
                 items.push(Item::Net {
                     kind: NetKind::Reg,
                     range: Some(Range {
@@ -416,12 +480,12 @@ impl Parser {
             TokenKind::Keyword(Keyword::Parameter) | TokenKind::Keyword(Keyword::Localparam) => {
                 let local = matches!(self.peek(), TokenKind::Keyword(Keyword::Localparam));
                 self.bump();
-                if matches!(self.peek(), TokenKind::Punct("[")) {
+                if self.is_punct(Punct::LBracket) {
                     self.range()?;
                 }
                 loop {
                     let name = self.expect_ident()?;
-                    self.expect_punct("=")?;
+                    self.expect_punct(Punct::Eq)?;
                     let default = self.expr()?;
                     let p = Param {
                         name,
@@ -430,24 +494,24 @@ impl Parser {
                     };
                     items.push(Item::Param(p.clone()));
                     params.push(p);
-                    if !self.eat_punct(",") {
+                    if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
-                self.expect_punct(";")?;
+                self.expect_punct(Punct::Semi)?;
             }
             TokenKind::Keyword(Keyword::Assign) => {
                 self.bump();
                 loop {
                     let lhs = self.lvalue()?;
-                    self.expect_punct("=")?;
+                    self.expect_punct(Punct::Eq)?;
                     let rhs = self.expr()?;
                     items.push(Item::Assign { lhs, rhs });
-                    if !self.eat_punct(",") {
+                    if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
-                self.expect_punct(";")?;
+                self.expect_punct(Punct::Semi)?;
             }
             TokenKind::Keyword(Keyword::Always) => {
                 self.bump();
@@ -455,17 +519,17 @@ impl Parser {
                 let body = self.stmt()?;
                 items.push(Item::Always { sens, body });
             }
-            TokenKind::Ident(module) => {
-                self.bump();
+            TokenKind::Ident => {
+                let module = self.expect_ident()?;
                 let mut overrides = Vec::new();
-                if self.eat_punct("#") {
-                    self.expect_punct("(")?;
+                if self.eat_punct(Punct::Hash) {
+                    self.expect_punct(Punct::LParen)?;
                     loop {
-                        if self.eat_punct(".") {
+                        if self.eat_punct(Punct::Dot) {
                             let pname = self.expect_ident()?;
-                            self.expect_punct("(")?;
+                            self.expect_punct(Punct::LParen)?;
                             let value = self.expr()?;
-                            self.expect_punct(")")?;
+                            self.expect_punct(Punct::RParen)?;
                             overrides.push((pname, value));
                         } else {
                             return Err(ParseError::new(
@@ -473,46 +537,46 @@ impl Parser {
                                 "positional parameter overrides are outside the MAGE subset",
                             ));
                         }
-                        if !self.eat_punct(",") {
+                        if !self.eat_punct(Punct::Comma) {
                             break;
                         }
                     }
-                    self.expect_punct(")")?;
+                    self.expect_punct(Punct::RParen)?;
                 }
                 let name = self.expect_ident()?;
-                self.expect_punct("(")?;
-                let conns = if matches!(self.peek(), TokenKind::Punct(".")) {
+                self.expect_punct(Punct::LParen)?;
+                let conns = if self.is_punct(Punct::Dot) {
                     let mut named = Vec::new();
                     loop {
-                        self.expect_punct(".")?;
+                        self.expect_punct(Punct::Dot)?;
                         let port = self.expect_ident()?;
-                        self.expect_punct("(")?;
-                        let expr = if matches!(self.peek(), TokenKind::Punct(")")) {
+                        self.expect_punct(Punct::LParen)?;
+                        let expr = if self.is_punct(Punct::RParen) {
                             None
                         } else {
                             Some(self.expr()?)
                         };
-                        self.expect_punct(")")?;
+                        self.expect_punct(Punct::RParen)?;
                         named.push((port, expr));
-                        if !self.eat_punct(",") {
+                        if !self.eat_punct(Punct::Comma) {
                             break;
                         }
                     }
                     Connections::Named(named)
-                } else if matches!(self.peek(), TokenKind::Punct(")")) {
+                } else if self.is_punct(Punct::RParen) {
                     Connections::Ordered(Vec::new())
                 } else {
                     let mut exprs = Vec::new();
                     loop {
                         exprs.push(self.expr()?);
-                        if !self.eat_punct(",") {
+                        if !self.eat_punct(Punct::Comma) {
                             break;
                         }
                     }
                     Connections::Ordered(exprs)
                 };
-                self.expect_punct(")")?;
-                self.expect_punct(";")?;
+                self.expect_punct(Punct::RParen)?;
+                self.expect_punct(Punct::Semi)?;
                 items.push(Item::Instance {
                     module,
                     name,
@@ -534,13 +598,13 @@ impl Parser {
     }
 
     fn sensitivity(&mut self) -> Result<Sensitivity, ParseError> {
-        self.expect_punct("@")?;
-        if self.eat_punct("*") {
+        self.expect_punct(Punct::At)?;
+        if self.eat_punct(Punct::Star) {
             return Ok(Sensitivity::Comb);
         }
-        self.expect_punct("(")?;
-        if self.eat_punct("*") {
-            self.expect_punct(")")?;
+        self.expect_punct(Punct::LParen)?;
+        if self.eat_punct(Punct::Star) {
+            self.expect_punct(Punct::RParen)?;
             return Ok(Sensitivity::Comb);
         }
         let mut edges = Vec::new();
@@ -559,12 +623,12 @@ impl Parser {
             } else {
                 plain.push(self.expect_ident()?);
             }
-            if self.eat_punct(",") || self.eat_keyword(Keyword::Or) {
+            if self.eat_punct(Punct::Comma) || self.eat_keyword(Keyword::Or) {
                 continue;
             }
             break;
         }
-        self.expect_punct(")")?;
+        self.expect_punct(Punct::RParen)?;
         match (edges.is_empty(), plain.is_empty()) {
             (true, false) => Ok(Sensitivity::Comb), // old-style @(a or b)
             (false, true) => Ok(Sensitivity::Edges(edges)),
@@ -580,153 +644,185 @@ impl Parser {
     // Statements
     // ------------------------------------------------------------------
 
+    // Each construct that recurses has a function of its own, so one
+    // level of nesting costs only the frames on its path, not the locals
+    // of every construct: frames are largest in unoptimized builds, and
+    // `MAX_DEPTH` is sized there.
+
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Keyword(Keyword::Begin) => {
-                self.bump();
-                // Optional block label `begin : name`.
-                if self.eat_punct(":") {
-                    self.expect_ident()?;
-                }
-                let mut stmts = Vec::new();
-                while !self.eat_keyword(Keyword::End) {
-                    if self.at_eof() {
-                        return Err(self.unexpected("`end`"));
-                    }
-                    stmts.push(self.stmt()?);
-                }
-                Ok(Stmt::Block(stmts))
-            }
-            TokenKind::Keyword(Keyword::If) => {
-                self.bump();
-                self.expect_punct("(")?;
-                let cond = self.expr()?;
-                self.expect_punct(")")?;
-                let then_branch = Box::new(self.stmt()?);
-                let else_branch = if self.eat_keyword(Keyword::Else) {
-                    Some(Box::new(self.stmt()?))
-                } else {
-                    None
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                })
-            }
+        self.descend()?;
+        let stmt = match self.peek() {
+            TokenKind::Keyword(Keyword::Begin) => self.block()?,
+            TokenKind::Keyword(Keyword::If) => self.if_stmt()?,
             TokenKind::Keyword(k @ (Keyword::Case | Keyword::Casez | Keyword::Casex)) => {
+                self.case_stmt(k)?
+            }
+            TokenKind::Keyword(Keyword::For) => self.for_stmt()?,
+            TokenKind::Punct(Punct::Semi) => {
                 self.bump();
-                // `casex` is treated as `casez` (documented subset deviation).
-                let kind = if k == Keyword::Case {
-                    CaseKind::Case
-                } else {
-                    CaseKind::Casez
-                };
-                self.expect_punct("(")?;
-                let expr = self.expr()?;
-                self.expect_punct(")")?;
-                let mut arms = Vec::new();
-                let mut default = None;
-                loop {
-                    if self.eat_keyword(Keyword::Endcase) {
-                        break;
-                    }
-                    if self.at_eof() {
-                        return Err(self.unexpected("`endcase`"));
-                    }
-                    if self.eat_keyword(Keyword::Default) {
-                        self.eat_punct(":");
-                        default = Some(Box::new(self.stmt()?));
-                        continue;
-                    }
-                    let mut labels = vec![self.expr()?];
-                    while self.eat_punct(",") {
-                        labels.push(self.expr()?);
-                    }
-                    self.expect_punct(":")?;
-                    let body = self.stmt()?;
-                    arms.push(CaseArm { labels, body });
-                }
-                Ok(Stmt::Case {
-                    kind,
-                    expr,
-                    arms,
-                    default,
-                })
+                Stmt::Empty
             }
-            TokenKind::Keyword(Keyword::For) => {
-                self.bump();
-                self.expect_punct("(")?;
-                let var = self.expect_ident()?;
-                self.expect_punct("=")?;
-                let init = self.expr()?;
-                self.expect_punct(";")?;
-                let cond = self.expr()?;
-                self.expect_punct(";")?;
-                let var2 = self.expect_ident()?;
-                if var2 != var {
-                    return Err(ParseError::new(
-                        self.pos(),
-                        "for-loop step must assign the loop variable",
-                    ));
-                }
-                self.expect_punct("=")?;
-                let step = self.expr()?;
-                self.expect_punct(")")?;
-                let body = Box::new(self.stmt()?);
-                Ok(Stmt::For {
-                    var,
-                    init,
-                    cond,
-                    step,
-                    body,
-                })
-            }
-            TokenKind::Punct(";") => {
-                self.bump();
-                Ok(Stmt::Empty)
-            }
-            _ => {
-                let lhs = self.lvalue()?;
-                let nonblocking = if self.eat_punct("<=") {
-                    true
-                } else if self.eat_punct("=") {
-                    false
-                } else {
-                    return Err(self.unexpected("`=` or `<=`"));
-                };
-                let rhs = self.expr()?;
-                self.expect_punct(";")?;
-                Ok(if nonblocking {
-                    Stmt::NonBlocking { lhs, rhs }
-                } else {
-                    Stmt::Blocking { lhs, rhs }
-                })
-            }
+            _ => self.assignment()?,
+        };
+        self.depth -= 1;
+        Ok(stmt)
+    }
+
+    fn block(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        // Optional block label `begin : name`.
+        if self.eat_punct(Punct::Colon) {
+            self.ident()?;
         }
+        let mut stmts = Vec::new();
+        while !self.eat_keyword(Keyword::End) {
+            if self.at_eof() {
+                return Err(self.unexpected("`end`"));
+            }
+            stmts.push(self.stmt()?);
+        }
+        Ok(Stmt::Block(stmts))
+    }
+
+    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        let then_branch = Box::new(self.stmt()?);
+        let else_branch = if self.eat_keyword(Keyword::Else) {
+            Some(Box::new(self.stmt()?))
+        } else {
+            None
+        };
+        Ok(Stmt::If {
+            cond,
+            then_branch,
+            else_branch,
+        })
+    }
+
+    fn case_stmt(&mut self, k: Keyword) -> Result<Stmt, ParseError> {
+        self.bump();
+        // `casex` is treated as `casez` (documented subset deviation).
+        let kind = if k == Keyword::Case {
+            CaseKind::Case
+        } else {
+            CaseKind::Casez
+        };
+        self.expect_punct(Punct::LParen)?;
+        let expr = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        let mut arms = Vec::new();
+        let mut default = None;
+        loop {
+            if self.eat_keyword(Keyword::Endcase) {
+                break;
+            }
+            if self.at_eof() {
+                return Err(self.unexpected("`endcase`"));
+            }
+            if self.eat_keyword(Keyword::Default) {
+                self.eat_punct(Punct::Colon);
+                default = Some(Box::new(self.stmt()?));
+                continue;
+            }
+            let mut labels = vec![self.expr()?];
+            while self.eat_punct(Punct::Comma) {
+                labels.push(self.expr()?);
+            }
+            self.expect_punct(Punct::Colon)?;
+            let body = self.stmt()?;
+            arms.push(CaseArm { labels, body });
+        }
+        Ok(Stmt::Case {
+            kind,
+            expr,
+            arms,
+            default,
+        })
+    }
+
+    fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect_punct(Punct::LParen)?;
+        let var = self.expect_ident()?;
+        self.expect_punct(Punct::Eq)?;
+        let init = self.expr()?;
+        self.expect_punct(Punct::Semi)?;
+        let cond = self.expr()?;
+        self.expect_punct(Punct::Semi)?;
+        if self.ident()? != var {
+            return Err(ParseError::new(
+                self.pos(),
+                "for-loop step must assign the loop variable",
+            ));
+        }
+        self.expect_punct(Punct::Eq)?;
+        let step = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        let body = Box::new(self.stmt()?);
+        Ok(Stmt::For {
+            var,
+            init,
+            cond,
+            step,
+            body,
+        })
+    }
+
+    fn assignment(&mut self) -> Result<Stmt, ParseError> {
+        let lhs = self.lvalue()?;
+        let nonblocking = if self.eat_punct(Punct::Le) {
+            true
+        } else if self.eat_punct(Punct::Eq) {
+            false
+        } else {
+            return Err(self.unexpected("`=` or `<=`"));
+        };
+        let rhs = self.expr()?;
+        self.expect_punct(Punct::Semi)?;
+        Ok(if nonblocking {
+            Stmt::NonBlocking { lhs, rhs }
+        } else {
+            Stmt::Blocking { lhs, rhs }
+        })
     }
 
     fn lvalue(&mut self) -> Result<LValue, ParseError> {
-        if self.eat_punct("{") {
-            let mut parts = Vec::new();
-            loop {
-                parts.push(self.lvalue()?);
-                if !self.eat_punct(",") {
-                    break;
-                }
+        self.descend()?;
+        let lvalue = if self.is_punct(Punct::LBrace) {
+            self.lvalue_concat()?
+        } else {
+            self.lvalue_select()?
+        };
+        self.depth -= 1;
+        Ok(lvalue)
+    }
+
+    fn lvalue_concat(&mut self) -> Result<LValue, ParseError> {
+        self.bump();
+        let mut parts = Vec::new();
+        loop {
+            parts.push(self.lvalue()?);
+            if !self.eat_punct(Punct::Comma) {
+                break;
             }
-            self.expect_punct("}")?;
-            return Ok(LValue::Concat(parts));
         }
+        self.expect_punct(Punct::RBrace)?;
+        Ok(LValue::Concat(parts))
+    }
+
+    fn lvalue_select(&mut self) -> Result<LValue, ParseError> {
         let name = self.expect_ident()?;
-        if self.eat_punct("[") {
+        if self.eat_punct(Punct::LBracket) {
             let first = self.expr()?;
-            if self.eat_punct(":") {
+            if self.eat_punct(Punct::Colon) {
                 let lsb = self.expr()?;
-                self.expect_punct("]")?;
+                self.expect_punct(Punct::RBracket)?;
                 Ok(LValue::Part(name, first, lsb))
             } else {
-                self.expect_punct("]")?;
+                self.expect_punct(Punct::RBracket)?;
                 Ok(LValue::Bit(name, first))
             }
         } else {
@@ -743,59 +839,68 @@ impl Parser {
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
+        self.descend()?;
         let cond = self.binary(1)?;
-        if self.eat_punct("?") {
-            let then_expr = Box::new(self.ternary()?);
-            self.expect_punct(":")?;
-            let else_expr = Box::new(self.ternary()?);
-            Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then_expr,
-                else_expr,
-            })
+        let expr = if self.eat_punct(Punct::Question) {
+            self.ternary_branches(cond)?
         } else {
-            Ok(cond)
-        }
+            cond
+        };
+        self.depth -= 1;
+        Ok(expr)
+    }
+
+    fn ternary_branches(&mut self, cond: Expr) -> Result<Expr, ParseError> {
+        let then_expr = Box::new(self.ternary()?);
+        self.expect_punct(Punct::Colon)?;
+        let else_expr = Box::new(self.ternary()?);
+        Ok(Expr::Ternary {
+            cond: Box::new(cond),
+            then_expr,
+            else_expr,
+        })
     }
 
     fn binary_op(&self) -> Option<BinaryOp> {
-        let p = match self.peek() {
-            TokenKind::Punct(p) => *p,
-            _ => return None,
+        let TokenKind::Punct(p) = self.peek() else {
+            return None;
         };
         Some(match p {
-            "+" => BinaryOp::Add,
-            "-" => BinaryOp::Sub,
-            "*" => BinaryOp::Mul,
-            "/" => BinaryOp::Div,
-            "%" => BinaryOp::Mod,
-            "&" => BinaryOp::And,
-            "|" => BinaryOp::Or,
-            "^" => BinaryOp::Xor,
-            "~^" | "^~" => BinaryOp::Xnor,
-            "&&" => BinaryOp::LogicAnd,
-            "||" => BinaryOp::LogicOr,
-            "==" => BinaryOp::Eq,
-            "!=" => BinaryOp::Neq,
-            "===" => BinaryOp::CaseEq,
-            "!==" => BinaryOp::CaseNeq,
-            "<" => BinaryOp::Lt,
-            "<=" => BinaryOp::Le,
-            ">" => BinaryOp::Gt,
-            ">=" => BinaryOp::Ge,
-            "<<" | "<<<" => BinaryOp::Shl,
-            ">>" | ">>>" => BinaryOp::Shr,
+            Punct::Plus => BinaryOp::Add,
+            Punct::Minus => BinaryOp::Sub,
+            Punct::Star => BinaryOp::Mul,
+            Punct::Slash => BinaryOp::Div,
+            Punct::Percent => BinaryOp::Mod,
+            Punct::Amp => BinaryOp::And,
+            Punct::Pipe => BinaryOp::Or,
+            Punct::Caret => BinaryOp::Xor,
+            Punct::TildeCaret | Punct::CaretTilde => BinaryOp::Xnor,
+            Punct::AmpAmp => BinaryOp::LogicAnd,
+            Punct::PipePipe => BinaryOp::LogicOr,
+            Punct::EqEq => BinaryOp::Eq,
+            Punct::Neq => BinaryOp::Neq,
+            Punct::CaseEq => BinaryOp::CaseEq,
+            Punct::CaseNeq => BinaryOp::CaseNeq,
+            Punct::Lt => BinaryOp::Lt,
+            Punct::Le => BinaryOp::Le,
+            Punct::Gt => BinaryOp::Gt,
+            Punct::Ge => BinaryOp::Ge,
+            Punct::Shl | Punct::AShl => BinaryOp::Shl,
+            Punct::Shr | Punct::AShr => BinaryOp::Shr,
             _ => return None,
         })
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
+        let depth = self.depth;
         while let Some(op) = self.binary_op() {
             let prec = op.precedence();
             if prec < min_prec {
                 break;
             }
+            // Each node this loop builds is one level deeper than `lhs`.
+            self.descend()?;
             self.bump();
             // All subset binary operators are left-associative.
             let rhs = self.binary(prec + 1)?;
@@ -805,112 +910,119 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         let op = match self.peek() {
-            TokenKind::Punct("~") => Some(UnaryOp::Not),
-            TokenKind::Punct("!") => Some(UnaryOp::LogicNot),
-            TokenKind::Punct("-") => Some(UnaryOp::Neg),
-            TokenKind::Punct("+") => Some(UnaryOp::Plus),
-            TokenKind::Punct("&") => Some(UnaryOp::ReduceAnd),
-            TokenKind::Punct("|") => Some(UnaryOp::ReduceOr),
-            TokenKind::Punct("^") => Some(UnaryOp::ReduceXor),
-            TokenKind::Punct("~&") => Some(UnaryOp::ReduceNand),
-            TokenKind::Punct("~|") => Some(UnaryOp::ReduceNor),
-            TokenKind::Punct("~^") | TokenKind::Punct("^~") => Some(UnaryOp::ReduceXnor),
-            _ => None,
+            TokenKind::Punct(Punct::Tilde) => UnaryOp::Not,
+            TokenKind::Punct(Punct::Bang) => UnaryOp::LogicNot,
+            TokenKind::Punct(Punct::Minus) => UnaryOp::Neg,
+            TokenKind::Punct(Punct::Plus) => UnaryOp::Plus,
+            TokenKind::Punct(Punct::Amp) => UnaryOp::ReduceAnd,
+            TokenKind::Punct(Punct::Pipe) => UnaryOp::ReduceOr,
+            TokenKind::Punct(Punct::Caret) => UnaryOp::ReduceXor,
+            TokenKind::Punct(Punct::TildeAmp) => UnaryOp::ReduceNand,
+            TokenKind::Punct(Punct::TildePipe) => UnaryOp::ReduceNor,
+            TokenKind::Punct(Punct::TildeCaret | Punct::CaretTilde) => UnaryOp::ReduceXnor,
+            _ => return self.primary(),
         };
-        if let Some(op) = op {
-            self.bump();
-            let operand = Box::new(self.unary()?);
-            return Ok(Expr::Unary { op, operand });
-        }
-        self.primary()
+        self.descend()?;
+        self.bump();
+        let operand = Box::new(self.unary()?);
+        self.depth -= 1;
+        Ok(Expr::Unary { op, operand })
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Number(text) => {
-                self.bump();
-                let lit =
-                    parse_literal(&text).map_err(|e| ParseError::new(self.pos(), e.to_string()))?;
-                Ok(Expr::Literal {
-                    value: lit.value,
-                    form: if lit.sized {
-                        LiteralForm::Sized
-                    } else {
-                        LiteralForm::Unsized
-                    },
-                })
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if self.eat_punct("[") {
-                    let first = self.expr()?;
-                    if self.eat_punct(":") {
-                        let lsb = self.expr()?;
-                        self.expect_punct("]")?;
-                        Ok(Expr::Part {
-                            base: name,
-                            msb: Box::new(first),
-                            lsb: Box::new(lsb),
-                        })
-                    } else if matches!(self.peek(), TokenKind::Punct("+:") | TokenKind::Punct("-:"))
-                    {
-                        Err(ParseError::new(
-                            self.pos(),
-                            "indexed part-selects are outside the MAGE subset",
-                        ))
-                    } else {
-                        self.expect_punct("]")?;
-                        Ok(Expr::Bit {
-                            base: name,
-                            index: Box::new(first),
-                        })
-                    }
-                } else {
-                    Ok(Expr::Ident(name))
-                }
-            }
-            TokenKind::Punct("(") => {
+        match self.peek() {
+            TokenKind::Number => self.literal(),
+            TokenKind::Ident => self.name_or_select(),
+            TokenKind::Punct(Punct::LParen) => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect_punct(")")?;
+                self.expect_punct(Punct::RParen)?;
                 Ok(e)
             }
-            TokenKind::Punct("{") => {
-                self.bump();
-                let first = self.expr()?;
-                if matches!(self.peek(), TokenKind::Punct("{")) {
-                    // Replication {n{v, …}} — the inner braces hold a list.
-                    self.bump();
-                    let mut inner = vec![self.expr()?];
-                    while self.eat_punct(",") {
-                        inner.push(self.expr()?);
-                    }
-                    self.expect_punct("}")?;
-                    self.expect_punct("}")?;
-                    let value = if inner.len() == 1 {
-                        inner.into_iter().next().expect("one element")
-                    } else {
-                        Expr::Concat(inner)
-                    };
-                    return Ok(Expr::Repl {
-                        count: Box::new(first),
-                        value: Box::new(value),
-                    });
-                }
-                let mut parts = vec![first];
-                while self.eat_punct(",") {
-                    parts.push(self.expr()?);
-                }
-                self.expect_punct("}")?;
-                Ok(Expr::Concat(parts))
-            }
+            TokenKind::Punct(Punct::LBrace) => self.concat(),
             _ => Err(self.unexpected("expression")),
         }
+    }
+
+    fn literal(&mut self) -> Result<Expr, ParseError> {
+        let text = self.bump().text(self.src);
+        let lit = parse_literal(text).map_err(|e| ParseError::new(self.pos(), e.to_string()))?;
+        Ok(Expr::Literal {
+            value: lit.value,
+            form: if lit.sized {
+                LiteralForm::Sized
+            } else {
+                LiteralForm::Unsized
+            },
+        })
+    }
+
+    fn name_or_select(&mut self) -> Result<Expr, ParseError> {
+        let name = self.expect_ident()?;
+        if !self.eat_punct(Punct::LBracket) {
+            return Ok(Expr::Ident(name));
+        }
+        let first = self.expr()?;
+        if self.eat_punct(Punct::Colon) {
+            let lsb = self.expr()?;
+            self.expect_punct(Punct::RBracket)?;
+            Ok(Expr::Part {
+                base: name,
+                msb: Box::new(first),
+                lsb: Box::new(lsb),
+            })
+        } else if matches!(
+            self.peek(),
+            TokenKind::Punct(Punct::PlusColon | Punct::MinusColon)
+        ) {
+            Err(ParseError::new(
+                self.pos(),
+                "indexed part-selects are outside the MAGE subset",
+            ))
+        } else {
+            self.expect_punct(Punct::RBracket)?;
+            Ok(Expr::Bit {
+                base: name,
+                index: Box::new(first),
+            })
+        }
+    }
+
+    /// A concatenation `{a, …}` or a replication `{n{v, …}}`.
+    fn concat(&mut self) -> Result<Expr, ParseError> {
+        self.bump();
+        let first = self.expr()?;
+        if self.is_punct(Punct::LBrace) {
+            // Replication {n{v, …}} — the inner braces hold a list.
+            self.bump();
+            let mut inner = vec![self.expr()?];
+            while self.eat_punct(Punct::Comma) {
+                inner.push(self.expr()?);
+            }
+            self.expect_punct(Punct::RBrace)?;
+            self.expect_punct(Punct::RBrace)?;
+            let value = if inner.len() == 1 {
+                inner.into_iter().next().expect("one element")
+            } else {
+                Expr::Concat(inner)
+            };
+            return Ok(Expr::Repl {
+                count: Box::new(first),
+                value: Box::new(value),
+            });
+        }
+        let mut parts = vec![first];
+        while self.eat_punct(Punct::Comma) {
+            parts.push(self.expr()?);
+        }
+        self.expect_punct(Punct::RBrace)?;
+        Ok(Expr::Concat(parts))
     }
 }
 

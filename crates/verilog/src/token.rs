@@ -1,8 +1,17 @@
 //! Tokens produced by the lexer.
+//!
+//! A [`Token`] is a `Copy` kind plus the byte [`Span`] it covers in the
+//! source; it owns no text. The parser slices an identifier's or a
+//! number's text out of the source only where the AST keeps it, and a
+//! [`Pos`] (line and column) is computed from a span's start offset only
+//! when an error reports it.
 
 use std::fmt;
 
 /// A source position (1-based line and column).
+///
+/// Columns count bytes, so a multi-byte character before the position
+/// advances the column by its UTF-8 length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Pos {
     /// 1-based line.
@@ -11,46 +20,94 @@ pub struct Pos {
     pub col: u32,
 }
 
+impl Pos {
+    /// The position of byte `offset` of `source`: one line per `\n`
+    /// before it, and the column counted in bytes from the line start.
+    pub fn of(source: &str, offset: usize) -> Pos {
+        let before = &source.as_bytes()[..offset];
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        let lines = before.iter().filter(|&&b| b == b'\n').count();
+        Pos {
+            line: saturate(lines + 1),
+            col: saturate(offset - line_start + 1),
+        }
+    }
+}
+
+fn saturate(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
 impl fmt::Display for Pos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.line, self.col)
     }
 }
 
-/// Lexical token kinds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A byte range `start..end` of the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Offset of the first byte.
+    pub start: usize,
+    /// Offset one past the last byte.
+    pub end: usize,
+}
+
+/// Lexical token kinds. None carries text: an identifier's or a number's
+/// text is its token's span of the source ([`Token::text`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or escaped identifier.
-    Ident(String),
-    /// Number literal, raw text (e.g. `8'hFF`, `42`).
-    Number(String),
+    Ident,
+    /// Number literal (e.g. `8'hFF`, `42`).
+    Number,
     /// Keyword (reserved word).
     Keyword(Keyword),
-    /// Operator or punctuation, raw text (e.g. `<=`, `&&`, `(`).
-    Punct(&'static str),
+    /// Operator or punctuation.
+    Punct(Punct),
     /// End of input.
     Eof,
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
-            TokenKind::Number(s) => write!(f, "number `{s}`"),
-            TokenKind::Keyword(k) => write!(f, "keyword `{k}`"),
-            TokenKind::Punct(p) => write!(f, "`{p}`"),
-            TokenKind::Eof => write!(f, "end of input"),
-        }
-    }
-}
-
-/// A token with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A token: its kind and the span of source it was lexed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// What was lexed.
     pub kind: TokenKind,
-    /// Where it started.
-    pub pos: Pos,
+    /// Where it lies in the source.
+    pub span: Span,
+}
+
+impl Token {
+    /// The token's text in `source`, the text it was lexed from. An
+    /// escaped identifier's text leaves out its leading backslash.
+    pub fn text(self, source: &str) -> &str {
+        let text = &source[self.span.start..self.span.end];
+        match self.kind {
+            TokenKind::Ident => text.strip_prefix('\\').unwrap_or(text),
+            _ => text,
+        }
+    }
+
+    /// Where the token starts in `source`.
+    pub fn pos(self, source: &str) -> Pos {
+        Pos::of(source, self.span.start)
+    }
+
+    /// How an error message names the token: `identifier `x``,
+    /// `number `4'd1``, `keyword `end``, `` `;` `` or `end of input`.
+    pub fn describe(self, source: &str) -> String {
+        match self.kind {
+            TokenKind::Ident => format!("identifier `{}`", self.text(source)),
+            TokenKind::Number => format!("number `{}`", self.text(source)),
+            TokenKind::Keyword(k) => format!("keyword `{k}`"),
+            TokenKind::Punct(p) => format!("`{p}`"),
+            TokenKind::Eof => "end of input".to_string(),
+        }
+    }
 }
 
 macro_rules! keywords {
@@ -122,6 +179,79 @@ keywords! {
 }
 
 impl fmt::Display for Keyword {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.as_str())
+    }
+}
+
+macro_rules! puncts {
+    ($($variant:ident => $text:literal),+ $(,)?) => {
+        /// Operators and punctuation of the subset.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)]
+        pub enum Punct {
+            $($variant),+
+        }
+
+        impl Punct {
+            /// The punctuation's source text.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(Punct::$variant => $text),+
+                }
+            }
+        }
+    };
+}
+
+puncts! {
+    AShl => "<<<",
+    AShr => ">>>",
+    CaseEq => "===",
+    CaseNeq => "!==",
+    TildeCaret => "~^",
+    CaretTilde => "^~",
+    TildeAmp => "~&",
+    TildePipe => "~|",
+    Shl => "<<",
+    Shr => ">>",
+    Le => "<=",
+    Ge => ">=",
+    EqEq => "==",
+    Neq => "!=",
+    AmpAmp => "&&",
+    PipePipe => "||",
+    PlusColon => "+:",
+    MinusColon => "-:",
+    LParen => "(",
+    RParen => ")",
+    LBracket => "[",
+    RBracket => "]",
+    LBrace => "{",
+    RBrace => "}",
+    Comma => ",",
+    Semi => ";",
+    Colon => ":",
+    Question => "?",
+    At => "@",
+    Hash => "#",
+    Dot => ".",
+    Eq => "=",
+    Plus => "+",
+    Minus => "-",
+    Star => "*",
+    Slash => "/",
+    Percent => "%",
+    Amp => "&",
+    Pipe => "|",
+    Caret => "^",
+    Tilde => "~",
+    Bang => "!",
+    Lt => "<",
+    Gt => ">",
+}
+
+impl fmt::Display for Punct {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.as_str())
     }

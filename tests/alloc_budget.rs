@@ -1,8 +1,12 @@
 //! Allocation budgets for the bench layers on `prob029_alu4`, whose
-//! exhaustive stimulus has 2,048 steps and whose bench has 4,096 checks.
+//! exhaustive stimulus has 2,048 steps and whose bench has 4,096 checks,
+//! and for the compile front end.
 //!
 //! A port-indexed stimulus or bench allocates per port, not per step, so
-//! building one stays far below one allocation per step. A counting
+//! building one stays far below one allocation per step. The lexer's
+//! span tokens hold no text, so a parse allocates per AST node and per
+//! name it keeps, not per token. A `for` loop whose step repeats a value
+//! stops unrolling at the repeat instead of at the unroll limit. A counting
 //! global allocator (this test binary only) counts each thread's
 //! allocations, so tests running in parallel do not see each other's.
 
@@ -89,6 +93,26 @@ fn alu4_bench_layers_stay_within_their_allocation_budgets() {
     if !legacy_executor() {
         assert!(synth_allocs < 100, "{counts}");
         assert!(run_allocs <= 37, "{counts}");
+    }
+}
+
+#[test]
+fn front_end_stays_within_its_allocation_budgets() {
+    let golden = by_id("prob029_alu4").expect("registered").golden;
+    let (file, parse_allocs) = allocations(|| mage::verilog::parse(golden));
+    file.expect("the golden parses");
+    assert!(parse_allocs <= 130, "parse {parse_allocs}");
+
+    // A debug candidate whose step never moves `i` (`~0 + 1` is 0), and
+    // a twin whose step cycles through 0 and 1.
+    let popcount = by_id("prob031_popcount8").expect("registered").golden;
+    for step in ["i = ~i + 1", "i = 1 - i"] {
+        let stuck = popcount.replacen("i = i + 1", step, 1);
+        assert_ne!(stuck, popcount);
+        let (design, compile_allocs) = allocations(|| mage::core::compile(&stuck));
+        let err = design.expect_err("the loop never ends");
+        assert_eq!(err, "for-loop unroll limit exceeded: for (i = …)");
+        assert!(compile_allocs < 1000, "{step}: compile {compile_allocs}");
     }
 }
 
