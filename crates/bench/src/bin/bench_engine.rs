@@ -51,7 +51,7 @@ use mage_core::experiments::unit_seed;
 use mage_core::solvejob::{execute_sim_with, SolveJob, SolveStep, StepInput};
 use mage_core::{Mage, MageConfig, SystemKind, Task};
 use mage_fleet::{FleetEngine, FleetOptions, FleetReport, PlacementTrace};
-use mage_llm::{DispatchPolicy, FaultPlan, RtlLanguageModel, SyntheticModel, SyntheticModelConfig};
+use mage_llm::{DispatchPolicy, FaultPlan, RtlLanguageModel};
 use mage_problems::SuiteId;
 use mage_serve::{synthetic_service_with, JobSpec, ServeEngine, ServeOptions, ServeStats};
 use std::time::Instant;
@@ -136,8 +136,7 @@ fn barrier_counts(specs: &[JobSpec]) -> Barrier {
         .iter()
         .map(|spec| {
             let p = mage_problems::by_id(&spec.problem_id).expect("registry problem");
-            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
-            model.register(p.id, p.oracle(spec.seed));
+            let mut model = p.job_model(spec.seed);
             let mut job = SolveJob::new(p.id, p.spec, spec.config.clone());
             let mut input = StepInput::Start;
             let mut is_llm = Vec::new();
@@ -205,8 +204,7 @@ fn run_solo() -> f64 {
     let t = Instant::now();
     for spec in &specs {
         let p = mage_problems::by_id(&spec.problem_id).expect("registry problem");
-        let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
-        model.register(p.id, p.oracle(spec.seed));
+        let mut model = p.job_model(spec.seed);
         let trace = Mage::new(&mut model, spec.config.clone()).solve(&Task {
             id: p.id,
             spec: p.spec,

@@ -7,7 +7,6 @@
 
 use mage_core::experiments::{evaluate_suite, EvalOptions};
 use mage_core::{Mage, MageConfig, SystemKind, Task};
-use mage_llm::SyntheticModel;
 use mage_problems::SuiteId;
 
 /// Evaluation runs used by the bench harnesses for the n = 20 configs.
@@ -26,8 +25,7 @@ pub const BENCH_SEED: u64 = 0xBE;
 /// by most bench targets.
 pub fn solve_one_kernel(seed: u64) -> f64 {
     let p = mage_problems::by_id("prob012_mux4_case").expect("corpus problem");
-    let mut model = SyntheticModel::new(Default::default(), seed);
-    model.register(p.id, p.oracle(seed));
+    let mut model = p.job_model(seed);
     let mut engine = Mage::new(&mut model, MageConfig::high_temperature());
     engine
         .solve(&Task {

@@ -20,12 +20,10 @@
 //!
 //! ```
 //! use mage_core::{Mage, MageConfig, Task};
-//! use mage_llm::{SyntheticModel, SyntheticModelConfig};
 //! use mage_problems::by_id;
 //!
 //! let problem = by_id("prob010_mux2").expect("corpus problem");
-//! let mut model = SyntheticModel::new(SyntheticModelConfig::default(), 42);
-//! model.register(problem.id, problem.oracle(42));
+//! let mut model = problem.job_model(42);
 //!
 //! let mut engine = Mage::new(&mut model, MageConfig::high_temperature());
 //! let trace = engine.solve(&Task { id: problem.id, spec: problem.spec });

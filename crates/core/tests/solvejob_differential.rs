@@ -8,7 +8,6 @@
 //! is a true differential oracle, not a golden-file snapshot.
 
 use mage_core::{Mage, MageConfig, SolveTrace, SystemKind, Task};
-use mage_llm::{SyntheticModel, SyntheticModelConfig};
 
 const SYSTEMS: [SystemKind; 4] = [
     SystemKind::Vanilla,
@@ -26,13 +25,8 @@ fn both_paths(problem_id: &str, config: &MageConfig, seed: u64) -> (SolveTrace, 
         spec: p.spec,
     };
 
-    let mut model_a = SyntheticModel::new(SyntheticModelConfig::default(), seed);
-    model_a.register(p.id, p.oracle(seed));
-    let machine = Mage::new(&mut model_a, config.clone()).solve(&task);
-
-    let mut model_b = SyntheticModel::new(SyntheticModelConfig::default(), seed);
-    model_b.register(p.id, p.oracle(seed));
-    let blocking = Mage::new(&mut model_b, config.clone()).solve_blocking(&task);
+    let machine = Mage::new(&mut p.job_model(seed), config.clone()).solve(&task);
+    let blocking = Mage::new(&mut p.job_model(seed), config.clone()).solve_blocking(&task);
 
     (machine, blocking)
 }

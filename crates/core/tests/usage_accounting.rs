@@ -4,7 +4,7 @@
 use mage_core::{Mage, MageConfig, Task};
 use mage_llm::{
     DebugRequest, JudgeTbRequest, ModelOutput, RtlGenRequest, RtlLanguageModel, SyntaxFixRequest,
-    SyntheticModel, SyntheticModelConfig, TbGenRequest, TokenUsage,
+    SyntheticModel, TbGenRequest, TokenUsage,
 };
 use mage_tb::Testbench;
 
@@ -52,10 +52,8 @@ impl RtlLanguageModel for Metered {
 
 fn metered(seed: u64) -> Metered {
     let p = mage_problems::by_id("prob029_alu4").expect("corpus problem");
-    let mut inner = SyntheticModel::new(SyntheticModelConfig::default(), seed);
-    inner.register(p.id, p.oracle(seed));
     Metered {
-        inner,
+        inner: p.job_model(seed),
         ledger: TokenUsage::default(),
         calls: 0,
     }

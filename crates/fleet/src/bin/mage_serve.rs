@@ -17,7 +17,7 @@
 use mage_core::experiments::unit_seed;
 use mage_core::{MageConfig, SolveTrace, SystemKind};
 use mage_fleet::{FleetEngine, FleetOptions, PlacementTrace};
-use mage_llm::{DispatchPolicy, FaultPlan};
+use mage_llm::{parse_seed, DispatchPolicy, FaultPlan};
 use mage_problems::{Problem, SuiteId};
 use mage_serve::{synthetic_service_with, JobSpec, ServeEngine, ServeOptions};
 use std::process::ExitCode;
@@ -126,7 +126,11 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--runs" => args.runs = value(it, &flag)?,
             "--workers" => args.workers = value(it, &flag)?,
             "--max-in-flight" => args.max_in_flight = value(it, &flag)?,
-            "--seed" => args.seed = value(it, &flag)?,
+            "--seed" => {
+                let v: String = value(it, &flag)?;
+                args.seed =
+                    parse_seed(&v).map_err(|_| usage(&format!("{flag}: invalid value `{v}`")))?;
+            }
             "--budget" => args.budget = value(it, &flag)?,
             "--shards" => args.shards = value(it, &flag)?,
             "--migrate-after-steps" => args.migrate_after_steps = value(it, &flag)?,

@@ -8,13 +8,14 @@
 //! seed)` under the local job id immediately before every push or
 //! restore, so the factory always finds its entry.
 //!
-//! Seeding is identical to the single-engine service — a fresh
-//! [`SyntheticModel`] per job, seeded with the job's own spec seed —
-//! which is the root of the fleet determinism contract: a job's model
-//! (and hence its trace) does not depend on which shard runs it.
+//! Seeding is identical to the single-engine service — each job's
+//! model is its problem's [`mage_problems::Problem::job_model`] for the
+//! job's own spec seed — which is the root of the fleet determinism
+//! contract: a job's model (and hence its trace) does not depend on
+//! which shard runs it.
 
 use crate::shard::JobRoster;
-use mage_llm::{DispatchPolicy, FaultPlan, SyntheticModel, SyntheticModelConfig};
+use mage_llm::{DispatchPolicy, FaultPlan};
 use mage_serve::{FaultyService, JobId, PerJobModels, SyntheticPerJob, SYNTHETIC_BACKENDS};
 
 /// A shard's synthetic service: plan from `MAGE_FAULT_PLAN`, default
@@ -36,9 +37,7 @@ pub fn synthetic_shard_service_with(
             panic!("job {id} is not on this shard's roster (restore without registration?)")
         });
         let p = mage_problems::by_id(&problem_id).expect("problem registered in the registry");
-        let mut model = SyntheticModel::new(SyntheticModelConfig::default(), seed);
-        model.register(p.id, p.oracle(seed));
-        model
+        p.job_model(seed)
     }));
     FaultyService::new(inner, plan, SYNTHETIC_BACKENDS, policy)
 }

@@ -45,6 +45,20 @@ fn bad_arguments_exit_2_without_panicking() {
 }
 
 #[test]
+fn a_hex_seed_is_the_decimal_seed_it_spells() {
+    // `0xCAFE` is the default the flag table prints; 51,966 is its
+    // decimal spelling, so both runs retire the same traces.
+    let grading = |seed| {
+        let out = mage_serve(&["--suite", "v1", "--runs", "1", "--seed", seed]);
+        assert_eq!(out.status.code(), Some(0), "--seed {seed}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        let line = stdout.lines().find(|l| l.starts_with("grading"));
+        line.expect("a grading line").to_string()
+    };
+    assert_eq!(grading("0xCAFE"), grading("51966"));
+}
+
+#[test]
 fn help_prints_the_flag_table_and_exits_0() {
     let out = mage_serve(&["--help"]);
     let stdout = String::from_utf8_lossy(&out.stdout);

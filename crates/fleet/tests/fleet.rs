@@ -12,7 +12,7 @@
 
 use mage_core::{Mage, MageConfig, SolveTrace, Task};
 use mage_fleet::{FleetEngine, FleetOptions};
-use mage_llm::{DispatchPolicy, FaultPlan, SyntheticModel, SyntheticModelConfig};
+use mage_llm::{DispatchPolicy, FaultPlan};
 use mage_serve::{JobSpec, ServeOptions, ServeStats};
 
 const PROBLEMS: [&str; 4] = [
@@ -79,9 +79,7 @@ fn solo(stream: &[JobSpec]) -> Vec<SolveTrace> {
         .iter()
         .map(|spec| {
             let p = mage_problems::by_id(&spec.problem_id).expect("corpus problem");
-            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
-            model.register(p.id, p.oracle(spec.seed));
-            Mage::new(&mut model, spec.config.clone()).solve(&Task {
+            Mage::new(&mut p.job_model(spec.seed), spec.config.clone()).solve(&Task {
                 id: p.id,
                 spec: p.spec,
             })

@@ -6,6 +6,8 @@
 //! mage-fuzz [--batches N] [--batch-size M] [--seed S] [--corpus DIR] [--persist] [--deep]
 //! ```
 //!
+//! `--seed S` is decimal, or hex with a `0x` prefix
+//! ([`mage_llm::parse_seed`], the rule every seed flag here shares).
 //! `--deep` switches to a harder generation config (deeper expression
 //! and statement nesting, more processes and clock domains, longer
 //! drive plans) for divergence hunting; the smoke gate and the corpus
@@ -15,6 +17,7 @@
 //! mismatch, or corpus replay failure; `2` usage error.
 
 use mage_fuzz::{corpus, GenConfig, Session, SMOKE_CASES, SMOKE_SEED};
+use mage_llm::parse_seed;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -70,13 +73,7 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--batch-size" => {
                 args.batch_size = take("--batch-size")?.parse().map_err(|_| usage())?;
             }
-            "--seed" => {
-                let v = take("--seed")?;
-                let v = v.trim_start_matches("0x");
-                args.seed = u64::from_str_radix(v, 16)
-                    .or_else(|_| v.parse())
-                    .map_err(|_| usage())?;
-            }
+            "--seed" => args.seed = parse_seed(&take("--seed")?).map_err(|_| usage())?,
             "--persist" => args.persist = true,
             "--deep" => args.deep = true,
             "--help" | "-h" => return Err(usage()),

@@ -16,16 +16,16 @@
 //!    both builds must agree structurally (signals, processes,
 //!    bytecode) or fail with the identical error.
 //!
-//! All executors are constructed via [`Simulator::with_mode`] with the
-//! two-state switch set explicitly, so the verdict is
-//! independent of the `MAGE_SIM_EXEC` environment switch, which only
-//! [`Simulator::new`] reads.
+//! Oracles 2 and 3 compare through [`mage_sim::lockstep`], the one
+//! comparator the differential suites share. It builds every simulator
+//! with an explicit executor, so the verdict is independent of the
+//! `MAGE_SIM_EXEC` environment switch, which only
+//! [`mage_sim::Simulator::new`] reads.
 
 use crate::gen::{drives_for, GenCase};
 use mage_logic::LogicVec;
-use mage_sim::{
-    coverage, elaborate, elaborate_with, Design, DesignUnits, ExecMode, FuzzCoverage, Simulator,
-};
+use mage_sim::lockstep::{structurally_exact, Lockstep};
+use mage_sim::{coverage, elaborate, elaborate_with, Design, DesignUnits, ExecMode, FuzzCoverage};
 use mage_verilog::ast::SourceFile;
 use mage_verilog::{module_fingerprints, parse, print_file};
 use rand::rngs::StdRng;
@@ -67,17 +67,7 @@ pub struct CaseOutcome {
     /// Features this case exercised (static design shape + dynamic
     /// execution features, merged across the compiled executors).
     pub coverage: FuzzCoverage,
-    /// Total pokes applied per executor.
-    pub pokes: usize,
 }
-
-/// The executor stack under test: `(mode, label)`.
-/// Index 0 (the legacy tree-walker) is the comparison reference.
-pub const EXECUTORS: [(ExecMode, &str); 3] = [
-    (ExecMode::Legacy, "legacy"),
-    (ExecMode::FourState, "compiled-4s"),
-    (ExecMode::Compiled, "compiled-2s"),
-];
 
 /// Run every oracle on one case: roundtrip, three-executor lockstep on
 /// the seed-derived drive plan, then delta-vs-scratch on mutants.
@@ -101,13 +91,9 @@ pub fn run_source(source: &str, seed: u64, steps: usize) -> Result<CaseOutcome, 
     let mut cov = FuzzCoverage::new();
     coverage::design_features(design.compiled(), &mut cov);
     let drives = drives_for(&module, seed, steps);
-    let (run_cov, pokes) = lockstep(&design, &drives)?;
-    cov.merge(&run_cov);
+    check_lockstep(&design, &drives, &mut cov)?;
     check_delta_mutants(&file, &top, &design, seed)?;
-    Ok(CaseOutcome {
-        coverage: cov,
-        pokes,
-    })
+    Ok(CaseOutcome { coverage: cov })
 }
 
 /// Oracle 1: parse `source`, print it, reparse — the printed form must
@@ -145,113 +131,29 @@ pub fn check_roundtrip(source: &str) -> Result<SourceFile, Failure> {
     Ok(f1)
 }
 
-/// Oracle 2: all three executors run `drives` in lockstep; the full
-/// store is compared via `===` after every poke and every settle. Poke
-/// and settle *results* must also agree — a fault on one executor only
-/// is a divergence. Returns the merged runtime coverage of the
-/// compiled executors and the poke count.
-pub fn lockstep(
+/// Oracle 2: every executor of [`mage_sim::lockstep::EXECUTORS`] runs
+/// `drives` in lockstep (a boot settle, then per step each poke and a
+/// settle), the full store compared via `===` after every operation; a
+/// fault on one executor only is a divergence, and one they all agree
+/// on ends the run. Merges the runtime coverage of the two compiled
+/// executors into `cov`.
+pub fn check_lockstep(
     design: &Arc<Design>,
     drives: &[Vec<(String, LogicVec)>],
-) -> Result<(FuzzCoverage, usize), Failure> {
-    let mut sims: Vec<(Simulator, &str)> = EXECUTORS
+    cov: &mut FuzzCoverage,
+) -> Result<(), Failure> {
+    const COVERED: [ExecMode; 2] = [ExecMode::FourState, ExecMode::Compiled];
+    let mut ls = Lockstep::new(design);
+    for mode in COVERED {
+        ls.sim(mode).enable_coverage();
+    }
+    let steps = drives
         .iter()
-        .map(|(mode, label)| {
-            let mut sim = Simulator::with_mode(Arc::clone(design), *mode);
-            if *mode != ExecMode::Legacy {
-                sim.enable_coverage();
-            }
-            (sim, *label)
-        })
-        .collect();
-    let mut pokes = 0usize;
-
-    let settle_all = |sims: &mut Vec<(Simulator, &str)>, at: &str| -> Result<bool, Failure> {
-        let r0 = sims[0].0.settle();
-        for i in 1..sims.len() {
-            let ri = sims[i].0.settle();
-            if ri != r0 {
-                return Err(Failure::Lockstep(format!(
-                    "settle at {at}: {} => {:?}, {} => {:?}",
-                    sims[0].1, r0, sims[i].1, ri
-                )));
-            }
-        }
-        compare_all(design, sims, at)?;
-        Ok(r0.is_ok())
-    };
-
-    if !settle_all(&mut sims, "boot")? {
-        return Ok((drain_coverage(&mut sims), pokes));
-    }
-    'steps: for (i, step) in drives.iter().enumerate() {
-        for (name, v) in step {
-            let at = format!("step {i} poke {name}");
-            let r0 = sims[0].0.poke(name, v.clone());
-            for k in 1..sims.len() {
-                let rk = sims[k].0.poke(name, v.clone());
-                if rk != r0 {
-                    return Err(Failure::Lockstep(format!(
-                        "{at}: {} => {:?}, {} => {:?}",
-                        sims[0].1, r0, sims[k].1, rk
-                    )));
-                }
-            }
-            pokes += 1;
-            compare_all(design, &mut sims, &at)?;
-            if r0.is_err() {
-                // All executors agree on the fault; the case is over.
-                break 'steps;
-            }
-        }
-        if !settle_all(&mut sims, &format!("step {i} settle"))? {
-            break;
-        }
-    }
-    Ok((drain_coverage(&mut sims), pokes))
-}
-
-fn drain_coverage(sims: &mut [(Simulator, &str)]) -> FuzzCoverage {
-    let mut cov = FuzzCoverage::new();
-    for (sim, _) in sims.iter_mut() {
-        if let Some(c) = sim.take_coverage() {
+        .map(|step| step.iter().map(|(n, v)| (n.as_str(), v)));
+    let _agreed_fault = ls.drive(None, steps).map_err(Failure::Lockstep)?;
+    for mode in COVERED {
+        if let Some(c) = ls.sim(mode).take_coverage() {
             cov.merge(&c);
-        }
-    }
-    cov
-}
-
-/// Compare every signal of every executor against the reference
-/// (index 0) with `===`.
-fn compare_all(design: &Design, sims: &mut [(Simulator, &str)], at: &str) -> Result<(), Failure> {
-    // `peek` needs `&mut` (it may lazily flush deferred pokes), so
-    // snapshot each executor's store in turn.
-    let mut values: Vec<Vec<LogicVec>> = Vec::with_capacity(sims.len());
-    for (sim, _) in sims.iter_mut() {
-        values.push(
-            design
-                .signals
-                .iter()
-                .map(|decl| {
-                    let id = design.signal(&decl.name).expect("declared name resolves");
-                    sim.peek(id).clone()
-                })
-                .collect(),
-        );
-    }
-    for k in 1..sims.len() {
-        for (s, decl) in design.signals.iter().enumerate() {
-            let (va, vb) = (&values[0][s], &values[k][s]);
-            if !va.case_eq(vb) {
-                return Err(Failure::Lockstep(format!(
-                    "at {at}: signal `{}` diverged: {} = {}, {} = {}",
-                    decl.name,
-                    sims[0].1,
-                    va.to_binary_string(),
-                    sims[k].1,
-                    vb.to_binary_string()
-                )));
-            }
         }
     }
     Ok(())
@@ -305,21 +207,6 @@ pub fn check_delta_mutants(
                 )));
             }
         }
-    }
-    Ok(())
-}
-
-/// Structural store-exactness: same signal table, same interpreter
-/// processes, same compiled artifacts (bytecode, plans, fanout index).
-fn structurally_exact(scratch: &Design, delta: &Design) -> Result<(), String> {
-    if format!("{:?}", scratch.signals) != format!("{:?}", delta.signals) {
-        return Err("signal tables diverged".to_string());
-    }
-    if scratch.processes != delta.processes {
-        return Err("interpreter processes diverged".to_string());
-    }
-    if format!("{:?}", scratch.compiled()) != format!("{:?}", delta.compiled()) {
-        return Err("compiled artifacts diverged".to_string());
     }
     Ok(())
 }

@@ -288,12 +288,7 @@ impl FaultPlan {
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let (seed, name) = match s.split_once(':') {
             Some((seed, name)) => {
-                let seed = if let Some(hex) = seed.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16)
-                } else {
-                    seed.parse()
-                }
-                .map_err(|_| format!("bad fault-plan seed `{seed}`"))?;
+                let seed = parse_seed(seed).map_err(|_| format!("bad fault-plan seed `{seed}`"))?;
                 (seed, name)
             }
             None => (0xFA17, s),
@@ -322,6 +317,19 @@ impl FaultPlan {
             }
             _ => FaultPlan::none(),
         }
+    }
+}
+
+/// Parse a seed as every command line here writes one: `0x…` is hex,
+/// anything else decimal.
+///
+/// # Errors
+///
+/// Fails when the digits do not parse in their radix.
+pub fn parse_seed(s: &str) -> Result<u64, std::num::ParseIntError> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
     }
 }
 
@@ -387,6 +395,16 @@ mod tests {
         let drain = FaultPlan::new(7, FaultSpec::all_dead(3));
         assert!((0..3).all(|b| drain.dead(b)));
         assert!(!drain.dead(3));
+    }
+
+    #[test]
+    fn seeds_are_hex_with_0x_and_decimal_without() {
+        assert_eq!(parse_seed("100"), Ok(100));
+        assert_eq!(parse_seed("0x100"), Ok(0x100));
+        assert_eq!(parse_seed("0x64"), parse_seed("100"));
+        assert_eq!(parse_seed("0xCAFE"), Ok(51966));
+        assert!(parse_seed("cafe").is_err());
+        assert!(parse_seed("0x").is_err());
     }
 
     #[test]

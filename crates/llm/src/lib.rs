@@ -59,7 +59,7 @@ pub use api::{
 pub use batch::{
     DebugCall, JudgeTbCall, LlmRequest, LlmResponse, RtlGenCall, SyntaxFixCall, TbGenCall,
 };
-pub use faults::{FaultKind, FaultPlan, FaultSpec};
+pub use faults::{parse_seed, FaultKind, FaultPlan, FaultSpec};
 pub use policy::{
     BackendHealth, DispatchCall, DispatchError, DispatchPolicy, DispatchResult, Dispatcher,
     HealthSnapshot, ResilienceCounters,

@@ -1,6 +1,6 @@
 //! The benchmark problem type and stimulus derivation.
 
-use mage_llm::ProblemOracle;
+use mage_llm::{ProblemOracle, SyntheticModel, SyntheticModelConfig};
 use mage_logic::{fnv1a, LogicVec};
 use mage_sim::{elaborate, Design};
 use mage_tb::{StepTable, Stimulus};
@@ -213,6 +213,17 @@ impl Problem {
                 Stimulus::new(Some("clk".to_string()), drives)
             }
         }
+    }
+
+    /// The synthetic model a job solving this problem with `seed` talks
+    /// to: the default config, seeded with `seed`, holding this
+    /// problem's oracle for `seed`. Every path that runs a job (a solo
+    /// `Mage::solve`, serve, the fleet, the benches) builds its model
+    /// here, so a served trace equals the job's solo solve.
+    pub fn job_model(&self, seed: u64) -> SyntheticModel {
+        let mut model = SyntheticModel::new(SyntheticModelConfig::default(), seed);
+        model.register(self.id, self.oracle(seed));
+        model
     }
 
     /// Build the [`ProblemOracle`] the synthetic channel registers. The

@@ -4,8 +4,8 @@
 use crate::scheduler::{JobId, JobSpec};
 use mage_llm::{
     Attempt, DispatchCall, DispatchError, DispatchPolicy, Dispatcher, FaultPlan, HealthSnapshot,
-    LlmRequest, LlmResponse, ResilienceCounters, RtlLanguageModel, SyntheticModel,
-    SyntheticModelConfig, Transport, TransportCall,
+    LlmRequest, LlmResponse, ResilienceCounters, RtlLanguageModel, SyntheticModel, Transport,
+    TransportCall,
 };
 use std::any::Any;
 use std::collections::HashMap;
@@ -210,12 +210,12 @@ pub type SyntheticPerJob =
 pub const SYNTHETIC_BACKENDS: usize = 3;
 
 /// The standard service for a synthetic-channel job stream: job `id`'s
-/// model is a fresh [`SyntheticModel`] seeded with `specs[id].seed` and
-/// registered with that problem's oracle (looked up in the registry by
-/// `specs[id].problem_id`), behind a [`FaultyService`] whose plan comes
-/// from `MAGE_FAULT_PLAN` (empty ⇒ zero-overhead passthrough). Shared
-/// by the `mage-serve` binary, `bench_engine`, and the determinism
-/// suite, so they all seed identically.
+/// model is [`mage_problems::Problem::job_model`] for `specs[id]`'s
+/// problem (looked up in the registry by `specs[id].problem_id`) and
+/// seed, the model its solo solve uses, behind a [`FaultyService`]
+/// whose plan comes from `MAGE_FAULT_PLAN` (empty ⇒ zero-overhead
+/// passthrough). Shared by the `mage-serve` binary, `bench_engine`, and
+/// the determinism suite, so they all seed identically.
 pub fn synthetic_service(specs: &[JobSpec]) -> FaultyService<SyntheticPerJob> {
     synthetic_service_with(specs, FaultPlan::from_env(), DispatchPolicy::default())
 }
@@ -250,9 +250,7 @@ fn synthetic_per_job(specs: &[JobSpec]) -> SyntheticPerJob {
             )
         });
         let p = mage_problems::by_id(problem_id).expect("problem registered in the registry");
-        let mut model = SyntheticModel::new(SyntheticModelConfig::default(), *seed);
-        model.register(p.id, p.oracle(*seed));
-        model
+        p.job_model(*seed)
     }))
 }
 

@@ -8,7 +8,7 @@
 //! structured failure, `run` returns, nothing hangs.
 
 use mage_core::{Mage, MageConfig, SolveTrace, Task};
-use mage_llm::{DispatchPolicy, FaultPlan, FaultSpec, SyntheticModel, SyntheticModelConfig};
+use mage_llm::{DispatchPolicy, FaultPlan, FaultSpec};
 use mage_serve::{
     synthetic_service_with, JobSpec, LlmService, ServeEngine, ServeOptions, ServeReport,
     ServeStats, SYNTHETIC_BACKENDS,
@@ -88,9 +88,7 @@ fn fault_free_baseline() -> Vec<SolveTrace> {
         .iter()
         .map(|spec| {
             let p = mage_problems::by_id(&spec.problem_id).expect("corpus problem");
-            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
-            model.register(p.id, p.oracle(spec.seed));
-            Mage::new(&mut model, spec.config.clone()).solve(&Task {
+            Mage::new(&mut p.job_model(spec.seed), spec.config.clone()).solve(&Task {
                 id: p.id,
                 spec: p.spec,
             })

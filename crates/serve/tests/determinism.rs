@@ -5,7 +5,6 @@
 //! Every grid also checks that its swept schedules really differ.
 
 use mage_core::{Mage, MageConfig, SolveTrace, Task};
-use mage_llm::{SyntheticModel, SyntheticModelConfig};
 use mage_serve::{
     synthetic_service, DesignCache, JobSpec, ScoreCache, ServeEngine, ServeOptions, ServeStats,
     UnitCache,
@@ -41,9 +40,7 @@ fn solo(specs: &[JobSpec]) -> Vec<SolveTrace> {
         .iter()
         .map(|spec| {
             let p = mage_problems::by_id(&spec.problem_id).expect("corpus problem");
-            let mut model = SyntheticModel::new(SyntheticModelConfig::default(), spec.seed);
-            model.register(p.id, p.oracle(spec.seed));
-            Mage::new(&mut model, spec.config.clone()).solve(&Task {
+            Mage::new(&mut p.job_model(spec.seed), spec.config.clone()).solve(&Task {
                 id: p.id,
                 spec: p.spec,
             })

@@ -332,12 +332,12 @@ fn identical_jobs_share_scores_across_the_stream() {
 
     // And sharing is invisible: both traces equal the solo solve.
     let solo = {
-        let mut model = SyntheticModel::new(SyntheticModelConfig::default(), 4242);
-        model.register(p.id, p.oracle(4242));
-        mage_core::Mage::new(&mut model, specs[0].config.clone()).solve(&mage_core::Task {
-            id: p.id,
-            spec: p.spec,
-        })
+        mage_core::Mage::new(&mut p.job_model(4242), specs[0].config.clone()).solve(
+            &mage_core::Task {
+                id: p.id,
+                spec: p.spec,
+            },
+        )
     };
     for (_, trace) in engine.traces() {
         assert_eq!(trace, &solo, "score sharing changed a trace");

@@ -13,7 +13,12 @@
 //! of that value, so the loop would cycle until the limit and fail there
 //! with the same error. It fails at the first repeat instead, without
 //! unrolling the rest. An error in the body or in folding the step
-//! comes first, as it would have at the limit.
+//! comes first, as it would have at the limit. Nested loops multiply,
+//! so one process (one `always` item) may unroll at most 16,384 body
+//! copies in all, inner loops included, and fails with the same error
+//! at the copy past that. The budget is per process, not per design: a
+//! delta build reuses units without unrolling them, so a design-wide
+//! count would accept there what the scratch build rejects.
 //!
 //! Every process is produced as a content-addressed *compilation unit*
 //! ([`crate::unit`]): signal declaration always runs in full (global
@@ -31,11 +36,16 @@ use crate::unit::{unit_hash, DeltaStats, ProcessUnit, UnitKey, UnitSource, UnitT
 use mage_logic::LogicVec;
 use mage_verilog::ast::*;
 use mage_verilog::print_expr;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Maximum static iterations of a single `for` loop.
 const LOOP_LIMIT: usize = 4096;
+/// Maximum loop-body copies one process may unroll, inner loops
+/// included: room for a full-length loop and nested ones three times
+/// its size, so nested loops cannot multiply past it.
+const UNROLL_BUDGET: usize = 4 * LOOP_LIMIT;
 /// Maximum instance nesting depth.
 const DEPTH_LIMIT: usize = 64;
 
@@ -117,6 +127,7 @@ pub fn elaborate_delta(
         prebuilt: Vec::new(),
         ordinals: HashMap::new(),
         stats: DeltaStats::default(),
+        unrolled: Cell::new(0),
     };
     let (scope, _env) = e.instantiate(module, "", &HashMap::new(), &HashMap::new(), 0)?;
     let mut inputs = Vec::new();
@@ -183,6 +194,9 @@ struct Elaborator<'a> {
     /// Occurrence counters per `(fingerprint, binding)`.
     ordinals: HashMap<(u64, u64), u32>,
     stats: DeltaStats,
+    /// Loop-body copies the current process has unrolled, against
+    /// [`UNROLL_BUDGET`].
+    unrolled: Cell<usize>,
 }
 
 /// Per-module compile context, borrowed: a `for` unroll compiles its
@@ -341,6 +355,7 @@ impl<'a> Elaborator<'a> {
                     if self.try_reuse(&tag) {
                         continue;
                     }
+                    self.unrolled.set(0);
                     let cbody = self.compile_stmt(&ctx, body)?;
                     let process = match sens {
                         Sensitivity::Comb => {
@@ -706,6 +721,11 @@ impl<'a> Elaborator<'a> {
             if !c.truth().is_true() {
                 break;
             }
+            let copies = self.unrolled.get() + 1;
+            if copies > UNROLL_BUDGET {
+                return Err(ElabError::LoopLimit(format!("for ({var} = …)")));
+            }
+            self.unrolled.set(copies);
             let iter_ctx = ModuleCtx {
                 module: ctx.module,
                 scope: ctx.scope,
@@ -1146,6 +1166,26 @@ mod tests {
         assert_eq!(unrolled_len(&design), LOOP_LIMIT);
         let err = elaborate_loop("i < 4097", "i + 1", "y = y + a;").unwrap_err();
         assert_eq!(err.to_string(), LIMIT_TEXT);
+    }
+
+    #[test]
+    fn nested_loops_share_one_unroll_budget_per_process() {
+        // 4,096 outer copies plus 3 × 4,096 inner ones fill the budget.
+        let inner = |n: u32| format!("for (j = 0; j < {n}; j = j + 1) y = y + a;");
+        elaborate_loop("i < 4096", "i + 1", &inner(3)).expect("16,384 copies");
+        let err = elaborate_loop("i < 4096", "i + 1", &inner(4)).unwrap_err();
+        assert_eq!(err, ElabError::LoopLimit("for (j = …)".to_string()));
+        // The budget is per process: two processes unroll 24,576 copies.
+        let block = |y: &str| {
+            format!("always @(*) for (i = 0; i < 4096; i = i + 1) for (j = 0; j < 2; j = j + 1) {y} = {y} + a;")
+        };
+        let src = format!(
+            "module top(input [7:0] a, output reg [15:0] y, output reg [15:0] z);
+               integer i, j; {} {} endmodule",
+            block("y"),
+            block("z")
+        );
+        elaborate(&mage_verilog::parse(&src).expect("parses"), "top").expect("12,288 each");
     }
 
     #[test]

@@ -45,7 +45,10 @@
 //! with its scan-based worklist scheduler remains available as the
 //! differential-testing oracle via [`ExecMode::Legacy`] (or the
 //! `MAGE_SIM_EXEC=legacy` environment hook); [`ExecMode::FourState`]
-//! is the pure four-state reference of the compiled executor.
+//! is the pure four-state reference of the compiled executor. The
+//! [`lockstep`] module runs all three side by side, store-exact after
+//! every operation: the `mage-fuzz` oracle and every differential suite
+//! compare executors (and delta builds against scratch) through it.
 //!
 //! # Example
 //!
@@ -84,6 +87,7 @@ mod elab;
 mod error;
 mod eval;
 pub mod interp;
+pub mod lockstep;
 pub mod plan;
 mod sim;
 pub mod unit;

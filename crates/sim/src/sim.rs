@@ -95,9 +95,11 @@
 //!    `two_state_fallbacks` account for every evaluation of a process
 //!    with a plan.
 //!
-//! The corpus lockstep suites (`tests/compiled_vs_interp_corpus.rs`,
-//! `crates/sim/tests/{event_wheel,two_state}.rs`) hold all three
-//! executors store-exact after every poke.
+//! [`crate::lockstep`] holds all three executors store-exact after
+//! every operation; the fuzz oracle and every lockstep suite (the
+//! corpus suites at the workspace root,
+//! `crates/sim/tests/{compiled_vs_interp,event_wheel,two_state}.rs`)
+//! compare through it.
 
 use crate::compile::CompiledDesign;
 use crate::design::{Design, Process, SignalId};

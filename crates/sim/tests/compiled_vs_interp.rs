@@ -15,75 +15,26 @@
 //! every instruction the compiler emits.
 
 use mage_logic::LogicVec;
-use mage_sim::{elaborate, Design, ExecMode, SimError, Simulator};
+use mage_sim::lockstep::Lockstep;
+use mage_sim::{elaborate, Design, SimError};
 use std::sync::Arc;
 
-/// Drive the legacy oracle and the compiled executor's default
-/// (plans) and pure four-state modes in lockstep and compare the full
-/// store after every poke. Returns the error all agreed on, if any.
-fn lockstep(design: &Arc<Design>, schedule: &[(&str, u64)]) -> Option<SimError> {
-    let compiled = |mode| Simulator::with_mode(Arc::clone(design), mode);
-    let mut fasts = [
-        (compiled(ExecMode::Compiled), "compiled"),
-        (compiled(ExecMode::FourState), "four-state"),
-    ];
-    let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-    let rs = slow.settle();
-    for (fast, label) in &mut fasts {
-        assert_eq!(fast.settle(), rs, "{label}: settle outcome diverged");
-        compare_stores(
-            design,
-            fast,
-            &mut slow,
-            &format!("{label} after boot settle"),
-        );
-    }
-    if rs.is_err() {
-        return rs.err();
-    }
-    for (i, (name, value)) in schedule.iter().enumerate() {
-        let width = design
-            .signal(name)
-            .map(|id| design.width(id))
-            .expect("schedule drives known signals");
-        let v = LogicVec::from_u64(width, *value);
-        let rs = slow.poke(name, v.clone());
-        for (fast, label) in &mut fasts {
-            let at = format!("{label} after poke #{i} {name}={value}");
-            assert_eq!(fast.poke(name, v.clone()), rs, "{at}: outcome diverged");
-            compare_stores(design, fast, &mut slow, &at);
-        }
-        if rs.is_err() {
-            return rs.err();
-        }
-        // Edge-free pokes defer their combinational flush: settle every
-        // simulator so propagation faults surface (identically) at
-        // every step.
-        let rs = slow.settle();
-        for (fast, label) in &mut fasts {
-            let at = format!("{label} after settle #{i} {name}={value}");
-            assert_eq!(fast.settle(), rs, "{at}: outcome diverged");
-            compare_stores(design, fast, &mut slow, &at);
-        }
-        if rs.is_err() {
-            return rs.err();
-        }
-    }
-    None
-}
-
-fn compare_stores(design: &Design, fast: &mut Simulator, slow: &mut Simulator, at: &str) {
-    for decl in &design.signals {
-        let id = design.signal(&decl.name).expect("name resolves");
-        let (f, s) = (fast.peek(id).clone(), slow.peek(id));
-        assert!(
-            f.case_eq(s),
-            "{at}: signal `{}` diverged\n  compiled: {}\n  legacy:   {}",
-            decl.name,
-            f.to_binary_string(),
-            s.to_binary_string(),
-        );
-    }
+/// Drive `schedule` on every executor in lockstep, one poke per step
+/// and a settle after each (edge-free pokes defer their combinational
+/// flush, so propagation faults surface identically at every step),
+/// comparing the full store after every operation. Returns the fault
+/// every executor stopped at, if any.
+fn run(design: &Arc<Design>, schedule: &[(&str, u64)]) -> Option<SimError> {
+    let pokes: Vec<(&str, LogicVec)> = schedule
+        .iter()
+        .map(|&(name, value)| {
+            let id = design.signal(name).expect("schedule drives known signals");
+            (name, LogicVec::from_u64(design.width(id), value))
+        })
+        .collect();
+    Lockstep::new(design)
+        .drive(None, pokes.iter().map(|(n, v)| std::iter::once((*n, v))))
+        .unwrap_or_else(|d| panic!("{d}"))
 }
 
 fn design_of(src: &str) -> Arc<Design> {
@@ -116,7 +67,7 @@ fn alu_every_op() {
         schedule.push(("b", (i >> 4) & 0xF));
         schedule.push(("op", i % 8));
     }
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -135,7 +86,7 @@ fn sequential_with_reset_and_feedback() {
         schedule.push(("clk", 0));
         schedule.push(("clk", 1));
     }
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -154,7 +105,7 @@ fn shift_register_concat_lvalue() {
         schedule.push(("clk", 0));
         schedule.push(("clk", 1));
     }
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -173,7 +124,7 @@ fn dynamic_bit_select_read_and_write() {
         schedule.push(("idx", i % 8));
         schedule.push(("a", i * 37 % 256));
     }
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -196,7 +147,7 @@ fn ternary_x_merge_and_logical_ops() {
         ("sel", 0),
         ("a", 9),
     ];
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -212,7 +163,7 @@ fn reductions_replication_part_selects() {
     for i in 0..128u64 {
         schedule.push(("a", i * 11 % 256));
     }
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -231,7 +182,7 @@ fn wide_vectors_cross_word_boundary() {
         schedule.push(("clk", 0));
     }
     let schedule: Vec<(&str, u64)> = schedule;
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -252,7 +203,7 @@ fn division_modulo_and_x_poisoning() {
         ("a", 255),
         ("b", 2),
     ];
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -268,7 +219,7 @@ fn casez_wildcards_and_priority() {
          endmodule",
     );
     let schedule: Vec<(&str, u64)> = (0..16).map(|i| ("r", i)).collect();
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -291,7 +242,7 @@ fn hierarchy_flattened() {
             schedule.push(("y", y));
         }
     }
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -303,7 +254,7 @@ fn for_loop_unrolled_bit_reverse() {
          endmodule",
     );
     let schedule: Vec<(&str, u64)> = (0..64).map(|i| ("a", i * 5 % 256)).collect();
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }
 
 #[test]
@@ -317,7 +268,7 @@ fn combinational_loop_faults_identically() {
     let d = Arc::new(elaborate(&file, "top_module").unwrap());
     // a=0 settles; a=1 oscillates: both executors must report the same
     // CombinationalLoop fault.
-    let fault = lockstep(&d, &[("a", 0), ("a", 1)]);
+    let fault = run(&d, &[("a", 0), ("a", 1)]);
     assert!(
         matches!(fault, Some(SimError::CombinationalLoop { .. })),
         "{fault:?}"
@@ -339,5 +290,5 @@ fn clock_divider_cascade_identical() {
         schedule.push(("clk", 1));
         schedule.push(("clk", 0));
     }
-    assert!(lockstep(&d, &schedule).is_none());
+    assert!(run(&d, &schedule).is_none());
 }

@@ -11,6 +11,7 @@
 //! more processes than the oracle's sensitivity scan.
 
 use mage_logic::LogicVec;
+use mage_sim::lockstep::Lockstep;
 use mage_sim::{elaborate, Design, ExecMode, Simulator};
 use std::sync::Arc;
 
@@ -30,52 +31,24 @@ enum Op<'a> {
     Settle,
 }
 
-fn compare_stores(design: &Design, fast: &mut Simulator, slow: &mut Simulator, at: &str) {
-    for decl in &design.signals {
-        let id = design.signal(&decl.name).expect("name resolves");
-        let (f, s) = (fast.peek(id).clone(), slow.peek(id));
-        assert!(
-            f.case_eq(s),
-            "at {at}: signal `{}` diverged\n  wheel:  {}\n  legacy: {}",
-            decl.name,
-            f.to_binary_string(),
-            s.to_binary_string(),
-        );
-    }
-}
-
 /// Run `ops` on the legacy scheduler and on the wheel's default and
-/// four-state modes, comparing every signal after each op. Returns the
-/// legacy simulator, which every mode matched at the end.
-fn lockstep(design: &Arc<Design>, ops: Vec<Op<'_>>) -> Simulator {
-    let wheel = |mode| Simulator::with_mode(Arc::clone(design), mode);
-    let mut fasts = [
-        (wheel(ExecMode::Compiled), "wheel"),
-        (wheel(ExecMode::FourState), "four-state"),
-    ];
-    let mut slow = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-    let rs = slow.settle();
-    for (fast, label) in &mut fasts {
-        assert_eq!(fast.settle(), rs, "{label}: boot settle diverged");
-        compare_stores(design, fast, &mut slow, &format!("{label} boot"));
-    }
-    for (i, op) in ops.into_iter().enumerate() {
-        let apply = |sim: &mut Simulator| match &op {
+/// four-state modes after a clean boot settle, comparing every signal
+/// after each op; a fault they agree on ends the run. Returns the set,
+/// which every mode matched at the end.
+fn run(design: &Arc<Design>, ops: Vec<Op<'_>>) -> Lockstep {
+    let mut ls = Lockstep::new(design);
+    assert_eq!(ls.op("boot settle", Simulator::settle), Ok(Ok(())));
+    for (i, op) in ops.iter().enumerate() {
+        let apply = |sim: &mut Simulator| match op {
             Op::Poke(name, val) => sim.poke(name, val.clone()),
             Op::PokeMany(drives) => sim.poke_many(drives.iter().map(|(n, v)| (*n, v.clone()))),
             Op::Settle => sim.settle(),
         };
-        let rs = apply(&mut slow);
-        for (fast, label) in &mut fasts {
-            let at = format!("{label} op {i}");
-            assert_eq!(apply(fast), rs, "{at} diverged in result");
-            compare_stores(design, fast, &mut slow, &at);
-        }
-        if rs.is_err() {
-            return slow;
+        if ls.op(format_args!("op {i}"), apply).unwrap().is_err() {
+            break;
         }
     }
-    slow
+    ls
 }
 
 const DUAL_COUNTER: &str = "module top(
@@ -154,7 +127,7 @@ fn dual_clock_counter_lockstep() {
     // Simultaneous edges on both clocks in one drive batch.
     ops.push(Op::PokeMany(vec![("clka", v(1, 1)), ("clkb", v(1, 1))]));
     ops.push(Op::PokeMany(vec![("clka", v(1, 0)), ("clkb", v(1, 0))]));
-    lockstep(&d, ops);
+    run(&d, ops);
 }
 
 #[test]
@@ -169,7 +142,7 @@ fn mixed_edge_directions_lockstep() {
         ops.push(Op::Poke("clk", v(1, 1))); // posedge domain
         ops.push(Op::Poke("clk", v(1, 0))); // negedge domain
     }
-    lockstep(&d, ops);
+    run(&d, ops);
 }
 
 #[test]
@@ -179,7 +152,7 @@ fn redriven_signal_in_one_batch_lockstep() {
     // of the batch rather than the store. Both flops fire in one wave
     // on the pre-batch state: qn <= 3 + 1, qp <= d = 9.
     let d = design_of(MIXED_EDGES, "top");
-    let mut sim = lockstep(
+    let mut ls = run(
         &d,
         vec![
             Op::PokeMany(vec![("rst", v(1, 1)), ("clk", v(1, 0)), ("d", v(4, 3))]),
@@ -189,11 +162,12 @@ fn redriven_signal_in_one_batch_lockstep() {
             Op::PokeMany(vec![("clk", v(1, 0)), ("d", v(4, 9)), ("clk", v(1, 1))]),
         ],
     );
-    let bits = |sim: &mut Simulator, name: &str| sim.peek_by_name(name).unwrap().to_binary_string();
-    assert_eq!(bits(&mut sim, "clk"), "1");
-    assert_eq!(bits(&mut sim, "qp"), "1001");
-    assert_eq!(bits(&mut sim, "qn"), "0100");
-    assert_eq!(bits(&mut sim, "y"), "1101");
+    let sim = ls.sim(ExecMode::Legacy);
+    let mut bits = |name: &str| sim.peek_by_name(name).unwrap().to_binary_string();
+    assert_eq!(bits("clk"), "1");
+    assert_eq!(bits("qp"), "1001");
+    assert_eq!(bits("qn"), "0100");
+    assert_eq!(bits("y"), "1101");
 
     // Here only the re-drive is an edge (no process waits on a negedge
     // of clk), and the flop it fires closes a combinational loop: the
@@ -205,7 +179,7 @@ fn redriven_signal_in_one_batch_lockstep() {
          endmodule",
         "top",
     );
-    lockstep(
+    run(
         &d,
         vec![
             Op::PokeMany(vec![("rst", v(1, 1)), ("clk", v(1, 0))]),
@@ -244,7 +218,7 @@ fn divider_chain_cascade_lockstep() {
         ops.push(Op::Settle);
         ops.push(Op::Poke("clk", v(1, 0)));
     }
-    lockstep(&d, ops);
+    run(&d, ops);
 }
 
 #[test]
@@ -274,7 +248,7 @@ fn handshake_across_domains_lockstep() {
             ops.push(Op::Poke("req", v(1, 1)));
         }
     }
-    lockstep(&d, ops);
+    run(&d, ops);
 }
 
 #[test]
@@ -282,7 +256,7 @@ fn x_boot_edges_lockstep() {
     // First drives out of the all-X boot state make X→0 / X→1 edges;
     // the wheel's edge classifier must agree with the oracle's scan.
     let d = design_of(MIXED_EDGES, "top");
-    lockstep(
+    run(
         &d,
         vec![
             Op::Poke("clk", v(1, 1)), // X→1: posedge
@@ -310,28 +284,25 @@ fn poke_before_first_settle_stays_lockstep() {
          endmodule",
         "top",
     );
-    let mut fast = Simulator::with_mode(Arc::clone(&d), ExecMode::Compiled);
-    let mut slow = Simulator::with_mode(Arc::clone(&d), ExecMode::Legacy);
-    let (rf, rs) = (fast.poke("a", v(1, 1)), slow.poke("a", v(1, 1)));
-    assert_eq!(rf, rs);
-    compare_stores(&d, &mut fast, &mut slow, "first poke without settle");
+    let mut ls = Lockstep::new(&d);
+    let first = ls.op("first poke without settle", |s| s.poke("a", v(1, 1)));
+    assert_eq!(first, Ok(Ok(())));
+    let plans = ls.sim(ExecMode::Compiled);
     assert_eq!(
-        fast.peek_by_name("z").unwrap().to_u64(),
+        plans.peek_by_name("z").unwrap().to_u64(),
         Some(0),
         "time-zero events must have evaluated the constant driver"
     );
-    let (rf, rs) = (fast.poke("clk", v(1, 1)), slow.poke("clk", v(1, 1)));
-    assert_eq!(rf, rs);
-    compare_stores(&d, &mut fast, &mut slow, "clock edge after unsettled boot");
+    let edge = ls.op("clock edge after unsettled boot", |s| {
+        s.poke("clk", v(1, 1))
+    });
+    assert_eq!(edge, Ok(Ok(())));
 
     // Same for a first poke_many, on fresh simulators.
-    let mut fast = Simulator::with_mode(Arc::clone(&d), ExecMode::Compiled);
-    let mut slow = Simulator::with_mode(Arc::clone(&d), ExecMode::Legacy);
     let drives = [("a", v(1, 1)), ("clk", v(1, 1))];
-    let rf = fast.poke_many(drives.iter().map(|(n, x)| (*n, x.clone())));
-    let rs = slow.poke_many(drives.iter().map(|(n, x)| (*n, x.clone())));
-    assert_eq!(rf, rs);
-    compare_stores(&d, &mut fast, &mut slow, "first poke_many without settle");
+    let batch = |s: &mut Simulator| s.poke_many(drives.iter().map(|(n, x)| (*n, x.clone())));
+    let first = Lockstep::new(&d).op("first poke_many without settle", batch);
+    assert_eq!(first, Ok(Ok(())));
 }
 
 #[test]
@@ -341,35 +312,36 @@ fn failed_drive_batch_is_a_noop_in_both_schedulers() {
     // later settles and pokes (the wheel's persistent event queue must
     // not retain triggers from the rejected batch).
     let d = design_of(MIXED_EDGES, "top");
-    let mut fast = Simulator::with_mode(Arc::clone(&d), ExecMode::Compiled);
-    let mut slow = Simulator::with_mode(Arc::clone(&d), ExecMode::Legacy);
-    fast.settle().unwrap();
-    slow.settle().unwrap();
-    for sim in [&mut fast, &mut slow] {
-        sim.poke_many([("rst", v(1, 1)), ("clk", v(1, 0)), ("d", v(4, 0))])
-            .unwrap();
-        sim.poke("rst", v(1, 0)).unwrap();
-        let err = sim
-            .poke_many([("clk", v(1, 1)), ("nonexistent", v(1, 1))])
-            .unwrap_err();
-        assert!(matches!(err, mage_sim::SimError::UnknownInput(_)));
-    }
-    compare_stores(&d, &mut fast, &mut slow, "after rejected batch");
+    let mut ls = Lockstep::new(&d);
+    assert_eq!(ls.op("boot settle", Simulator::settle), Ok(Ok(())));
+    let reset = [("rst", v(1, 1)), ("clk", v(1, 0)), ("d", v(4, 0))];
     assert_eq!(
-        fast.peek_by_name("qp").unwrap().to_u64(),
+        ls.op("reset batch", |s| s.poke_many(reset.clone())),
+        Ok(Ok(()))
+    );
+    assert_eq!(ls.op("release", |s| s.poke("rst", v(1, 0))), Ok(Ok(())));
+    let rejected = [("clk", v(1, 1)), ("nonexistent", v(1, 1))];
+    let err = ls
+        .op("rejected batch", |s| s.poke_many(rejected.clone()))
+        .unwrap()
+        .unwrap_err();
+    assert!(matches!(err, mage_sim::SimError::UnknownInput(_)));
+    let plans = ls.sim(ExecMode::Compiled);
+    assert_eq!(
+        plans.peek_by_name("qp").unwrap().to_u64(),
         Some(0),
         "the clk edge of the rejected batch must not have fired"
     );
-    let (rf, rs) = (fast.settle(), slow.settle());
-    assert_eq!(rf, rs);
-    compare_stores(&d, &mut fast, &mut slow, "settle after rejected batch");
-    for (f, s) in [
-        (fast.poke("d", v(4, 5)), slow.poke("d", v(4, 5))),
-        (fast.poke("clk", v(1, 1)), slow.poke("clk", v(1, 1))),
-    ] {
-        assert_eq!(f, s);
-    }
-    compare_stores(&d, &mut fast, &mut slow, "poke after rejected batch");
+    let settled = ls.op("settle after rejected batch", Simulator::settle);
+    assert_eq!(settled, Ok(Ok(())));
+    assert_eq!(
+        ls.op("poke after rejected batch", |s| s.poke("d", v(4, 5))),
+        Ok(Ok(()))
+    );
+    assert_eq!(
+        ls.op("edge after rejected batch", |s| s.poke("clk", v(1, 1))),
+        Ok(Ok(()))
+    );
 }
 
 #[test]

@@ -22,7 +22,8 @@
 //! four-state exact after every poke.
 
 use mage_logic::{LogicBit, LogicVec};
-use mage_sim::{elaborate, Design, ExecMode, SimError, Simulator};
+use mage_sim::lockstep::Lockstep;
+use mage_sim::{elaborate, Design, ExecMode, Simulator};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -36,83 +37,14 @@ fn v(w: usize, x: u64) -> LogicVec {
     LogicVec::from_u64(w, x)
 }
 
-/// Three executors over one design: the default compiled simulator
-/// (plans), pure four-state compiled, and the legacy tree-walker.
-struct Trio {
-    fast: Simulator,
-    four: Simulator,
-    legacy: Simulator,
-}
+/// The executor under test; the lockstep set holds it against the
+/// four-state compiled path and the tree-walker.
+const PLANS: ExecMode = ExecMode::Compiled;
 
-impl Trio {
-    fn new(design: &Arc<Design>) -> Trio {
-        let fast = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-        let four = Simulator::with_mode(Arc::clone(design), ExecMode::FourState);
-        let legacy = Simulator::with_mode(Arc::clone(design), ExecMode::Legacy);
-        Trio { fast, four, legacy }
-    }
-
-    /// The two reference simulators the default one is held against.
-    fn refs(&mut self) -> [(&mut Simulator, &'static str); 2] {
-        [(&mut self.four, "four-state"), (&mut self.legacy, "legacy")]
-    }
-
-    fn settle(&mut self) -> Result<(), SimError> {
-        let rf = self.fast.settle();
-        for (other, label) in self.refs() {
-            assert_eq!(rf, other.settle(), "settle diverged vs {label}");
-        }
-        rf
-    }
-
-    fn poke(&mut self, name: &str, value: LogicVec, at: &str) -> Result<(), SimError> {
-        let rf = self.fast.poke(name, value.clone());
-        for (other, label) in self.refs() {
-            let ro = other.poke(name, value.clone());
-            assert_eq!(rf, ro, "poke {name} at {at} diverged vs {label}");
-        }
-        self.compare(at);
-        rf
-    }
-
-    fn poke_id(
-        &mut self,
-        id: mage_sim::SignalId,
-        value: LogicVec,
-        at: &str,
-    ) -> Result<(), SimError> {
-        let rf = self.fast.poke_id(id, value.clone());
-        for (other, label) in self.refs() {
-            let ro = other.poke_id(id, value.clone());
-            assert_eq!(rf, ro, "poke_id at {at} diverged vs {label}");
-        }
-        self.compare(at);
-        rf
-    }
-
-    /// Every signal, four-state exact, across all three stores.
-    fn compare(&mut self, at: &str) {
-        let names: Vec<String> = self
-            .fast
-            .design()
-            .signals
-            .iter()
-            .map(|s| s.name.clone())
-            .collect();
-        for name in names {
-            let id = self.fast.design().signal(&name).expect("name resolves");
-            let f = self.fast.peek(id).clone();
-            for (other, label) in self.refs() {
-                let o = other.peek(id);
-                assert!(
-                    f.case_eq(o),
-                    "at {at}: signal `{name}` diverged\n  two-state: {}\n  {label}:   {}",
-                    f.to_binary_string(),
-                    o.to_binary_string(),
-                );
-            }
-        }
-    }
+/// Poke `name` on every executor in lockstep; they must agree,
+/// store-exact, and succeed.
+fn poke(ls: &mut Lockstep, name: &str, value: LogicVec, at: &str) {
+    ls.op(at, |s| s.poke(name, value.clone())).unwrap().unwrap();
 }
 
 const ALU_SRC: &str = "module top(input clk, input rst, input [3:0] a, input [3:0] b,
@@ -211,42 +143,42 @@ fn two_state_disabled_counts_nothing() {
 #[test]
 fn x_injection_falls_back_and_recovers() {
     let design = design_of("module top(input a, input b, output y); assign y = a & b; endmodule");
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("a", v(1, 1), "define a").unwrap();
-    trio.poke("b", v(1, 1), "define b").unwrap();
-    trio.fast.reset_eval_counts();
+    let mut ls = Lockstep::new(&design);
+    ls.op("boot settle", Simulator::settle).unwrap().unwrap();
+    poke(&mut ls, "a", v(1, 1), "define a");
+    poke(&mut ls, "b", v(1, 1), "define b");
+    ls.sim(PLANS).reset_eval_counts();
 
     // Inject: X on `a` forces the single AND process four-state.
-    trio.poke("a", LogicVec::all_x(1), "inject X").unwrap();
-    let c = trio.fast.eval_counts();
+    poke(&mut ls, "a", LogicVec::all_x(1), "inject X");
+    let c = ls.sim(PLANS).eval_counts();
     assert_eq!(c.two_state_evals, 0);
     assert_eq!(c.two_state_fallbacks, 1, "X read set → fallback");
-    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
+    assert!(ls.sim(PLANS).peek_by_name("y").unwrap().has_unknown());
 
     // Recover: a defined re-drive goes straight back to two-state.
-    trio.poke("a", v(1, 0), "recover a").unwrap();
-    let c = trio.fast.eval_counts();
+    poke(&mut ls, "a", v(1, 0), "recover a");
+    let c = ls.sim(PLANS).eval_counts();
     assert_eq!(c.two_state_evals, 1, "defined re-drive recovers");
     assert_eq!(c.two_state_fallbacks, 1);
-    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0));
+    assert_eq!(ls.sim(PLANS).peek_by_name("y").unwrap().to_u64(), Some(0));
 }
 
 #[test]
 fn z_injection_is_as_unknown_as_x() {
     let design = design_of("module top(input [3:0] a, output [3:0] y); assign y = ~a; endmodule");
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("a", v(4, 5), "define").unwrap();
-    trio.fast.reset_eval_counts();
+    let mut ls = Lockstep::new(&design);
+    ls.op("boot settle", Simulator::settle).unwrap().unwrap();
+    poke(&mut ls, "a", v(4, 5), "define");
+    ls.sim(PLANS).reset_eval_counts();
     let mut z = v(4, 5);
     z.set_bit(2, LogicBit::Z);
-    trio.poke("a", z, "inject Z").unwrap();
-    let c = trio.fast.eval_counts();
+    poke(&mut ls, "a", z, "inject Z");
+    let c = ls.sim(PLANS).eval_counts();
     assert_eq!(c.two_state_evals, 0, "Z gates the fast path like X");
     assert_eq!(c.two_state_fallbacks, 1);
-    trio.poke("a", v(4, 5), "recover").unwrap();
-    assert_eq!(trio.fast.eval_counts().two_state_evals, 1);
+    poke(&mut ls, "a", v(4, 5), "recover");
+    assert_eq!(ls.sim(PLANS).eval_counts().two_state_evals, 1);
 }
 
 #[test]
@@ -267,29 +199,29 @@ fn division_by_zero_bails_out_mid_run() {
             .all(|p| p.plan.as_ref().is_some_and(|plan| plan.can_bail)),
         "division and modulo run on plans that can bail"
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("a", v(4, 12), "define a").unwrap();
-    trio.poke("b", v(4, 3), "define b").unwrap();
-    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
-    let defined_hits = trio.fast.eval_counts().two_state_evals;
+    let mut ls = Lockstep::new(&design);
+    ls.op("boot settle", Simulator::settle).unwrap().unwrap();
+    poke(&mut ls, "a", v(4, 12), "define a");
+    poke(&mut ls, "b", v(4, 3), "define b");
+    assert_eq!(ls.sim(PLANS).peek_by_name("q").unwrap().to_u64(), Some(4));
+    let defined_hits = ls.sim(PLANS).eval_counts().two_state_evals;
     assert!(defined_hits > 0, "nonzero divisor runs the plans");
 
-    trio.fast.reset_eval_counts();
-    trio.poke("b", v(4, 0), "zero divisor").unwrap();
-    let c = trio.fast.eval_counts();
+    ls.sim(PLANS).reset_eval_counts();
+    poke(&mut ls, "b", v(4, 0), "zero divisor");
+    let c = ls.sim(PLANS).eval_counts();
     assert!(
         c.two_state_fallbacks > 0,
         "division by zero must bail out of the plan run"
     );
     assert_eq!(c.two_state_evals, 0);
-    assert!(trio.fast.peek_by_name("q").unwrap().is_all_x());
-    assert!(trio.fast.peek_by_name("m").unwrap().is_all_x());
+    assert!(ls.sim(PLANS).peek_by_name("q").unwrap().is_all_x());
+    assert!(ls.sim(PLANS).peek_by_name("m").unwrap().is_all_x());
 
     // Recovery: a nonzero divisor runs the plans again.
-    trio.poke("b", v(4, 5), "recover divisor").unwrap();
-    assert!(trio.fast.eval_counts().two_state_evals > 0);
-    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(2));
+    poke(&mut ls, "b", v(4, 5), "recover divisor");
+    assert!(ls.sim(PLANS).eval_counts().two_state_evals > 0);
+    assert_eq!(ls.sim(PLANS).peek_by_name("q").unwrap().to_u64(), Some(2));
 }
 
 #[test]
@@ -310,14 +242,14 @@ fn casez_wildcard_labels_stay_two_state() {
         design.compiled().procs[0].plan.is_some(),
         "wildcard labels keep the process on a plan"
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.fast.reset_eval_counts();
+    let mut ls = Lockstep::new(&design);
+    ls.op("boot settle", Simulator::settle).unwrap().unwrap();
+    ls.sim(PLANS).reset_eval_counts();
     for (r, y) in [(0b1010, 3), (0b0110, 2), (0b0010, 1), (0b0001, 0)] {
-        trio.poke("r", v(4, r), "casez sweep").unwrap();
-        assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(y));
+        poke(&mut ls, "r", v(4, r), "casez sweep");
+        assert_eq!(ls.sim(PLANS).peek_by_name("y").unwrap().to_u64(), Some(y));
     }
-    let c = trio.fast.eval_counts();
+    let c = ls.sim(PLANS).eval_counts();
     assert_eq!(c.two_state_fallbacks, 0);
     assert_eq!(c.two_state_evals, c.total_evals());
     assert!(c.two_state_evals > 0);
@@ -334,11 +266,11 @@ fn undefined_const_in_arithmetic_is_ineligible() {
            assign w = a & 4'b1100;
          endmodule",
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.fast.reset_eval_counts();
-    trio.poke("a", v(4, 7), "define").unwrap();
-    let c = trio.fast.eval_counts();
+    let mut ls = Lockstep::new(&design);
+    ls.op("boot settle", Simulator::settle).unwrap().unwrap();
+    ls.sim(PLANS).reset_eval_counts();
+    poke(&mut ls, "a", v(4, 7), "define");
+    let c = ls.sim(PLANS).eval_counts();
     assert!(c.total_evals() > 0);
     // The X-adder process has no plan; the masking AND beside it has
     // one and hits.
@@ -348,8 +280,8 @@ fn undefined_const_in_arithmetic_is_ineligible() {
         c.two_state_evals < c.total_evals(),
         "the tainted process must not be counted two-state"
     );
-    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
-    assert_eq!(trio.fast.peek_by_name("w").unwrap().to_u64(), Some(4));
+    assert!(ls.sim(PLANS).peek_by_name("y").unwrap().has_unknown());
+    assert_eq!(ls.sim(PLANS).peek_by_name("w").unwrap().to_u64(), Some(4));
 }
 
 #[test]
@@ -368,16 +300,22 @@ fn undefined_const_store_runs_four_state_every_time() {
          endmodule",
     );
     assert!(design.compiled().procs[0].plan.is_none());
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.fast.reset_eval_counts();
-    trio.poke("sel", v(1, 1), "defined branch").unwrap();
-    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
-    trio.poke("sel", v(1, 0), "take the X branch").unwrap();
-    assert!(trio.fast.peek_by_name("y").unwrap().has_unknown());
-    trio.poke("sel", v(1, 1), "defined again").unwrap();
-    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(0b1010));
-    let c = trio.fast.eval_counts();
+    let mut ls = Lockstep::new(&design);
+    ls.op("boot settle", Simulator::settle).unwrap().unwrap();
+    ls.sim(PLANS).reset_eval_counts();
+    poke(&mut ls, "sel", v(1, 1), "defined branch");
+    assert_eq!(
+        ls.sim(PLANS).peek_by_name("y").unwrap().to_u64(),
+        Some(0b1010)
+    );
+    poke(&mut ls, "sel", v(1, 0), "take the X branch");
+    assert!(ls.sim(PLANS).peek_by_name("y").unwrap().has_unknown());
+    poke(&mut ls, "sel", v(1, 1), "defined again");
+    assert_eq!(
+        ls.sim(PLANS).peek_by_name("y").unwrap().to_u64(),
+        Some(0b1010)
+    );
+    let c = ls.sim(PLANS).eval_counts();
     assert!(c.total_evals() > 0);
     assert_eq!(
         (c.two_state_evals, c.two_state_fallbacks),
@@ -407,44 +345,44 @@ fn out_of_range_bit_select_bails_rewinds_and_recovers() {
             .is_some_and(|plan| plan.can_bail),
         "the dynamic bit select runs on a plan that can bail"
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("clk", v(1, 0), "clk low").unwrap();
-    trio.poke("v", v(4, 0b1010), "define v").unwrap();
-    trio.poke("i", v(3, 1), "in range").unwrap();
-    trio.poke("rst", v(1, 1), "reset on").unwrap();
-    trio.poke("clk", v(1, 1), "reset edge").unwrap();
-    trio.poke("clk", v(1, 0), "fall").unwrap();
-    trio.poke("rst", v(1, 0), "reset off").unwrap();
-    trio.poke("clk", v(1, 1), "in-range edge").unwrap();
-    trio.poke("clk", v(1, 0), "fall").unwrap();
-    assert_eq!(trio.fast.peek_by_name("n").unwrap().to_u64(), Some(1));
-    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(1));
-    trio.fast.reset_eval_counts();
+    let mut ls = Lockstep::new(&design);
+    ls.op("boot settle", Simulator::settle).unwrap().unwrap();
+    poke(&mut ls, "clk", v(1, 0), "clk low");
+    poke(&mut ls, "v", v(4, 0b1010), "define v");
+    poke(&mut ls, "i", v(3, 1), "in range");
+    poke(&mut ls, "rst", v(1, 1), "reset on");
+    poke(&mut ls, "clk", v(1, 1), "reset edge");
+    poke(&mut ls, "clk", v(1, 0), "fall");
+    poke(&mut ls, "rst", v(1, 0), "reset off");
+    poke(&mut ls, "clk", v(1, 1), "in-range edge");
+    poke(&mut ls, "clk", v(1, 0), "fall");
+    assert_eq!(ls.sim(PLANS).peek_by_name("n").unwrap().to_u64(), Some(1));
+    assert_eq!(ls.sim(PLANS).peek_by_name("y").unwrap().to_u64(), Some(1));
+    ls.sim(PLANS).reset_eval_counts();
 
-    trio.poke("i", v(3, 5), "out of range").unwrap();
-    trio.poke("clk", v(1, 1), "bailing edge").unwrap();
-    let c = trio.fast.eval_counts();
+    poke(&mut ls, "i", v(3, 5), "out of range");
+    poke(&mut ls, "clk", v(1, 1), "bailing edge");
+    let c = ls.sim(PLANS).eval_counts();
     assert_eq!(
         (c.two_state_evals, c.two_state_fallbacks),
         (0, 1),
         "the plan bails once"
     );
     assert_eq!(
-        trio.fast.peek_by_name("n").unwrap().to_u64(),
+        ls.sim(PLANS).peek_by_name("n").unwrap().to_u64(),
         Some(2),
         "the bailed store was rewound before the re-run"
     );
-    assert!(trio.fast.peek_by_name("y").unwrap().is_all_x());
+    assert!(ls.sim(PLANS).peek_by_name("y").unwrap().is_all_x());
 
     // Recovery: an in-range index runs the plan again.
-    trio.poke("clk", v(1, 0), "fall").unwrap();
-    trio.poke("i", v(3, 3), "back in range").unwrap();
-    trio.poke("clk", v(1, 1), "recovered edge").unwrap();
-    let c = trio.fast.eval_counts();
+    poke(&mut ls, "clk", v(1, 0), "fall");
+    poke(&mut ls, "i", v(3, 3), "back in range");
+    poke(&mut ls, "clk", v(1, 1), "recovered edge");
+    let c = ls.sim(PLANS).eval_counts();
     assert_eq!((c.two_state_evals, c.two_state_fallbacks), (1, 1));
-    assert_eq!(trio.fast.peek_by_name("n").unwrap().to_u64(), Some(3));
-    assert_eq!(trio.fast.peek_by_name("y").unwrap().to_u64(), Some(1));
+    assert_eq!(ls.sim(PLANS).peek_by_name("n").unwrap().to_u64(), Some(3));
+    assert_eq!(ls.sim(PLANS).peek_by_name("y").unwrap().to_u64(), Some(1));
 }
 
 #[test]
@@ -457,23 +395,23 @@ fn sequential_processes_take_the_fast_path_too() {
            end
          endmodule",
     );
-    let mut trio = Trio::new(&design);
-    trio.settle().unwrap();
-    trio.poke("clk", v(1, 0), "clk low").unwrap();
-    trio.poke("rst", v(1, 1), "reset on").unwrap();
-    trio.poke("clk", v(1, 1), "reset edge").unwrap();
-    trio.poke("clk", v(1, 0), "clk low").unwrap();
-    trio.poke("rst", v(1, 0), "reset off").unwrap();
-    trio.fast.reset_eval_counts();
+    let mut ls = Lockstep::new(&design);
+    ls.op("boot settle", Simulator::settle).unwrap().unwrap();
+    poke(&mut ls, "clk", v(1, 0), "clk low");
+    poke(&mut ls, "rst", v(1, 1), "reset on");
+    poke(&mut ls, "clk", v(1, 1), "reset edge");
+    poke(&mut ls, "clk", v(1, 0), "clk low");
+    poke(&mut ls, "rst", v(1, 0), "reset off");
+    ls.sim(PLANS).reset_eval_counts();
     for _ in 0..4 {
-        trio.poke("clk", v(1, 1), "rise").unwrap();
-        trio.poke("clk", v(1, 0), "fall").unwrap();
+        poke(&mut ls, "clk", v(1, 1), "rise");
+        poke(&mut ls, "clk", v(1, 0), "fall");
     }
-    let c = trio.fast.eval_counts();
+    let c = ls.sim(PLANS).eval_counts();
     assert_eq!(c.seq_evals, 4);
     assert_eq!(c.two_state_evals, 4, "all four flop evals are two-state");
     assert_eq!(c.two_state_fallbacks, 0);
-    assert_eq!(trio.fast.peek_by_name("q").unwrap().to_u64(), Some(4));
+    assert_eq!(ls.sim(PLANS).peek_by_name("q").unwrap().to_u64(), Some(4));
 }
 
 // ----------------------------------------------------------------------
@@ -501,8 +439,8 @@ proptest! {
         let oracle = p.oracle(0x75A7E);
         let design = &oracle.golden_design;
         let stim = &oracle.stimulus;
-        let mut trio = Trio::new(design);
-        if trio.settle().is_err() {
+        let mut ls = Lockstep::new(design);
+        if ls.op("boot settle", Simulator::settle).unwrap().is_err() {
             return Ok(()); // boot fault: equality already asserted
         }
         // Cap the walked steps so a 1500-step clocked stimulus doesn't
@@ -517,23 +455,26 @@ proptest! {
         let mut saved: Option<LogicVec> = None;
 
         if let Some(clk) = stim.clock() {
-            if trio.poke(clk, LogicVec::from_bool(false), "clk boot").is_err() {
+            let low = |s: &mut Simulator| s.poke(clk, LogicVec::from_bool(false));
+            if ls.op("clk boot", low).unwrap().is_err() {
                 return Ok(());
             }
         }
         'outer: for (i, step) in steps.iter().enumerate() {
             for (name, value) in step.clone() {
-                if trio.poke(name, value.clone(), &format!("step {i}")).is_err() {
+                let poke = |s: &mut Simulator| s.poke(name, value.clone());
+                if ls.op(format_args!("step {i}"), poke).unwrap().is_err() {
                     break 'outer;
                 }
             }
             if i == inject_at {
                 // Flip one bit of the chosen input to X or Z.
-                let mut poisoned = trio.fast.peek(inject_id).clone();
+                let mut poisoned = ls.sim(PLANS).peek(inject_id).clone();
                 let bit = bit_pick % poisoned.width();
                 saved = Some(poisoned.clone());
                 poisoned.set_bit(bit, if use_z { LogicBit::Z } else { LogicBit::X });
-                if trio.poke_id(inject_id, poisoned, &format!("inject @{i}")).is_err() {
+                let inject = |s: &mut Simulator| s.poke_id(inject_id, poisoned.clone());
+                if ls.op(format_args!("inject @{i}"), inject).unwrap().is_err() {
                     break 'outer;
                 }
             }
@@ -543,14 +484,17 @@ proptest! {
                     // (later stimulus steps may re-drive it anyway; this
                     // guarantees the X window closes even when they
                     // don't).
-                    if trio.poke_id(inject_id, v, &format!("recover @{i}")).is_err() {
+                    let recover = |s: &mut Simulator| s.poke_id(inject_id, v.clone());
+                    if ls.op(format_args!("recover @{i}"), recover).unwrap().is_err() {
                         break 'outer;
                     }
                 }
             }
             if let Some(clk) = stim.clock() {
-                if trio.poke(clk, LogicVec::from_bool(true), &format!("step {i} rise")).is_err()
-                    || trio.poke(clk, LogicVec::from_bool(false), &format!("step {i} fall")).is_err()
+                let rise = |s: &mut Simulator| s.poke(clk, LogicVec::from_bool(true));
+                let fall = |s: &mut Simulator| s.poke(clk, LogicVec::from_bool(false));
+                if ls.op(format_args!("step {i} rise"), rise).unwrap().is_err()
+                    || ls.op(format_args!("step {i} fall"), fall).unwrap().is_err()
                 {
                     break 'outer;
                 }
@@ -558,8 +502,9 @@ proptest! {
         }
         // Plans never run with two-state dispatch off or on the
         // tree-walker, whatever the schedule did.
-        prop_assert_eq!(trio.four.eval_counts().two_state_evals, 0);
-        prop_assert_eq!(trio.four.eval_counts().two_state_fallbacks, 0);
-        prop_assert_eq!(trio.legacy.eval_counts().two_state_evals, 0);
+        let four = ls.sim(ExecMode::FourState).eval_counts();
+        prop_assert_eq!(four.two_state_evals, 0);
+        prop_assert_eq!(four.two_state_fallbacks, 0);
+        prop_assert_eq!(ls.sim(ExecMode::Legacy).eval_counts().two_state_evals, 0);
     }
 }

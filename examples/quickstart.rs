@@ -8,7 +8,6 @@
 
 use mage::core::experiments::grading_bench_shared;
 use mage::core::{compile, Mage, MageConfig, Task};
-use mage::llm::{SyntheticModel, SyntheticModelConfig};
 use mage::problems::by_id;
 use mage::tb::run_testbench;
 use mage::tb::textlog::render_full_log;
@@ -29,8 +28,7 @@ fn main() {
     println!("Spec: {}\n", problem.spec);
 
     let seed = 0xC0FFEE;
-    let mut model = SyntheticModel::new(SyntheticModelConfig::default(), seed);
-    model.register(problem.id, problem.oracle(seed));
+    let mut model = problem.job_model(seed);
 
     let mut engine = Mage::new(&mut model, MageConfig::high_temperature());
     let trace = engine.solve(&Task {

@@ -15,11 +15,9 @@
 //!
 //! ```
 //! use mage::core::{Mage, MageConfig, Task};
-//! use mage::llm::{SyntheticModel, SyntheticModelConfig};
 //!
 //! let problem = mage::problems::by_id("prob010_mux2").expect("corpus problem");
-//! let mut model = SyntheticModel::new(SyntheticModelConfig::default(), 42);
-//! model.register(problem.id, problem.oracle(42));
+//! let mut model = problem.job_model(42);
 //! let mut engine = Mage::new(&mut model, MageConfig::high_temperature());
 //! let trace = engine.solve(&Task { id: problem.id, spec: problem.spec });
 //! assert!(trace.final_score > 0.0);

@@ -6,7 +6,8 @@
 //! building one stays far below one allocation per step. The lexer's
 //! span tokens hold no text, so a parse allocates per AST node and per
 //! name it keeps, not per token. A `for` loop whose step repeats a value
-//! stops unrolling at the repeat instead of at the unroll limit. A counting
+//! stops unrolling at the repeat instead of at the unroll limit, and
+//! nested loops stop at the per-process unroll budget. A counting
 //! global allocator (this test binary only) counts each thread's
 //! allocations, so tests running in parallel do not see each other's.
 
@@ -114,6 +115,26 @@ fn front_end_stays_within_its_allocation_budgets() {
         assert_eq!(err, "for-loop unroll limit exceeded: for (i = …)");
         assert!(compile_allocs < 1000, "{step}: compile {compile_allocs}");
     }
+}
+
+#[test]
+fn nested_loops_stop_at_the_unroll_budget() {
+    // Three nested loops of 4,096 iterations, each within the per-loop
+    // limit, would unroll 2^36 copies of the body. The per-process
+    // budget stops them after 16,384.
+    let cube = "module top(input [7:0] a, output reg [15:0] y);
+           integer i, j, k;
+           always @(*) begin
+             y = 16'd0;
+             for (i = 0; i < 4096; i = i + 1)
+               for (j = 0; j < 4096; j = j + 1)
+                 for (k = 0; k < 4096; k = k + 1) y = y + a;
+           end
+         endmodule";
+    let (design, compile_allocs) = allocations(|| mage::core::compile(cube));
+    let err = design.expect_err("the budget stops the unroll");
+    assert_eq!(err, "for-loop unroll limit exceeded: for (k = …)");
+    assert!(compile_allocs <= 34_000, "compile {compile_allocs}");
 }
 
 /// `true` when `MAGE_SIM_EXEC` selects the tree-walking reference for

@@ -19,125 +19,22 @@
 use mage::llm::mutate::{apply_mutation, sample_mutations};
 use mage::logic::LogicVec;
 use mage::problems::all_problems;
-use mage::sim::{
-    elaborate, elaborate_delta, elaborate_with, Design, DesignUnits, ExecMode, Simulator,
-};
+use mage::sim::lockstep::{structurally_exact, Lockstep};
+use mage::sim::{elaborate, elaborate_delta, elaborate_with, Design, DesignUnits};
 use mage::tb::Stimulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// The three executors every delta build must match its scratch twin
-/// on: `(mode, label)`.
-const EXECUTORS: [(ExecMode, &str); 3] = [
-    (ExecMode::FourState, "compiled"),
-    (ExecMode::Compiled, "compiled+2s"),
-    (ExecMode::Legacy, "legacy"),
-];
-
-/// Assert the delta build is structurally identical to the scratch
-/// build: same signals, same interpreter processes, same bytecode, same
-/// fanout/trigger index. This is the "store-exact" contract at the
-/// artifact level — the simulation sweep below re-proves it at runtime.
-fn assert_structurally_exact(scratch: &Design, delta: &Design, label: &str) {
-    assert_eq!(
-        format!("{:?}", scratch.signals),
-        format!("{:?}", delta.signals),
-        "{label}: signal tables diverged"
-    );
-    assert_eq!(
-        scratch.processes, delta.processes,
-        "{label}: interpreter processes diverged"
-    );
-    assert_eq!(
-        format!("{:?}", scratch.compiled()),
-        format!("{:?}", delta.compiled()),
-        "{label}: compiled artifacts diverged"
-    );
-}
-
-/// Drive the scratch and delta designs through `stim` in lockstep on
-/// one executor, comparing the full store after every poke. Stops
-/// (without failing) at the first simulation fault, after asserting
-/// both builds report the same fault.
-fn lockstep_one(scratch: &Arc<Design>, delta: &Arc<Design>, stim: &Stimulus, label: &str) {
-    for (mode, exec) in EXECUTORS {
-        let label = format!("{label} [{exec}]");
-        let mut a = Simulator::with_mode(Arc::clone(scratch), mode);
-        let mut b = Simulator::with_mode(Arc::clone(delta), mode);
-        let ra = a.settle();
-        let rb = b.settle();
-        assert_eq!(ra, rb, "{label}: settle diverged");
-        compare_stores(scratch, &mut a, &mut b, &label, "boot");
-        if ra.is_err() {
-            continue;
-        }
-        let mut ok = true;
-        let poke_both =
-            |name: &str, v: LogicVec, a: &mut Simulator, b: &mut Simulator, at: &str| {
-                let ra = a.poke(name, v.clone());
-                let rb = b.poke(name, v);
-                assert_eq!(ra, rb, "{label}: poke {name} at {at} diverged");
-                compare_stores(scratch, a, b, &label, at);
-                ra.is_ok()
-            };
-        if let Some(clk) = stim.clock() {
-            ok = poke_both(clk, LogicVec::from_bool(false), &mut a, &mut b, "clk boot");
-        }
-        for (i, step) in stim.steps().enumerate() {
-            if !ok {
-                break;
-            }
-            for (name, v) in step {
-                ok = poke_both(name, v.clone(), &mut a, &mut b, &format!("step {i}"));
-                if !ok {
-                    break;
-                }
-            }
-            if let Some(clk) = stim.clock() {
-                if ok {
-                    ok = poke_both(
-                        clk,
-                        LogicVec::from_bool(true),
-                        &mut a,
-                        &mut b,
-                        &format!("step {i} rise"),
-                    );
-                }
-                if ok {
-                    ok = poke_both(
-                        clk,
-                        LogicVec::from_bool(false),
-                        &mut a,
-                        &mut b,
-                        &format!("step {i} fall"),
-                    );
-                }
-            }
-            if !ok {
-                break;
-            }
-            let ra = a.settle();
-            let rb = b.settle();
-            assert_eq!(ra, rb, "{label}: settle at step {i} diverged");
-            compare_stores(scratch, &mut a, &mut b, &label, &format!("step {i} settle"));
-            ok = ra.is_ok();
-        }
-    }
-}
-
-fn compare_stores(design: &Design, a: &mut Simulator, b: &mut Simulator, label: &str, at: &str) {
-    for decl in &design.signals {
-        let id = design.signal(&decl.name).expect("name resolves");
-        let (va, vb) = (a.peek(id).clone(), b.peek(id));
-        assert!(
-            va.case_eq(vb),
-            "{label} at {at}: signal `{}` diverged\n  scratch: {}\n  delta:   {}",
-            decl.name,
-            va.to_binary_string(),
-            vb.to_binary_string(),
-        );
-    }
+/// Assert the delta build is store-exact against its scratch twin: the
+/// same artifact (signals, interpreter processes, bytecode, fanout
+/// index), then bit-identical on every executor after every operation
+/// of `stim`, run in testbench order. An agreed fault ends the run.
+fn assert_store_exact(scratch: &Arc<Design>, delta: &Arc<Design>, stim: &Stimulus, label: &str) {
+    structurally_exact(scratch, delta).unwrap_or_else(|d| panic!("{label}: {d}"));
+    Lockstep::twins(scratch, delta)
+        .and_then(|mut ls| ls.drive(stim.clock(), stim.steps()))
+        .unwrap_or_else(|d| panic!("{label}: {d}"));
 }
 
 #[test]
@@ -155,9 +52,12 @@ fn full_corpus_golden_self_delta_reuses_everything() {
             p.id, stats.rebuilt
         );
         assert_eq!(stats.reused, delta.processes.len(), "{}: reuse count", p.id);
-        let delta = Arc::new(delta);
-        assert_structurally_exact(&oracle.golden_design, &delta, p.id);
-        lockstep_one(&oracle.golden_design, &delta, &oracle.stimulus, p.id);
+        assert_store_exact(
+            &oracle.golden_design,
+            &Arc::new(delta),
+            &oracle.stimulus,
+            p.id,
+        );
     }
 }
 
@@ -194,8 +94,7 @@ fn full_corpus_single_edit_mutants_are_store_exact() {
                 );
                 let (scratch, delta) = (Arc::new(scratch), Arc::new(delta));
                 let label = format!("{} (mutant)", p.id);
-                assert_structurally_exact(&scratch, &delta, &label);
-                lockstep_one(&scratch, &delta, &oracle.stimulus, &label);
+                assert_store_exact(&scratch, &delta, &oracle.stimulus, &label);
             }
             (Err(es), Err(ed)) => assert_eq!(es, ed, "{}: error divergence", p.id),
             (s, d) => panic!(
@@ -241,13 +140,11 @@ fn fingerprint_collisions_never_serve_the_wrong_unit() {
         ) else {
             continue;
         };
-        let label = format!("{} (collision)", p.id);
-        assert_structurally_exact(&scratch, &delta, &label);
-        lockstep_one(
+        assert_store_exact(
             &Arc::new(scratch),
             &Arc::new(delta),
             &oracle.stimulus,
-            &label,
+            &format!("{} (collision)", p.id),
         );
     }
 }
@@ -271,12 +168,10 @@ fn binding_change_rebuilds_and_stays_exact() {
     let provider = DesignUnits::new(Arc::clone(&parent));
     let scratch = Arc::new(elaborate(&edited, "top").expect("edit elaborates"));
     let (delta, stats) = elaborate_with(&edited, "top", &provider).expect("delta elaborates");
-    let delta = Arc::new(delta);
     assert!(
         stats.rebuilt >= 3,
         "every reader of the widened wire must rebuild, got {stats:?}"
     );
-    assert_structurally_exact(&scratch, &delta, "binding change");
     let stim = Stimulus::clocked(
         "clk",
         (0..4u64).map(|i| {
@@ -286,5 +181,5 @@ fn binding_change_rebuilds_and_stays_exact() {
             ]
         }),
     );
-    lockstep_one(&scratch, &delta, &stim, "binding change");
+    assert_store_exact(&scratch, &Arc::new(delta), &stim, "binding change");
 }

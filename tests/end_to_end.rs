@@ -12,8 +12,7 @@ use std::sync::Arc;
 fn solve_and_grade_one_problem_end_to_end() {
     let problem = by_id("prob022_fulladd").expect("corpus problem");
     let seed = 0xE2E;
-    let mut model = SyntheticModel::new(SyntheticModelConfig::default(), seed);
-    model.register(problem.id, problem.oracle(seed));
+    let mut model = problem.job_model(seed);
     let mut engine = Mage::new(&mut model, MageConfig::high_temperature());
     let trace = engine.solve(&Task {
         id: problem.id,
@@ -28,8 +27,7 @@ fn solve_and_grade_one_problem_end_to_end() {
 fn engine_is_deterministic_given_seed() {
     let problem = by_id("prob029_alu4").expect("corpus problem");
     let solve = || {
-        let mut model = SyntheticModel::new(SyntheticModelConfig::default(), 0xD7);
-        model.register(problem.id, problem.oracle(0xD7));
+        let mut model = problem.job_model(0xD7);
         let mut engine = Mage::new(&mut model, MageConfig::high_temperature());
         engine
             .solve(&Task {
@@ -47,8 +45,7 @@ fn final_sources_always_target_the_right_module() {
     // the problem's interface.
     for id in ["prob010_mux2", "prob040_dff", "prob070_ripple4"] {
         let problem = by_id(id).expect("corpus problem");
-        let mut model = SyntheticModel::new(SyntheticModelConfig::default(), 5);
-        model.register(problem.id, problem.oracle(5));
+        let mut model = problem.job_model(5);
         let mut engine = Mage::new(&mut model, MageConfig::low_temperature());
         let trace = engine.solve(&Task {
             id: problem.id,

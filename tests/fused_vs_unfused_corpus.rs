@@ -1,9 +1,9 @@
 //! Corpus-wide plan differential test: every benchmark problem's golden
 //! design — and single-edit mutants of each — is driven through its own
-//! stimulus on two simulators over the *same* design, one with plan
-//! dispatch on (the default, the superinstruction/cascade path) and one
-//! with it off ([`ExecMode::FourState`], the four-state interpreter),
-//! and the two runs are asserted *store-exact* after every poke.
+//! stimulus on every executor over the *same* design, plan dispatch on
+//! (the default, the superinstruction/cascade path) held against the
+//! four-state interpreter ([`ExecMode::FourState`]) and the tree-walker,
+//! and the runs are asserted *store-exact* after every poke.
 //!
 //! Plan-invalidation and eligibility-loss cases ride along: a delta
 //! rebuild must drop every cascade plan whose closure contains the
@@ -15,95 +15,26 @@
 use mage::llm::mutate::{apply_mutation, sample_mutations};
 use mage::logic::LogicVec;
 use mage::problems::all_problems;
-use mage::sim::{elaborate, elaborate_with, Design, DesignUnits, ExecMode, Simulator};
+use mage::sim::lockstep::{structurally_exact, Lockstep};
+use mage::sim::{elaborate, elaborate_with, Design, DesignUnits, EvalCounts, ExecMode, Simulator};
 use mage::tb::Stimulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Drive one design through `stim` on a simulator with plans and a
-/// four-state one in lockstep, comparing the full store after every
-/// poke. Returns the planned simulator's final counters. Stops
-/// (without failing) at the first simulation fault, after asserting
-/// both runs report it identically.
-fn lockstep_fused(design: &Arc<Design>, stim: &Stimulus, label: &str) -> mage::sim::EvalCounts {
-    let mut fused = Simulator::with_mode(Arc::clone(design), ExecMode::Compiled);
-    let mut plain = Simulator::with_mode(Arc::clone(design), ExecMode::FourState);
-    let ra = fused.settle();
-    let rb = plain.settle();
-    assert_eq!(ra, rb, "{label}: settle diverged");
-    compare_stores(design, &mut fused, &mut plain, label, "boot");
-    if ra.is_ok() {
-        let mut ok = true;
-        let poke_both =
-            |name: &str, v: LogicVec, a: &mut Simulator, b: &mut Simulator, at: &str| {
-                let ra = a.poke(name, v.clone());
-                let rb = b.poke(name, v);
-                assert_eq!(ra, rb, "{label}: poke {name} at {at} diverged");
-                compare_stores(design, a, b, label, at);
-                ra.is_ok()
-            };
-        if let Some(clk) = stim.clock() {
-            ok = poke_both(
-                clk,
-                LogicVec::from_bool(false),
-                &mut fused,
-                &mut plain,
-                "clk boot",
-            );
-        }
-        for (i, step) in stim.steps().enumerate() {
-            if !ok {
-                break;
-            }
-            for (name, v) in step {
-                ok = poke_both(
-                    name,
-                    v.clone(),
-                    &mut fused,
-                    &mut plain,
-                    &format!("step {i}"),
-                );
-                if !ok {
-                    break;
-                }
-            }
-            if let Some(clk) = stim.clock() {
-                if ok {
-                    ok = poke_both(
-                        clk,
-                        LogicVec::from_bool(true),
-                        &mut fused,
-                        &mut plain,
-                        &format!("step {i} rise"),
-                    );
-                }
-                if ok {
-                    ok = poke_both(
-                        clk,
-                        LogicVec::from_bool(false),
-                        &mut fused,
-                        &mut plain,
-                        &format!("step {i} fall"),
-                    );
-                }
-            }
-            if !ok {
-                break;
-            }
-            let ra = fused.settle();
-            let rb = plain.settle();
-            assert_eq!(ra, rb, "{label}: settle at step {i} diverged");
-            compare_stores(design, &mut fused, &mut plain, label, &format!("step {i}"));
-            ok = ra.is_ok();
-        }
-    }
-    let counts = fused.eval_counts();
-    let plain_counts = plain.eval_counts();
+/// Drive one design through `stim` on every executor in lockstep,
+/// comparing the full store after every operation, and return the
+/// planned simulator's final counters. An agreed fault ends the run.
+fn plan_counts(design: &Arc<Design>, stim: &Stimulus, label: &str) -> EvalCounts {
+    let mut ls = Lockstep::new(design);
+    ls.drive(stim.clock(), stim.steps())
+        .unwrap_or_else(|d| panic!("{label}: {d}"));
     assert_eq!(
-        plain_counts.two_state_evals, 0,
+        ls.sim(ExecMode::FourState).eval_counts().two_state_evals,
+        0,
         "{label}: the four-state reference must never dispatch a plan"
     );
+    let counts = ls.sim(ExecMode::Compiled).eval_counts();
     assert!(
         counts.plan_steps <= counts.plan_unfused_steps,
         "{label}: a fused op can never cover less than one instruction"
@@ -111,26 +42,12 @@ fn lockstep_fused(design: &Arc<Design>, stim: &Stimulus, label: &str) -> mage::s
     counts
 }
 
-fn compare_stores(design: &Design, a: &mut Simulator, b: &mut Simulator, label: &str, at: &str) {
-    for decl in &design.signals {
-        let id = design.signal(&decl.name).expect("name resolves");
-        let (va, vb) = (a.peek(id).clone(), b.peek(id));
-        assert!(
-            va.case_eq(vb),
-            "{label} at {at}: signal `{}` diverged\n  plans:      {}\n  four-state: {}",
-            decl.name,
-            va.to_binary_string(),
-            vb.to_binary_string(),
-        );
-    }
-}
-
 #[test]
 fn full_corpus_fused_is_store_exact_against_unfused() {
     let mut corpus_plan_evals = 0u64;
     for p in all_problems() {
         let oracle = p.oracle(0xF05E);
-        let counts = lockstep_fused(&oracle.golden_design, &oracle.stimulus, p.id);
+        let counts = plan_counts(&oracle.golden_design, &oracle.stimulus, p.id);
         corpus_plan_evals += counts.two_state_evals;
     }
     // The corpus is dominated by narrow kernels: plans must actually
@@ -162,7 +79,7 @@ fn full_corpus_single_edit_mutants_fused_exact() {
             continue;
         };
         let scratch = Arc::new(scratch);
-        lockstep_fused(&scratch, &oracle.stimulus, &format!("{} (mutant)", p.id));
+        plan_counts(&scratch, &oracle.stimulus, &format!("{} (mutant)", p.id));
         // The delta-built twin carries the parent's reused plans
         // verbatim plus freshly built ones — it must behave identically
         // to its scratch build under fused dispatch (the
@@ -173,12 +90,12 @@ fn full_corpus_single_edit_mutants_fused_exact() {
             continue;
         };
         let delta = Arc::new(delta);
-        assert_eq!(
-            format!("{:?}", scratch.compiled()),
-            format!("{:?}", delta.compiled()),
-            "{}: delta-built plans/cascades diverged from scratch",
-            p.id
-        );
+        structurally_exact(&scratch, &delta).unwrap_or_else(|d| {
+            panic!(
+                "{}: delta-built plans/cascades diverged from scratch: {d}",
+                p.id
+            )
+        });
         if stats.rebuilt == 0 {
             assert_eq!(
                 stats.plan_invalidations, 0,
@@ -187,7 +104,7 @@ fn full_corpus_single_edit_mutants_fused_exact() {
             );
         }
         let label = format!("{} (mutant, delta)", p.id);
-        lockstep_fused(&delta, &oracle.stimulus, &label);
+        plan_counts(&delta, &oracle.stimulus, &label);
     }
 }
 
@@ -223,11 +140,8 @@ fn rebuilt_unit_drops_every_cascade_plan_containing_it() {
     );
     // The rebuilt plans are exactly a scratch build's.
     let scratch = Arc::new(elaborate(&edited, "top").expect("edit elaborates"));
-    assert_eq!(
-        format!("{:?}", scratch.compiled()),
-        format!("{:?}", delta.compiled()),
-        "rebuilt cascades must equal a from-scratch compile's"
-    );
+    structurally_exact(&scratch, &delta)
+        .unwrap_or_else(|d| panic!("rebuilt cascades must equal a from-scratch compile's: {d}"));
     let stim = Stimulus::clocked(
         "clk",
         (0..4u64).map(|i| {
@@ -237,7 +151,7 @@ fn rebuilt_unit_drops_every_cascade_plan_containing_it() {
             ]
         }),
     );
-    lockstep_fused(&delta, &stim, "invalidation");
+    plan_counts(&delta, &stim, "invalidation");
 }
 
 #[test]
@@ -256,21 +170,16 @@ fn mid_run_eligibility_loss_bails_and_recovers_exactly() {
          endmodule\n";
     let file = mage::verilog::parse(SRC).expect("parses");
     let design = Arc::new(elaborate(&file, "top").expect("elaborates"));
-    let mut fused = Simulator::with_mode(Arc::clone(&design), ExecMode::Compiled);
-    let mut plain = Simulator::with_mode(Arc::clone(&design), ExecMode::FourState);
-    let design_ref = Arc::clone(&design);
-    let poke_both =
-        move |name: &str, v: LogicVec, a: &mut Simulator, b: &mut Simulator, at: &str| {
-            a.poke(name, v.clone()).expect("poke");
-            b.poke(name, v).expect("poke");
-            compare_stores(&design_ref, a, b, "eligibility", at);
-        };
-    fused.settle().expect("settle");
-    plain.settle().expect("settle");
+    let mut ls = Lockstep::new(&design);
+    assert_eq!(ls.op("boot settle", Simulator::settle), Ok(Ok(())));
+    // Poke on every executor; the planned simulator's counters after it.
+    let mut poke = |name: &str, v: LogicVec, at: &str| {
+        assert_eq!(ls.op(at, |s| s.poke(name, v.clone())), Ok(Ok(())));
+        ls.sim(ExecMode::Compiled).eval_counts()
+    };
     // Defined phase: the cascade runs its plans.
-    poke_both("a", LogicVec::from_bool(true), &mut fused, &mut plain, "a1");
-    poke_both("b", LogicVec::from_bool(true), &mut fused, &mut plain, "b1");
-    let defined = fused.eval_counts();
+    poke("a", LogicVec::from_bool(true), "a1");
+    let defined = poke("b", LogicVec::from_bool(true), "b1");
     assert!(
         defined.two_state_evals > 0,
         "defined inputs must dispatch plans"
@@ -283,8 +192,7 @@ fn mid_run_eligibility_loss_bails_and_recovers_exactly() {
     // on its own, which is why `b` must stay high here — `b=0` would
     // force `x` to a defined 0 and legitimately put `v` back on its
     // plan.)
-    poke_both("a", LogicVec::all_x(1), &mut fused, &mut plain, "aX");
-    let during_x = fused.eval_counts();
+    let during_x = poke("a", LogicVec::all_x(1), "aX");
     assert_eq!(
         during_x.two_state_evals, defined.two_state_evals,
         "an undefined read set must not dispatch plans"
@@ -294,15 +202,8 @@ fn mid_run_eligibility_loss_bails_and_recovers_exactly() {
         "the X pokes must have evaluated something (four-state)"
     );
     // Recovery: defined inputs again, plan dispatch resumes.
-    poke_both(
-        "a",
-        LogicVec::from_bool(false),
-        &mut fused,
-        &mut plain,
-        "a0",
-    );
-    poke_both("b", LogicVec::from_bool(true), &mut fused, &mut plain, "b1");
-    let recovered = fused.eval_counts();
+    poke("a", LogicVec::from_bool(false), "a0");
+    let recovered = poke("b", LogicVec::from_bool(true), "b1");
     assert!(
         recovered.two_state_evals > during_x.two_state_evals,
         "plan dispatch must resume once the unknown clears"

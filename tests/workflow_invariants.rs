@@ -6,8 +6,7 @@ use mage::problems::by_id;
 
 fn trace_for(system: SystemKind, difficulty_id: &str, seed: u64) -> mage::core::SolveTrace {
     let p = by_id(difficulty_id).expect("corpus problem");
-    let mut model = SyntheticModel::new(SyntheticModelConfig::default(), seed);
-    model.register(p.id, p.oracle(seed));
+    let mut model = p.job_model(seed);
     let mut engine = Mage::new(
         &mut model,
         MageConfig::high_temperature().with_system(system),
