@@ -28,7 +28,8 @@ const USAGE: &str = "\
 Usage: mage-serve [options]
   --suite v1|v2|all     problem suite to stream        [all]
   --runs N              jobs per problem               [1]
-  --workers N           sim worker threads             [available]
+  --workers N           sim pool threads (the scheduler
+                        also helps at joins)           [available]
   --max-in-flight N     admission cap (0 = unlimited)  [32]
   --seed S              master seed                    [0xCAFE]
   --budget T            per-agent context token budget [4000]

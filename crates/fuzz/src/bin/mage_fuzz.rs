@@ -41,6 +41,24 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The value following `flag`, read with `parse`. A missing or bad
+/// value is a usage error: one line naming the flag (and the value),
+/// then the usage text.
+fn value<T, E>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, ExitCode> {
+    let Some(v) = it.next() else {
+        eprintln!("mage-fuzz: {flag} requires a value");
+        return Err(usage());
+    };
+    parse(&v).map_err(|_| {
+        eprintln!("mage-fuzz: {flag}: invalid value `{v}`");
+        usage()
+    })
+}
+
 fn parse_args() -> Result<Args, ExitCode> {
     let mut args = Args {
         smoke: false,
@@ -54,26 +72,17 @@ fn parse_args() -> Result<Args, ExitCode> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut take = |what: &str| -> Result<String, ExitCode> {
-            it.next().ok_or_else(|| {
-                eprintln!("mage-fuzz: {what} requires a value");
-                usage()
-            })
-        };
-        match a.as_str() {
+        let flag = a.as_str();
+        match flag {
             "--smoke" => args.smoke = true,
             "--replay" => {
                 args.replay_only = true;
-                args.corpus_dir = PathBuf::from(take("--replay")?);
+                args.corpus_dir = value(&mut it, flag, str::parse)?;
             }
-            "--corpus" => args.corpus_dir = PathBuf::from(take("--corpus")?),
-            "--batches" => {
-                args.batches = take("--batches")?.parse().map_err(|_| usage())?;
-            }
-            "--batch-size" => {
-                args.batch_size = take("--batch-size")?.parse().map_err(|_| usage())?;
-            }
-            "--seed" => args.seed = parse_seed(&take("--seed")?).map_err(|_| usage())?,
+            "--corpus" => args.corpus_dir = value(&mut it, flag, str::parse)?,
+            "--batches" => args.batches = value(&mut it, flag, str::parse)?,
+            "--batch-size" => args.batch_size = value(&mut it, flag, str::parse)?,
+            "--seed" => args.seed = value(&mut it, flag, parse_seed)?,
             "--persist" => args.persist = true,
             "--deep" => args.deep = true,
             "--help" | "-h" => return Err(usage()),

@@ -28,10 +28,17 @@
 //! 2. *Advance* every job holding a resolved input once; each new need
 //!    parks as [`mage_core::PendingWork`] in the LLM or sim queue; jobs
 //!    that finish retire with their [`mage_core::SolveTrace`].
-//! 3. *Launch*: if the sim pool is idle, the whole sim queue leaves as
-//!    one **background wave** on `workers` threads (compiling through
-//!    the shared [`DesignCache`], scoring through the [`ScoreCache`]).
-//! 4. *Dispatch point*: whenever the LLM queue is non-empty it is cut
+//! 3. *Coalesce*: if the in-flight sim wave blocks more jobs than the
+//!    LLM queue holds, join it and advance the returning cohort now, so
+//!    its requests ride this step's batch.
+//! 4. *Launch*: if the sim pool is idle, the whole sim queue leaves as
+//!    one **background wave** on the engine's `workers` persistent
+//!    threads, spawned at the first launch and parked between waves
+//!    (compiling through the shared [`DesignCache`], scoring through
+//!    the [`ScoreCache`]). Every join helps: the scheduler thread runs
+//!    the wave's unstarted requests itself, then waits only for those
+//!    a worker already holds.
+//! 5. *Dispatch point*: whenever the LLM queue is non-empty it is cut
 //!    as **one** coalesced [`LlmService`] batch — while the sim wave
 //!    keeps crunching underneath. Only an empty LLM queue joins the
 //!    wave. Sim latency thus hides under LLM latency instead of
@@ -43,8 +50,10 @@
 //! The *schedule* — which requests coalesce into which batch, and in
 //! which order — is a pure function of job states and queue contents,
 //! never of thread timing: the scheduler joins its background sim wave
-//! only at deterministically chosen points (an empty LLM queue, a
-//! checkpoint), never by polling for completion. Serving only
+//! only at deterministically chosen points (a coalescing cohort, an
+//! empty LLM queue, a checkpoint), never by polling for completion.
+//! Outcomes come back by request index, so which thread ran a request
+//! is invisible. Serving only
 //! interleaves solves, so each served trace has one correct value: the
 //! one [`mage_core::Mage::solve`] gives for that job alone, with the
 //! same seed. With per-job models ([`PerJobModels`], one independently
@@ -129,6 +138,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod pool;
 mod scheduler;
 mod service;
 mod wave;

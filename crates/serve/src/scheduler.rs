@@ -5,9 +5,7 @@
 use crate::cache::{DesignCache, ScoreCache};
 use crate::service::{LlmCall, LlmOutcome, LlmService};
 use crate::wave::WaveState;
-use mage_core::solvejob::{
-    execute_sim_with, PendingWork, SimOutcome, SimRequest, SolveJob, StepInput,
-};
+use mage_core::solvejob::{PendingWork, SolveJob, StepInput};
 use mage_core::{MageConfig, SolveTrace, UnitCache};
 use mage_llm::{DispatchError, LlmRequest, TokenUsage};
 use std::collections::VecDeque;
@@ -52,8 +50,11 @@ impl std::fmt::Display for SchedMode {
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Sim worker threads per wave (≥ 1). Results are identical at any
-    /// value; this only sets how much simulation runs concurrently.
+    /// Persistent sim worker threads (≥ 1), spawned at the engine's
+    /// first sim wave and parked between waves; the scheduler thread
+    /// also runs a wave's unstarted requests when it joins the wave.
+    /// Results are identical at any value; this only sets how much
+    /// simulation runs concurrently.
     pub workers: usize,
     /// Coalesce each dispatch point's LLM requests into one service
     /// batch. When `false`, every request is its own dispatch call (the
@@ -387,6 +388,12 @@ impl JobIntake {
 
 /// The concurrent solve engine. See the crate docs for the wave
 /// protocol and the determinism argument.
+///
+/// The engine owns its sim pool's threads: none exist until its first
+/// sim wave, and dropping the engine — also while unwinding out of a
+/// step — finishes any in-flight wave (the dropping thread helps), then
+/// stops and joins them, so no thread outlives the engine or keeps
+/// crunching against its shared caches.
 pub struct ServeEngine<S: LlmService> {
     pub(crate) opts: ServeOptions,
     pub(crate) service: S,
@@ -433,6 +440,7 @@ impl<S: LlmService> ServeEngine<S> {
     ) -> Self {
         assert!(opts.workers >= 1, "at least one sim worker");
         ServeEngine {
+            wave: WaveState::new(opts.workers, &cache, &scores, &units),
             opts,
             service,
             cache,
@@ -442,7 +450,6 @@ impl<S: LlmService> ServeEngine<S> {
             live: Vec::new(),
             running: 0,
             restored: Vec::new(),
-            wave: WaveState::default(),
             intake: None,
             stats: ServeStats::default(),
             wall: Duration::ZERO,
@@ -905,7 +912,7 @@ impl<S: LlmService> ServeEngine<S> {
     pub(crate) fn progress_possible(&self) -> bool {
         if !self.wave.llm_q.is_empty()
             || !self.wave.sim_q.is_empty()
-            || self.wave.inflight.is_some()
+            || self.wave.pool.busy()
             || !self.restored.is_empty()
         {
             return true;
@@ -986,17 +993,6 @@ impl<S: LlmService> ServeEngine<S> {
     }
 }
 
-impl<S: LlmService> Drop for ServeEngine<S> {
-    /// Never leak a background sim wave: a driver that stops stepping
-    /// mid-wave (or unwinds out of a step) must not leave a detached
-    /// thread crunching a whole sim batch against the shared caches.
-    fn drop(&mut self) {
-        if let Some(handle) = self.wave.inflight.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// The fault-key salt of one job request: a mix of the job's model
 /// seed and the request's per-job sequence number. Pure in those two
 /// coordinates — so it is identical across schedules and worker counts,
@@ -1005,29 +1001,4 @@ impl<S: LlmService> Drop for ServeEngine<S> {
 /// jobs or at different points of one solve.
 pub(crate) fn fault_salt(seed: u64, seq: u64) -> u64 {
     seed.rotate_left(32) ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5A17_F001
-}
-
-/// Run one batch of sim requests on `workers` pool threads, resolving
-/// each through the score cache (scoring requests) and the design cache,
-/// whose misses delta-compile against the request's parent design and
-/// the unit tier. Pure per item, so results are identical at any worker
-/// count; outcomes return in input order.
-pub(crate) fn run_sim_batch(
-    workers: usize,
-    cache: &Arc<DesignCache>,
-    scores: &Arc<ScoreCache>,
-    units: &Arc<UnitCache>,
-    batch: Vec<(JobId, SimRequest)>,
-) -> Vec<(JobId, SimOutcome)> {
-    let cache = Arc::clone(cache);
-    let scores = Arc::clone(scores);
-    let units = Arc::clone(units);
-    rayon::scoped_map(workers, batch, move |(id, req)| {
-        let outcome = scores.get_or_run(&req, |req| {
-            execute_sim_with(req, |src| {
-                cache.get_or_compile(src, req.parent.as_ref(), &units)
-            })
-        });
-        (id, outcome)
-    })
 }

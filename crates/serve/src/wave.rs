@@ -1,7 +1,7 @@
 //! The overlapped wave scheduler: per-need queues and sim waves that
-//! drain on the worker pool *while* the foreground thread dispatches
-//! LLM batches — sim latency hides under LLM latency instead of
-//! alternating with it.
+//! drain on the engine's sim pool *while* the foreground thread
+//! dispatches LLM batches — sim latency hides under LLM latency instead
+//! of alternating with it.
 //!
 //! # One wave iteration
 //!
@@ -26,37 +26,80 @@
 //!                 route its outcomes
 //! ```
 //!
+//! # Who runs a wave
+//!
+//! The engine's sim pool ([`crate::pool`]) holds `workers` persistent
+//! threads, spawned at the first launch and parked between waves; a
+//! launch wakes them instead of spawning a thread. A join (step 3, step
+//! 5 or a checkpoint) helps: the scheduler thread claims and runs the
+//! wave's unstarted requests in order, then waits only for the requests
+//! a worker already holds, instead of idling until the whole wave is
+//! done.
+//!
 //! # Why this stays deterministic
 //!
 //! Every decision above is a pure function of job states and queue
 //! contents — never of thread timing. The background wave is *joined*
-//! only at deterministically chosen points (an empty LLM queue, a
-//! checkpoint), not polled for completion; `scoped_map` returns
-//! outcomes in input order; and simulation itself is pure. So the
-//! schedule — which requests coalesce into which batch, and in which
-//! order — is identical at any worker count, and with per-job models
-//! every trace is bit-identical to the job's solo `Mage::solve` (the
-//! determinism suite sweeps exactly this).
+//! only at deterministically chosen points (a coalescing cohort, an
+//! empty LLM queue, a checkpoint), not polled for completion; the pool
+//! returns outcomes by request index, whichever thread ran each one;
+//! and simulation itself is pure. So the schedule — which requests
+//! coalesce into which batch, and in which order — is identical at any
+//! worker count, and with per-job models every trace is bit-identical
+//! to the job's solo `Mage::solve` (the determinism suite sweeps
+//! exactly this).
 
-use crate::scheduler::{run_sim_batch, JobId, JobPhase, ServeEngine};
+use crate::cache::{DesignCache, ScoreCache};
+use crate::pool::SimPool;
+use crate::scheduler::{JobId, JobPhase, ServeEngine};
 use crate::service::LlmService;
-use mage_core::solvejob::{PendingWork, SimOutcome, StepInput};
+use mage_core::solvejob::{execute_sim_with, PendingWork, SimOutcome, SimRequest, StepInput};
+use mage_core::UnitCache;
 use std::collections::VecDeque;
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// The wave scheduler's queues and in-flight sim work.
-#[derive(Default)]
 pub(crate) struct WaveState {
     /// Jobs whose parked request awaits the next LLM dispatch point
     /// (FIFO across iterations; job order within one).
     pub(crate) llm_q: VecDeque<JobId>,
     /// Jobs whose parked request awaits the next sim wave.
     pub(crate) sim_q: VecDeque<JobId>,
-    /// The background sim wave, if one is crunching.
-    pub(crate) inflight: Option<JoinHandle<Vec<(JobId, SimOutcome)>>>,
-    /// How many jobs are blocked on `inflight` (its batch size) — the
-    /// coalescing heuristic compares this against the LLM queue.
-    pub(crate) inflight_count: usize,
+    /// The sim pool; it is busy while a launched wave awaits its join.
+    pub(crate) pool: SimPool<SimRequest, SimOutcome>,
+    /// The jobs blocked on the in-flight wave, in request order: outcome
+    /// `i` answers `inflight[i]`. Its length is what the coalescing
+    /// heuristic compares against the LLM queue.
+    pub(crate) inflight: Vec<JobId>,
+}
+
+impl WaveState {
+    /// Empty queues and an idle pool of `workers` threads that resolve
+    /// each request through the score cache (scoring requests) and the
+    /// design cache, whose misses delta-compile against the request's
+    /// parent design and the unit tier. Pure per request, so outcomes
+    /// are identical whichever thread runs them.
+    pub(crate) fn new(
+        workers: usize,
+        cache: &Arc<DesignCache>,
+        scores: &Arc<ScoreCache>,
+        units: &Arc<UnitCache>,
+    ) -> Self {
+        let (cache, scores, units) = (Arc::clone(cache), Arc::clone(scores), Arc::clone(units));
+        let resolve = move |req: SimRequest| {
+            scores.get_or_run(&req, |req| {
+                execute_sim_with(req, |src| {
+                    cache.get_or_compile(src, req.parent.as_ref(), &units)
+                })
+            })
+        };
+        WaveState {
+            llm_q: VecDeque::new(),
+            sim_q: VecDeque::new(),
+            pool: SimPool::new(workers, resolve),
+            inflight: Vec::new(),
+        }
+    }
 }
 
 impl<S: LlmService> ServeEngine<S> {
@@ -95,8 +138,8 @@ impl<S: LlmService> ServeEngine<S> {
         //    step's batch and the next wave launches under this step's
         //    dispatch. The decision reads only queue sizes —
         //    deterministic, never a poll.
-        let sim_side = self.wave.inflight_count + self.wave.sim_q.len();
-        if self.wave.inflight.is_some() && self.wave.llm_q.len() <= sim_side {
+        let sim_side = self.wave.inflight.len() + self.wave.sim_q.len();
+        if self.wave.pool.busy() && self.wave.llm_q.len() <= sim_side {
             self.join_inflight_wave();
             self.advance_ready(&mut retired);
             did_work = true;
@@ -105,7 +148,7 @@ impl<S: LlmService> ServeEngine<S> {
 
         // 4. Launch: an idle pool takes the whole sim queue as one
         //    background wave.
-        if self.wave.inflight.is_none() && !self.wave.sim_q.is_empty() {
+        if !self.wave.pool.busy() && !self.wave.sim_q.is_empty() {
             let ids = std::mem::take(&mut self.wave.sim_q);
             let batch = self.take_queued(ids, |work| match work {
                 PendingWork::Sim(req) => req,
@@ -113,14 +156,9 @@ impl<S: LlmService> ServeEngine<S> {
             });
             self.stats.sim_requests += batch.len();
             self.stats.sim_waves += 1;
-            self.wave.inflight_count = batch.len();
-            let workers = self.opts.workers;
-            let cache = std::sync::Arc::clone(&self.cache);
-            let scores = std::sync::Arc::clone(&self.scores);
-            let units = std::sync::Arc::clone(&self.units);
-            self.wave.inflight = Some(std::thread::spawn(move || {
-                run_sim_batch(workers, &cache, &scores, &units, batch)
-            }));
+            let (ids, reqs) = batch.into_iter().unzip();
+            self.wave.inflight = ids;
+            self.wave.pool.launch(reqs);
             did_work = true;
         }
 
@@ -134,7 +172,7 @@ impl<S: LlmService> ServeEngine<S> {
                 PendingWork::Llm(req) => req,
                 PendingWork::Sim(_) => unreachable!("llm_q holds only LLM requests"),
             });
-            if self.wave.inflight.is_some() {
+            if self.wave.pool.busy() {
                 self.stats.overlap_steps += 1;
             }
             self.dispatch_llm(batch);
@@ -216,15 +254,15 @@ impl<S: LlmService> ServeEngine<S> {
             .collect()
     }
 
-    /// Join the background sim wave, if any, routing every outcome to
-    /// its job's input slot. Returns `true` if a wave was joined.
+    /// Join the background sim wave, if any — this thread runs the
+    /// wave's unstarted requests, then waits for the rest — routing
+    /// every outcome to its job's input slot. Returns `true` if a wave
+    /// was joined.
     pub(crate) fn join_inflight_wave(&mut self) -> bool {
-        let Some(handle) = self.wave.inflight.take() else {
+        let Some(outcomes) = self.wave.pool.join() else {
             return false;
         };
-        self.wave.inflight_count = 0;
-        let outcomes = handle.join().expect("sim wave worker panicked");
-        for (id, outcome) in outcomes {
+        for (id, outcome) in self.wave.inflight.drain(..).zip(outcomes) {
             let slot = &mut self.jobs[id];
             debug_assert!(slot.input.is_none(), "sim wave answered job {id} twice");
             slot.input = Some(StepInput::Sim(outcome));

@@ -105,15 +105,12 @@ where
 }
 
 /// Order-preserving parallel map over `items` on exactly
-/// `threads.min(items.len())` scoped worker threads (≤ 1 runs inline).
-///
-/// This is the explicit-worker-count sibling of the `par_iter` surface
-/// above: callers that must control parallelism directly — like the
-/// `mage-serve` scheduler, whose determinism tests sweep 1/2/8 workers —
-/// use this instead of the `RAYON_NUM_THREADS` environment knob. For a
-/// pure `f`, results are identical to `items.into_iter().map(f)` at any
+/// `threads.min(items.len())` scoped worker threads (≤ 1 runs inline):
+/// the engine under [`Map`]'s `collect`, which asks for
+/// `RAYON_NUM_THREADS` threads, else one per available CPU. For a pure
+/// `f`, results are identical to `items.into_iter().map(f)` at any
 /// thread count.
-pub fn scoped_map<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
+fn scoped_map<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
