@@ -13,6 +13,8 @@
 //! drive plans) for divergence hunting; the smoke gate and the corpus
 //! format always use the default config.
 //!
+//! `--help` prints the usage on stdout and exits 0.
+//!
 //! Exit status: `0` all oracles green; `1` any divergence, roundtrip
 //! mismatch, or corpus replay failure; `2` usage error.
 
@@ -32,12 +34,15 @@ struct Args {
     deep: bool,
 }
 
+const USAGE: &str = "\
+usage: mage-fuzz --smoke [--corpus DIR]
+       mage-fuzz --replay DIR
+       mage-fuzz [--batches N] [--batch-size M] [--seed S] [--corpus DIR] [--persist] [--deep]
+";
+
+/// The usage text on stderr after a usage error; exit status 2.
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: mage-fuzz --smoke [--corpus DIR]\n\
-         \u{20}      mage-fuzz --replay DIR\n\
-         \u{20}      mage-fuzz [--batches N] [--batch-size M] [--seed S] [--corpus DIR] [--persist] [--deep]"
-    );
+    eprint!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -59,6 +64,8 @@ fn value<T, E>(
     })
 }
 
+/// Parse the command line; `Err` carries the exit status to stop with
+/// (0 after `--help`, 2 after a usage error).
 fn parse_args() -> Result<Args, ExitCode> {
     let mut args = Args {
         smoke: false,
@@ -85,7 +92,10 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--seed" => args.seed = value(&mut it, flag, parse_seed)?,
             "--persist" => args.persist = true,
             "--deep" => args.deep = true,
-            "--help" | "-h" => return Err(usage()),
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return Err(ExitCode::SUCCESS);
+            }
             other => {
                 eprintln!("mage-fuzz: unknown argument `{other}`");
                 return Err(usage());

@@ -42,10 +42,22 @@ impl LogicVec {
     ///
     /// Operands are zero-extended to equal widths first, so
     /// `2'b01 === 4'b0001`.
+    #[inline]
     pub fn case_eq(&self, rhs: &LogicVec) -> bool {
+        match (self.inline_planes(), rhs.inline_planes()) {
+            // Bits above `width` are zero, so two inline values compare
+            // zero-extended as one plane pair at any widths — the hottest
+            // path in grading loops.
+            (Some(l), Some(r)) => l == r,
+            _ => self.case_eq_words(rhs),
+        }
+    }
+
+    /// [`LogicVec::case_eq`] when either side is a heap value.
+    fn case_eq_words(&self, rhs: &LogicVec) -> bool {
         if self.width() == rhs.width() {
             // Canonical storage (top bits masked) makes this a plain
-            // plane compare — the hottest path in grading loops.
+            // plane compare.
             return self.aval() == rhs.aval() && self.bval() == rhs.bval();
         }
         // Zero-extended compare: shared words equal, excess words zero.

@@ -19,7 +19,20 @@ impl LogicVec {
     /// Overwrite `self` with `src` resized to `self`'s width (LSBs kept,
     /// zero-extended when growing). Width and storage of `self` are
     /// unchanged.
+    #[inline]
     pub fn assign_resized(&mut self, src: &LogicVec) {
+        let mask = crate::top_word_mask(self.width());
+        match (self.inline_planes_mut(), src.inline_planes()) {
+            (Some((a, b)), Some((sa, sb))) => {
+                *a = sa & mask;
+                *b = sb & mask;
+            }
+            _ => self.assign_resized_words(src),
+        }
+    }
+
+    /// [`LogicVec::assign_resized`] when either side is a heap value.
+    fn assign_resized_words(&mut self, src: &LogicVec) {
         {
             let (sa, sb) = (src.aval(), src.bval());
             let (oa, ob) = self.planes_mut();
@@ -205,33 +218,6 @@ impl LogicVec {
             borrow = (b1 as u64) + (b2 as u64);
         }
         self.mask_top();
-    }
-
-    /// Overwrite `value.width()` bits of `self` starting at `lsb` (clipped
-    /// like [`LogicVec::write_slice`]) and report whether any stored bit
-    /// actually changed — without cloning the target or comparing
-    /// untouched bits.
-    pub fn write_slice_changed(&mut self, lsb: isize, value: &LogicVec) -> bool {
-        if lsb == 0 && value.width() == self.width() {
-            // Whole-value write: word-parallel compare-and-copy.
-            if self == value {
-                return false;
-            }
-            self.assign_resized(value);
-            return true;
-        }
-        let mut changed = false;
-        for i in 0..value.width() {
-            let dst = lsb + i as isize;
-            if dst >= 0 && (dst as usize) < self.width() {
-                let next = value.bit(i);
-                if self.bit(dst as usize) != next {
-                    self.set_bit(dst as usize, next);
-                    changed = true;
-                }
-            }
-        }
-        changed
     }
 }
 

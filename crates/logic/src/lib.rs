@@ -11,6 +11,17 @@
 //! `(0,1) = Z`, `(1,1) = X`. This makes bitwise operators word-parallel and
 //! keeps X-propagation cheap.
 //!
+//! A vector is stored inline, as one `(aval, bval)` word pair, if and only
+//! if its width is at most 64, and the bits above its width are zero in
+//! both planes. The operations a simulation step calls on every drive,
+//! edge, commit and check (`case_eq`, `bit`, `get`, `resized`, `from_u64`,
+//! `from_bool`, `assign_resized`, `write_slice_changed`) rely on that
+//! invariant: their `#[inline]` word paths read and write the pair
+//! directly, so callers in other crates inline them without LTO. On the
+//! step path the per-word slice views serve only heap values and the
+//! four-state operators; constructors and readers off it (`filled`,
+//! `set_bit`, `slice`, `to_u64`, …) use them at every width.
+//!
 //! # Semantics
 //!
 //! * Bitwise operators follow the Verilog truth tables (`0 & X = 0`,
@@ -76,6 +87,7 @@ pub(crate) fn words_for(width: usize) -> usize {
 }
 
 /// Mask selecting the valid bits of the top storage word for `width`.
+#[inline]
 pub(crate) fn top_word_mask(width: usize) -> u64 {
     let rem = width % 64;
     if rem == 0 {

@@ -36,8 +36,16 @@ pub struct LogicVec {
 /// operator evaluation and interpreter slot writes do **zero** heap
 /// allocation. Wider vectors spill to heap word vectors.
 ///
-/// The variant is a pure function of `width` (`Small` iff `width <= 64`),
-/// so the derived `PartialEq`/`Hash` remain canonical.
+/// Invariant: a vector is `Small` if and only if `width <= 64`, and the
+/// bits above `width` are zero in both planes. The derived
+/// `PartialEq`/`Hash` rely on it, and so do the `#[inline]` word paths
+/// of the step-path operations (`case_eq`, `bit`/`get`, `resized`,
+/// `from_u64`/`from_bool`, `assign_resized`, `write_slice_changed`):
+/// they read and write the pair directly, so two inline values compare
+/// zero-extended as one pair at any widths. On the step path the slice
+/// views (`aval`, `bval`, `planes_mut`) serve only heap values and the
+/// four-state operators; off it, constructors and readers such as
+/// `set_bit` and `slice` use them at every width.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Repr {
     /// Inline single-word planes (`width <= 64`).
@@ -129,11 +137,12 @@ impl LogicVec {
     /// # Panics
     ///
     /// Panics if `width` is zero.
+    #[inline]
     pub fn from_u64(width: usize, value: u64) -> Self {
-        let mut v = Self::new(width);
-        v.planes_mut().0[0] = value;
-        v.mask_top();
-        v
+        match width {
+            1..=64 => Self::small(width, value, 0),
+            _ => Self::from_u128(width, value.into()),
+        }
     }
 
     /// Build from the low `width` bits of `value` (zero-extended above 128).
@@ -155,6 +164,7 @@ impl LogicVec {
     }
 
     /// A 1-bit vector holding `0` or `1`.
+    #[inline]
     pub fn from_bool(b: bool) -> Self {
         Self::from_u64(1, b as u64)
     }
@@ -166,11 +176,19 @@ impl LogicVec {
     /// # Panics
     ///
     /// Panics if `width` is zero or exceeds 64.
+    #[inline]
     pub fn from_planes_u64(width: usize, aval: u64, bval: u64) -> Self {
         assert!(
             width > 0 && width <= 64,
             "from_planes_u64 width must be in 1..=64"
         );
+        Self::small(width, aval, bval)
+    }
+
+    /// The inline vector of `width` (1..=64) bits with these plane
+    /// words, bits above `width` cleared.
+    #[inline]
+    fn small(width: usize, aval: u64, bval: u64) -> Self {
         let mask = top_word_mask(width);
         LogicVec {
             width,
@@ -250,21 +268,18 @@ impl LogicVec {
     #[inline]
     pub fn bit(&self, index: usize) -> LogicBit {
         assert!(index < self.width, "bit index {index} out of range");
-        let w = index / 64;
-        let b = index % 64;
-        LogicBit::from_planes(
-            (self.aval()[w] >> b) & 1 == 1,
-            (self.bval()[w] >> b) & 1 == 1,
-        )
+        let (a, b) = match &self.repr {
+            Repr::Small { aval, bval } => (*aval, *bval),
+            Repr::Heap { aval, bval } => (aval[index / 64], bval[index / 64]),
+        };
+        let s = index % 64;
+        LogicBit::from_planes((a >> s) & 1 == 1, (b >> s) & 1 == 1)
     }
 
     /// The bit at `index`, or `None` when out of range.
+    #[inline]
     pub fn get(&self, index: usize) -> Option<LogicBit> {
-        if index < self.width {
-            Some(self.bit(index))
-        } else {
-            None
-        }
+        (index < self.width).then(|| self.bit(index))
     }
 
     /// Set the bit at LSB-first position `index`.
@@ -402,7 +417,20 @@ impl LogicVec {
     /// # Panics
     ///
     /// Panics if `new_width` is zero.
+    #[inline]
     pub fn resized(&self, new_width: usize) -> Self {
+        if !(1..=64).contains(&new_width) {
+            return self.resized_heap(new_width);
+        }
+        let (aval, bval) = match &self.repr {
+            Repr::Small { aval, bval } => (*aval, *bval),
+            Repr::Heap { aval, bval } => (aval[0], bval[0]),
+        };
+        Self::small(new_width, aval, bval)
+    }
+
+    /// [`LogicVec::resized`] to a heap width (or zero, which panics).
+    fn resized_heap(&self, new_width: usize) -> Self {
         assert!(new_width > 0, "LogicVec width must be non-zero");
         if new_width == self.width {
             return self.clone();
@@ -491,17 +519,56 @@ impl LogicVec {
 
     /// Overwrite `width` bits starting at `lsb` with bits from `value`
     /// (LSB-aligned). Bits outside the target range are ignored, matching a
-    /// Verilog out-of-range indexed store. Word-parallel, like
-    /// [`LogicVec::slice`]: each touched destination word is merged with
-    /// one gather + mask per plane.
+    /// Verilog out-of-range indexed store. This is
+    /// [`LogicVec::write_slice_changed`] without the flag.
     pub fn write_slice(&mut self, lsb: isize, value: &LogicVec) {
+        self.write_slice_changed(lsb, value);
+    }
+
+    /// Overwrite `value.width()` bits of `self` starting at `lsb` (clipped
+    /// like [`LogicVec::write_slice`]) and report whether any stored bit
+    /// actually changed — without cloning the target or comparing
+    /// untouched bits. Two inline operands merge with one mask per plane;
+    /// otherwise each touched destination word is merged with one
+    /// gather and one mask per plane, word-parallel like
+    /// [`LogicVec::slice`].
+    #[inline]
+    pub fn write_slice_changed(&mut self, lsb: isize, value: &LogicVec) -> bool {
+        let (dwidth, vwidth) = (self.width as isize, value.width as isize);
+        let (Repr::Small { aval, bval }, Repr::Small { aval: va, bval: vb }) =
+            (&mut self.repr, &value.repr)
+        else {
+            return self.merge_words(lsb, value);
+        };
+        // Destination bits [lo, hi) take value bits [lo - lsb, hi - lsb).
+        let lo = lsb.max(0);
+        let hi = lsb.saturating_add(vwidth).min(dwidth);
+        if hi <= lo {
+            return false;
+        }
+        let valid = (u64::MAX >> (64 - (hi - lo))) << lo;
+        let (na, nb) = if lsb >= 0 {
+            (va << lsb, vb << lsb)
+        } else {
+            (va >> -lsb, vb >> -lsb)
+        };
+        let changed = ((*aval ^ na) | (*bval ^ nb)) & valid != 0;
+        *aval = (*aval & !valid) | (na & valid);
+        *bval = (*bval & !valid) | (nb & valid);
+        changed
+    }
+
+    /// The word-parallel merge behind [`LogicVec::write_slice_changed`]
+    /// when either side is a heap value.
+    fn merge_words(&mut self, lsb: isize, value: &LogicVec) -> bool {
         let dwidth = self.width;
         let vbits = value.width;
         let (va, vb) = (value.aval(), value.bval());
         let (da, db) = self.planes_mut();
+        let mut changed = false;
         for w in 0..da.len() {
             // The value bit that lands at bit 0 of destination word `w`.
-            let start = (w as isize) * 64 - lsb;
+            let start = ((w as isize) * 64).saturating_sub(lsb);
             let (abits, mut valid) = extract_word(va, vbits, start);
             let (bbits, _) = extract_word(vb, vbits, start);
             if (w + 1) * 64 > dwidth {
@@ -510,9 +577,13 @@ impl LogicVec {
             if valid == 0 {
                 continue;
             }
-            da[w] = (da[w] & !valid) | (abits & valid);
-            db[w] = (db[w] & !valid) | (bbits & valid);
+            let na = (da[w] & !valid) | (abits & valid);
+            let nb = (db[w] & !valid) | (bbits & valid);
+            changed |= na != da[w] || nb != db[w];
+            da[w] = na;
+            db[w] = nb;
         }
+        changed
     }
 
     /// Collapse all `Z` bits to `X` (expression-input normalization).
@@ -535,6 +606,25 @@ impl LogicVec {
     // ------------------------------------------------------------------
     // Internals shared with operator modules
     // ------------------------------------------------------------------
+
+    /// The plane pair of an inline value; `None` for a heap one.
+    #[inline]
+    pub(crate) fn inline_planes(&self) -> Option<(u64, u64)> {
+        match self.repr {
+            Repr::Small { aval, bval } => Some((aval, bval)),
+            Repr::Heap { .. } => None,
+        }
+    }
+
+    /// The plane words of an inline value, writable; `None` for a heap
+    /// one. A writer keeps the bits above `width` zero.
+    #[inline]
+    pub(crate) fn inline_planes_mut(&mut self) -> Option<(&mut u64, &mut u64)> {
+        match &mut self.repr {
+            Repr::Small { aval, bval } => Some((aval, bval)),
+            Repr::Heap { .. } => None,
+        }
+    }
 
     pub(crate) fn aval(&self) -> &[u64] {
         match &self.repr {
@@ -576,8 +666,8 @@ impl LogicVec {
 /// positions that landed inside `[0, nbits)` — the word-parallel
 /// primitive behind [`LogicVec::slice`] and [`LogicVec::write_slice`].
 fn extract_word(words: &[u64], nbits: usize, start: isize) -> (u64, u64) {
-    let lo = (-start).clamp(0, 64) as usize;
-    let hi = (nbits as isize - start).clamp(0, 64) as usize;
+    let lo = start.saturating_neg().clamp(0, 64) as usize;
+    let hi = (nbits as isize).saturating_sub(start).clamp(0, 64) as usize;
     if hi <= lo {
         return (0, 0);
     }

@@ -219,3 +219,51 @@ proptest! {
         }
     }
 }
+
+/// The text of a based literal's digits: `picks` index the base's digit
+/// alphabet (with `x`, `z` and `?` in either case) and, past its end,
+/// an underscore or a space.
+fn based_digits(base: char, picks: &[u8]) -> String {
+    let alphabet = match base {
+        'b' => "01xXzZ?",
+        'o' => "01234567xXzZ?",
+        _ => "0123456789abcdefABCDEFxXzZ?",
+    };
+    let alphabet: Vec<char> = alphabet.chars().chain(['_', ' ']).collect();
+    let mut text: String = picks
+        .iter()
+        .map(|&p| alphabet[p as usize % alphabet.len()])
+        .collect();
+    // Lead with a digit, so the literal has one.
+    text.insert(0, alphabet[picks[0] as usize % (alphabet.len() - 2)]);
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn narrow_literals_match_their_wide_twins(
+        width in 1usize..=64,
+        base in prop_oneof![Just('b'), Just('o'), Just('h'), Just('B'), Just('H')],
+        picks in proptest::collection::vec(any::<u8>(), 1..=40),
+    ) {
+        // A literal of at most 64 bits is read in words; the same digits
+        // 64 bits wider take the bit-by-bit path. Narrowed back, the two
+        // values are equal: truncation keeps the low bits, and both
+        // extend with the same top digit.
+        let digits = based_digits(base.to_ascii_lowercase(), &picks);
+        let narrow = mage_logic::parse_literal(&format!("{width}'{base}{digits}")).unwrap();
+        let wide = mage_logic::parse_literal(&format!("{}'{base}{digits}", width + 64)).unwrap();
+        prop_assert_eq!(narrow.value.width(), width);
+        prop_assert!(!wide.value.is_inline());
+        prop_assert_eq!(narrow.value, wide.value.resized(width));
+        // A bad digit fails both the same way: the rightmost one is named.
+        let bad = format!("{digits}g{digits}8");
+        let narrow_text = format!("{width}'b{bad}");
+        let wide_text = format!("{}'b{bad}", width + 64);
+        let narrow_err = mage_logic::parse_literal(&narrow_text).unwrap_err().to_string();
+        let wide_err = mage_logic::parse_literal(&wide_text).unwrap_err().to_string();
+        prop_assert_eq!(narrow_err.replace(&narrow_text, ""), wide_err.replace(&wide_text, ""));
+    }
+}
