@@ -10,7 +10,7 @@
 //!   call per request): isolates the batching win in call counts;
 //! * `serve_fleet`  — the same stream sharded across `FLEET_SHARDS`
 //!   wave engines behind the `mage-fleet` affinity router (rebalancer
-//!   on), with the tiered cache fabric underneath;
+//!   on), all sharing one design, score and unit cache;
 //! * `solo_loop`    — the pre-serve baseline: one blocking
 //!   `Mage::solve` after another, no shared design cache.
 //!
@@ -30,10 +30,11 @@
 //! section re-runs the wave stream under the canonical fault plan and
 //! asserts the retry machinery both fires (nonzero retries and
 //! rate-limit defers) and absorbs (zero failed jobs). A `fleet` section
-//! shards the stream, records per-shard dispatch calls, migration
-//! counts and cache-fabric hit rates, and asserts in-process that the
-//! fleet does identical per-job work and that a pinned replay of its
-//! placement trace is bit-identical. The wave pass's design- and
+//! shards the stream, records per-shard dispatch calls and migration
+//! counts, and asserts in-process that the fleet does identical per-job
+//! work, that its shared design and score caches count exactly the wave
+//! pass's hits and misses, and that a pinned replay of its placement
+//! trace is bit-identical. The wave pass's design- and
 //! score-cache counters are recorded too, and both caches must report
 //! zero key collisions.
 //!
@@ -343,6 +344,15 @@ fn main() {
         fleet.stats.llm_batch_calls,
         "per-shard dispatch calls must sum to the aggregate"
     );
+    // One cache set serves every shard, and twin requests on different
+    // shards take turns on one key lock, so the fleet's design and
+    // score caches count exactly what one engine's do.
+    let (design, scores) = (fleet.design_cache, fleet.score_cache);
+    assert_eq!(
+        (design.hits, design.misses, scores.hits, scores.misses),
+        (hits, misses, score_hits, score_misses),
+        "fleet design / score cache counts differ from the wave pass's"
+    );
     let (_, replayed) = run_fleet(Some(fleet.trace.clone()));
     let placement_deterministic = replayed.trace == fleet.trace && replayed.traces == fleet.traces;
     assert!(
@@ -363,14 +373,8 @@ fn main() {
     line("solo_loop", solo_s);
     println!(
         "fleet ({FLEET_SHARDS} shards): {} migrations, per-shard dispatch calls {:?}, \
-         design fabric local {}/{} (hit/miss, {} promoted) global {}/{}; replay pinned: ok",
-        fleet.migrations,
-        per_shard_calls,
-        fleet.fabric.design_local.hits,
-        fleet.fabric.design_local.misses,
-        fleet.fabric.design_local.promotions,
-        fleet.fabric.design_global.hits,
-        fleet.fabric.design_global.misses,
+         design and score caches as the wave pass's; replay pinned: ok",
+        fleet.migrations, per_shard_calls,
     );
     println!(
         "wave llm: {} requests in {} dispatch calls ({:.1} avg, {} overlapped steps); \
@@ -417,10 +421,7 @@ fn main() {
          \"shards\": {FLEET_SHARDS},\n    \"wall_s\": {fleet_s:.6},\n    \
          \"jobs_per_sec\": {:.3},\n    \"per_shard_dispatch_calls\": {per_shard_calls:?},\n    \
          \"migrations\": {},\n    \"placements\": {},\n    \
-         \"placement_deterministic\": {placement_deterministic},\n    \
-         \"fabric\": {{ \"design_local_hit_rate\": {:.3}, \"score_local_hit_rate\": {:.3}, \
-         \"design_promotions\": {}, \"score_promotions\": {}, \"design_global_hits\": {}, \
-         \"score_global_hits\": {} }}\n  }},\n  \
+         \"placement_deterministic\": {placement_deterministic}\n  }},\n  \
          \"design_cache\": {{ \"hits\": {hits}, \"misses\": {misses} }},\n  \
          \"score_cache\": {{ \"hits\": {score_hits}, \"misses\": {score_misses}, \
          \"collisions\": {} }},\n  \
@@ -439,10 +440,11 @@ fn main() {
          {FLEET_SHARDS} wave engines behind the affinity router (rebalancer on, cadence 8): \
          per-job work is asserted identical to the single engine, and the recorded placement \
          trace is replayed pinned in-process — placement_deterministic means the replay \
-         re-recorded the identical trace and produced bit-identical solve traces. Fabric hit \
-         rates are telemetry (cross-shard publish timing makes them run-varying); the \
-         determinism gate is on traces, never counters. The scheduler.delta entry records \
-         the wave pass's process-unit cache counters: the debug loop re-compiles edited \
+         re-recorded the identical trace and produced bit-identical solve traces. The shards \
+         share one design, score and unit cache, and the harness asserts that the fleet's \
+         design- and score-cache hits and misses equal design_cache and score_cache: twin \
+         requests on different shards take turns on one key lock. The scheduler.delta entry \
+         records the wave pass's process-unit cache counters: the debug loop re-compiles edited \
          candidates against their parent design, so unchanged processes are served from \
          the unit tier (hit_rate = hits / (hits + misses)); the harness asserts nonzero \
          unit hits. design_cache and score_cache record the wave pass's design- and \
@@ -458,7 +460,7 @@ fn main() {
          score_cache and design_cache (twin compiles in one wave take turns on their key's \
          lock, as twin scoring requests do). scheduler.delta stays out: two different \
          candidates in one wave that share a process unit can both miss the unit tier. \
-         fleet is telemetry. \
+         fleet stays out too: its wall time is telemetry and its cache counts are asserted. \
          Regenerate with: cargo run --release -p mage-bench --bin bench_engine\"\n}}\n",
         jobs as f64 / wave_s,
         jobs as f64 / scalar_s,
@@ -487,14 +489,6 @@ fn main() {
         jobs as f64 / fleet_s,
         fleet.migrations,
         fleet.placements,
-        fleet.fabric.design_local.hits as f64
-            / (fleet.fabric.design_local.hits + fleet.fabric.design_local.misses).max(1) as f64,
-        fleet.fabric.score_local.hits as f64
-            / (fleet.fabric.score_local.hits + fleet.fabric.score_local.misses).max(1) as f64,
-        fleet.fabric.design_local.promotions,
-        fleet.fabric.score_local.promotions,
-        fleet.fabric.design_global.hits,
-        fleet.fabric.score_global.hits,
         wreport.score_collisions,
     );
     std::fs::write(&out_path, json).expect("write baseline");

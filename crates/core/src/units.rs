@@ -3,11 +3,10 @@
 //!
 //! Every cache a candidate passes through is one [`CacheTier`]: the solo
 //! engine's per-solve unit pool ([`SolveUnits`]), and `mage-serve`'s
-//! design, score and unit caches with the fleet's local/global fabric
-//! over them. A tier maps a hash key to a value and stores, beside each
-//! value, the full *witness* the key was derived from (candidate source,
-//! source plus bench, or a [`UnitTag`]). The tier alone owns the
-//! caching rule:
+//! design, score and unit caches, which every shard of a fleet shares. A
+//! tier maps a hash key to a value and stores, beside each value, the
+//! full *witness* the key was derived from (candidate source, source
+//! plus bench, or a [`UnitTag`]). The tier alone owns the caching rule:
 //!
 //! * a key hit serves its value only when the stored witness equals the
 //!   probed one — a 64-bit hash alone would let two colliding inputs
@@ -16,45 +15,37 @@
 //! * a hit refreshes the entry's recency; an insert at capacity evicts
 //!   the least-recently-used entry, popped from a stamp-ordered index in
 //!   O(log n);
-//! * a tier may sit over a shared parent tier: a local miss probes the
-//!   parent and promotes its hit locally, and freshly computed values
-//!   publish up to the parent, so sibling tiers reuse each other's work;
-//! * each tier counts its hits, misses, collisions and promotions.
+//! * each tier counts its hits, misses and collisions.
 //!
-//! Cached values are pure functions of their witness, so sharing,
-//! evicting or promoting them changes *where* work happens, never what a
-//! lookup returns. Lock discipline: a tier only ever holds its own mutex
-//! (parent probes happen outside the local lock), so tiers cannot
-//! deadlock however many share one parent.
+//! Cached values are pure functions of their witness, so sharing or
+//! evicting them changes *where* work happens, never what a lookup
+//! returns.
 //!
 //! [`UnitCache`] is the tier of compiled process units, probed by item
 //! fingerprint *before* a module item's body is elaborated (see
 //! `crates/sim/src/elab.rs`): a process identical to one any earlier
 //! candidate built skips the elaboration walk and the lowering both. The
 //! solo engine keeps one per solve ([`SolveUnits`], fed to
-//! [`crate::compile_pooled`]); serve keeps one per shard over a fleet
-//! global one.
+//! [`crate::compile_pooled`]); serve keeps one per engine, and a fleet
+//! hands one to every shard.
 
 use mage_sim::{ProcessUnit, UnitKey, UnitSource, UnitTag};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-/// One bounded, verified, optionally parented cache tier (see the
-/// module docs). `K` is the hash key, `Q` the witness as probed (stored
-/// as `Q::Owned`), `V` the cached value.
+/// One bounded, verified cache tier (see the module docs). `K` is the
+/// hash key, `Q` the witness as probed (stored as `Q::Owned`), `V` the
+/// cached value.
 pub struct CacheTier<K, Q: ?Sized + ToOwned, V> {
     slots: Mutex<Slots<K, Q::Owned, V>>,
     /// Entry bound (0 = unbounded).
     capacity: usize,
-    /// Shared tier consulted on local misses and published to.
-    parent: Option<Arc<Self>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     collisions: AtomicUsize,
-    promotions: AtomicUsize,
 }
 
 struct Slots<K, W, V> {
@@ -100,51 +91,16 @@ impl<K: Copy + Eq + Hash, Q: ?Sized + PartialEq + ToOwned, V: Clone> CacheTier<K
                 tick: 0,
             }),
             capacity,
-            parent: None,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             collisions: AtomicUsize::new(0),
-            promotions: AtomicUsize::new(0),
         }
     }
 
-    /// An empty local tier bounded to `capacity` entries over the
-    /// shared `parent` tier.
-    pub fn tiered(capacity: usize, parent: Arc<Self>) -> Self {
-        CacheTier {
-            parent: Some(parent),
-            ..Self::with_capacity(capacity)
-        }
-    }
-
-    /// The value cached for `witness` under `key`: this tier's entry,
-    /// else the parent's (promoted into this tier). `None` when neither
-    /// holds it.
-    pub(crate) fn get(&self, key: K, witness: &Q) -> Option<V> {
-        if let Some(value) = self.probe(key, witness) {
-            return Some(value);
-        }
-        let value = self.parent.as_ref()?.probe(key, witness)?;
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        self.store(key, witness, value.clone());
-        Some(value)
-    }
-
-    /// Publish a freshly computed `value` for `witness`: into the parent
-    /// tier, so sibling tiers can promote it, and into this one. Moves
-    /// no counter — the lookup that missed already counted.
-    pub(crate) fn insert(&self, key: K, witness: &Q, value: V) {
-        if let Some(parent) = &self.parent {
-            parent.store(key, witness, value.clone());
-        }
-        self.store(key, witness, value);
-    }
-
-    /// The value cached for `witness` under `key` — in this tier, else
-    /// promoted from the parent's — or `compute`d on a miss and
-    /// published to both. `compute` runs outside every lock, so two
-    /// callers racing on one new witness may both compute; the values
-    /// are equal and the tier keeps the first.
+    /// The value cached for `witness` under `key`, or `compute`d on a
+    /// miss and stored. `compute` runs outside the lock, so two callers
+    /// racing on one new witness may both compute; the values are equal
+    /// and the tier keeps the first.
     pub fn get_or_insert_with(&self, key: K, witness: &Q, compute: impl FnOnce() -> V) -> V {
         if let Some(value) = self.get(key, witness) {
             return value;
@@ -154,10 +110,10 @@ impl<K: Copy + Eq + Hash, Q: ?Sized + PartialEq + ToOwned, V: Clone> CacheTier<K
         value
     }
 
-    /// Probe this tier alone: a verified hit refreshes the entry's
-    /// recency; a key held by a different witness counts a collision
-    /// and misses.
-    fn probe(&self, key: K, witness: &Q) -> Option<V> {
+    /// The value cached for `witness` under `key`: a verified hit
+    /// refreshes the entry's recency; a key held by a different witness
+    /// counts a collision and misses.
+    pub(crate) fn get(&self, key: K, witness: &Q) -> Option<V> {
         let mut guard = self.lock();
         let slots = &mut *guard;
         let stamp = slots.next_tick();
@@ -173,9 +129,10 @@ impl<K: Copy + Eq + Hash, Q: ?Sized + PartialEq + ToOwned, V: Clone> CacheTier<K
         None
     }
 
-    /// Store `value` in this tier alone, evicting the least-recently-used
-    /// entry at capacity.
-    fn store(&self, key: K, witness: &Q, value: V) {
+    /// Store a freshly computed `value` for `witness`, evicting the
+    /// least-recently-used entry at capacity. Moves no counter — the
+    /// lookup that missed already counted.
+    pub(crate) fn insert(&self, key: K, witness: &Q, value: V) {
         let mut guard = self.lock();
         let slots = &mut *guard;
         let stamp = slots.next_tick();
@@ -229,7 +186,7 @@ impl<K, Q: ?Sized + ToOwned, V> CacheTier<K, Q, V> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups this tier could not answer itself (promotions included).
+    /// Lookups this tier could not answer.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
@@ -238,12 +195,6 @@ impl<K, Q: ?Sized + ToOwned, V> CacheTier<K, Q, V> {
     /// as a miss instead of serving the wrong value.
     pub fn collisions(&self) -> usize {
         self.collisions.load(Ordering::Relaxed)
-    }
-
-    /// Misses answered by the parent tier (a subset of
-    /// [`misses`](Self::misses)); always 0 without a parent.
-    pub fn promotions(&self) -> usize {
-        self.promotions.load(Ordering::Relaxed)
     }
 }
 
@@ -303,14 +254,6 @@ mod tests {
         assert_eq!(tier.get(7, "b"), Some(2));
         assert_eq!(tier.get(7, "a"), None);
         assert_eq!((tier.hits(), tier.collisions(), tier.len()), (1, 2, 1));
-
-        // The same guard holds in the parent: no promotion on mismatch.
-        let global = Arc::new(Tier::with_capacity(8));
-        global.insert(7, "x", 9);
-        let local = Tier::tiered(8, Arc::clone(&global));
-        assert_eq!(local.get_or_insert_with(7, "y", || 3), 3);
-        assert_eq!((global.collisions(), local.promotions()), (1, 0));
-        assert_eq!(global.get(7, "y"), Some(3), "fresh value published up");
     }
 
     #[test]
@@ -329,25 +272,6 @@ mod tests {
             assert_eq!(tier.get(1, "a"), Some(1), "hot entry evicted at {key}");
         }
         assert_eq!((tier.hits(), tier.misses()), (32, 1));
-    }
-
-    #[test]
-    fn parent_tier_promotes_hits_and_receives_fresh_values() {
-        let global = Arc::new(Tier::with_capacity(64));
-        let a = Tier::tiered(1, Arc::clone(&global));
-        let b = Tier::tiered(8, Arc::clone(&global));
-        assert_eq!(a.get_or_insert_with(1, "x", || 5), 5);
-        assert_eq!((a.misses(), global.misses(), global.len()), (1, 1, 1));
-        // B misses locally, promotes from the global tier, computes nothing.
-        assert_eq!(b.get_or_insert_with(1, "x", || unreachable!()), 5);
-        assert_eq!((b.misses(), b.promotions(), global.hits()), (1, 1, 1));
-        // Now resident in B: the next lookup never leaves it.
-        assert_eq!(b.get(1, "x"), Some(5));
-        assert_eq!((b.hits(), global.hits() + global.misses()), (1, 2));
-        // Evicted from A's one-slot tier, still promoted back from global.
-        a.insert(2, "y", 6);
-        assert_eq!(a.get(1, "x"), Some(5));
-        assert_eq!((a.promotions(), global.len()), (1, 2));
     }
 
     #[test]

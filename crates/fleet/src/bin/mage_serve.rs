@@ -4,10 +4,13 @@
 //! flag table ([`USAGE`]); a bad argument prints one line naming it,
 //! then the table, on stderr and exits with status 2.
 //!
-//! With `--shards 1` the stream runs on a plain [`ServeEngine`] exactly
-//! as before; `--shards N` (N ≥ 2) routes it through a
-//! [`FleetEngine`] and adds per-shard, migration and cache-fabric
-//! report lines. `--placement-trace` closes the determinism loop from
+//! With `--shards 1` the stream runs on a plain [`ServeEngine`];
+//! `--shards N` (N ≥ 2) routes it through a [`FleetEngine`] and adds
+//! per-shard and migration report lines. The lines both paths share
+//! print through one function, so a sharded run's `sim` and `scores`
+//! lines read like one engine's. `--migrate-after-steps` (above 0) and
+//! `--placement-trace` act only on a fleet, so on one shard they are
+//! usage errors. `--placement-trace` closes the determinism loop from
 //! the shell: run once to record, run again to replay pinned. A replay
 //! compares the placement trace it re-records with the pinned file's
 //! text: it prints `placement: replay matched`, or names the first
@@ -16,10 +19,10 @@
 
 use mage_core::experiments::unit_seed;
 use mage_core::{MageConfig, SolveTrace, SystemKind};
-use mage_fleet::{FleetEngine, FleetOptions, PlacementTrace};
+use mage_fleet::{CacheTierStats, FleetEngine, FleetOptions, PlacementTrace};
 use mage_llm::{parse_seed, DispatchPolicy, FaultPlan};
 use mage_problems::{Problem, SuiteId};
-use mage_serve::{synthetic_service_with, JobSpec, ServeEngine, ServeOptions};
+use mage_serve::{synthetic_service_with, JobSpec, ServeEngine, ServeOptions, ServeStats};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -38,6 +41,8 @@ Usage: mage-serve [options]
   --placement-trace F   pin placement from F if it exists (the run
                         must re-record it exactly), else record this
                         run's placement into F
+                        (--migrate-after-steps above 0 and
+                        --placement-trace need --shards 2 or more)
   --fault-plan P        fault plan: name or seed:name  [$MAGE_FAULT_PLAN]
                         (none|canonical|single-transient|burst-rate-limit|
                          one-backend-dead|all-dead|mid-wave-timeout)
@@ -159,6 +164,12 @@ fn parse_args() -> Result<Args, ExitCode> {
     }
     if args.workers == 0 {
         return Err(usage("--workers must be at least 1"));
+    }
+    if args.shards == 1 && args.migrate_after_steps > 0 {
+        return Err(usage("--migrate-after-steps needs --shards 2 or more"));
+    }
+    if args.shards == 1 && args.placement_trace.is_some() {
+        return Err(usage("--placement-trace needs --shards 2 or more"));
     }
     Ok(args)
 }
@@ -289,7 +300,7 @@ fn main() -> ExitCode {
 /// records into it); a file that cannot be read or parsed is a usage
 /// error.
 fn pinned_trace(args: &Args) -> Result<Option<(PlacementTrace, String)>, ExitCode> {
-    let Some(path) = args.placement_trace.as_ref().filter(|_| args.shards > 1) else {
+    let Some(path) = &args.placement_trace else {
         return Ok(None);
     };
     let text = match std::fs::read_to_string(path) {
@@ -316,8 +327,60 @@ fn first_divergence<'a>(pinned: &'a str, replayed: &'a str) -> Option<(usize, &'
     Some((k + 1, line(&a), line(&b)))
 }
 
-/// The classic single-engine path (`--shards 1`), byte-identical in
-/// behavior to the pre-fleet binary.
+/// The report lines a single engine and a fleet share: resilience (when
+/// anything failed, retried or deferred), dispatch, the three caches,
+/// tokens and, unless `--no-grade`, the pass rate over `traces`.
+fn print_totals<'a>(
+    args: &Args,
+    stats: &ServeStats,
+    [design, scores, units]: [CacheTierStats; 3],
+    traces: impl Iterator<Item = &'a SolveTrace>,
+) {
+    let failed = stats.jobs_failed;
+    if failed > 0 || stats.retries > 0 || stats.rate_limit_defers > 0 {
+        println!(
+            "resilience  {:>8} retries, {} hedges, {} rate-limit defers, {} failovers, {} jobs failed",
+            stats.retries, stats.hedges, stats.rate_limit_defers, stats.failovers, failed
+        );
+    }
+    println!(
+        "llm         {:>8} requests in {} dispatch calls ({:.1} avg/batch)",
+        stats.llm_requests,
+        stats.llm_batch_calls,
+        stats.llm_requests as f64 / stats.llm_batch_calls.max(1) as f64
+    );
+    println!(
+        "sim         {:>8} requests   design cache {} hits / {} misses ({:.1}% hit)",
+        stats.sim_requests,
+        design.hits,
+        design.misses,
+        100.0 * design.hits as f64 / (design.hits + design.misses).max(1) as f64
+    );
+    println!(
+        "scores      {:>8} shared hits / {} misses / {} collisions",
+        scores.hits, scores.misses, scores.collisions
+    );
+    println!(
+        "units       {:>8} delta hits / {} misses / {} collisions",
+        units.hits, units.misses, units.collisions
+    );
+    println!(
+        "tokens      {:>8} prompt + {} completion",
+        stats.total_usage.prompt, stats.total_usage.completion
+    );
+    if args.grade {
+        let (passed, graded, score_sum) = grade_traces(traces);
+        if graded > 0 {
+            println!(
+                "grading     {:>8.3} pass rate ({passed}/{graded})   mean engine score {:.3}",
+                passed as f64 / graded as f64,
+                score_sum / graded as f64
+            );
+        }
+    }
+}
+
+/// The single-engine path (`--shards 1`).
 fn run_single(args: &Args, specs: Vec<JobSpec>, opts: ServeOptions, policy: DispatchPolicy) {
     let service = synthetic_service_with(&specs, args.fault_plan.clone(), policy);
     let mut engine = ServeEngine::new(opts, service);
@@ -336,55 +399,23 @@ fn run_single(args: &Args, specs: Vec<JobSpec>, opts: ServeOptions, policy: Disp
         report.stats.sim_waves,
         report.stats.overlap_steps
     );
-    if report.failed > 0 || report.stats.retries > 0 || report.stats.rate_limit_defers > 0 {
-        println!(
-            "resilience  {:>8} retries, {} hedges, {} rate-limit defers, {} failovers, {} jobs failed",
-            report.stats.retries,
-            report.stats.hedges,
-            report.stats.rate_limit_defers,
-            report.stats.failovers,
-            report.failed
-        );
-    }
     println!(
         "throughput  {:>8.2} jobs/s   wall {:.2}s   latency mean {:.2}s max {:.2}s",
         report.jobs_per_sec, report.wall_s, report.mean_latency_s, report.max_latency_s
     );
-    println!(
-        "llm         {:>8} requests in {} dispatch calls ({:.1} avg/batch)",
-        report.stats.llm_requests,
-        report.stats.llm_batch_calls,
-        report.stats.llm_requests as f64 / report.stats.llm_batch_calls.max(1) as f64
-    );
-    println!(
-        "sim         {:>8} requests   design cache {} hits / {} misses ({:.1}% hit)",
-        report.stats.sim_requests,
-        report.cache_hits,
-        report.cache_misses,
-        100.0 * report.cache_hits as f64 / (report.cache_hits + report.cache_misses).max(1) as f64
-    );
-    println!(
-        "scores      {:>8} shared hits / {} misses / {} collisions",
-        report.score_hits, report.score_misses, report.score_collisions
-    );
-    println!(
-        "units       {:>8} delta hits / {} misses / {} collisions",
-        report.unit_hits, report.unit_misses, report.unit_collisions
-    );
-    println!(
-        "tokens      {:>8} prompt + {} completion",
-        report.stats.total_usage.prompt, report.stats.total_usage.completion
-    );
-    if args.grade {
-        let (passed, graded, score_sum) = grade_traces(engine.traces().into_iter().map(|(_, t)| t));
-        if graded > 0 {
-            println!(
-                "grading     {:>8.3} pass rate ({passed}/{graded})   mean engine score {:.3}",
-                passed as f64 / graded as f64,
-                score_sum / graded as f64
-            );
-        }
-    }
+    let r = &report;
+    let tier = |hits, misses, collisions| CacheTierStats {
+        hits,
+        misses,
+        collisions,
+    };
+    let caches = [
+        tier(r.cache_hits, r.cache_misses, r.cache_collisions),
+        tier(r.score_hits, r.score_misses, r.score_collisions),
+        tier(r.unit_hits, r.unit_misses, r.unit_collisions),
+    ];
+    let traces = engine.traces().into_iter().map(|(_, t)| t);
+    print_totals(args, &r.stats, caches, traces);
 }
 
 /// The sharded path (`--shards N`, N ≥ 2): records the placement
@@ -467,65 +498,13 @@ fn run_fleet(
             shard.stats.rounds
         );
     }
-    if report.failed > 0 || report.stats.retries > 0 || report.stats.rate_limit_defers > 0 {
-        println!(
-            "resilience  {:>8} retries, {} hedges, {} rate-limit defers, {} failovers, {} jobs failed",
-            report.stats.retries,
-            report.stats.hedges,
-            report.stats.rate_limit_defers,
-            report.stats.failovers,
-            report.failed
-        );
-    }
     println!(
         "throughput  {:>8.2} jobs/s   wall {:.2}s",
         report.done as f64 / report.wall_s.max(1e-9),
         report.wall_s
     );
-    println!(
-        "llm         {:>8} requests in {} dispatch calls ({:.1} avg/batch)",
-        report.stats.llm_requests,
-        report.stats.llm_batch_calls,
-        report.stats.llm_requests as f64 / report.stats.llm_batch_calls.max(1) as f64
-    );
-    let f = &report.fabric;
-    println!(
-        "fabric      design local {} hits / {} misses / {} promoted; global {} hits / {} misses",
-        f.design_local.hits,
-        f.design_local.misses,
-        f.design_local.promotions,
-        f.design_global.hits,
-        f.design_global.misses
-    );
-    println!(
-        "            scores local {} hits / {} misses / {} promoted; global {} hits / {} misses",
-        f.score_local.hits,
-        f.score_local.misses,
-        f.score_local.promotions,
-        f.score_global.hits,
-        f.score_global.misses
-    );
-    println!(
-        "            units  local {} hits / {} misses / {} promoted; global {} hits / {} misses",
-        f.unit_local.hits,
-        f.unit_local.misses,
-        f.unit_local.promotions,
-        f.unit_global.hits,
-        f.unit_global.misses
-    );
-    println!(
-        "tokens      {:>8} prompt + {} completion",
-        report.stats.total_usage.prompt, report.stats.total_usage.completion
-    );
-    if args.grade {
-        let (passed, graded, score_sum) = grade_traces(report.traces.iter().map(|(_, t)| t));
-        if graded > 0 {
-            println!(
-                "grading     {:>8.3} pass rate ({passed}/{graded})   mean engine score {:.3}",
-                passed as f64 / graded as f64,
-                score_sum / graded as f64
-            );
-        }
-    }
+    let caches = [report.design_cache, report.score_cache, report.unit_cache];
+    let traces = report.traces.iter().map(|(_, t)| t);
+    print_totals(args, &report.stats, caches, traces);
     status
 }

@@ -1,6 +1,6 @@
 //! The fleet controller: N serve-engine shards behind a deterministic
-//! router, with checkpoint-based job migration and a tiered cache
-//! fabric.
+//! router, with checkpoint-based job migration and one cache set that
+//! every shard shares.
 //!
 //! # Placement protocol
 //!
@@ -11,10 +11,9 @@
 //!    (replay mode only; a no-op when recording).
 //! 2. **Placement**: every job pushed since the last round is routed to
 //!    a shard and handed over. Routing is affinity-first — a job's
-//!    problem id hashes (FNV-1a) to its home shard, so repeats of the
-//!    same problem land where that problem's designs and scores are
-//!    already cached — with a load-aware spill: when the home shard's
-//!    load exceeds the lightest shard's by more than
+//!    problem id hashes (FNV-1a) to its home shard, so the same stream
+//!    always spreads the same way — with a load-aware spill: when the
+//!    home shard's load exceeds the lightest shard's by more than
 //!    [`FleetOptions::spread`], the job spills to the lightest shard
 //!    (ties break on the lowest index).
 //! 3. **Barrier**: every shard runs exactly one engine step, in
@@ -68,20 +67,16 @@
 //! drive the fleet with [`FleetEngine::run`] / [`FleetEngine::run_round`]
 //! only and the recorded operator moves replay themselves.
 //!
-//! # Cache fabric
+//! # Shared caches
 //!
-//! Each shard compiles through a private LRU tier backed by one shared
-//! global tier ([`mage_serve::DesignCache::tiered`] /
-//! [`mage_serve::ScoreCache::tiered`] / [`mage_serve::CacheTier::tiered`]
-//! for units): local misses consult the global tier and promote hits
-//! into the local tier; fresh results publish back. Affinity routing keeps a problem's designs in one local tier;
-//! the global tier catches cross-shard and post-migration reuse. The
-//! unit tier works below whole designs — per-process compilation units
-//! keyed by `(fingerprint, binding)`, so a debug iteration that edits
-//! one process recompiles only that process even when the whole-design
-//! caches miss, and cross-shard edits of the same problem share
-//! unchanged units through the global tier. The per-tier
-//! hit/miss/promotion counters aggregate into [`FleetReport::fabric`].
+//! The fleet builds one [`DesignCache`], one [`ScoreCache`] and one
+//! [`UnitCache`] and hands every shard, restarted shards included, an
+//! `Arc` of each through [`ServeEngine::with_caches`]. A design, score or
+//! process unit computed on one shard serves every other, before and
+//! after a migration. Twin requests on different shards take turns on
+//! one key lock, as twins in one sim wave do, so the fleet's design- and
+//! score-cache counts equal one engine's over the same stream while no
+//! cache evicts. [`FleetReport`] reports each cache once.
 
 use crate::service::{synthetic_shard_service, synthetic_shard_service_with};
 use crate::shard::{
@@ -100,9 +95,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fleet-level configuration: the values a caller sets. The rest is
-/// fixed: a rebalance moves at most two jobs, and each shard's local
-/// cache tiers hold 1,024 designs, 512 scores and 4,096 process units
-/// (delta compilation; see [`mage_serve::UnitCache`]).
+/// fixed: a rebalance moves at most two jobs, and the shards share one
+/// set of caches at their default capacities.
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
     /// Number of shards (≥ 1), each a [`ServeEngine`] on its own thread.
@@ -134,56 +128,36 @@ impl Default for FleetOptions {
 
 /// Most jobs moved per rebalance.
 const MIGRATE_BATCH: usize = 2;
-/// Capacity of each shard's local design-cache tier.
-const LOCAL_DESIGN_CAPACITY: usize = 1024;
-/// Capacity of each shard's local score-cache tier.
-const LOCAL_SCORE_CAPACITY: usize = 512;
-/// Capacity of each shard's local process-unit tier.
-const LOCAL_UNIT_CAPACITY: usize = 4096;
 
-/// Per-tier cache counters.
+/// The counters of one shared cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheTierStats {
-    /// Lookups answered by this tier.
+    /// Lookups answered by the cache.
     pub hits: usize,
-    /// Lookups this tier could not answer itself.
+    /// Lookups the cache could not answer.
     pub misses: usize,
-    /// Parent-tier hits copied into this tier (local tiers only).
-    pub promotions: usize,
     /// Key collisions detected.
     pub collisions: usize,
 }
 
 impl CacheTierStats {
-    fn absorb<K, Q: ?Sized + ToOwned, V>(&mut self, tier: &CacheTier<K, Q, V>) {
-        self.hits += tier.hits();
-        self.misses += tier.misses();
-        self.promotions += tier.promotions();
-        self.collisions += tier.collisions();
+    fn of<K, Q: ?Sized + ToOwned, V>(tier: &CacheTier<K, Q, V>) -> Self {
+        CacheTierStats {
+            hits: tier.hits(),
+            misses: tier.misses(),
+            collisions: tier.collisions(),
+        }
     }
-}
-
-/// The cache fabric's aggregate counters: local tiers summed over all
-/// shards (including restarted generations), plus the global tiers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FabricStats {
-    /// All local design tiers, summed.
-    pub design_local: CacheTierStats,
-    /// All local score tiers, summed.
-    pub score_local: CacheTierStats,
-    /// All local process-unit tiers, summed.
-    pub unit_local: CacheTierStats,
-    /// The shared global design tier.
-    pub design_global: CacheTierStats,
-    /// The shared global score tier.
-    pub score_global: CacheTierStats,
-    /// The shared global process-unit tier.
-    pub unit_global: CacheTierStats,
 }
 
 /// Aggregate outcome of a fleet run.
 pub struct FleetReport {
     /// Per-shard engine reports, in shard order (final generations).
+    /// A shard's cache fields read the fleet's shared caches, so they
+    /// count every shard's lookups, not its own. The fleet's design- and
+    /// score-cache counts equal one engine's over the same stream only
+    /// while no cache evicts, that is, while the stream's distinct
+    /// sources fit under the default capacities.
     pub shards: Vec<ServeReport>,
     /// Engine reports of shard generations retired by
     /// [`FleetEngine::restart_shard`], in retirement order.
@@ -205,8 +179,12 @@ pub struct FleetReport {
     pub restarts: usize,
     /// Fleet rounds run.
     pub rounds: u64,
-    /// Cache-fabric counters.
-    pub fabric: FabricStats,
+    /// The shared design cache's counters.
+    pub design_cache: CacheTierStats,
+    /// The shared score cache's counters.
+    pub score_cache: CacheTierStats,
+    /// The shared process-unit cache's counters.
+    pub unit_cache: CacheTierStats,
     /// Backend health merged (calls-weighted) over every shard.
     pub health: Option<HealthSnapshot>,
     /// The run's placement trace (pin it to replay the run).
@@ -230,9 +208,10 @@ pub struct FleetEngine<S: LlmService + Send + 'static> {
     opts: FleetOptions,
     factory: Box<dyn Fn(usize, JobRoster) -> S>,
     shards: Vec<ShardHandle>,
-    global_design: DesignCache,
-    global_scores: ScoreCache,
-    global_units: Arc<UnitCache>,
+    /// The caches every shard shares.
+    design: Arc<DesignCache>,
+    scores: Arc<ScoreCache>,
+    units: Arc<UnitCache>,
     jobs: Vec<FleetJob>,
     /// Fleet ids pushed but not yet placed.
     pending: Vec<usize>,
@@ -245,7 +224,6 @@ pub struct FleetEngine<S: LlmService + Send + 'static> {
     last_running: Vec<Vec<RunningJob>>,
     /// Reports and traces of restarted shard generations.
     retired: Vec<ShardFinal>,
-    retired_fabric: FabricStats,
     restarts: usize,
     wall: Duration,
 }
@@ -279,15 +257,14 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             load: vec![0; opts.shards],
             last_running: vec![Vec::new(); opts.shards],
             factory: Box::new(factory),
-            global_design: DesignCache::new(),
-            global_scores: ScoreCache::new(),
-            global_units: Arc::new(UnitCache::new()),
+            design: Arc::new(DesignCache::new()),
+            scores: Arc::new(ScoreCache::new()),
+            units: Arc::new(UnitCache::new()),
             jobs: Vec::new(),
             pending: Vec::new(),
             round: 0,
             trace: PlacementTrace::default(),
             retired: Vec::new(),
-            retired_fabric: FabricStats::default(),
             restarts: 0,
             wall: Duration::ZERO,
             opts,
@@ -301,24 +278,12 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
 
     fn spawn_shard(&self, ix: usize) -> ShardHandle {
         let roster = JobRoster::new();
-        let design = Arc::new(DesignCache::tiered(
-            LOCAL_DESIGN_CAPACITY,
-            &self.global_design,
-        ));
-        let scores = Arc::new(ScoreCache::tiered(
-            LOCAL_SCORE_CAPACITY,
-            &self.global_scores,
-        ));
-        let units = Arc::new(UnitCache::tiered(
-            LOCAL_UNIT_CAPACITY,
-            Arc::clone(&self.global_units),
-        ));
-        let engine = ServeEngine::with_fabric(
+        let engine = ServeEngine::with_caches(
             self.opts.serve.clone(),
             (self.factory)(ix, roster.clone()),
-            Arc::clone(&design),
-            Arc::clone(&scores),
-            Arc::clone(&units),
+            Arc::clone(&self.design),
+            Arc::clone(&self.scores),
+            Arc::clone(&self.units),
         );
         let (cmd_tx, cmd_rx) = mpsc::channel();
         let (reply_tx, reply_rx) = mpsc::channel();
@@ -331,9 +296,6 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             cmd: cmd_tx,
             reply: reply_rx,
             thread: Some(thread),
-            design,
-            scores,
-            units,
         }
     }
 
@@ -398,11 +360,12 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
     }
 
     /// Checkpoint `job` off its shard and restore it on `to`,
-    /// recording the move at the current round. A job still queued on
-    /// the source is stepped up to admission first. Returns `false`
-    /// (and moves nothing) if the job is unplaced, already on `to`,
-    /// or already done.
-    fn migrate_internal(&mut self, job: usize, to: usize) -> bool {
+    /// recording the move at the current round like any other decision
+    /// (operator moves, rebalances and pinned replays all come through
+    /// here). A job still queued on the source is stepped up to
+    /// admission first. Returns `false` (and moves nothing) if the job
+    /// is unplaced, already on `to`, or already done.
+    pub fn migrate(&mut self, job: usize, to: usize) -> bool {
         let Some(from) = self.jobs.get(job).and_then(|j| j.shard) else {
             return false;
         };
@@ -433,6 +396,14 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
                 _ => unreachable!("checkpoint reply"),
             }
         };
+        self.land(*lifted, from, to);
+        true
+    }
+
+    /// Restore a job lifted off shard `from` on shard `to`, and record
+    /// the move at the current round.
+    fn land(&mut self, lifted: LiftedJob, from: usize, to: usize) {
+        let job = lifted.fleet_job;
         match self.shards[to].call(ShardCmd::Restore {
             fleet_job: job,
             ck: lifted.ck,
@@ -450,13 +421,6 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             from,
             to,
         });
-        true
-    }
-
-    /// Operator-initiated migration (recorded like any other decision).
-    /// Returns `false` if the job is unplaced, done, or already there.
-    pub fn migrate(&mut self, job: usize, to: usize) -> bool {
-        self.migrate_internal(job, to)
     }
 
     /// The hot → cold rebalance pass (see the module docs).
@@ -480,7 +444,7 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             .min(victims.len());
         let mut moved = 0;
         for v in victims.into_iter().take(quota) {
-            if self.migrate_internal(v.fleet_job, cold) {
+            if self.migrate(v.fleet_job, cold) {
                 moved += 1;
             }
         }
@@ -505,7 +469,7 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
                     m.round,
                     m.job
                 );
-                if self.migrate_internal(m.job, m.to) {
+                if self.migrate(m.job, m.to) {
                     migrated += 1;
                 }
             }
@@ -556,24 +520,8 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
                 _ => unreachable!("drain reply"),
             };
             for lifted in jobs {
-                let job = lifted.fleet_job;
-                let to = self.route(&self.jobs[job].problem_id, Some(ix));
-                match self.shards[to].call(ShardCmd::Restore {
-                    fleet_job: job,
-                    ck: lifted.ck,
-                    health: lifted.health,
-                }) {
-                    ShardReply::Restored => {}
-                    _ => unreachable!("restore reply"),
-                }
-                self.jobs[job].shard = Some(to);
-                self.load[to] += 1;
-                self.trace.migrations.push(Migration {
-                    round: self.round,
-                    job,
-                    from: ix,
-                    to,
-                });
+                let to = self.route(&self.jobs[lifted.fleet_job].problem_id, Some(ix));
+                self.land(lifted, ix, to);
                 moved += 1;
             }
             if live_after == 0 {
@@ -595,9 +543,10 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
         moved
     }
 
-    /// Drain shard `ix`, retire its engine (folding its report, traces
-    /// and cache counters into the final aggregate), and bring up a
-    /// fresh replacement in its slot. Returns how many jobs moved off.
+    /// Drain shard `ix`, retire its engine (folding its report and
+    /// traces into the final aggregate), and bring up a fresh
+    /// replacement over the same shared caches in its slot. Returns how
+    /// many jobs moved off.
     pub fn restart_shard(&mut self, ix: usize) -> usize {
         let moved = self.drain_shard(ix);
         self.shards[ix].send(ShardCmd::Finish);
@@ -605,10 +554,6 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             ShardReply::Finished(final_) => self.retired.push(*final_),
             _ => unreachable!("finish reply"),
         }
-        let (retired, shard) = (&mut self.retired_fabric, &self.shards[ix]);
-        retired.design_local.absorb(&shard.design);
-        retired.score_local.absorb(&shard.scores);
-        retired.unit_local.absorb(&shard.units);
         self.shards[ix].join();
         let fresh = self.spawn_shard(ix);
         self.shards[ix] = fresh;
@@ -640,20 +585,13 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             shard.send(ShardCmd::Finish);
         }
         let mut finals = Vec::with_capacity(self.shards.len());
-        let mut fabric = self.retired_fabric;
         for shard in &mut self.shards {
             match shard.recv() {
                 ShardReply::Finished(f) => finals.push(*f),
                 _ => unreachable!("finish reply"),
             }
-            fabric.design_local.absorb(&shard.design);
-            fabric.score_local.absorb(&shard.scores);
-            fabric.unit_local.absorb(&shard.units);
             shard.join();
         }
-        fabric.design_global.absorb(&self.global_design);
-        fabric.score_global.absorb(&self.global_scores);
-        fabric.unit_global.absorb(&self.global_units);
         self.wall += t0.elapsed();
 
         let mut stats = ServeStats::default();
@@ -685,7 +623,9 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             migrations: self.trace.migrations.len(),
             restarts: self.restarts,
             rounds: self.round,
-            fabric,
+            design_cache: CacheTierStats::of(&*self.design),
+            score_cache: CacheTierStats::of(&*self.scores),
+            unit_cache: CacheTierStats::of(&*self.units),
             health,
             trace: std::mem::take(&mut self.trace),
             traces,

@@ -10,10 +10,7 @@
 
 use mage_core::SolveTrace;
 use mage_llm::HealthSnapshot;
-use mage_serve::{
-    DesignCache, JobCheckpoint, JobSpec, LlmService, ScoreCache, ServeEngine, ServeReport,
-    UnitCache,
-};
+use mage_serve::{JobCheckpoint, JobSpec, LlmService, ServeEngine, ServeReport};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -130,10 +127,6 @@ pub(crate) struct ShardHandle {
     pub cmd: Sender<ShardCmd>,
     pub reply: Receiver<ShardReply>,
     pub thread: Option<JoinHandle<()>>,
-    /// The shard's local cache tiers (controller-readable counters).
-    pub design: Arc<DesignCache>,
-    pub scores: Arc<ScoreCache>,
-    pub units: Arc<UnitCache>,
 }
 
 impl ShardHandle {

@@ -1,6 +1,7 @@
-//! `mage-serve`'s command line: a bad argument is a usage error (one
-//! line naming it, then the flag table, on stderr; exit status 2),
-//! never a panic, and `--help` prints the table and exits 0. A sharded
+//! `mage-serve`'s command line: a bad argument, or a fleet-only flag on
+//! one shard, is a usage error (one line naming it, then the flag
+//! table, on stderr; exit status 2), never a panic, and `--help` prints
+//! the table and exits 0. A sharded
 //! run replayed under its own recorded placement trace reports that
 //! the replay matched.
 
@@ -23,7 +24,7 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn bad_arguments_exit_2_without_panicking() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["--runs", "abc"], "--runs"),
         (&["--runs"], "--runs"),
         (&["--bogus"], "--bogus"),
@@ -31,6 +32,15 @@ fn bad_arguments_exit_2_without_panicking() {
         (&["--fault-plan", "bogus"], "--fault-plan"),
         (&["--shards", "0"], "--shards"),
         (&["--workers", "0"], "--workers"),
+        // Fleet-only flags on one shard, before and after `--shards`.
+        (
+            &["--migrate-after-steps", "4", "--shards", "1"],
+            "--migrate-after-steps",
+        ),
+        (
+            &["--shards", "1", "--placement-trace", "unused.txt"],
+            "--placement-trace",
+        ),
     ];
     for (args, flag) in cases {
         let out = mage_serve(args);

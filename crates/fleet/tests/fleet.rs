@@ -13,7 +13,7 @@
 use mage_core::{Mage, MageConfig, SolveTrace, Task};
 use mage_fleet::{FleetEngine, FleetOptions};
 use mage_llm::{DispatchPolicy, FaultPlan};
-use mage_serve::{JobSpec, ServeOptions, ServeStats};
+use mage_serve::{synthetic_service, JobSpec, ServeEngine, ServeOptions, ServeStats};
 
 const PROBLEMS: [&str; 4] = [
     "prob012_mux4_case",
@@ -336,10 +336,10 @@ fn affinity_keeps_a_problem_on_one_shard_and_spill_balances_load() {
 }
 
 #[test]
-fn cache_fabric_shares_work_across_shards() {
-    // Four copies of the same problem forced onto four different
-    // shards: their identical candidate designs can only be shared
-    // through the global tier.
+fn shards_share_one_cache_set() {
+    // Eight copies of one problem spread over four shards: their twin
+    // candidates compile and score once in the fleet's one cache set,
+    // so the fleet counts exactly the hits and misses of one engine.
     let stream = skewed_specs(8);
     let report = run_fleet(
         &stream,
@@ -351,35 +351,32 @@ fn cache_fabric_shares_work_across_shards() {
         },
     );
     assert_eq!(report.done, stream.len());
-    let f = &report.fabric;
-    assert!(
-        f.design_local.hits + f.design_local.misses > 0,
-        "no design-cache traffic at all"
+    let mut engine = ServeEngine::new(serve_opts(true, 1), synthetic_service(&stream));
+    for spec in &stream {
+        engine.push_job(spec.clone());
+    }
+    engine.run();
+    let one = engine.report();
+    let (design, scores) = (report.design_cache, report.score_cache);
+    let counts = (design.hits, design.misses, scores.hits, scores.misses);
+    assert_eq!(
+        counts,
+        (
+            one.cache_hits,
+            one.cache_misses,
+            one.score_hits,
+            one.score_misses
+        )
     );
-    assert!(
-        f.design_global.hits + f.design_global.misses > 0,
-        "local tiers never consulted the global tier"
-    );
-    assert!(
-        f.design_local.promotions <= f.design_local.misses,
-        "promotions can only happen on local misses"
-    );
-    assert!(
-        f.score_local.promotions <= f.score_local.misses,
-        "score promotions can only happen on local misses"
-    );
-    // Every whole-design miss delta-compiles through the unit tier, so
-    // cold caches must generate per-process unit traffic too.
-    assert!(
-        f.unit_local.hits + f.unit_local.misses > 0,
-        "no unit-tier traffic at all"
-    );
-    assert!(
-        f.unit_global.hits + f.unit_global.misses > 0,
-        "local unit tiers never consulted the global tier"
-    );
-    assert!(
-        f.unit_local.promotions <= f.unit_local.misses,
-        "unit promotions can only happen on local misses"
-    );
+    assert_eq!((design.collisions, scores.collisions), (0, 0));
+    assert!(design.hits > 0 && scores.hits > 0, "no twin shared work");
+    // Every whole-design miss delta-compiles through the unit cache.
+    assert!(report.unit_cache.hits + report.unit_cache.misses > 0);
+    // Each shard's report reads the shared caches.
+    for s in &report.shards {
+        assert_eq!(
+            (s.cache_hits, s.cache_misses, s.score_hits, s.score_misses),
+            counts
+        );
+    }
 }

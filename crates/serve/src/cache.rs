@@ -3,21 +3,13 @@
 //! ([`UnitCache`]). Each is one [`CacheTier`] keyed by a 64-bit hash and
 //! witnessed by the full input the key was derived from (candidate
 //! source, source plus bench, or a unit tag); the tier alone owns
-//! verify-on-hit, LRU eviction, parent tiering and the hit / miss /
-//! collision / promotion counters (see [`mage_core::units`]). The two
-//! wrappers here only choose the key and witness and say what to compute
-//! on a miss; their counters are the tier's (through `Deref`).
-//!
-//! # Tiered fabric
-//!
-//! Every cache can be built `tiered`: a small local tier backed by a
-//! shared global parent. A local miss consults the parent before
-//! computing; a parent hit is **promoted** into the local tier, and
-//! every fresh computation is published to the parent so sibling tiers
-//! can reuse it. Entries are schedule-independent facts (pure functions
-//! of their witness), so the fabric can only change *where* work
-//! happens, never *what* any lookup returns — tiering is invisible to
-//! traces by construction.
+//! verify-on-hit, LRU eviction and the hit / miss / collision counters
+//! (see [`mage_core::units`]). The two wrappers here only choose the key
+//! and witness, say what to compute on a miss and hold the turn locks
+//! that make twin requests compute once; their counters are the tier's
+//! (through `Deref`). Entries are pure functions of their witness, so
+//! every engine of a fleet can share one set of caches without any
+//! lookup's answer depending on where it ran.
 
 use mage_core::solvejob::{SimOutcome, SimRequest};
 use mage_core::{compile_pooled, CacheTier, UnitCache};
@@ -63,13 +55,14 @@ type DesignTier = CacheTier<u64, str, Result<Arc<Design>, String>>;
 /// resident through a stream of unique high-temperature candidates.
 ///
 /// A compile holds its key's turn lock while it looks up and, on a
-/// miss, compiles. Twin compiles in one sim wave (jobs running in
-/// lockstep) therefore compile once: the second copy waits for the
-/// first to publish and hits, at any worker count. A scoring miss
+/// miss, compiles. Twin compiles (jobs running in lockstep, in one sim
+/// wave or on two fleet shards sharing the cache) therefore compile
+/// once: the second copy waits for the first to publish and hits, at
+/// any worker count. A scoring miss
 /// compiles inside its [`ScoreCache`] turn, so the lock order is always
 /// score, then design.
 pub struct DesignCache {
-    tier: Arc<DesignTier>,
+    tier: DesignTier,
     hasher: SourceHasher,
     turns: Turns,
 }
@@ -104,19 +97,8 @@ impl DesignCache {
     /// to force key collisions.
     pub fn with_capacity_and_hasher(capacity: usize, hasher: SourceHasher) -> Self {
         DesignCache {
-            tier: Arc::new(CacheTier::with_capacity(capacity)),
+            tier: CacheTier::with_capacity(capacity),
             hasher,
-            turns: Turns::new(),
-        }
-    }
-
-    /// A local tier bounded to `capacity` entries over `parent`'s,
-    /// keyed by the parent's hasher: local misses consult the parent
-    /// (promoting hits locally) and fresh compiles are published to it.
-    pub fn tiered(capacity: usize, parent: &DesignCache) -> Self {
-        DesignCache {
-            tier: Arc::new(CacheTier::tiered(capacity, Arc::clone(&parent.tier))),
-            hasher: parent.hasher,
             turns: Turns::new(),
         }
     }
@@ -261,11 +243,12 @@ fn bench_fingerprint(bench: &Testbench) -> u64 {
 /// cache already covers them.
 ///
 /// A request holds its key's turn lock while it looks up and, on a
-/// miss, scores. Twin requests in one sim wave (jobs running in
-/// lockstep) therefore score once: the second copy waits for the first
-/// to publish and hits, at any worker count.
+/// miss, scores. Twin requests (jobs running in lockstep, in one sim
+/// wave or on two fleet shards sharing the cache) therefore score once:
+/// the second copy waits for the first to publish and hits, at any
+/// worker count.
 pub struct ScoreCache {
-    tier: Arc<ScoreTier>,
+    tier: ScoreTier,
     hasher: SourceHasher,
     turns: Turns,
 }
@@ -300,19 +283,8 @@ impl ScoreCache {
     /// inject degenerate hashers to force key collisions.
     pub fn with_capacity_and_hasher(capacity: usize, hasher: SourceHasher) -> Self {
         ScoreCache {
-            tier: Arc::new(CacheTier::with_capacity(capacity)),
+            tier: CacheTier::with_capacity(capacity),
             hasher,
-            turns: Turns::new(),
-        }
-    }
-
-    /// A local tier bounded to `capacity` entries over `parent`'s, keyed
-    /// by the parent's hasher — the scoring side of the tiered fabric
-    /// (see the module docs).
-    pub fn tiered(capacity: usize, parent: &ScoreCache) -> Self {
-        ScoreCache {
-            tier: Arc::new(CacheTier::tiered(capacity, Arc::clone(&parent.tier))),
-            hasher: parent.hasher,
             turns: Turns::new(),
         }
     }
@@ -708,85 +680,6 @@ mod tests {
         assert_eq!(cache.misses(), misses + 1, "unpromoted entry evicted");
     }
 
-    #[test]
-    fn tiered_design_miss_promotes_from_global() {
-        let global = DesignCache::with_capacity(64);
-        let shard_a = DesignCache::tiered(8, &global);
-        let shard_b = DesignCache::tiered(8, &global);
-        let s = src("m_shared");
-        // Shard A compiles once and publishes to the global tier.
-        compile_in(&shard_a, &s).unwrap();
-        assert_eq!(shard_a.misses(), 1);
-        assert_eq!(shard_a.promotions(), 0);
-        assert_eq!(global.len(), 1);
-        // Shard B misses locally but promotes from global — no compile
-        // (observable: global counts a hit, B counts a promotion).
-        compile_in(&shard_b, &s).unwrap();
-        assert_eq!(shard_b.misses(), 1);
-        assert_eq!(shard_b.promotions(), 1);
-        assert_eq!(global.hits(), 1);
-        // Now resident locally: the next lookup never leaves shard B.
-        let global_ticks = global.hits() + global.misses();
-        compile_in(&shard_b, &s).unwrap();
-        assert_eq!(shard_b.hits(), 1);
-        assert_eq!(global.hits() + global.misses(), global_ticks);
-    }
-
-    #[test]
-    fn tiered_design_survives_local_eviction_via_global() {
-        let global = DesignCache::with_capacity(64);
-        let local = DesignCache::tiered(2, &global);
-        let keep = src("m_keep");
-        compile_in(&local, &keep).unwrap();
-        // Flush the local tier with fresh sources.
-        for i in 0..4 {
-            compile_in(&local, &src(&format!("m_f{i}"))).unwrap();
-        }
-        // Locally evicted, globally retained: promotion, not recompile.
-        let promos = local.promotions();
-        let d = compile_in(&local, &keep).unwrap();
-        assert_eq!(d.top, "m_keep");
-        assert_eq!(local.promotions(), promos + 1);
-        assert_eq!(global.len(), 5);
-    }
-
-    #[test]
-    fn tiered_design_collision_in_global_falls_through() {
-        // A local tier shares its parent's hasher; a colliding global
-        // tier must never serve the wrong design — the local tier
-        // compiles fresh instead.
-        let global = DesignCache::with_capacity_and_hasher(8, |_| 42);
-        let local = DesignCache::tiered(8, &global);
-        let (a, b) = (src("m_a"), src("m_b"));
-        compile_in(&local, &a).unwrap();
-        let db = compile_in(&local, &b).expect("b elaborates");
-        assert_eq!(db.top, "m_b", "global collision must not cross-serve");
-        assert_eq!(local.promotions(), 0);
-        assert!(global.collisions() >= 1);
-    }
-
-    #[test]
-    fn tiered_scores_share_across_locals() {
-        let global = ScoreCache::with_capacity(64);
-        let shard_a = ScoreCache::tiered(8, &global);
-        let shard_b = ScoreCache::tiered(8, &global);
-        let runs = AtomicUsize::new(0);
-        let run = |_: &SimRequest| {
-            runs.fetch_add(1, Ordering::Relaxed);
-            fake_outcome(0.6)
-        };
-        let req = score_req(GOOD, Some(bench("tb", 2)));
-        let a = shard_a.get_or_run(&req, run);
-        let b = shard_b.get_or_run(&req, run);
-        assert_eq!(runs.load(Ordering::Relaxed), 1, "one simulation total");
-        assert_eq!(a.score, b.score);
-        assert_eq!(shard_b.promotions(), 1);
-        assert_eq!(global.hits(), 1);
-        // Compile-only probes stay out of every tier.
-        shard_a.get_or_run(&score_req(GOOD, None), run);
-        assert_eq!(global.len(), 1);
-    }
-
     const DELTA_BASE: &str =
         "module top_module(input clk, input a, input b, output reg q, output w);\n\
          wire x;\n\
@@ -836,24 +729,6 @@ mod tests {
         let scratch = compile(&edited).unwrap();
         assert_eq!(d.processes, scratch.processes);
         assert_eq!(units.len(), 1, "only the edited unit is published");
-    }
-
-    #[test]
-    fn tiered_units_promote_from_global() {
-        let global = Arc::new(UnitCache::with_capacity(1024));
-        let shard_a = UnitCache::tiered(64, Arc::clone(&global));
-        let shard_b = UnitCache::tiered(64, Arc::clone(&global));
-        DesignCache::new()
-            .get_or_compile(DELTA_BASE, None, &shard_a)
-            .unwrap();
-        assert!(!global.is_empty(), "fresh units published upward");
-        // Shard B never compiled this source: its local tier misses,
-        // the global tier serves, and each hit promotes locally.
-        let d = DesignCache::new()
-            .get_or_compile(DELTA_BASE, None, &shard_b)
-            .unwrap();
-        assert_eq!(shard_b.promotions(), d.processes.len());
-        assert_eq!(shard_b.len(), d.processes.len());
     }
 
     #[test]

@@ -110,8 +110,8 @@
 //! # Cache keying
 //!
 //! Every cache is one [`CacheTier`]: a hash key, the full input it was
-//! derived from verified on every hit, LRU eviction, and an optional
-//! parent tier. The [`DesignCache`] maps `fnv1a(source text) →
+//! derived from verified on every hit, and LRU eviction. The
+//! [`DesignCache`] maps `fnv1a(source text) →
 //! elaboration result`. Elaboration is a pure function of the source, so
 //! a cache entry is valid for every job, ablation and bench; a miss
 //! delta-compiles ([`mage_core::compile_pooled`]) against the request's

@@ -156,6 +156,13 @@ impl ServeStats {
 }
 
 /// Aggregated results of an engine run (see [`ServeEngine::report`]).
+///
+/// The `cache_*`, `score_*` and `unit_*` counts read the engine's caches
+/// at report time. Caches shared through [`ServeEngine::with_caches`]
+/// count every sharer's lookups, so each shard of a fleet reports the
+/// fleet's totals. Those design- and score-cache totals equal one
+/// engine's over the same stream only while no cache evicts, that is,
+/// while the stream's distinct sources fit under the default capacities.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Jobs pushed.
@@ -418,7 +425,7 @@ pub struct ServeEngine<S: LlmService> {
 impl<S: LlmService> ServeEngine<S> {
     /// An engine with fresh private caches.
     pub fn new(opts: ServeOptions, service: S) -> Self {
-        Self::with_fabric(
+        Self::with_caches(
             opts,
             service,
             Arc::new(DesignCache::new()),
@@ -427,11 +434,10 @@ impl<S: LlmService> ServeEngine<S> {
         )
     }
 
-    /// An engine sharing the given cache fabric — designs, scores, and
-    /// per-process compilation units — e.g. caches spanning several
-    /// engines, tiers over a fleet's global ones, or a warm cache from a
-    /// prior stream.
-    pub fn with_fabric(
+    /// An engine over the given caches — designs, scores, and
+    /// per-process compilation units — e.g. one set shared by every
+    /// shard of a fleet, or a warm cache from a prior stream.
+    pub fn with_caches(
         opts: ServeOptions,
         service: S,
         cache: Arc<DesignCache>,

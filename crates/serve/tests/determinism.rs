@@ -55,7 +55,7 @@ fn run_stream(
     let specs = specs(2);
     let service = synthetic_service(&specs);
     let mut engine = match cache {
-        Some(c) => ServeEngine::with_fabric(
+        Some(c) => ServeEngine::with_caches(
             opts,
             service,
             c,
